@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -142,41 +142,18 @@ class SweepConfig:
         return SumParams(kappa=self.kappa, beta=self.beta, y=self.y)
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "x_grid": self.x_grid.to_dict(),
-            "kappa": self.kappa,
-            "beta": self.beta,
-            "y": self.y,
-            "alpha": self.alpha,
-            "n_terms": self.n_terms,
-            "order": self.order,
-            "t_grid": list(self.t_grid),
-            "out": self.out,
-            "fmt": self.fmt,
-            "fixture": self.fixture,
-            "jobs": self.jobs,
-            "force": self.force,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["x_grid"] = self.x_grid.to_dict()
+        data["t_grid"] = list(self.t_grid)
+        return data
 
     @staticmethod
     def from_dict(data: dict) -> "SweepConfig":
-        return SweepConfig(
-            mode=data["mode"],
-            x_grid=GridSpec.from_dict(data["x_grid"]),
-            kappa=data.get("kappa"),
-            beta=data.get("beta"),
-            y=data.get("y"),
-            alpha=data.get("alpha"),
-            n_terms=data.get("n_terms"),
-            order=data.get("order"),
-            t_grid=tuple(data.get("t_grid", ())),
-            out=data.get("out"),
-            fmt=data.get("fmt", "csv"),
-            fixture=data.get("fixture"),
-            jobs=data.get("jobs"),
-            force=bool(data.get("force", False)),
-        )
+        kwargs = {f.name: data[f.name] for f in fields(SweepConfig) if f.name in data}
+        kwargs["x_grid"] = GridSpec.from_dict(data["x_grid"])
+        kwargs["t_grid"] = tuple(data.get("t_grid", ()))
+        kwargs["force"] = bool(data.get("force", False))
+        return SweepConfig(**kwargs)
 
     def content_dict(self) -> dict:
         """Config echo without output disposition (out/fmt/fixture/jobs/force)."""

@@ -7,9 +7,16 @@ The orthonormal Hermite functions
 are bounded by pi^(-1/4) on the whole real line, yet the Gaussian
 factor alone underflows double precision at |x| ~ 38.  Everything here
 therefore flows through a (sign, log magnitude) representation, and the
-three-term recurrence runs on rescaled values with an explicit exponent
-accumulator, so orders up to 10^6 and arguments up to 10^3 never
+three-term recurrence runs on rescaled values with an integer count of
+rescaling walls, so orders up to 10^6 and arguments up to 10^3 never
 materialize an over- or underflowing double.
+
+Every frontend reads one recurrence: a scalar loop for one point
+(hermite_exact, hermite_orders) and an array loop for many points
+(hermite_batch, hermite_values, hermite_moment_sweep).  Both share one
+coefficient table and one compensated log finalizer.  Above
+EXTENDED_PRECISION_ORDER, hermite_exact runs the scalar loop in long
+double.
 
 For large orders inside the monotonic (zero-free) region
 2(n+1) < x^2, the classical Plancherel-Rotach asymptotic in the
@@ -33,7 +40,6 @@ _LN_2 = math.log(2.0)
 # Rescaling walls for the running recurrence values.  One multiply by
 # 2^(+-512) per crossing is enough: a single recurrence step changes the
 # magnitude by a factor far below 2^512 for |x| <= 1e3.
-_WALL_LOG = 512.0 * _LN_2
 _WALL_HI = 2.0**512
 _WALL_LO = 2.0**-512
 
@@ -44,14 +50,24 @@ _WALL_LO = 2.0**-512
 _WALL_LOG_HI = float.fromhex("0x1.62e42ff000000p+8")
 _WALL_LOG_LO = float.fromhex("-0x1.718432a1b0e26p-26")
 
+# Orders per block of the recurrence coefficient table and of the values
+# hermite_orders keeps: a block of Python floats costs tens of kB, a
+# whole table at n = 1e6 would cost tens of MB per concurrent call.
+_BLOCK = 1024
+
 # Hard floor on the monotonic-region margin epsilon: callers may pass a
 # larger (e.g. y-dependent) epsilon but never a smaller one.
 EPSILON_MONOTONIC = 1e-3
 
-# Above this order the forward recurrence drifts past the 1e-10 contract
-# in doubles (and even in 80-bit floats), so hermite_exact switches to an
-# arbitrary-precision pass.
+# Above this order the drift of the forward recurrence in doubles would
+# exceed the 1e-10 contract, so hermite_exact runs the same recurrence in
+# long double, with the coefficients computed in long double too.
 EXTENDED_PRECISION_ORDER = 20000
+
+# Float type of that pass: a long double with at least a 64-bit
+# significand (x87 extended or IEEE quad).  Where long double is only a
+# double, orders above EXTENDED_PRECISION_ORDER raise ValueError.
+_EXTENDED_FLOAT = np.longdouble if np.finfo(np.longdouble).nmant >= 63 else None
 
 # Largest order for which the monomial form of H_n is exposed as a test
 # oracle; beyond this the alternating coefficients cancel catastrophically.
@@ -149,8 +165,11 @@ def phi_coordinate(n: float, x: float) -> PhiCoordinate:
     return PhiCoordinate(phi=phi, n=n, x=x)
 
 
-def _square_with_residual(x: float) -> tuple[float, float]:
-    """x*x as rounded product plus exact residual (Dekker splitting)."""
+def _square_with_residual(x):
+    """x*x as rounded product plus exact residual (Dekker splitting).
+
+    Elementwise on arrays as well as on scalars.
+    """
     p = x * x
     c = 134217729.0 * x  # 2^27 + 1; no overflow for |x| <= 1e3
     hi = c - (c - x)
@@ -158,25 +177,118 @@ def _square_with_residual(x: float) -> tuple[float, float]:
     return p, ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
 
 
-def _hermite_exact_extended(n: int, x: float) -> SignedLog:
-    """Arbitrary-precision recurrence pass for very large orders.
+def _coefficients(n: int, dtype):
+    """Yield sqrt(2/(k+1)) and sqrt(k/(k+1)) for k = 0..n-1, computed in dtype.
 
-    30 significant digits keep the accumulated drift orders of magnitude
-    below the final double rounding even at n = 1e6.
+    Comes in blocks of _BLOCK orders, so a loop holds a bounded table
+    whatever n is; blocks of doubles come as lists of Python floats,
+    which step much faster than numpy scalars.
     """
-    import mpmath as mp
+    for start in range(0, n, _BLOCK):
+        k = np.arange(start, min(n, start + _BLOCK), dtype=dtype)
+        a, b = np.sqrt(2 / (k + 1)), np.sqrt(k / (k + 1))
+        if dtype is float:
+            a, b = a.tolist(), b.tolist()
+        yield a, b
 
-    with mp.workdps(30):
-        xm = mp.mpf(x)
-        prev = mp.mpf(0)
-        cur = mp.pi ** mp.mpf("-0.25") * mp.exp(-xm * xm / 2)
-        for k in range(n):
-            prev, cur = cur, xm * mp.sqrt(mp.mpf(2) / (k + 1)) * cur - mp.sqrt(
-                mp.mpf(k) / (k + 1)
-            ) * prev
-        if cur == 0:
-            return SignedLog(0, -math.inf)
-        return SignedLog(1 if cur > 0 else -1, float(mp.log(abs(cur))))
+
+def _log_magnitude(walls, log_m, x):
+    """ln|h| for a running value m of the recurrence, compensated.
+
+    h = m * 2^(512 walls) * pi^(-1/4) e^(-x^2/2), given the integer wall
+    count and ln|m|.  walls * _WALL_LOG_HI and -x^2/2 are both exact
+    (the Dekker residual of x^2 is kept aside), and an error-free
+    two-sum adds them, so the result carries about one final rounding.
+    Elementwise on arrays as well as on scalars.
+    """
+    sq, sq_res = _square_with_residual(x)
+    walls_main = _WALL_LOG_HI * walls
+    gauss = -0.5 * sq
+    total = walls_main + gauss
+    part = total - walls_main
+    err = (walls_main - (total - part)) + (gauss - part)
+    small = (_WALL_LOG_LO * walls - 0.5 * sq_res) + (log_m - 0.25 * _LN_PI)
+    return total + (err + small)
+
+
+def _scalar_loop(n: int, x: float, dtype=float, keep: bool = False):
+    """The rescaled recurrence at one point x, up to order n.
+
+    Runs h_{k+1} = x sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1} on a
+    running pair m_k with h_k = m_k * 2^(512 walls) * pi^(-1/4) e^(-x^2/2).
+    Whenever the larger of the pair leaves [2^-512, 2^512], both move
+    back by one wall and the integer count walls records it.
+
+    Yields (ms, walls) lists of the m_k (in dtype) and wall counts: with
+    keep, for k = 0..n in consecutive blocks of at most _BLOCK + 1
+    orders, so memory stays bounded whatever n is; without, once, for
+    k = n alone.
+    """
+    x = dtype(x)
+    m_prev, m_cur = dtype(0), dtype(1)
+    walls = 0
+    ms, ws = [m_cur], [walls]
+    for a_block, b_block in _coefficients(n, dtype):
+        for a, b in zip(a_block, b_block):
+            m_prev, m_cur = m_cur, x * a * m_cur - b * m_prev
+            big = abs(m_cur)
+            other = abs(m_prev)
+            if other > big:
+                big = other
+            if big > _WALL_HI:
+                m_cur *= _WALL_LO
+                m_prev *= _WALL_LO
+                walls += 1
+            elif 0.0 < big < _WALL_LO:
+                m_cur *= _WALL_HI
+                m_prev *= _WALL_HI
+                walls -= 1
+            if keep:
+                ms.append(m_cur)
+                ws.append(walls)
+        if keep:
+            yield ms, ws
+            ms, ws = [], []
+    if not keep:
+        yield [m_cur], [walls]
+    elif ms:  # n = 0: no block ran, so h_0 is still pending
+        yield ms, ws
+
+
+def _array_loop(xs: np.ndarray, n_top: int):
+    """The rescaled recurrence on every point of xs at once, in doubles.
+
+    Yields (k, m, walls, rescaled) for k = 0..n_top, with the scaling of
+    _scalar_loop per point and rescaled telling whether any wall count
+    moved at step k.  Later steps update m and walls in place, so
+    consumers copy what they keep.
+    """
+    m_prev = np.zeros(xs.size)
+    m_cur = np.ones(xs.size)
+    walls = np.zeros(xs.size, dtype=np.int64)
+    k = 0
+    yield k, m_cur, walls, True
+    for a_block, b_block in _coefficients(n_top, float):
+        for a, b in zip(a_block, b_block):
+            k += 1
+            m_prev, m_cur = m_cur, xs * a * m_cur - b * m_prev
+            big = np.maximum(np.abs(m_cur), np.abs(m_prev))
+            shift = (big > _WALL_HI).astype(np.intc) - ((big > 0.0) & (big < _WALL_LO))
+            rescaled = shift.any()
+            if rescaled:
+                scale = np.ldexp(1.0, -512 * shift)  # exactly 2^-512, 1 or 2^512
+                m_cur *= scale
+                m_prev *= scale
+                walls += shift
+            yield k, m_cur, walls, rescaled
+
+
+def _signed_logs(ms, walls, x) -> tuple[np.ndarray, np.ndarray]:
+    """(int8 signs, log magnitudes) of recurrence values m at points x."""
+    ms = np.asarray(ms, dtype=float)
+    with np.errstate(divide="ignore"):
+        logs = _log_magnitude(np.asarray(walls), np.log(np.abs(ms)), x)
+    return np.sign(ms).astype(np.int8), logs
 
 
 def hermite_exact(n: int, x: float) -> SignedLog:
@@ -196,6 +308,12 @@ def hermite_exact(n: int, x: float) -> SignedLog:
         and log magnitude accurate to relative error <= 1e-10 for
         n <= 1e6 and |x| <= 1e3.
 
+    Raises
+    ------
+    ValueError
+        For n < 0, non-finite x, or n > EXTENDED_PRECISION_ORDER on a
+        platform whose long double has fewer than 64 significand bits.
+
     Notes
     -----
     Runs h_{k+1} = x sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1} from
@@ -204,51 +322,29 @@ def hermite_exact(n: int, x: float) -> SignedLog:
     Forward recurrence is stable here: h_n is the dominant solution in
     the classically allowed region.  At |x| near 1e3 the log magnitude
     reaches ~5e5, so the Gaussian constant and the rescaling ledger are
-    assembled with compensated products and an exact sum; plain
+    assembled with a compensated product and an error-free sum; plain
     accumulation would already spend the whole error budget on them.
-    Orders beyond EXTENDED_PRECISION_ORDER take a slower
-    arbitrary-precision pass because the double-precision drift alone
-    would exceed the contract.
+    Orders beyond EXTENDED_PRECISION_ORDER run the same recurrence in
+    long double, coefficients included, because the drift of the double
+    loop alone would exceed the contract there.
     """
     if n < 0:
         raise ValueError(f"order must be nonnegative, got {n}")
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
+    dtype = float
     if n > EXTENDED_PRECISION_ORDER:
-        return _hermite_exact_extended(n, x)
-    m_prev, m_cur = 0.0, 1.0
-    walls = 0
-    for k in range(n):
-        m_prev, m_cur = m_cur, x * math.sqrt(2.0 / (k + 1)) * m_cur - math.sqrt(
-            k / (k + 1)
-        ) * m_prev
-        a = abs(m_cur)
-        b = abs(m_prev)
-        if b > a:
-            a = b
-        if a > _WALL_HI:
-            m_cur *= _WALL_LO
-            m_prev *= _WALL_LO
-            walls += 1
-        elif 0.0 < a < _WALL_LO:
-            m_cur *= _WALL_HI
-            m_prev *= _WALL_HI
-            walls -= 1
-    if m_cur == 0.0:
+        if _EXTENDED_FLOAT is None:
+            raise ValueError(
+                f"order {n} > {EXTENDED_PRECISION_ORDER} needs a long double with a "
+                f"64-bit significand; this platform's has {np.finfo(np.longdouble).nmant + 1}"
+            )
+        dtype = _EXTENDED_FLOAT
+    [([m], [walls])] = _scalar_loop(n, x, dtype)
+    if m == 0:
         return SignedLog(0, -math.inf)
-    sq, sq_res = _square_with_residual(x)
-    wall_main, wall_res = _WALL_LOG_HI * walls, _WALL_LOG_LO * walls
-    logmag = math.fsum(
-        [
-            -0.5 * sq,
-            -0.5 * sq_res,
-            -0.25 * _LN_PI,
-            wall_main,
-            wall_res,
-            math.log(abs(m_cur)),
-        ]
-    )
-    return SignedLog(1 if m_cur > 0.0 else -1, logmag)
+    logmag = _log_magnitude(walls, float(np.log(abs(m))), float(x))
+    return SignedLog(1 if m > 0 else -1, float(logmag))
 
 
 def hermite_orders(n_top: int, x: float) -> tuple[np.ndarray, np.ndarray]:
@@ -262,41 +358,17 @@ def hermite_orders(n_top: int, x: float) -> tuple[np.ndarray, np.ndarray]:
 
     Notes
     -----
-    Same rescaled recurrence as hermite_exact; one pass costs O(n_top)
-    regardless of how far below double range the values sit.
+    Same rescaled recurrence and compensated ledger as hermite_exact,
+    in doubles for every n_top; one pass costs O(n_top) regardless of
+    how far below double range the values sit.
     """
     if n_top < 0:
         raise ValueError(f"n_top must be nonnegative, got {n_top}")
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
-    signs = np.zeros(n_top + 1, dtype=np.int8)
-    logmags = np.full(n_top + 1, -math.inf)
-    acc = -0.5 * x * x - 0.25 * _LN_PI
-    m_prev, m_cur = 0.0, 1.0
-    signs[0] = 1
-    logmags[0] = acc
-    log = math.log
-    sqrt = math.sqrt
-    for k in range(n_top):
-        m_prev, m_cur = m_cur, x * sqrt(2.0 / (k + 1)) * m_cur - sqrt(
-            k / (k + 1)
-        ) * m_prev
-        a = abs(m_cur)
-        b = abs(m_prev)
-        if b > a:
-            a = b
-        if a > _WALL_HI:
-            m_cur *= _WALL_LO
-            m_prev *= _WALL_LO
-            acc += _WALL_LOG
-        elif 0.0 < a < _WALL_LO:
-            m_cur *= _WALL_HI
-            m_prev *= _WALL_HI
-            acc -= _WALL_LOG
-        if m_cur != 0.0:
-            signs[k + 1] = 1 if m_cur > 0.0 else -1
-            logmags[k + 1] = acc + log(abs(m_cur))
-    return signs, logmags
+    blocks = (_signed_logs(ms, walls, x) for ms, walls in _scalar_loop(n_top, x, keep=True))
+    signs, logmags = zip(*blocks)
+    return np.concatenate(signs), np.concatenate(logmags)
 
 
 def hermite_batch(orders, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -315,9 +387,8 @@ def hermite_batch(orders, xs) -> tuple[np.ndarray, np.ndarray]:
     Notes
     -----
     All pairs advance through the recurrence together, each harvested at
-    its own order.  Points are processed in sorted-order prefixes so the
-    working set shrinks as low orders retire; total work is
-    O(sum of orders) vectorized across the batch.
+    its own order; total work is O(max order) vectorized across the
+    batch.
     """
     orders = np.asarray(orders, dtype=np.int64)
     xs = np.asarray(xs, dtype=float)
@@ -331,86 +402,40 @@ def hermite_batch(orders, xs) -> tuple[np.ndarray, np.ndarray]:
         return out_signs, out_logs
 
     sort = np.argsort(orders, kind="stable")
-    sorted_n = orders[sort]
-    work_x = xs[sort]
-    m_prev = np.zeros(work_x.size)
-    m_cur = np.ones(work_x.size)
-    acc = -0.5 * work_x * work_x - 0.25 * _LN_PI
-
-    def harvest(pos: int, base: int) -> None:
-        j = pos - base
-        m = m_cur[j]
-        if m != 0.0:
-            out_signs[sort[pos]] = 1 if m > 0.0 else -1
-            out_logs[sort[pos]] = acc[j] + math.log(abs(m))
-
-    p = 0
-    base = 0
-    while p < sorted_n.size and sorted_n[p] == 0:
-        harvest(p, base)
-        p += 1
-    n_top = int(sorted_n[-1])
-    for k in range(n_top):
-        # retire pairs whose order has been reached; compact occasionally
-        if p - base >= 256 and p - base >= (sorted_n.size - base) // 4:
-            cut = p - base
-            work_x = work_x[cut:]
-            m_prev = m_prev[cut:]
-            m_cur = m_cur[cut:]
-            acc = acc[cut:]
-            base = p
-        m_prev, m_cur = m_cur, work_x * math.sqrt(2.0 / (k + 1)) * m_cur - math.sqrt(
-            k / (k + 1)
-        ) * m_prev
-        a = np.maximum(np.abs(m_cur), np.abs(m_prev))
-        hi = a > _WALL_HI
-        if hi.any():
-            m_cur[hi] *= _WALL_LO
-            m_prev[hi] *= _WALL_LO
-            acc[hi] += _WALL_LOG
-        lo = (a > 0.0) & (a < _WALL_LO)
-        if lo.any():
-            m_cur[lo] *= _WALL_HI
-            m_prev[lo] *= _WALL_HI
-            acc[lo] -= _WALL_LOG
-        while p < sorted_n.size and sorted_n[p] == k + 1:
-            harvest(p, base)
-            p += 1
+    sorted_x = xs[sort]
+    top, first, count = np.unique(orders[sort], return_index=True, return_counts=True)
+    harvest = {
+        k: slice(i, i + c) for k, i, c in zip(top.tolist(), first.tolist(), count.tolist())
+    }
+    ms = np.empty(orders.size)
+    walls = np.empty(orders.size, dtype=np.int64)
+    for k, m_k, walls_k, _ in _array_loop(sorted_x, int(top[-1])):
+        part = harvest.get(k)
+        if part is not None:
+            ms[part] = m_k[part]
+            walls[part] = walls_k[part]
+    out_signs[sort], out_logs[sort] = _signed_logs(ms, walls, sorted_x)
     return out_signs, out_logs
 
 
-def _value_scan(xs: np.ndarray, n_top: int):
+def _value_rows(xs: np.ndarray, n_top: int):
     """Yield (k, h_k(xs) as doubles) for k = 0..n_top.
 
-    Values below double range flush to exactly 0.0.  The exponent
-    accumulator never exceeds ~355 (each upward rescale lands the
-    running pair at magnitude > 1 while |h_k| <= pi^(-1/4)), so the
-    cached exp(acc) cannot overflow.
+    h_k = m * 2^(512 walls) * e^g with g = -x^2/2 - ln(pi)/4; e^g is
+    split once into a factor in [1, 2) times 2^e, so every value comes
+    from one exact ldexp and only the result can underflow.  The
+    running pair grows to 2^512, so a value can be a normal double while
+    its scale alone lies far below double range.  Values below double
+    range flush to exactly 0.0.
     """
-    m_prev = np.zeros(xs.size)
-    m_cur = np.ones(xs.size)
-    acc = -0.5 * xs * xs - 0.25 * _LN_PI
+    gauss = _log_magnitude(0, 0.0, xs)
+    e_gauss = np.floor(gauss / _LN_2)
+    factor = np.exp(gauss - e_gauss * _LN_2)
     with np.errstate(under="ignore"):
-        e_acc = np.exp(acc)
-        yield 0, m_cur * e_acc
-        for k in range(n_top):
-            m_prev, m_cur = m_cur, xs * math.sqrt(
-                2.0 / (k + 1)
-            ) * m_cur - math.sqrt(k / (k + 1)) * m_prev
-            a = np.maximum(np.abs(m_cur), np.abs(m_prev))
-            hi = a > _WALL_HI
-            lo = (a > 0.0) & (a < _WALL_LO)
-            if hi.any():
-                m_cur[hi] *= _WALL_LO
-                m_prev[hi] *= _WALL_LO
-                acc[hi] += _WALL_LOG
-            if lo.any():
-                m_cur[lo] *= _WALL_HI
-                m_prev[lo] *= _WALL_HI
-                acc[lo] -= _WALL_LOG
-            if hi.any() or lo.any():
-                e_acc = np.exp(acc)
-            yield k + 1, m_cur * e_acc
+        for k, m, walls, rescaled in _array_loop(xs, n_top):
+            if rescaled:
+                exponent = (512 * walls + e_gauss).astype(np.intc)
+            yield k, np.ldexp(m * factor, exponent)
 
 
 def hermite_values(n_top: int, xs) -> np.ndarray:
@@ -422,7 +447,7 @@ def hermite_values(n_top: int, xs) -> np.ndarray:
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     out = np.empty((n_top + 1, xs.size))
-    for k, row in _value_scan(xs, n_top):
+    for k, row in _value_rows(xs, n_top):
         out[k] = row
     return out
 
@@ -438,7 +463,7 @@ def hermite_moment_sweep(xs, weights, n_top: int) -> np.ndarray:
     if xs.shape != weights.shape or xs.ndim != 1:
         raise ValueError("xs and weights must be 1-D arrays of equal length")
     out = np.empty(n_top + 1)
-    for k, row in _value_scan(xs, n_top):
+    for k, row in _value_rows(xs, n_top):
         out[k] = row @ weights
     return out
 

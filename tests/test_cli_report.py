@@ -3,10 +3,13 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hermite_decay
 from hermite_decay.cli_report import (
     DEFAULT_T_GRID,
     GridSpec,
@@ -317,6 +320,21 @@ class TestMainExitCodes:
         assert rc == 2
         assert "numeric failure" in captured.err
         assert "ValueError" in captured.out  # embedded in the row, not hidden
+
+    def test_module_entry_point_runs_without_warnings(self):
+        # `python -m hermite_decay.cli_report` must not find the module
+        # already imported by the package, which runpy reports as a
+        # RuntimeWarning
+        src = os.path.dirname(os.path.dirname(hermite_decay.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "hermite_decay.cli_report",
+             "envelope", "--x-min", "2", "--x-max", "3", "--x-count", "2"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "x,value,log_magnitude,x_power,error" in proc.stdout
 
     def test_eval_order_flag(self, capsys):
         rc = main(["eval", "--order", "3", "--x-min", "-1", "--x-max", "1",

@@ -1,12 +1,15 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hermite_decay import hermite_core
 from hermite_decay.hermite_core import (
     EPSILON_MONOTONIC,
+    EXTENDED_PRECISION_ORDER,
     POLYNOMIAL_ORACLE_MAX,
     PhiCoordinate,
     SignedLog,
@@ -24,6 +27,10 @@ from hermite_decay.hermite_core import (
 from oracles import mp_hermite_log, mp_hermite_value
 
 LOG_UNIFORM_BOUND = -0.25 * math.log(math.pi)
+# hermite_values returns plain doubles: compare them in log only above the
+# smallest normal double, and expect an exact 0.0 below the subnormals
+LOG_NORMAL_MIN = math.log(sys.float_info.min)
+LOG_SUBNORMAL_MIN = math.log(5e-324)
 
 # Frozen oracle values: mpmath recurrence at 50 significant digits
 # (sign, log magnitude), regenerated by tests/oracles.mp_hermite_log.
@@ -130,6 +137,12 @@ class TestHermiteExact:
         assert got.sign == 1
         assert abs(got.logmag - -10.83972416119240080081) <= 1e-10
 
+    def test_extended_tier_needs_long_double(self, monkeypatch):
+        monkeypatch.setattr(hermite_core, "_EXTENDED_FLOAT", None)
+        with pytest.raises(ValueError, match="long double"):
+            hermite_exact(EXTENDED_PRECISION_ORDER + 1, 1.0)
+        assert hermite_exact(EXTENDED_PRECISION_ORDER, 1.0).sign != 0
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             hermite_exact(-1, 0.0)
@@ -233,6 +246,18 @@ class TestSweeps:
                 want = signs * np.exp(logs)
             np.testing.assert_allclose(vals[:, j], want, rtol=1e-12, atol=1e-300)
 
+    @pytest.mark.parametrize("x", [40.0, 60.0])
+    def test_values_keep_normal_doubles_whose_scale_underflows(self, x):
+        # the running pair grows to 2^512, so a normal h_k can carry a
+        # ledger scale that is far below double range on its own
+        vals = hermite_values(1200, [x])[:, 0]
+        signs, logs = hermite_orders(1200, x)
+        normal = logs > LOG_NORMAL_MIN
+        np.testing.assert_array_equal(np.sign(vals[normal]), signs[normal])
+        np.testing.assert_allclose(
+            np.log(np.abs(vals[normal])), logs[normal], rtol=0.0, atol=1e-10
+        )
+
     def test_values_flush_to_zero_below_double_range(self):
         vals = hermite_values(2, np.array([60.0]))
         assert vals[0, 0] == 0.0  # e^-1800 is not a double
@@ -326,13 +351,67 @@ class TestPlancherelRotach:
         assert doubled == pytest.approx(2.0 * a_part + (-0.25) * math.log(n), rel=1e-9)
 
 
+def assert_value_matches(value: float, sign: int, logmag: float) -> None:
+    """A double from hermite_values against (sign, ln|h|), where doubles reach."""
+    if logmag > LOG_NORMAL_MIN:
+        assert np.sign(value) == sign
+        assert abs(math.log(abs(value)) - logmag) <= 1e-10
+    elif logmag < LOG_SUBNORMAL_MIN - 1.0:
+        assert value == 0.0
+
+
 class TestAgainstLiveOracle:
     @pytest.mark.parametrize(
         "n,x",
-        [(64, -12.5), (257, 33.0), (1024, 3.0), (4096, 95.0), (15000, 180.0)],
+        [
+            (64, -12.5),
+            (257, 33.0),
+            (1024, 3.0),
+            (4096, 95.0),
+            (15000, 180.0),
+            (5000, 900.0),
+            (20000, 1000.0),
+            (20001, 1.0),
+        ],
     )
     def test_exact_matches_mpmath(self, n, x):
         sign, logmag = mp_hermite_log(n, x)
         got = hermite_exact(n, x)
         assert got.sign == sign
         assert abs(got.logmag - logmag) <= 1e-10
+        # the other frontends hold the same contract in doubles
+        signs, logs = hermite_orders(n, x)
+        assert signs[n] == sign
+        assert abs(logs[n] - logmag) <= 1e-10
+        signs, logs = hermite_batch([n], [x])
+        assert signs[0] == sign
+        assert abs(logs[0] - logmag) <= 1e-10
+        assert_value_matches(hermite_values(n, [x])[n, 0], sign, logmag)
+
+
+class TestFrontendsAgree:
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=3000),
+                st.floats(min_value=-1000.0, max_value=1000.0),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_all_frontends_match_exact(self, pairs):
+        ns = [n for n, _ in pairs]
+        xs = [x for _, x in pairs]
+        batch_signs, batch_logs = hermite_batch(ns, xs)
+        values = hermite_values(max(ns), xs)
+        for i, (n, x) in enumerate(pairs):
+            ref = hermite_exact(n, x)
+            signs, logs = hermite_orders(n, x)
+            assert signs[n] == ref.sign
+            assert batch_signs[i] == ref.sign
+            if ref.sign != 0:
+                assert abs(logs[n] - ref.logmag) <= 1e-10
+                assert abs(batch_logs[i] - ref.logmag) <= 1e-10
+            assert_value_matches(values[n, i], ref.sign, ref.logmag)
