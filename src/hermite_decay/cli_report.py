@@ -33,7 +33,7 @@ from .decay_sum import (
     find_nmax,
     sharpness_certificate,
 )
-from .hermite_core import hermite_exact
+from .hermite_core import SignedLog, hermite_exact
 from .oscillator import (
     evolve_grid,
     gaussian_coefficients,
@@ -185,85 +185,65 @@ class SweepReport:
         return [i for i, row in enumerate(self.rows) if row[err]]
 
 
-def _pool_map(func, points, jobs):
-    workers = jobs or os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, points))
+def _eval_point(config: SweepConfig, x: float) -> tuple:
+    value = hermite_exact(config.order, x)
+    return value.sign, value.logmag, value.to_float()
 
 
-def _eval_rows(config: SweepConfig) -> tuple[tuple[str, ...], list[tuple], dict]:
-    order = config.order
-
-    def one(x: float) -> tuple:
-        try:
-            value = hermite_exact(order, float(x))
-            return (x, value.sign, value.logmag, value.to_float(), "")
-        except _POINT_ERRORS as exc:
-            return (x, 0, math.nan, math.nan, f"{type(exc).__name__}: {exc}")
-
-    rows = _pool_map(one, config.x_grid.points(), config.jobs)
-    return ("x", "sign", "log_magnitude", "value", "error"), rows, {}
+def _sum_point(config: SweepConfig, x: float) -> tuple:
+    value = direct_sum(x, config.sum_params())
+    return value.to_float(), value.logmag
 
 
-def _sum_rows(config: SweepConfig) -> tuple[tuple[str, ...], list[tuple], dict]:
-    params = config.sum_params()
-
-    def one(x: float) -> tuple:
-        try:
-            value = direct_sum(float(x), params)
-            return (x, value.to_float(), value.logmag, "")
-        except _POINT_ERRORS as exc:
-            return (x, math.nan, math.nan, f"{type(exc).__name__}: {exc}")
-
-    rows = _pool_map(one, config.x_grid.points(), config.jobs)
-    return ("x", "value", "log_magnitude", "error"), rows, {}
+def _envelope_point(config: SweepConfig, x: float) -> tuple:
+    value = envelope(x, config.sum_params())
+    return value.to_float(), value.logmag, envelope_power(config.sum_params())
 
 
-def _envelope_rows(config: SweepConfig) -> tuple[tuple[str, ...], list[tuple], dict]:
-    params = config.sum_params()
-    power = envelope_power(params)
-
-    def one(x: float) -> tuple:
-        try:
-            value = envelope(float(x), params)
-            return (x, value.to_float(), value.logmag, power, "")
-        except _POINT_ERRORS as exc:
-            return (x, math.nan, math.nan, power, f"{type(exc).__name__}: {exc}")
-
-    rows = _pool_map(one, config.x_grid.points(), config.jobs)
-    return ("x", "value", "log_magnitude", "x_power", "error"), rows, {}
-
-
-def _nmax_rows(config: SweepConfig) -> tuple[tuple[str, ...], list[tuple], dict]:
+def _nmax_point(config: SweepConfig, x: float) -> tuple:
     y = config.y
+    profile = find_nmax(x, y)
+    asymptote_dev = profile.n_max - x * x / (2.0 * math.cosh(y) ** 2)
+    peak_dev = profile.a_max + 0.5 * x * x * math.tanh(y)
+    return (profile.n_max, profile.a_max, profile.lam, profile.truncation_n,
+            asymptote_dev, peak_dev)
+
+
+# pointwise modes: the columns between x and error, the per-point
+# function, and the cells of a failed point's row
+_POINTWISE = {
+    "eval": (("sign", "log_magnitude", "value"), _eval_point,
+             lambda config: (0, math.nan, math.nan)),
+    "sum": (("value", "log_magnitude"), _sum_point,
+            lambda config: (math.nan, math.nan)),
+    "envelope": (("value", "log_magnitude", "x_power"), _envelope_point,
+                 lambda config: (math.nan, math.nan, envelope_power(config.sum_params()))),
+    "nmax": (("n_max", "a_max", "lambda", "truncation_n", "asymptote_dev", "peak_dev"),
+             _nmax_point,
+             lambda config: (math.nan, math.nan, math.nan, 0, math.nan, math.nan)),
+}
+
+
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _pointwise_rows(config: SweepConfig) -> tuple[tuple[str, ...], list[tuple], dict]:
+    columns, point, failed = _POINTWISE[config.mode]
 
     def one(x: float) -> tuple:
         try:
-            profile = find_nmax(float(x), y)
-            asymptote_dev = profile.n_max - x * x / (2.0 * math.cosh(y) ** 2)
-            peak_dev = profile.a_max + 0.5 * x * x * math.tanh(y)
-            return (
-                x,
-                profile.n_max,
-                profile.a_max,
-                profile.lam,
-                profile.truncation_n,
-                asymptote_dev,
-                peak_dev,
-                "",
-            )
+            return (x, *point(config, float(x)), "")
         except _POINT_ERRORS as exc:
-            return (x, math.nan, math.nan, math.nan, 0, math.nan, math.nan,
-                    f"{type(exc).__name__}: {exc}")
+            return (x, *failed(config), _error_text(exc))
 
-    rows = _pool_map(one, config.x_grid.points(), config.jobs)
-    columns = ("x", "n_max", "a_max", "lambda", "truncation_n",
-               "asymptote_dev", "peak_dev", "error")
-    return columns, rows, {}
+    workers = config.jobs or os.cpu_count() or 1
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        rows = list(pool.map(one, config.x_grid.points()))
+    return ("x", *columns, "error"), rows, {}
 
 
 def _sharpness_rows(config: SweepConfig) -> tuple[tuple[str, ...], list[tuple], dict]:
-    # the slope couples all grid points, so this mode is computed jointly
     cert = sharpness_certificate(config.x_grid.points(), config.sum_params())
     rows = [
         (x, r, f, "")
@@ -279,38 +259,33 @@ def _sharpness_rows(config: SweepConfig) -> tuple[tuple[str, ...], list[tuple], 
 
 
 def _oscillator_rows(config: SweepConfig) -> tuple[tuple[str, ...], list[tuple], dict]:
+    # one evolution table over (t grid x x grid), emitted x-outer, t-inner
     coeffs = gaussian_coefficients(config.alpha, config.n_terms)
     c_bound = vemuri_decay_check(coeffs, config.alpha)
     rate = math.tanh(config.alpha) * math.pi
     xs = config.x_grid.points()
-
-    def per_x(x: float) -> list[tuple]:
-        out = []
-        for t in config.t_grid:
-            try:
-                values, tail = evolve_grid(coeffs, [x], t, envelope=(config.alpha, c_bound))
-                z = complex(values[0])
-                log_weighted = (
-                    -math.inf if abs(z) == 0.0 else math.log(abs(z)) + rate * x * x
-                )
-                weighted = math.exp(log_weighted) if log_weighted < 700.0 else math.inf
-                out.append((x, t, z.real, z.imag, abs(z), weighted, log_weighted, tail, ""))
-            except _POINT_ERRORS as exc:
-                out.append((x, t, math.nan, math.nan, math.nan, math.nan, math.nan,
-                            math.nan, f"{type(exc).__name__}: {exc}"))
-        return out
-
-    rows = [row for block in _pool_map(per_x, xs, config.jobs) for row in block]
     columns = ("x", "t", "phi_re", "phi_im", "phi_abs", "weighted",
                "weighted_log", "tail_radius", "error")
-    return columns, rows, {"decay_constant": c_bound, "weight_rate": rate}
+    summary = {"decay_constant": c_bound, "weight_rate": rate}
+    try:
+        values, tail = evolve_grid(coeffs, xs, config.t_grid, envelope=(config.alpha, c_bound))
+    except _POINT_ERRORS as exc:
+        failed = (math.nan,) * 6 + (_error_text(exc),)
+        return columns, [(x, t, *failed) for x in xs for t in config.t_grid], summary
+    with np.errstate(divide="ignore"):
+        log_weighted = np.log(np.abs(values)) + rate * xs * xs
+    rows = [
+        (x, t, z.real, z.imag, abs(z), SignedLog(1, lw).to_float(), lw, tail, "")
+        for x, phis, logs in zip(xs, values.T.tolist(), log_weighted.T.tolist())
+        for t, z, lw in zip(config.t_grid, phis, logs)
+    ]
+    return columns, rows, summary
 
 
 _MODE_BUILDERS = {
-    "eval": _eval_rows,
-    "sum": _sum_rows,
-    "envelope": _envelope_rows,
-    "nmax": _nmax_rows,
+    **dict.fromkeys(_POINTWISE, _pointwise_rows),
+    # the slope and the evolution table couple all grid points, so these
+    # modes are computed jointly
     "sharpness": _sharpness_rows,
     "oscillator": _oscillator_rows,
 }

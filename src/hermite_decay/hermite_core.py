@@ -107,11 +107,13 @@ class SignedLog:
         """Convert back to a double; overflows to +-inf, underflows to 0."""
         if self.sign == 0:
             return 0.0
-        if self.logmag > 710.0:
-            return math.inf * self.sign
         if self.logmag < -746.0:
             return 0.0
-        return self.sign * math.exp(self.logmag)
+        try:
+            return self.sign * math.exp(self.logmag)
+        except OverflowError:
+            # the cut falls exactly where exp leaves double range
+            return math.inf * self.sign
 
 
 @dataclass(frozen=True)

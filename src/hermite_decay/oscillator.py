@@ -7,9 +7,11 @@ Functions are expanded in the orthonormal basis
 whose L^2 norm is exactly 1 (the bare h_n(sqrt(2 pi) x) has norm
 (2 pi)^(-1/4), so Parseval would fail without the prefactor; the
 prefactor only rescales certified constants).  Time evolution applies
-the explicit phase e^(2(2n+1) pi i t) to the n-th coefficient, and
-Gaussian-decay certificates bound sup |Phi(x, t)| e^(tanh(alpha) pi x^2)
-over an (x, t) grid with the truncation tail folded in.
+the explicit phase e^(2(2n+1) pi i t) to the n-th coefficient; over a
+time grid that is one phase matrix times one basis matrix, the
+evolution table every caller reads.  Gaussian-decay certificates bound
+sup |Phi(x, t)| e^(tanh(alpha) pi x^2) over an (x, t) grid with the
+truncation tail folded in.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decay_sum import SumParams, direct_sum
-from .hermite_core import hermite_moment_sweep, hermite_values
+from .hermite_core import SignedLog, hermite_moment_sweep, hermite_values
 
 BASIS_SCALE = math.sqrt(2.0 * math.pi)
 BASIS_NORMALIZER = (2.0 * math.pi) ** 0.25
@@ -106,8 +108,12 @@ class DecayCertificate:
     sup_weighted is the grid supremum of |Phi(x, t)| e^(tanh(alpha) pi
     x^2) with the per-point truncation tail already folded in;
     tail_contribution isolates how much of that could come from the
-    tail alone.  majorant_slack_min and triangle_slack_min record the
-    two cross-check margins (both nonnegative up to rounding): the
+    tail alone.  Both are read from their natural logs,
+    log_sup_weighted and log_tail_contribution, which stay exact when
+    the weight e^(tanh(alpha) pi x^2) of a wide grid pushes the value
+    past double range; the float fields are then +inf.
+    majorant_slack_min and triangle_slack_min record the two
+    cross-check margins (both nonnegative up to rounding): the
     coefficient majorant against the weighted-sum bound, and the
     evolved values against the majorant.
     """
@@ -121,6 +127,8 @@ class DecayCertificate:
     t_grid: tuple[float, ...]
     majorant_slack_min: float
     triangle_slack_min: float
+    log_sup_weighted: float
+    log_tail_contribution: float
 
 
 def vemuri_envelope(n: int, alpha: float) -> float:
@@ -306,35 +314,51 @@ def vemuri_decay_check(coeffs: HermiteCoefficients, alpha: float) -> float:
     return math.exp(log_ratios[best])
 
 
-def _phase_factors(n_top: int, t: float) -> np.ndarray:
+def _phase_factors(n_top: int, t) -> np.ndarray:
     # phase angle 2(2n+1) pi t, reduced mod 2 pi before exp so that
-    # dyadic-rational t (k/64, (2k+1)/16, 1/2) hits +-1 and +-i exactly
+    # dyadic-rational t (k/64, (2k+1)/16, 1/2) hits +-1 and +-i exactly;
+    # shape np.shape(t) + (n_top + 1,)
     n = np.arange(n_top + 1, dtype=float)
+    t = np.asarray(t, dtype=float)[..., np.newaxis]
     reduced = np.mod(2.0 * (2.0 * n + 1.0) * t, 2.0)
     return np.exp(1j * np.pi * reduced)
+
+
+def _evolution_table(coeffs: HermiteCoefficients, basis: np.ndarray, t) -> np.ndarray:
+    """Phi at every (t, x) cell: one phase-matrix product with the basis."""
+    return (_phase_factors(coeffs.truncation_n, t) * np.asarray(coeffs.coeffs)) @ basis
+
+
+def _log_weighted_sup(values: np.ndarray, log_tail: float, log_weight: np.ndarray) -> float:
+    """max over the table of ln(|Phi| + tail) + log_weight, in log space."""
+    with np.errstate(divide="ignore"):
+        log_mag = np.log(np.abs(values))
+    return float(np.max(np.logaddexp(log_mag, log_tail) + log_weight))
 
 
 def evolve_grid(
     coeffs: HermiteCoefficients,
     xs,
-    t: float,
+    t,
     envelope: tuple[float, float] | None = None,
 ) -> tuple[np.ndarray, float]:
     """Evolved values Phi(xs, t) and a shared tail radius.
 
+    t is a scalar or a 1-D time grid; the values have shape
+    np.shape(t) + (len(xs),), so a scalar t gives one row over xs and a
+    grid gives one row per time.  The basis is built once for all times.
     The tail radius bounds the dropped n > truncation_n part using a
     coefficient envelope (alpha, C) and the uniform basis bound; it is
     +inf when no envelope is supplied.
     """
-    if not math.isfinite(t):
+    if not np.all(np.isfinite(t)):
         raise ValueError("t must be finite")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    weights = _phase_factors(coeffs.truncation_n, t) * np.asarray(coeffs.coeffs)
-    values = weights @ basis_values(xs, coeffs.truncation_n)
+    values = _evolution_table(coeffs, basis_values(xs, coeffs.truncation_n), t)
     if envelope is None:
         return values, math.inf
     alpha, c_bound = envelope
-    tail = math.exp(envelope_tail_log(alpha, c_bound, coeffs.truncation_n))
+    tail = SignedLog(1, envelope_tail_log(alpha, c_bound, coeffs.truncation_n)).to_float()
     # a bound must round up, never underflow to an exact zero
     return values, max(tail, 5e-324)
 
@@ -379,8 +403,9 @@ def weighted_sup(
     """Grid sup of |Phi(x, t)| e^(tanh(weight_alpha) pi x^2).
 
     Accumulates in log space: the weight alone reaches e^(tanh(alpha)
-    pi x^2), far past double range for wide grids.  The tail radius, if
-    an envelope is given, is folded into every point.
+    pi x^2), far past double range for wide grids, where the result is
+    +inf.  The tail radius, if an envelope is given, is folded into
+    every point.
     """
     if not weight_alpha > 0.0 or not math.isfinite(weight_alpha):
         raise ValueError("weight_alpha must be positive and finite")
@@ -393,14 +418,8 @@ def weighted_sup(
     if envelope is not None:
         alpha, c_bound = envelope
         log_tail = envelope_tail_log(alpha, c_bound, coeffs.truncation_n)
-    best = -math.inf
-    for t in ts:
-        values, _ = evolve_grid(coeffs, xs, float(t))
-        with np.errstate(divide="ignore"):
-            log_mag = np.log(np.abs(values))
-        log_point = np.logaddexp(log_mag, log_tail) + log_weight
-        best = max(best, float(np.max(log_point)))
-    return math.exp(best)
+    values, _ = evolve_grid(coeffs, xs, ts)
+    return SignedLog(1, _log_weighted_sup(values, log_tail, log_weight)).to_float()
 
 
 def decay_certificate(
@@ -413,7 +432,8 @@ def decay_certificate(
     sum |c_n| |e_n(x)| over envelope-certified indices must stay below
     the weighted-sum chain bound C (2 pi)^(1/4) S(sqrt(2 pi) x) at
     kappa = 1, beta = 1/4, y = alpha (plus the n = 0 term), and every
-    evolved value must stay below the all-index majorant.
+    evolved value must stay below the all-index majorant.  One basis
+    matrix serves the majorants and the evolution table.
     """
     c_bound = vemuri_decay_check(coeffs, alpha)
     if not math.isfinite(c_bound):
@@ -450,27 +470,23 @@ def decay_certificate(
         slack = math.inf if lhs == 0.0 else (chain - lhs) / lhs
         majorant_slack = min(majorant_slack, slack)
 
-    phases = [_phase_factors(n_top, float(t)) for t in ts]
-    sup_log = -math.inf
-    triangle_slack = math.inf
-    for phase in phases:
-        values = (phase * np.asarray(coeffs.coeffs)) @ basis
-        mags = np.abs(values)
-        with np.errstate(divide="ignore"):
-            log_mag = np.log(mags)
-        sup_log = max(sup_log, float(np.max(np.logaddexp(log_mag, log_tail) + log_weight)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slacks = (majorant_all - mags) / np.where(mags > 0.0, mags, 1.0)
-        triangle_slack = min(triangle_slack, float(np.min(slacks)))
+    values = _evolution_table(coeffs, basis, ts)
+    mags = np.abs(values)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slacks = (majorant_all - mags) / np.where(mags > 0.0, mags, 1.0)
+    log_sup = _log_weighted_sup(values, log_tail, log_weight)
+    log_tail_contribution = log_tail + float(np.max(log_weight))
 
     return DecayCertificate(
         alpha=float(alpha),
-        sup_weighted=math.exp(sup_log),
+        sup_weighted=SignedLog(1, log_sup).to_float(),
         envelope_constant=c_bound,
         truncation_n=n_top,
-        tail_contribution=math.exp(log_tail + float(np.max(log_weight))),
+        tail_contribution=SignedLog(1, log_tail_contribution).to_float(),
         x_grid=tuple(float(v) for v in xs),
         t_grid=tuple(float(v) for v in ts),
         majorant_slack_min=majorant_slack,
-        triangle_slack_min=triangle_slack,
+        triangle_slack_min=float(np.min(slacks)),
+        log_sup_weighted=log_sup,
+        log_tail_contribution=log_tail_contribution,
     )

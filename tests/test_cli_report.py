@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import hermite_decay
+from hermite_decay import cli_report, oscillator
 from hermite_decay.cli_report import (
     DEFAULT_T_GRID,
     GridSpec,
@@ -164,10 +165,33 @@ class TestRun:
         with pytest.raises(ValueError):
             run(config)
 
-    def test_oscillator_grid_product(self):
+    def test_envelope_past_double_range_keeps_its_log(self):
+        # ln envelope is about 709.9 here, just past ln(DBL_MAX): the value
+        # reads inf, the log stays, and the row records no error
+        config = sum_config(mode="envelope", beta=-140.0,
+                            x_grid=GridSpec(15.1965, 15.1966, 2))
+        report = run(config)
+        assert not report.error_rows
+        params = SumParams(1.0, -140.0, 0.5)
+        for row in report.rows:
+            assert row[1] == math.inf
+            assert row[2] == envelope(row[0], params).logmag
+            assert 709.78 < row[2] < 710.0
+
+    def test_oscillator_grid_product(self, monkeypatch):
+        builds = []
+        original = oscillator.basis_values
+
+        def counting(xs, n_top):
+            builds.append(len(xs))
+            return original(xs, n_top)
+
+        monkeypatch.setattr(oscillator, "basis_values", counting)
         config = SweepConfig(mode="oscillator", x_grid=GridSpec(0.0, 2.0, 3),
                              alpha=0.5, n_terms=100, t_grid=(0.0, 0.25, 0.5))
         report = run(config)
+        # one basis over the whole x grid serves every t
+        assert builds == [3]
         assert len(report.rows) == 9
         # x outer, t inner ordering
         assert [(r[0], r[1]) for r in report.rows[:4]] == [
@@ -177,6 +201,20 @@ class TestRun:
         for x in (0.0, 1.0, 2.0):
             assert flip[(x, 0.5)] == pytest.approx(-flip[(x, 0.0)], rel=1e-12)
         assert report.summary["decay_constant"] > 0.0
+
+    def test_oscillator_table_failure_marks_every_cell(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise RuntimeError("table failed")
+
+        monkeypatch.setattr(cli_report, "evolve_grid", failing)
+        config = SweepConfig(mode="oscillator", x_grid=GridSpec(0.0, 2.0, 3),
+                             alpha=0.5, n_terms=20, t_grid=(0.0, 0.5))
+        report = run(config)
+        assert report.error_rows == list(range(6))
+        assert [(r[0], r[1]) for r in report.rows[:3]] == [(0.0, 0.0), (0.0, 0.5), (1.0, 0.0)]
+        for row in report.rows:
+            assert row[-1] == "RuntimeError: table failed"
+            assert all(math.isnan(v) for v in row[2:-1])
 
     def test_deterministic_and_jobs_invariant(self):
         config = sum_config(x_grid=GridSpec(1.0, 30.0, 12), jobs=1)

@@ -66,6 +66,10 @@ class TestSignedLog:
         assert SignedLog(1, 800.0).to_float() == math.inf
         assert SignedLog(-1, 800.0).to_float() == -math.inf
         assert SignedLog(1, -800.0).to_float() == 0.0
+        # the cut sits at ln(DBL_MAX) = 709.7827..., not at a round 710
+        assert math.isfinite(SignedLog(1, 709.78).to_float())
+        assert SignedLog(1, 709.8).to_float() == math.inf
+        assert SignedLog(-1, 709.95).to_float() == -math.inf
 
     @given(
         st.floats(min_value=1e-52, max_value=1e52),

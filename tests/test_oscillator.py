@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hermite_decay import oscillator
 from hermite_decay.oscillator import (
     BASIS_NORMALIZER,
     BASIS_SCALE,
@@ -248,6 +249,25 @@ class TestEvolve:
         b = abs(evolve(c, x, t + 0.5).value)
         assert abs(a - b) <= 1e-12 * max(1.0, a)
 
+    @given(
+        st.floats(min_value=0.25, max_value=2.0),
+        st.integers(min_value=1, max_value=300),
+        st.lists(st.floats(min_value=-4.0, max_value=4.0), min_size=1, max_size=8),
+        st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=8),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_time_grid_matches_scalar_calls(self, alpha, n_terms, xs, ts):
+        # one table over a t grid is the stack of the scalar-t rows
+        c = gaussian_coefficients(alpha, n_terms)
+        envelope = (alpha, vemuri_decay_check(c, alpha))
+        table, tail = evolve_grid(c, xs, ts, envelope)
+        assert table.shape == (len(ts), len(xs))
+        for t, row in zip(ts, table):
+            want, want_tail = evolve_grid(c, xs, t, envelope)
+            assert want.shape == (len(xs),)
+            assert np.max(np.abs(row - want)) <= 2e-15
+            assert tail == want_tail
+
     def test_tail_radius(self):
         c = gaussian_coefficients(0.5, 120)
         assert evolve(c, 1.0, 0.3).tail_radius == math.inf
@@ -265,6 +285,8 @@ class TestEvolve:
         c = gaussian_coefficients(0.5, 10)
         with pytest.raises(ValueError):
             evolve(c, 0.0, math.nan)
+        with pytest.raises(ValueError):
+            evolve_grid(c, [0.0], [0.0, math.inf])
 
 
 class TestUnitarity:
@@ -319,6 +341,8 @@ class TestDecayCertificate:
         assert math.isfinite(cert.sup_weighted)
         assert cert.sup_weighted > 0.0
         assert cert.tail_contribution <= 1e-40 * cert.sup_weighted
+        assert cert.sup_weighted == math.exp(cert.log_sup_weighted)
+        assert cert.tail_contribution == math.exp(cert.log_tail_contribution)
         assert cert.truncation_n == 400
         assert cert.x_grid == tuple(xs)
         assert cert.majorant_slack_min >= -1e-9
@@ -347,6 +371,36 @@ class TestDecayCertificate:
         c = gaussian_coefficients(0.5, 40)
         with pytest.raises(ValueError):
             decay_certificate(c, 0.5, [], [0.0])
+
+    def test_wide_grid_keeps_logs(self):
+        # the weight reaches e^(1306) at x = 30: the float fields overflow
+        # to inf while the logs stay exact, and nothing raises
+        c = gaussian_coefficients(0.5, 400)
+        xs, ts = np.linspace(0.0, 30.0, 80), np.linspace(0.0, 0.5, 40)
+        cert = decay_certificate(c, 0.5, xs, ts)
+        assert math.isfinite(cert.log_sup_weighted)
+        assert math.isfinite(cert.log_tail_contribution)
+        assert cert.log_sup_weighted >= cert.log_tail_contribution
+        assert cert.sup_weighted == math.inf
+        assert cert.tail_contribution == math.inf
+        envelope = (0.5, cert.envelope_constant)
+        assert weighted_sup(c, 0.5, xs, ts, envelope=envelope) == math.inf
+
+    def test_one_basis_build_per_call(self, monkeypatch):
+        builds = []
+        original = oscillator.basis_values
+
+        def counting(xs, n_top):
+            builds.append(n_top)
+            return original(xs, n_top)
+
+        monkeypatch.setattr(oscillator, "basis_values", counting)
+        c = gaussian_coefficients(0.5, 100)
+        xs = np.linspace(0.0, 3.0, 12)
+        weighted_sup(c, 0.5, xs, T_GRID)
+        assert builds == [100]
+        decay_certificate(c, 0.5, xs, T_GRID)
+        assert builds == [100, 100]
 
     def test_synthetic_certificate_finite(self):
         c = synthetic_envelope_coefficients(0.6, 400)
