@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -101,6 +100,7 @@ class SweepConfig:
     out: str | None = None
     fmt: str = "csv"
     fixture: str | None = None
+    # accepted for scripts that pass --jobs; every mode runs in one thread
     jobs: int | None = None
     force: bool = False
 
@@ -237,9 +237,7 @@ def _pointwise_rows(config: SweepConfig) -> tuple[tuple[str, ...], list[tuple], 
         except _POINT_ERRORS as exc:
             return (x, *failed(config), _error_text(exc))
 
-    workers = config.jobs or os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(one, config.x_grid.points()))
+    rows = [one(x) for x in config.x_grid.points()]
     return ("x", *columns, "error"), rows, {}
 
 
@@ -453,7 +451,8 @@ def _add_common_flags(parser: argparse.ArgumentParser, grid_required: bool = Tru
     parser.add_argument("--out", type=str, default=None)
     parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     parser.add_argument("--fixture", type=str, default=None)
-    parser.add_argument("--jobs", type=int, default=None)
+    parser.add_argument("--jobs", type=int, default=None,
+                        help="accepted for compatibility; every mode runs in one thread")
     parser.add_argument("--force", action="store_true")
 
 

@@ -28,6 +28,7 @@ import numpy as np
 from hermite_decay.hermite_core import (
     EPSILON_MONOTONIC,
     SignedLog,
+    hermite_order_blocks,
     hermite_orders,
     phi_coordinate,
 )
@@ -37,6 +38,10 @@ _LN_PI = math.log(math.pi)
 # direct_sum extends its truncation until the certified tail is this far
 # below the accumulated total.
 TAIL_RELATIVE_TOLERANCE = 1e-12
+
+# direct_sum gives up when the tail is not yet certified at this order
+# (or at the analysis cutoff, if that lies further out).
+_MAX_ORDER = 4_000_000
 
 # Bisection control for the interior-maximum solve.
 _BISECT_TOL = 1e-12
@@ -266,12 +271,16 @@ def tail_bound(start_n: int, x: float, params: SumParams) -> SignedLog:
     )
 
 
+def _summand_logs(h_logs: np.ndarray, n: np.ndarray, params: SumParams) -> np.ndarray:
+    """Log of the summand at orders n, given ln|h_n(x)| (-inf at zeros)."""
+    with np.errstate(invalid="ignore"):
+        return params.kappa * (h_logs - n * params.y) - params.beta * np.log(n)
+
+
 def _term_logs(x: float, params: SumParams, n_stop: int) -> np.ndarray:
     """Log of the summand for n = 1..n_stop (log-domain, -inf at zeros)."""
     _, logs = hermite_orders(n_stop, x)
-    n = np.arange(1, n_stop + 1, dtype=float)
-    with np.errstate(invalid="ignore"):
-        return params.kappa * (logs[1:] - n * params.y) - params.beta * np.log(n)
+    return _summand_logs(logs[1:], np.arange(1, n_stop + 1, dtype=float), params)
 
 
 def _log_sum(term_logs: np.ndarray) -> float:
@@ -281,28 +290,42 @@ def _log_sum(term_logs: np.ndarray) -> float:
 
 
 def _sum_internals(x: float, params: SumParams) -> tuple[float, np.ndarray, int]:
-    """(log S, term logs, n_stop) with the tail certified negligible."""
+    """(log S, term logs, n_stop) with the tail certified negligible.
+
+    One lazy recurrence sweep: after each block of orders, from the
+    analysis cutoff N (at least 64) on, the sweep stops once
+    tail_bound(n_stop + 1) is below TAIL_RELATIVE_TOLERANCE times the
+    running partial sum, which is a lower bound on S.  log S itself is
+    summed over all kept terms at once, so it does not depend on the
+    block boundaries.
+    """
     x = abs(x)
-    n_stop = max(truncation_index(x, params.y), 64)
-    while True:
-        terms = _term_logs(x, params, n_stop)
-        log_s = _log_sum(terms)
-        tail = tail_bound(n_stop + 1, x, params).logmag
-        if tail <= log_s + math.log(TAIL_RELATIVE_TOLERANCE):
-            return log_s, terms, n_stop
-        if n_stop > 4_000_000:
-            raise RuntimeError(
-                f"tail certification failed to converge by n={n_stop} at x={x}"
-            )
-        n_stop *= 2
+    n_min = max(truncation_index(x, params.y), 64)
+    log_tol = math.log(TAIL_RELATIVE_TOLERANCE)
+    blocks = []
+    log_partial = -math.inf
+    n_stop = 0
+    for _, logs in hermite_order_blocks(max(n_min, _MAX_ORDER), x):
+        if not blocks:
+            logs = logs[1:]  # h_0 carries no summand
+        n = np.arange(n_stop + 1, n_stop + 1 + logs.size, dtype=float)
+        terms = _summand_logs(logs, n, params)
+        blocks.append(terms)
+        n_stop += terms.size
+        log_partial = np.logaddexp(log_partial, _log_sum(terms))
+        if n_stop >= n_min and tail_bound(n_stop + 1, x, params).logmag <= log_partial + log_tol:
+            terms = np.concatenate(blocks)
+            return _log_sum(terms), terms, n_stop
+    raise RuntimeError(f"tail certification failed to converge by n={n_stop} at x={x}")
 
 
 def direct_sum(x: float, params: SumParams) -> SignedLog:
     """S(x; kappa, beta, y) summed in the log domain, tail certified.
 
-    Ascending-n streaming against the running maximum; the truncation
-    starts at the analysis cutoff N (at least 64) and doubles until
-    tail_bound certifies a relative tail below TAIL_RELATIVE_TOLERANCE.
+    One streaming pass of the recurrence in ascending n: the sum stops at
+    the first block end past the analysis cutoff N (at least 64) where
+    tail_bound certifies a relative tail below TAIL_RELATIVE_TOLERANCE
+    against the partial sum so far.
     S is even in x, so negative arguments are folded; every term is
     nonnegative and the result sign is +1.
     """

@@ -12,8 +12,9 @@ rescaling walls, so orders up to 10^6 and arguments up to 10^3 never
 materialize an over- or underflowing double.
 
 Every frontend reads one recurrence: a scalar loop for one point
-(hermite_exact, hermite_orders) and an array loop for many points
-(hermite_batch, hermite_values, hermite_moment_sweep).  Both share one
+(hermite_exact, hermite_order_blocks and hermite_orders, its
+concatenation) and an array loop for many points (hermite_batch,
+hermite_values, hermite_moment_sweep).  Both share one
 coefficient table and one compensated log finalizer.  Above
 EXTENDED_PRECISION_ORDER, hermite_exact runs the scalar loop in long
 double.
@@ -50,9 +51,12 @@ _WALL_LO = 2.0**-512
 _WALL_LOG_HI = float.fromhex("0x1.62e42ff000000p+8")
 _WALL_LOG_LO = float.fromhex("-0x1.718432a1b0e26p-26")
 
-# Orders per block of the recurrence coefficient table and of the values
-# hermite_orders keeps: a block of Python floats costs tens of kB, a
-# whole table at n = 1e6 would cost tens of MB per concurrent call.
+# Largest block of the recurrence coefficient table and of the values
+# hermite_order_blocks yields: a block of Python floats costs tens of kB,
+# a whole table at n = 1e6 would cost tens of MB per concurrent call.
+# Blocks start at _FIRST_BLOCK orders and double up to _BLOCK, so a
+# consumer that stops after a few dozen orders pays for a few dozen.
+_FIRST_BLOCK = 64
 _BLOCK = 1024
 
 # Hard floor on the monotonic-region margin epsilon: callers may pass a
@@ -182,16 +186,22 @@ def _square_with_residual(x):
 def _coefficients(n: int, dtype):
     """Yield sqrt(2/(k+1)) and sqrt(k/(k+1)) for k = 0..n-1, computed in dtype.
 
-    Comes in blocks of _BLOCK orders, so a loop holds a bounded table
-    whatever n is; blocks of doubles come as lists of Python floats,
-    which step much faster than numpy scalars.
+    Comes in blocks of _FIRST_BLOCK, 2 _FIRST_BLOCK, ... orders, doubling
+    up to _BLOCK and then staying there, so a loop holds a bounded table
+    whatever n is and a short loop builds a short table.  Each value is
+    computed elementwise, so it does not depend on the block it lands in.
+    Blocks of doubles come as lists of Python floats, which step much
+    faster than numpy scalars.
     """
-    for start in range(0, n, _BLOCK):
-        k = np.arange(start, min(n, start + _BLOCK), dtype=dtype)
+    start, size = 0, _FIRST_BLOCK
+    while start < n:
+        k = np.arange(start, min(n, start + size), dtype=dtype)
         a, b = np.sqrt(2 / (k + 1)), np.sqrt(k / (k + 1))
         if dtype is float:
             a, b = a.tolist(), b.tolist()
         yield a, b
+        start += size
+        size = min(2 * size, _BLOCK)
 
 
 def _log_magnitude(walls, log_m, x):
@@ -222,8 +232,9 @@ def _scalar_loop(n: int, x: float, dtype=float, keep: bool = False):
     back by one wall and the integer count walls records it.
 
     Yields (ms, walls) lists of the m_k (in dtype) and wall counts: with
-    keep, for k = 0..n in consecutive blocks of at most _BLOCK + 1
-    orders, so memory stays bounded whatever n is; without, once, for
+    keep, for k = 0..n in consecutive blocks that follow the coefficient
+    blocks (the first also holds k = 0, so at most _FIRST_BLOCK + 1
+    orders), so memory stays bounded whatever n is; without, once, for
     k = n alone.
     """
     x = dtype(x)
@@ -349,14 +360,18 @@ def hermite_exact(n: int, x: float) -> SignedLog:
     return SignedLog(1 if m > 0 else -1, float(logmag))
 
 
-def hermite_orders(n_top: int, x: float) -> tuple[np.ndarray, np.ndarray]:
-    """All of h_0(x) .. h_{n_top}(x) in one recurrence sweep.
+def hermite_order_blocks(n_top: int, x: float):
+    """h_0(x) .. h_{n_top}(x) in one recurrence sweep, block by block.
 
     Returns
     -------
-    (signs, logmags) : (int8 array, float array)
-        Arrays of length n_top + 1; signs[k] is 0 exactly at the exact
-        zeros, in which case logmags[k] is -inf.
+    iterator of (signs, logmags) : (int8 array, float array)
+        Consecutive blocks covering orders 0..n_top: the first holds
+        orders 0..64, the next ones 128, 256 and 512 orders, and every
+        later one 1024.  The sweep runs lazily, one block per step, so a
+        consumer that stops early does not pay for the remaining orders.
+        signs[k] is 0 exactly at the exact zeros, in which case
+        logmags[k] is -inf.
 
     Notes
     -----
@@ -368,8 +383,19 @@ def hermite_orders(n_top: int, x: float) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"n_top must be nonnegative, got {n_top}")
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
-    blocks = (_signed_logs(ms, walls, x) for ms, walls in _scalar_loop(n_top, x, keep=True))
-    signs, logmags = zip(*blocks)
+    return (_signed_logs(ms, walls, x) for ms, walls in _scalar_loop(n_top, x, keep=True))
+
+
+def hermite_orders(n_top: int, x: float) -> tuple[np.ndarray, np.ndarray]:
+    """All of h_0(x) .. h_{n_top}(x): hermite_order_blocks concatenated.
+
+    Returns
+    -------
+    (signs, logmags) : (int8 array, float array)
+        Arrays of length n_top + 1; signs[k] is 0 exactly at the exact
+        zeros, in which case logmags[k] is -inf.
+    """
+    signs, logmags = zip(*hermite_order_blocks(n_top, x))
     return np.concatenate(signs), np.concatenate(logmags)
 
 

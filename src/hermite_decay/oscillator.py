@@ -198,41 +198,46 @@ def _auto_half_width(f) -> float:
 def expand(f, n_terms: int, quad: QuadratureSpec | None = None) -> HermiteCoefficients:
     """Coefficients c_n = <f, e_n> for n = 0..n_terms by refined quadrature.
 
-    The per-coefficient quad_error is the disagreement between the two
-    finest grids; coefficients that fail to reach quad.tolerance keep
-    their larger disagreement on record rather than raising.
+    Each refinement halves the trapezoid step and evaluates f and the
+    basis on the new midpoints only (nested trapezoid, Numerical
+    Recipes section 4.2).  The per-coefficient quad_error is the
+    disagreement between the two finest grids; coefficients that fail to
+    reach quad.tolerance keep their larger disagreement on record rather
+    than raising.
     """
     if n_terms < 0:
         raise ValueError("n_terms must be nonnegative")
     quad = quad or QuadratureSpec()
     width = quad.half_width if quad.half_width is not None else _auto_half_width(f)
 
-    def pass_at(n_nodes: int) -> tuple[np.ndarray, float]:
-        xs = np.linspace(-width, width, n_nodes + 1)
-        weights = np.full(xs.size, xs[1] - xs[0])
-        weights[0] *= 0.5
-        weights[-1] *= 0.5
-        weights *= _evaluate_handle(f, xs)
-        coeffs = BASIS_NORMALIZER * hermite_moment_sweep(
-            BASIS_SCALE * xs, weights, n_terms
-        )
-        # summation roundoff floor: no refinement agreement can certify
-        # tighter than this
-        floor = 4.0 * np.finfo(float).eps * UNIFORM_BASIS_BOUND * float(
-            np.sum(np.abs(weights))
-        )
-        return coeffs, floor
+    def moments(xs: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, float]:
+        """Weighted coefficient sums over one node set, and the sum of |weights|."""
+        weights = weights * _evaluate_handle(f, xs)
+        coeffs = BASIS_NORMALIZER * hermite_moment_sweep(BASIS_SCALE * xs, weights, n_terms)
+        return coeffs, float(np.sum(np.abs(weights)))
 
     nodes = quad.initial_nodes
-    current, floor = pass_at(nodes)
+    xs = np.linspace(-width, width, nodes + 1)
+    weights = np.full(xs.size, xs[1] - xs[0])
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    current, mass = moments(xs, weights)
     diff = np.full(n_terms + 1, np.inf)
     for _ in range(quad.max_doublings):
+        # nested trapezoid: the halved step halves every old weight, so
+        # only the new midpoints need the integrand and the basis
         nodes *= 2
-        refined, floor = pass_at(nodes)
+        xs = np.linspace(-width, width, nodes + 1)
+        mid_coeffs, mid_mass = moments(xs[1::2], np.full(nodes // 2, xs[1] - xs[0]))
+        refined = 0.5 * current + mid_coeffs
+        mass = 0.5 * mass + mid_mass
         diff = np.abs(refined - current)
         current = refined
         if diff.max() <= quad.tolerance:
             break
+    # summation roundoff floor: no refinement agreement can certify
+    # tighter than this
+    floor = 4.0 * np.finfo(float).eps * UNIFORM_BASIS_BOUND * mass
     diff = np.maximum(diff, floor)
     return HermiteCoefficients(tuple(current), BASIS_SCALE, tuple(diff))
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hermite_decay import hermite_core
 from hermite_decay.decay_sum import (
     ArgumentProfile,
     SumParams,
@@ -270,11 +271,32 @@ class TestDirectSum:
 
     def test_truncation_soundness(self):
         # doubling the certified truncation must not move the total
-        params = SumParams(1.0, 0.0, 0.5)
-        for x in (7.0, 33.0, 80.0):
-            log_s, _, n_stop = _sum_internals(x, params)
-            again = _log_sum(_term_logs(x, params, 2 * n_stop))
-            assert again == pytest.approx(log_s, abs=1e-10)
+        for params in (SumParams(1.0, 0.0, 0.5), SumParams(2.0, 0.0, 0.25),
+                       SumParams(1.0, -0.5, 0.5)):
+            for x in (7.0, 33.0, 80.0, 150.0):
+                log_s, _, n_stop = _sum_internals(x, params)
+                again = _log_sum(_term_logs(x, params, 2 * n_stop))
+                assert again == pytest.approx(log_s, abs=1e-10)
+
+    @pytest.mark.parametrize("kappa, beta, y", [(1.0, 0.25, 0.5), (2.0, 0.0, 0.25), (2.0, 0.0, 1.0)])
+    @pytest.mark.parametrize("x", [7.5, 60.0, 150.0])
+    def test_one_recurrence_pass_per_sum(self, monkeypatch, kappa, beta, y, x):
+        # the truncation streams: one recurrence sweep per sum, stopping
+        # within one block of the analysis cutoff instead of restarting
+        # from n = 0 at a doubled cutoff
+        passes = []
+        loop = hermite_core._scalar_loop
+
+        def counting(n, x, dtype=float, keep=False):
+            passes.append(0)
+            for ms, walls in loop(n, x, dtype, keep):
+                passes[-1] += len(ms)
+                yield ms, walls
+
+        monkeypatch.setattr(hermite_core, "_scalar_loop", counting)
+        direct_sum(x, SumParams(kappa, beta, y))
+        assert len(passes) == 1
+        assert passes[0] <= max(truncation_index(x, y), 64) + 1025
 
     def test_dominant_term_gap(self):
         # log S sits above the max term by at most ln(3x): the peak is

@@ -16,6 +16,7 @@ from hermite_decay.hermite_core import (
     hermite_batch,
     hermite_exact,
     hermite_moment_sweep,
+    hermite_order_blocks,
     hermite_orders,
     hermite_pr_bound,
     hermite_polynomial_coefficients,
@@ -213,6 +214,21 @@ class TestSweeps:
             assert signs[n] == ref.sign
             if ref.sign != 0:
                 assert logs[n] == pytest.approx(ref.logmag, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("n_top", [0, 63, 64, 65, 5000])
+    def test_order_blocks_concatenate_to_orders(self, n_top):
+        x = 41.3
+        blocks = list(hermite_order_blocks(n_top, x))
+        assert blocks[0][0].size <= 65
+        assert all(signs.size <= 1024 for signs, _ in blocks)
+        signs, logs = hermite_orders(n_top, x)
+        assert np.array_equal(np.concatenate([b[0] for b in blocks]), signs)
+        assert np.array_equal(np.concatenate([b[1] for b in blocks]), logs)
+        # orders on both sides of each block boundary continue one recurrence
+        for n in {0, 63, 64, 65, 192, 193, 448, 449, n_top} & set(range(n_top + 1)):
+            ref = hermite_exact(n, x)
+            assert signs[n] == ref.sign
+            assert logs[n] == pytest.approx(ref.logmag, rel=1e-12)
 
     def test_orders_rescales_far_below_double_range(self):
         signs, logs = hermite_orders(10, 60.0)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hermite_decay import oscillator
+from hermite_decay.hermite_core import hermite_moment_sweep
 from hermite_decay.oscillator import (
     BASIS_NORMALIZER,
     BASIS_SCALE,
@@ -107,6 +108,40 @@ class TestExpand:
         spec = QuadratureSpec(initial_nodes=16, max_doublings=1)
         c = expand(gaussian_handle(0.5), 40, spec)
         assert max(c.quad_error) > 1e-10
+
+    def test_nested_refinement_matches_full_grid_trapezoid(self):
+        # an unreachable tolerance runs every doubling, so expand must give
+        # the trapezoid rule on the finest grid, having evaluated f once
+        # per node of that grid
+        width, nodes, n_terms = 6.0, 64, 40
+        spec = QuadratureSpec(half_width=width, initial_nodes=nodes, max_doublings=3,
+                              tolerance=1e-300)
+        seen = []
+
+        def f(x):
+            seen.extend(np.atleast_1d(x).tolist())
+            return np.exp(-math.pi * (x - 0.3) ** 2)
+
+        c = expand(f, n_terms, spec)
+
+        def trapezoid(n_nodes):
+            xs = np.linspace(-width, width, n_nodes + 1)
+            weights = np.full(xs.size, xs[1] - xs[0])
+            weights[0] *= 0.5
+            weights[-1] *= 0.5
+            weights *= np.exp(-math.pi * (xs - 0.3) ** 2)
+            coeffs = BASIS_NORMALIZER * hermite_moment_sweep(BASIS_SCALE * xs, weights, n_terms)
+            return coeffs, float(np.sum(np.abs(weights)))
+
+        fine, mass = trapezoid(8 * nodes)
+        coarse, _ = trapezoid(4 * nodes)
+        floor = 4.0 * np.finfo(float).eps * oscillator.UNIFORM_BASIS_BOUND * mass
+        np.testing.assert_allclose(c.coeffs, fine, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(
+            c.quad_error, np.maximum(np.abs(fine - coarse), floor), rtol=0.0, atol=1e-15
+        )
+        assert len(seen) == 8 * nodes + 1
+        assert sorted(seen) == np.linspace(-width, width, 8 * nodes + 1).tolist()
 
     def test_explicit_window(self):
         spec = QuadratureSpec(half_width=7.0)
