@@ -9,7 +9,9 @@ factor alone underflows double precision at |x| ~ 38.  Everything here
 therefore flows through a (sign, log magnitude) representation, and the
 three-term recurrence runs on rescaled values with an integer count of
 rescaling walls, so orders up to 10^6 and arguments up to 10^3 never
-materialize an over- or underflowing double.
+materialize an over- or underflowing double.  The walls are tested once
+every few dozen steps, as often as the largest |x| needs to keep the
+running values inside 2^(+-912).
 
 Every frontend reads one recurrence: a scalar loop for one point
 (hermite_exact, hermite_order_blocks and hermite_orders, its
@@ -31,18 +33,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 _LN_PI = math.log(math.pi)
 _LN_2 = math.log(2.0)
 
-# Rescaling walls for the running recurrence values.  One multiply by
-# 2^(+-512) per crossing is enough: a single recurrence step changes the
-# magnitude by a factor far below 2^512 for |x| <= 1e3.
+# Rescaling walls for the running recurrence values, tested once every
+# _stride(max |x|) steps.  One step changes the larger of the pair by at
+# most a factor 2|x| + 2, so a stride moves it by at most _STRIDE_BITS
+# bits: between two tests it stays inside 2^(+-(512 + _STRIDE_BITS)),
+# normal and finite, and one multiply by 2^(+-512) per crossing brings
+# it back.  Scaling by a power of two is exact for normal doubles, so
+# where the test runs changes no represented value.
 _WALL_HI = 2.0**512
 _WALL_LO = 2.0**-512
+_STRIDE_BITS = 400
 
 # 512*ln2 split so that (wall count)*_WALL_LOG_HI is exact: the high part
 # carries 30 significant bits, leaving 23 bits of headroom for the count.
@@ -72,10 +78,6 @@ EXTENDED_PRECISION_ORDER = 20000
 # significand (x87 extended or IEEE quad).  Where long double is only a
 # double, orders above EXTENDED_PRECISION_ORDER raise ValueError.
 _EXTENDED_FLOAT = np.longdouble if np.finfo(np.longdouble).nmant >= 63 else None
-
-# Largest order for which the monomial form of H_n is exposed as a test
-# oracle; beyond this the alternating coefficients cancel catastrophically.
-POLYNOMIAL_ORACLE_MAX = 30
 
 
 @dataclass(frozen=True)
@@ -223,13 +225,27 @@ def _log_magnitude(walls, log_m, x):
     return total + (err + small)
 
 
+def _stride(x_max) -> int:
+    """Steps between two wall tests for points with |x| <= x_max.
+
+    1 (a test every step) when one step alone may move _STRIDE_BITS
+    bits, or when x_max is not finite.
+    """
+    bits = math.log2(2.0 * float(x_max) + 2.0)
+    return max(1, int(_STRIDE_BITS / bits)) if bits < _STRIDE_BITS else 1
+
+
 def _scalar_loop(n: int, x: float, dtype=float, keep: bool = False):
     """The rescaled recurrence at one point x, up to order n.
 
     Runs h_{k+1} = x sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1} on a
     running pair m_k with h_k = m_k * 2^(512 walls) * pi^(-1/4) e^(-x^2/2).
-    Whenever the larger of the pair leaves [2^-512, 2^512], both move
-    back by one wall and the integer count walls records it.
+    Each coefficient block is walked in slices of _stride(|x|) steps;
+    after each slice, if the larger of the pair lies outside
+    [2^-512, 2^512], both move back by one wall and the integer count
+    walls records it.  So the pair stays inside 2^(+-912), and every m_k
+    is the value a test after each step would give, times an exact
+    power of two.
 
     Yields (ms, walls) lists of the m_k (in dtype) and wall counts: with
     keep, for k = 0..n in consecutive blocks that follow the coefficient
@@ -237,13 +253,19 @@ def _scalar_loop(n: int, x: float, dtype=float, keep: bool = False):
     orders), so memory stays bounded whatever n is; without, once, for
     k = n alone.
     """
+    stride = _stride(abs(x))
     x = dtype(x)
     m_prev, m_cur = dtype(0), dtype(1)
     walls = 0
     ms, ws = [m_cur], [walls]
     for a_block, b_block in _coefficients(n, dtype):
-        for a, b in zip(a_block, b_block):
-            m_prev, m_cur = m_cur, x * a * m_cur - b * m_prev
+        for lo in range(0, len(a_block), stride):
+            for a, b in zip(a_block[lo : lo + stride], b_block[lo : lo + stride]):
+                m_prev, m_cur = m_cur, x * a * m_cur - b * m_prev
+                if keep:
+                    ms.append(m_cur)
+            if keep:
+                ws.extend([walls] * (len(ms) - len(ws)))
             big = abs(m_cur)
             other = abs(m_prev)
             if other > big:
@@ -256,9 +278,6 @@ def _scalar_loop(n: int, x: float, dtype=float, keep: bool = False):
                 m_cur *= _WALL_HI
                 m_prev *= _WALL_HI
                 walls -= 1
-            if keep:
-                ms.append(m_cur)
-                ws.append(walls)
         if keep:
             yield ms, ws
             ms, ws = [], []
@@ -272,10 +291,12 @@ def _array_loop(xs: np.ndarray, n_top: int):
     """The rescaled recurrence on every point of xs at once, in doubles.
 
     Yields (k, m, walls, rescaled) for k = 0..n_top, with the scaling of
-    _scalar_loop per point and rescaled telling whether any wall count
-    moved at step k.  Later steps update m and walls in place, so
-    consumers copy what they keep.
+    _scalar_loop per point: the walls are tested every _stride(max |xs|)
+    steps, and rescaled tells whether any wall count moved at step k.
+    Later steps update m and walls in place, so consumers copy what they
+    keep.
     """
+    stride = _stride(np.max(np.abs(xs), initial=0.0))
     m_prev = np.zeros(xs.size)
     m_cur = np.ones(xs.size)
     walls = np.zeros(xs.size, dtype=np.int64)
@@ -285,14 +306,16 @@ def _array_loop(xs: np.ndarray, n_top: int):
         for a, b in zip(a_block, b_block):
             k += 1
             m_prev, m_cur = m_cur, xs * a * m_cur - b * m_prev
-            big = np.maximum(np.abs(m_cur), np.abs(m_prev))
-            shift = (big > _WALL_HI).astype(np.intc) - ((big > 0.0) & (big < _WALL_LO))
-            rescaled = shift.any()
-            if rescaled:
-                scale = np.ldexp(1.0, -512 * shift)  # exactly 2^-512, 1 or 2^512
-                m_cur *= scale
-                m_prev *= scale
-                walls += shift
+            rescaled = False
+            if k % stride == 0:
+                big = np.maximum(np.abs(m_cur), np.abs(m_prev))
+                shift = (big > _WALL_HI).astype(np.intc) - ((big > 0.0) & (big < _WALL_LO))
+                rescaled = shift.any()
+                if rescaled:
+                    scale = np.ldexp(1.0, -512 * shift)  # exactly 2^-512, 1 or 2^512
+                    m_cur *= scale
+                    m_prev *= scale
+                    walls += shift
             yield k, m_cur, walls, rescaled
 
 
@@ -331,7 +354,7 @@ def hermite_exact(n: int, x: float) -> SignedLog:
     -----
     Runs h_{k+1} = x sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1} from
     h_0 = pi^(-1/4) e^(-x^2/2), keeping the running pair inside
-    [2^-512, 2^512] and counting discarded exponents separately.
+    2^(+-912) and counting discarded exponents separately.
     Forward recurrence is stable here: h_n is the dominant solution in
     the classically allowed region.  At |x| near 1e3 the log magnitude
     reaches ~5e5, so the Gaussian constant and the rescaling ledger are
@@ -452,7 +475,7 @@ def _value_rows(xs: np.ndarray, n_top: int):
     h_k = m * 2^(512 walls) * e^g with g = -x^2/2 - ln(pi)/4; e^g is
     split once into a factor in [1, 2) times 2^e, so every value comes
     from one exact ldexp and only the result can underflow.  The
-    running pair grows to 2^512, so a value can be a normal double while
+    running pair grows to 2^912, so a value can be a normal double while
     its scale alone lies far below double range.  Values below double
     range flush to exactly 0.0.
     """
@@ -574,49 +597,3 @@ def hermite_pr_bound(
         n * phi - n * y - 0.5 * x * math.sqrt(disc)
     )
     return SignedLog(1, logmag)
-
-
-def _build_polynomial_tables(n_top: int) -> list[list[int]]:
-    """Exact integer coefficients of H_0..H_{n_top}, ascending powers."""
-    tables = [[1], [0, 2]]
-    for n in range(1, n_top):
-        prev, cur = tables[n - 1], tables[n]
-        nxt = [0] * (n + 2)
-        for j, c in enumerate(cur):
-            nxt[j + 1] += 2 * c
-        for j, c in enumerate(prev):
-            nxt[j] -= 2 * n * c
-        tables.append(nxt)
-    return tables
-
-
-_POLY_TABLES = _build_polynomial_tables(POLYNOMIAL_ORACLE_MAX)
-
-
-def hermite_polynomial_coefficients(n: int) -> list[int]:
-    """Integer coefficients of the physicists' polynomial H_n, ascending.
-
-    Only exposed for n <= POLYNOMIAL_ORACLE_MAX; the monomial form is a
-    cross-check oracle, unusable at large order due to cancellation.
-    """
-    if not 0 <= n <= POLYNOMIAL_ORACLE_MAX:
-        raise ValueError(
-            f"polynomial tables stop at n={POLYNOMIAL_ORACLE_MAX}, got {n}"
-        )
-    return list(_POLY_TABLES[n])
-
-
-def hermite_via_polynomial(n: int, x: float) -> float:
-    """h_n(x) from the exact monomial form of H_n; test oracle only.
-
-    H_n(x) is accumulated in exact rational arithmetic, so the only
-    roundoff is the final normalization and Gaussian factor; |x| must
-    stay modest (<= ~30) to keep e^(-x^2/2) in double range.
-    """
-    coeffs = hermite_polynomial_coefficients(n)
-    xf = Fraction(x)
-    h = Fraction(0)
-    for c in reversed(coeffs):
-        h = h * xf + c
-    norm = math.sqrt(2.0**n * math.sqrt(math.pi) * math.factorial(n))
-    return math.exp(-0.5 * x * x) * float(h) / norm

@@ -1,15 +1,22 @@
 """Independent high-precision oracles shared by the test modules.
 
-Everything here is deliberately written against mpmath primitives (or
-exact rational arithmetic), never against the library under test, so a
-defect in the library cannot hide in its own oracle.
+Everything here is deliberately written against mpmath primitives,
+exact rational arithmetic or plain floating-point loops, never against
+the library under test, so a defect in the library cannot hide in its
+own oracle.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
+
+# Largest order for which the monomial form of H_n serves as an oracle;
+# beyond this the alternating coefficients cancel catastrophically.
+POLYNOMIAL_ORACLE_MAX = 30
 
 
 def mp_hermite_log(n: int, x: float, dps: int = 40) -> tuple[int, float]:
@@ -120,3 +127,85 @@ def mp_gaussian_coefficient(n: int, a: float, dps: int = 40) -> float:
 
         val = mp.quad(lambda u: mp.exp(-am * u * u / 2) * h(u), [-30, 0, 30])
         return float((2 * mp.pi) ** mp.mpf("-0.25") * val)
+
+
+def _build_polynomial_tables(n_top: int) -> list[list[int]]:
+    """Exact integer coefficients of H_0..H_{n_top}, ascending powers."""
+    tables = [[1], [0, 2]]
+    for n in range(1, n_top):
+        prev, cur = tables[n - 1], tables[n]
+        nxt = [0] * (n + 2)
+        for j, c in enumerate(cur):
+            nxt[j + 1] += 2 * c
+        for j, c in enumerate(prev):
+            nxt[j] -= 2 * n * c
+        tables.append(nxt)
+    return tables
+
+
+_POLY_TABLES = _build_polynomial_tables(POLYNOMIAL_ORACLE_MAX)
+
+
+def hermite_polynomial_coefficients(n: int) -> list[int]:
+    """Integer coefficients of the physicists' polynomial H_n, ascending.
+
+    Only for n <= POLYNOMIAL_ORACLE_MAX; the monomial form is a
+    cross-check oracle, unusable at large order due to cancellation.
+    """
+    if not 0 <= n <= POLYNOMIAL_ORACLE_MAX:
+        raise ValueError(
+            f"polynomial tables stop at n={POLYNOMIAL_ORACLE_MAX}, got {n}"
+        )
+    return list(_POLY_TABLES[n])
+
+
+def hermite_via_polynomial(n: int, x: float) -> float:
+    """h_n(x) from the exact monomial form of H_n.
+
+    H_n(x) is accumulated in exact rational arithmetic, so the only
+    roundoff is the final normalization and Gaussian factor; |x| must
+    stay modest (<= ~30) to keep e^(-x^2/2) in double range.
+    """
+    coeffs = hermite_polynomial_coefficients(n)
+    xf = Fraction(x)
+    h = Fraction(0)
+    for c in reversed(coeffs):
+        h = h * xf + c
+    norm = math.sqrt(2.0**n * math.sqrt(math.pi) * math.factorial(n))
+    return math.exp(-0.5 * x * x) * float(h) / norm
+
+
+def per_step_rescaled_recurrence(n: int, x: float, dtype=float) -> tuple[list, list]:
+    """(m_k, walls_k) for k = 0..n, with the walls tested after every step.
+
+    The running pair of the rescaled recurrence, h_k = m_k 2^(512 walls_k)
+    pi^(-1/4) e^(-x^2/2), computed in dtype with the coefficients
+    sqrt(2/(k+1)) and sqrt(k/(k+1)) rounded once in dtype.  After every
+    step whose larger value leaves [2^-512, 2^512], both move back by
+    2^(+-512).  Testing that less often changes each m_k by an exact power
+    of two only, so this pins down the value every rescaled loop must
+    represent.
+    """
+    wall_hi, wall_lo = 2.0**512, 2.0**-512
+    k = np.arange(n, dtype=dtype)
+    a_all, b_all = np.sqrt(2 / (k + 1)), np.sqrt(k / (k + 1))
+    if dtype is float:
+        a_all, b_all = a_all.tolist(), b_all.tolist()
+    x = dtype(x)
+    m_prev, m_cur = dtype(0), dtype(1)
+    walls = 0
+    ms, ws = [m_cur], [walls]
+    for a, b in zip(a_all, b_all):
+        m_prev, m_cur = m_cur, x * a * m_cur - b * m_prev
+        big = max(abs(m_cur), abs(m_prev))
+        if big > wall_hi:
+            m_cur *= wall_lo
+            m_prev *= wall_lo
+            walls += 1
+        elif 0.0 < big < wall_lo:
+            m_cur *= wall_hi
+            m_prev *= wall_hi
+            walls -= 1
+        ms.append(m_cur)
+        ws.append(walls)
+    return ms, ws

@@ -27,10 +27,8 @@ from hermite_decay.decay_sum import (
     sharpness_certificate,
 )
 from hermite_decay.hermite_core import (
-    POLYNOMIAL_ORACLE_MAX,
     hermite_batch,
     hermite_exact,
-    hermite_via_polynomial,
     plancherel_rotach_estimate,
 )
 from hermite_decay.oscillator import (
@@ -39,7 +37,12 @@ from hermite_decay.oscillator import (
     vemuri_decay_check,
     weighted_sup,
 )
-from oracles import mp_argument_fd, naive_weighted_sum
+from oracles import (
+    POLYNOMIAL_ORACLE_MAX,
+    hermite_via_polynomial,
+    mp_argument_fd,
+    naive_weighted_sum,
+)
 
 # Peak-height offsets |A(n_max) + x^2 tanh(y)/2| measured over
 # x in [20, 200]: the worst case sits at x = 20 and shrinks about

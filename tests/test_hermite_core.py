@@ -10,7 +10,6 @@ from hermite_decay import hermite_core
 from hermite_decay.hermite_core import (
     EPSILON_MONOTONIC,
     EXTENDED_PRECISION_ORDER,
-    POLYNOMIAL_ORACLE_MAX,
     PhiCoordinate,
     SignedLog,
     hermite_batch,
@@ -19,13 +18,18 @@ from hermite_decay.hermite_core import (
     hermite_order_blocks,
     hermite_orders,
     hermite_pr_bound,
-    hermite_polynomial_coefficients,
     hermite_values,
-    hermite_via_polynomial,
     phi_coordinate,
     plancherel_rotach_estimate,
 )
-from oracles import mp_hermite_log, mp_hermite_value
+from oracles import (
+    POLYNOMIAL_ORACLE_MAX,
+    hermite_polynomial_coefficients,
+    hermite_via_polynomial,
+    mp_hermite_log,
+    mp_hermite_value,
+    per_step_rescaled_recurrence,
+)
 
 LOG_UNIFORM_BOUND = -0.25 * math.log(math.pi)
 # hermite_values returns plain doubles: compare them in log only above the
@@ -268,7 +272,7 @@ class TestSweeps:
 
     @pytest.mark.parametrize("x", [40.0, 60.0])
     def test_values_keep_normal_doubles_whose_scale_underflows(self, x):
-        # the running pair grows to 2^512, so a normal h_k can carry a
+        # the running pair grows to 2^912, so a normal h_k can carry a
         # ledger scale that is far below double range on its own
         vals = hermite_values(1200, [x])[:, 0]
         signs, logs = hermite_orders(1200, x)
@@ -435,3 +439,70 @@ class TestFrontendsAgree:
                 assert abs(logs[n] - ref.logmag) <= 1e-10
                 assert abs(batch_logs[i] - ref.logmag) <= 1e-10
             assert_value_matches(values[n, i], ref.sign, ref.logmag)
+
+
+def assert_same_values(ms, walls, ref_ms, ref_walls):
+    """m * 2^(512 walls) equal bit for bit, and every m 0 or a normal double."""
+    ms, ref_ms = np.asarray(ms), np.asarray(ref_ms)
+    mant, exp = np.frexp(ms)
+    ref_mant, ref_exp = np.frexp(ref_ms)
+    np.testing.assert_array_equal(mant, ref_mant)
+    nonzero = ms != 0
+    np.testing.assert_array_equal(
+        (exp + 512 * np.asarray(walls))[nonzero], (ref_exp + 512 * np.asarray(ref_walls))[nonzero]
+    )
+    magnitudes = np.abs(ms[nonzero])
+    assert np.all((magnitudes >= np.finfo(float).tiny) & (magnitudes <= np.finfo(float).max))
+
+
+class TestStridedWalls:
+    """Testing the walls once per stride represents the per-step values exactly."""
+
+    @staticmethod
+    def check(n, xs):
+        dtypes = [float] + ([hermite_core._EXTENDED_FLOAT] if hermite_core._EXTENDED_FLOAT else [])
+        for x in xs:
+            for dtype in dtypes:
+                ref_ms, ref_walls = per_step_rescaled_recurrence(n, x, dtype)
+                blocks = list(hermite_core._scalar_loop(n, x, dtype, keep=True))
+                ms = [m for block, _ in blocks for m in block]
+                walls = [w for _, block in blocks for w in block]
+                assert_same_values(ms, walls, ref_ms, ref_walls)
+                [(last_m, last_walls)] = hermite_core._scalar_loop(n, x, dtype)
+                assert_same_values(last_m, last_walls, ref_ms[-1:], ref_walls[-1:])
+        steps = [(m.copy(), w.copy()) for _, m, w, _ in hermite_core._array_loop(np.array(xs), n)]
+        array_ms = np.array([m for m, _ in steps])
+        array_walls = np.array([w for _, w in steps])
+        for j, x in enumerate(xs):
+            ref_ms, ref_walls = per_step_rescaled_recurrence(n, x)
+            assert_same_values(array_ms[:, j], array_walls[:, j], ref_ms, ref_walls)
+
+    @given(
+        st.integers(min_value=0, max_value=5000),
+        st.lists(st.floats(min_value=-1000.0, max_value=1000.0), min_size=1, max_size=3),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_matches_per_step_walls(self, n, xs):
+        self.check(n, xs)
+
+    @pytest.mark.parametrize(
+        "n, xs",
+        [
+            (0, [0.0]),
+            (1, [0.0, -1000.0]),
+            (0, [1000.0]),
+            (3001, [0.0]),
+            (20000, [1000.0]),
+            # outside the 1e3 contract: 17.6 bits a step, a test every 22 steps
+            (3000, [1e5, -1e5]),
+        ],
+    )
+    def test_matches_per_step_walls_at_fixed_points(self, n, xs):
+        self.check(n, xs)
+
+    def test_stride_shrinks_with_x_and_falls_back_to_every_step(self):
+        assert hermite_core._stride(0.0) == 400
+        assert hermite_core._stride(1000.0) == 36
+        assert hermite_core._stride(1e5) == 22
+        for x_max in (1e150, math.inf, math.nan):
+            assert hermite_core._stride(x_max) == 1
