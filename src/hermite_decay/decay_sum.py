@@ -20,15 +20,16 @@ certificate comparing S against the envelope across an x-grid.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from hermite_decay import hermite_core
 from hermite_decay.hermite_core import (
     EPSILON_MONOTONIC,
     SignedLog,
-    hermite_order_blocks,
     hermite_orders,
     phi_coordinate,
 )
@@ -42,6 +43,15 @@ TAIL_RELATIVE_TOLERANCE = 1e-12
 # direct_sum gives up when the tail is not yet certified at this order
 # (or at the analysis cutoff, if that lies further out).
 _MAX_ORDER = 4_000_000
+
+# For beta < 0, the orders run past the analysis cutoff before the stop
+# test is repeated: this many, then twice as many each time.
+_FIRST_GROWTH = 64
+
+# Most orders direct_sum converts to logs at once: the conversion holds
+# about a dozen arrays of 8 bytes an order, so this bounds its memory
+# when the analysis cutoff lies far out (it is 4.6e5 at x = 1e3, y = 1/2).
+_LARGEST_BLOCK = 1 << 16
 
 # Bisection control for the interior-maximum solve.
 _BISECT_TOL = 1e-12
@@ -289,43 +299,92 @@ def _log_sum(term_logs: np.ndarray) -> float:
         return m + math.log(float(np.exp(term_logs - m).sum()))
 
 
+def _first_passing(first: int, running: np.ndarray, x: float, params: SumParams):
+    """Index i of the first order n = first + i that certifies its tail, or None.
+
+    n certifies when tail_bound(n + 1) <= TAIL_RELATIVE_TOLERANCE e^running[i],
+    running[i] being ln of the partial sum through n.  For beta >= 0 the
+    bound falls and the partial sum grows with n, so the passing orders
+    form a suffix and bisection finds the first; for beta < 0 only the
+    last order is tested.
+    """
+    log_tol = math.log(TAIL_RELATIVE_TOLERANCE)
+
+    def passes(i: int) -> bool:
+        return tail_bound(first + i + 1, x, params).logmag <= running[i] + log_tol
+
+    candidates = range(max(running.size - 1, 0) if params.beta < 0.0 else 0, running.size)
+    if not candidates or not passes(candidates[-1]):
+        return None
+    return candidates[bisect.bisect_left(candidates, True, hi=len(candidates) - 1, key=passes)]
+
+
 def _sum_internals(x: float, params: SumParams) -> tuple[float, np.ndarray, int]:
     """(log S, term logs, n_stop) with the tail certified negligible.
 
-    One lazy recurrence sweep: after each block of orders, from the
-    analysis cutoff N (at least 64) on, the sweep stops once
-    tail_bound(n_stop + 1) is below TAIL_RELATIVE_TOLERANCE times the
-    running partial sum, which is a lower bound on S.  log S itself is
-    summed over all kept terms at once, so it does not depend on the
-    block boundaries.
+    One lazy recurrence pass, hermite_core._scalar_loop, converted to
+    logs in blocks whose ends the stop rule picks.  n_stop is an order
+    n >= max(N, 64), N the analysis cutoff, where tail_bound(n + 1) is at
+    most TAIL_RELATIVE_TOLERANCE times the partial sum through n, a
+    lower bound on S.  The first block runs to max(N, 64), rounded up to
+    the end of a stride slice (past _LARGEST_BLOCK orders, several
+    blocks do).  For beta >= 0, n_stop is the smallest such order: the
+    closed-form tail bound falls by e^(-kappa y) an order at least, so
+    the order where it passes against the partial sum so far is solved
+    for, and the next block runs to it.  For beta < 0, the blocks grow
+    by _FIRST_GROWTH, then twice as many orders each time, and n_stop is
+    the first block end that passes.  log S is summed over all kept
+    terms at once, so it does not depend on the block boundaries.
     """
     x = abs(x)
     n_min = max(truncation_index(x, params.y), 64)
+    n_top = max(n_min, _MAX_ORDER)
     log_tol = math.log(TAIL_RELATIVE_TOLERANCE)
+    slices = hermite_core._scalar_loop(n_top, x, keep=True)
+    _, logs = hermite_core._next_orders(slices, min(n_min, _LARGEST_BLOCK) + 1, x, 0)
+    logs = logs[1:]  # h_0 carries no summand
     blocks = []
-    log_partial = -math.inf
-    n_stop = 0
-    for _, logs in hermite_order_blocks(max(n_min, _MAX_ORDER), x):
-        if not blocks:
-            logs = logs[1:]  # h_0 carries no summand
-        n = np.arange(n_stop + 1, n_stop + 1 + logs.size, dtype=float)
+    n_end = 0  # the last order summed
+    log_partial = -math.inf  # ln of the partial sum through n_end
+    growth = _FIRST_GROWTH
+    while logs.size:
+        n = np.arange(n_end + 1, n_end + 1 + logs.size, dtype=float)
         terms = _summand_logs(logs, n, params)
         blocks.append(terms)
-        n_stop += terms.size
-        log_partial = np.logaddexp(log_partial, _log_sum(terms))
-        if n_stop >= n_min and tail_bound(n_stop + 1, x, params).logmag <= log_partial + log_tol:
+        # orders below max(N, 64) may not stop the sum
+        skip = min(max(n_min - n_end - 1, 0), terms.size)
+        if skip:
+            log_partial = float(np.logaddexp(log_partial, _log_sum(terms[:skip])))
+        running = np.logaddexp.accumulate(np.concatenate(([log_partial], terms[skip:])))[1:]
+        first = n_end + skip + 1
+        n_end += terms.size
+        stop = _first_passing(first, running, x, params)
+        if stop is not None:
+            blocks[-1] = terms[: skip + stop + 1]
             terms = np.concatenate(blocks)
-            return _log_sum(terms), terms, n_stop
-    raise RuntimeError(f"tail certification failed to converge by n={n_stop} at x={x}")
+            return _log_sum(terms), terms, first + stop
+        if running.size:
+            log_partial = float(running[-1])
+        if n_end < n_min:
+            count = n_min - n_end
+        elif params.beta >= 0.0:
+            gap = tail_bound(n_end + 1, x, params).logmag - (log_partial + log_tol)
+            count = math.ceil(min(gap / (params.kappa * params.y), n_top))
+        else:
+            count, growth = growth, 2 * growth
+        count = min(max(count, 1), _LARGEST_BLOCK)
+        _, logs = hermite_core._next_orders(slices, count, x, n_end + 1)
+    raise RuntimeError(f"tail certification failed to converge by n={n_end} at x={x}")
 
 
 def direct_sum(x: float, params: SumParams) -> SignedLog:
     """S(x; kappa, beta, y) summed in the log domain, tail certified.
 
-    One streaming pass of the recurrence in ascending n: the sum stops at
-    the first block end past the analysis cutoff N (at least 64) where
-    tail_bound certifies a relative tail below TAIL_RELATIVE_TOLERANCE
-    against the partial sum so far.
+    One streaming pass of the recurrence in ascending n, converted to
+    logs in two or three blocks: the sum stops at the first order past
+    the analysis cutoff N (at least 64) where tail_bound certifies a
+    relative tail below TAIL_RELATIVE_TOLERANCE against the partial sum
+    so far (for beta < 0, at the first such block end).
     S is even in x, so negative arguments are folded; every term is
     nonnegative and the result sign is +1.
     """

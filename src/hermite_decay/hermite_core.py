@@ -11,7 +11,9 @@ three-term recurrence runs on rescaled values with an integer count of
 rescaling walls, so orders up to 10^6 and arguments up to 10^3 never
 materialize an over- or underflowing double.  The walls are tested once
 every few dozen steps, as often as the largest |x| needs to keep the
-running values inside 2^(+-912).
+running values inside 2^(+-912).  Arguments below 2^-511 in magnitude
+run at +-2^-511, where h_n is even or odd to double precision, so no
+step starts from a subnormal.
 
 Every frontend reads one recurrence: a scalar loop for one point
 (hermite_exact, hermite_order_blocks and hermite_orders, its
@@ -32,6 +34,7 @@ instead; both are exposed.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,13 +60,24 @@ _STRIDE_BITS = 400
 _WALL_LOG_HI = float.fromhex("0x1.62e42ff000000p+8")
 _WALL_LOG_LO = float.fromhex("-0x1.718432a1b0e26p-26")
 
-# Largest block of the recurrence coefficient table and of the values
-# hermite_order_blocks yields: a block of Python floats costs tens of kB,
-# a whole table at n = 1e6 would cost tens of MB per concurrent call.
-# Blocks start at _FIRST_BLOCK orders and double up to _BLOCK, so a
-# consumer that stops after a few dozen orders pays for a few dozen.
+# Largest block of the values hermite_order_blocks yields and of the
+# coefficient slices the loops walk.  Blocks start at _FIRST_BLOCK orders
+# and double up to _BLOCK, so a consumer that stops after a few dozen
+# orders pays for a few dozen.
 _FIRST_BLOCK = 64
 _BLOCK = 1024
+
+# Orders of the coefficient table kept per float type, built once per
+# process: 2^14 orders cost 256 kB in doubles and 512 kB in long double.
+# Loops past it compute their coefficients block by block.
+_TABLE_ORDERS = 1 << 14
+_TABLES: dict = {}
+
+# Below this |x| the loops run at copysign(_TINY_X, x) instead: m_1 =
+# x sqrt(2) would be subnormal and lose bits.  With n x^2 <= 1e6 2^-1022,
+# h_n is even or odd in x to double precision there, so the odd orders
+# only differ by the exact factor x / copysign(_TINY_X, x).
+_TINY_X = 2.0**-511
 
 # Hard floor on the monotonic-region margin epsilon: callers may pass a
 # larger (e.g. y-dependent) epsilon but never a smaller one.
@@ -185,25 +199,67 @@ def _square_with_residual(x):
     return p, ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
 
 
+def _block_sizes():
+    """_FIRST_BLOCK, 2 _FIRST_BLOCK, ... orders, doubling up to _BLOCK, then _BLOCK for ever."""
+    size = _FIRST_BLOCK
+    while True:
+        yield size
+        size = min(2 * size, _BLOCK)
+
+
+def _coefficient_range(start: int, stop: int, dtype):
+    """sqrt(2/(k+1)) and sqrt(k/(k+1)) for k = start..stop-1, computed in dtype.
+
+    Each value is computed elementwise, so it does not depend on the range
+    it lands in.  Doubles come as memoryviews, whose items step as Python
+    floats, much faster than numpy scalars.  Both are read-only, since
+    the process-wide table hands out views of them.
+    """
+    k = np.arange(start, stop, dtype=dtype)
+    k1 = k + 1
+    # in place, so that no more than the two results are ever held
+    b = np.sqrt(np.divide(k, k1, out=k), out=k)
+    a = np.sqrt(np.divide(2, k1, out=k1), out=k1)
+    a.flags.writeable = b.flags.writeable = False
+    return (memoryview(a), memoryview(b)) if dtype is float else (a, b)
+
+
 def _coefficients(n: int, dtype):
     """Yield sqrt(2/(k+1)) and sqrt(k/(k+1)) for k = 0..n-1, computed in dtype.
 
-    Comes in blocks of _FIRST_BLOCK, 2 _FIRST_BLOCK, ... orders, doubling
-    up to _BLOCK and then staying there, so a loop holds a bounded table
-    whatever n is and a short loop builds a short table.  Each value is
-    computed elementwise, so it does not depend on the block it lands in.
-    Blocks of doubles come as lists of Python floats, which step much
-    faster than numpy scalars.
+    Comes in blocks of _block_sizes() orders.  Orders below _TABLE_ORDERS
+    are slices of one table per dtype, built at the first call of the
+    process; later blocks are computed when the loop reaches them.  So a
+    loop holds a bounded table whatever n is, and no call rebuilds the
+    orders below the cap.
     """
-    start, size = 0, _FIRST_BLOCK
-    while start < n:
-        k = np.arange(start, min(n, start + size), dtype=dtype)
-        a, b = np.sqrt(2 / (k + 1)), np.sqrt(k / (k + 1))
-        if dtype is float:
-            a, b = a.tolist(), b.tolist()
-        yield a, b
-        start += size
-        size = min(2 * size, _BLOCK)
+    table = _TABLES.get(dtype)
+    if table is None:
+        table = _TABLES[dtype] = _coefficient_range(0, _TABLE_ORDERS, dtype)
+    start = 0
+    for size in _block_sizes():
+        if start >= n:
+            return
+        stop = min(n, start + size)
+        if stop <= _TABLE_ORDERS:
+            yield table[0][start:stop], table[1][start:stop]
+        else:
+            yield _coefficient_range(start, stop, dtype)
+        start = stop
+
+
+def _is_tiny(x):
+    """0 < |x| < _TINY_X, elementwise; a plain bool for a float x."""
+    return (x != 0) & (abs(x) < _TINY_X)
+
+
+def _odd_scale(x):
+    """x / x' for the point x' the loops run at: 1 unless x is tiny.
+
+    h_n(x) = (x / x')^(n mod 2) h_n(x') to double precision, and the
+    ratio is exact, since x' is a signed power of two.  Elementwise.
+    """
+    return np.abs(np.where(_is_tiny(x), x, _TINY_X)) / _TINY_X
 
 
 def _log_magnitude(walls, log_m, x):
@@ -245,27 +301,37 @@ def _scalar_loop(n: int, x: float, dtype=float, keep: bool = False):
     [2^-512, 2^512], both move back by one wall and the integer count
     walls records it.  So the pair stays inside 2^(+-912), and every m_k
     is the value a test after each step would give, times an exact
-    power of two.
+    power of two.  A tiny x (0 < |x| < _TINY_X) runs at
+    copysign(_TINY_X, x); _odd_scale gives the factor back.
 
-    Yields (ms, walls) lists of the m_k (in dtype) and wall counts: with
-    keep, for k = 0..n in consecutive blocks that follow the coefficient
-    blocks (the first also holds k = 0, so at most _FIRST_BLOCK + 1
-    orders), so memory stays bounded whatever n is; without, once, for
-    k = n alone.
+    Yields (ms, walls), the m_k (in dtype) and their wall counts.  With
+    keep, one pair per stride slice, for k = 0..n in order (the first
+    slice also holds k = 0), so memory stays bounded whatever n is: ms
+    in a typed buffer (array('d') for doubles, a numpy array otherwise)
+    and the slice's one wall count repeated per order as an array('q').
+    Consumers join the slices into blocks of their own.  Without keep,
+    once, [m_n] and [walls_n].
     """
     stride = _stride(abs(x))
+    if _is_tiny(x):
+        x = math.copysign(_TINY_X, x)
     x = dtype(x)
     m_prev, m_cur = dtype(0), dtype(1)
     walls = 0
-    ms, ws = [m_cur], [walls]
+    ms = [m_cur]
     for a_block, b_block in _coefficients(n, dtype):
         for lo in range(0, len(a_block), stride):
-            for a, b in zip(a_block[lo : lo + stride], b_block[lo : lo + stride]):
-                m_prev, m_cur = m_cur, x * a * m_cur - b * m_prev
-                if keep:
-                    ms.append(m_cur)
+            steps = zip(a_block[lo : lo + stride], b_block[lo : lo + stride])
             if keep:
-                ws.extend([walls] * (len(ms) - len(ws)))
+                append = ms.append
+                for a, b in steps:
+                    m_prev, m_cur = m_cur, x * a * m_cur - b * m_prev
+                    append(m_cur)
+                yield _typed(ms, dtype), array("q", (walls,)) * len(ms)
+                ms = []
+            else:
+                for a, b in steps:
+                    m_prev, m_cur = m_cur, x * a * m_cur - b * m_prev
             big = abs(m_cur)
             other = abs(m_prev)
             if other > big:
@@ -278,25 +344,45 @@ def _scalar_loop(n: int, x: float, dtype=float, keep: bool = False):
                 m_cur *= _WALL_HI
                 m_prev *= _WALL_HI
                 walls -= 1
-        if keep:
-            yield ms, ws
-            ms, ws = [], []
     if not keep:
         yield [m_cur], [walls]
-    elif ms:  # n = 0: no block ran, so h_0 is still pending
-        yield ms, ws
+    elif ms:  # n = 0: no slice ran, so h_0 is still pending
+        yield _typed(ms, dtype), array("q", (walls,))
+
+
+def _typed(values: list, dtype):
+    """values in a typed buffer: array('d') for doubles, else a numpy array."""
+    return array("d", values) if dtype is float else np.array(values, dtype=dtype)
+
+
+def _next_orders(slices, count: int, x: float, start: int):
+    """(signs, logmags) of the next orders of a _scalar_loop(keep=True).
+
+    Joins the slices it pulls from slices until they hold at least count
+    orders, or the loop ends; start is the order of the first.  Both
+    arrays are empty once the loop has ended.
+    """
+    ms, walls = array("d"), array("q")
+    for m, w in slices:
+        ms += m
+        walls += w
+        if len(ms) >= count:
+            break
+    return _signed_logs(ms, walls, x, range(start, start + len(ms)))
 
 
 def _array_loop(xs: np.ndarray, n_top: int):
     """The rescaled recurrence on every point of xs at once, in doubles.
 
     Yields (k, m, walls, rescaled) for k = 0..n_top, with the scaling of
-    _scalar_loop per point: the walls are tested every _stride(max |xs|)
-    steps, and rescaled tells whether any wall count moved at step k.
+    _scalar_loop per point, tiny points included: the walls are tested
+    every _stride(max |xs|) steps, and rescaled tells whether any wall
+    count moved at step k.
     Later steps update m and walls in place, so consumers copy what they
     keep.
     """
     stride = _stride(np.max(np.abs(xs), initial=0.0))
+    xs = np.where(_is_tiny(xs), np.copysign(_TINY_X, xs), xs)
     m_prev = np.zeros(xs.size)
     m_cur = np.ones(xs.size)
     walls = np.zeros(xs.size, dtype=np.int64)
@@ -319,11 +405,15 @@ def _array_loop(xs: np.ndarray, n_top: int):
             yield k, m_cur, walls, rescaled
 
 
-def _signed_logs(ms, walls, x) -> tuple[np.ndarray, np.ndarray]:
-    """(int8 signs, log magnitudes) of recurrence values m at points x."""
+def _signed_logs(ms, walls, x, orders) -> tuple[np.ndarray, np.ndarray]:
+    """(int8 signs, log magnitudes) of recurrence values m of orders at points x."""
     ms = np.asarray(ms, dtype=float)
     with np.errstate(divide="ignore"):
-        logs = _log_magnitude(np.asarray(walls), np.log(np.abs(ms)), x)
+        log_m = np.log(np.abs(ms))
+        tiny = _is_tiny(x)
+        if tiny if isinstance(tiny, bool) else tiny.any():
+            log_m += np.asarray(orders) % 2 * np.log(_odd_scale(x))
+        logs = _log_magnitude(np.asarray(walls), log_m, x)
     return np.sign(ms).astype(np.int8), logs
 
 
@@ -379,7 +469,8 @@ def hermite_exact(n: int, x: float) -> SignedLog:
     [([m], [walls])] = _scalar_loop(n, x, dtype)
     if m == 0:
         return SignedLog(0, -math.inf)
-    logmag = _log_magnitude(walls, float(np.log(abs(m))), float(x))
+    log_m = float(np.log(abs(m))) + n % 2 * float(np.log(_odd_scale(x)))
+    logmag = _log_magnitude(walls, log_m, float(x))
     return SignedLog(1 if m > 0 else -1, float(logmag))
 
 
@@ -400,13 +491,25 @@ def hermite_order_blocks(n_top: int, x: float):
     -----
     Same rescaled recurrence and compensated ledger as hermite_exact,
     in doubles for every n_top; one pass costs O(n_top) regardless of
-    how far below double range the values sit.
+    how far below double range the values sit.  The blocks join the
+    stride slices of _scalar_loop, which never straddle a block end.
     """
     if n_top < 0:
         raise ValueError(f"n_top must be nonnegative, got {n_top}")
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
-    return (_signed_logs(ms, walls, x) for ms, walls in _scalar_loop(n_top, x, keep=True))
+    slices = _scalar_loop(n_top, x, keep=True)
+
+    def blocks():
+        start = 0
+        for size in _block_sizes():
+            signs, logmags = _next_orders(slices, size + (start == 0), x, start)
+            if not signs.size:
+                return
+            yield signs, logmags
+            start += signs.size
+
+    return blocks()
 
 
 def hermite_orders(n_top: int, x: float) -> tuple[np.ndarray, np.ndarray]:
@@ -439,7 +542,8 @@ def hermite_batch(orders, xs) -> tuple[np.ndarray, np.ndarray]:
     -----
     All pairs advance through the recurrence together, each harvested at
     its own order; total work is O(max order) vectorized across the
-    batch.
+    batch.  Raises ValueError for a negative order or a non-finite x,
+    as hermite_exact does.
     """
     orders = np.asarray(orders, dtype=np.int64)
     xs = np.asarray(xs, dtype=float)
@@ -447,6 +551,8 @@ def hermite_batch(orders, xs) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("orders and xs must be 1-D arrays of equal length")
     if orders.size and orders.min() < 0:
         raise ValueError("orders must be nonnegative")
+    if not np.isfinite(xs).all():
+        raise ValueError("xs must be finite")
     out_signs = np.zeros(orders.size, dtype=np.int8)
     out_logs = np.full(orders.size, -math.inf)
     if orders.size == 0:
@@ -465,7 +571,7 @@ def hermite_batch(orders, xs) -> tuple[np.ndarray, np.ndarray]:
         if part is not None:
             ms[part] = m_k[part]
             walls[part] = walls_k[part]
-    out_signs[sort], out_logs[sort] = _signed_logs(ms, walls, sorted_x)
+    out_signs[sort], out_logs[sort] = _signed_logs(ms, walls, sorted_x, orders[sort])
     return out_signs, out_logs
 
 
@@ -477,16 +583,20 @@ def _value_rows(xs: np.ndarray, n_top: int):
     from one exact ldexp and only the result can underflow.  The
     running pair grows to 2^912, so a value can be a normal double while
     its scale alone lies far below double range.  Values below double
-    range flush to exactly 0.0.
+    range flush to exactly 0.0.  At odd k the factor also carries
+    _odd_scale(xs), 1 unless a point is tiny.
     """
+    if not np.isfinite(xs).all():
+        raise ValueError("xs must be finite")
     gauss = _log_magnitude(0, 0.0, xs)
     e_gauss = np.floor(gauss / _LN_2)
     factor = np.exp(gauss - e_gauss * _LN_2)
+    factors = (factor, factor * _odd_scale(xs))
     with np.errstate(under="ignore"):
         for k, m, walls, rescaled in _array_loop(xs, n_top):
             if rescaled:
                 exponent = (512 * walls + e_gauss).astype(np.intc)
-            yield k, np.ldexp(m * factor, exponent)
+            yield k, np.ldexp(m * factors[k % 2], exponent)
 
 
 def hermite_values(n_top: int, xs) -> np.ndarray:
@@ -494,7 +604,7 @@ def hermite_values(n_top: int, xs) -> np.ndarray:
 
     Magnitudes below double range flush to 0.0; safe whenever consumers
     only need values down to the underflow threshold (reconstruction,
-    quadrature, plotting).
+    quadrature, plotting).  Raises ValueError for a non-finite x.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     out = np.empty((n_top + 1, xs.size))
@@ -507,7 +617,8 @@ def hermite_moment_sweep(xs, weights, n_top: int) -> np.ndarray:
     """Dot products sum_j weights[j] * h_k(xs[j]) for k = 0..n_top.
 
     Streams the order sweep so only O(len(xs)) memory is used; this is
-    the quadrature workhorse for coefficient expansion.
+    the quadrature workhorse for coefficient expansion.  Raises
+    ValueError for a non-finite x.
     """
     xs = np.asarray(xs, dtype=float)
     weights = np.asarray(weights, dtype=float)

@@ -184,9 +184,13 @@ def per_step_rescaled_recurrence(n: int, x: float, dtype=float) -> tuple[list, l
     step whose larger value leaves [2^-512, 2^512], both move back by
     2^(+-512).  Testing that less often changes each m_k by an exact power
     of two only, so this pins down the value every rescaled loop must
-    represent.
+    represent.  A tiny x, 0 < |x| < 2^-511, runs at copysign(2^-511, x),
+    as the library's loops do: h_n is even or odd in x to double
+    precision there, and m_1 = x sqrt(2) stays a normal double.
     """
     wall_hi, wall_lo = 2.0**512, 2.0**-512
+    if 0.0 < abs(x) < 2.0**-511:
+        x = math.copysign(2.0**-511, x)
     k = np.arange(n, dtype=dtype)
     a_all, b_all = np.sqrt(2 / (k + 1)), np.sqrt(k / (k + 1))
     if dtype is float:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermite_decay import hermite_core
+from hermite_decay import decay_sum, hermite_core
 from hermite_decay.decay_sum import (
+    TAIL_RELATIVE_TOLERANCE,
     ArgumentProfile,
     SumParams,
     argument_derivatives,
@@ -297,6 +298,40 @@ class TestDirectSum:
         direct_sum(x, SumParams(kappa, beta, y))
         assert len(passes) == 1
         assert passes[0] <= max(truncation_index(x, y), 64) + 1025
+
+    @pytest.mark.parametrize("kappa, beta, y", [(1.0, 0.25, 0.5), (2.0, 0.0, 0.25), (2.0, 0.0, 1.0)])
+    @pytest.mark.parametrize("x", [7.5, 60.0, 150.0])
+    def test_stops_at_smallest_certified_order(self, kappa, beta, y, x):
+        # re-run the stop rule order by order over the returned terms: the
+        # first n >= max(N, 64) whose tail bound passes against the
+        # running partial sum
+        params = SumParams(kappa, beta, y)
+        _, terms, n_stop = _sum_internals(x, params)
+        assert terms.size == n_stop
+        running = np.logaddexp.accumulate(terms)
+        log_tol = math.log(TAIL_RELATIVE_TOLERANCE)
+        first = next(
+            n
+            for n in range(max(truncation_index(x, y), 64), n_stop + 1)
+            if tail_bound(n + 1, x, params).logmag <= running[n - 1] + log_tol
+        )
+        assert n_stop == first
+
+    @pytest.mark.parametrize("kappa, beta, y", [(1.0, 0.25, 0.5), (2.0, 0.0, 0.25), (1.0, -0.5, 0.5)])
+    @pytest.mark.parametrize("x", [7.5, 60.0])
+    def test_small_blocks_keep_the_sum(self, monkeypatch, kappa, beta, y, x):
+        # a far analysis cutoff is reached in several blocks; the terms and,
+        # for beta >= 0, the stop do not depend on where the blocks end
+        params = SumParams(kappa, beta, y)
+        log_s, terms, n_stop = _sum_internals(x, params)
+        monkeypatch.setattr(decay_sum, "_LARGEST_BLOCK", 50)
+        small_log_s, small_terms, small_n_stop = _sum_internals(x, params)
+        if beta >= 0.0:
+            assert small_n_stop == n_stop
+            assert small_log_s == log_s
+        n = min(n_stop, small_n_stop)
+        np.testing.assert_array_equal(small_terms[:n], terms[:n])
+        assert small_log_s == pytest.approx(log_s, rel=1e-12)
 
     def test_dominant_term_gap(self):
         # log S sits above the max term by at most ln(3x): the peak is

@@ -260,6 +260,21 @@ class TestSweeps:
         with pytest.raises(ValueError):
             hermite_batch([1, 2], [0.0])
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_batch_rejects_non_finite_x(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            hermite_batch([5, 3], [x, 1.0])
+
+    @pytest.mark.parametrize("x", [math.inf, math.nan])
+    def test_values_reject_non_finite_x(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            hermite_values(3, [1.0, x])
+
+    @pytest.mark.parametrize("x", [-math.inf, math.nan])
+    def test_moment_sweep_rejects_non_finite_x(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            hermite_moment_sweep([x, 0.5], [1.0, 1.0], 3)
+
     def test_values_matches_orders(self):
         xs = np.array([-8.0, -1.0, 0.0, 0.5, 9.0, 40.0])
         vals = hermite_values(25, xs)
@@ -293,6 +308,26 @@ class TestSweeps:
         dots = hermite_moment_sweep(xs, w, 40)
         want = hermite_values(40, xs) @ w
         np.testing.assert_allclose(dots, want, rtol=1e-12, atol=1e-13)
+
+
+class TestCoefficientTable:
+    @pytest.mark.parametrize(
+        "dtype", [float] + ([hermite_core._EXTENDED_FLOAT] if hermite_core._EXTENDED_FLOAT else [])
+    )
+    def test_cached_table_matches_fresh(self, dtype):
+        # past the cap the blocks are computed as the loop reaches them;
+        # either way every value is the one a fresh computation gives
+        n = hermite_core._TABLE_ORDERS + 3000
+        k = np.arange(n, dtype=dtype)
+        fresh_a, fresh_b = np.sqrt(2 / (k + 1)), np.sqrt(k / (k + 1))
+        for _ in range(2):  # the second pass reads the table the first one kept
+            blocks = list(hermite_core._coefficients(n, dtype))
+            a = np.concatenate([np.asarray(block, dtype=dtype) for block, _ in blocks])
+            b = np.concatenate([np.asarray(block, dtype=dtype) for _, block in blocks])
+            assert a.dtype == b.dtype == np.dtype(dtype)
+            np.testing.assert_array_equal(a, fresh_a)
+            np.testing.assert_array_equal(b, fresh_b)
+        assert len(blocks[0][0]) == 64 and all(len(a) <= 1024 for a, _ in blocks)
 
 
 class TestOrthonormality:
@@ -396,6 +431,15 @@ class TestAgainstLiveOracle:
             (5000, 900.0),
             (20000, 1000.0),
             (20001, 1.0),
+            # below 2^-511 the loops run at copysign(2^-511, x), where
+            # h_n is even or odd to double precision; subnormal x included
+            (1, 1e-320),
+            (3, 1.5e-323),
+            (2, -5e-324),
+            (7, 2.225073858507e-311),
+            (3, 1e-160),
+            (1001, -1e-200),
+            (20001, -1e-320),
         ],
     )
     def test_exact_matches_mpmath(self, n, x):
