@@ -27,12 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hermite_decay import hermite_core
-from hermite_decay.hermite_core import (
-    EPSILON_MONOTONIC,
-    SignedLog,
-    hermite_orders,
-    phi_coordinate,
-)
+from hermite_decay.hermite_core import EPSILON_MONOTONIC, SignedLog, phi_coordinate
 
 _LN_PI = math.log(math.pi)
 
@@ -40,13 +35,9 @@ _LN_PI = math.log(math.pi)
 # below the accumulated total.
 TAIL_RELATIVE_TOLERANCE = 1e-12
 
-# direct_sum gives up when the tail is not yet certified at this order
-# (or at the analysis cutoff, if that lies further out).
+# direct_sum gives up when the tail is not yet certified at this order,
+# and rejects x whose analysis cutoff lies past it.
 _MAX_ORDER = 4_000_000
-
-# For beta < 0, the orders run past the analysis cutoff before the stop
-# test is repeated: this many, then twice as many each time.
-_FIRST_GROWTH = 64
 
 # Most orders direct_sum converts to logs at once: the conversion holds
 # about a dozen arrays of 8 bytes an order, so this bounds its memory
@@ -287,12 +278,6 @@ def _summand_logs(h_logs: np.ndarray, n: np.ndarray, params: SumParams) -> np.nd
         return params.kappa * (h_logs - n * params.y) - params.beta * np.log(n)
 
 
-def _term_logs(x: float, params: SumParams, n_stop: int) -> np.ndarray:
-    """Log of the summand for n = 1..n_stop (log-domain, -inf at zeros)."""
-    _, logs = hermite_orders(n_stop, x)
-    return _summand_logs(logs[1:], np.arange(1, n_stop + 1, dtype=float), params)
-
-
 def _log_sum(term_logs: np.ndarray) -> float:
     m = float(term_logs.max())
     with np.errstate(under="ignore"):
@@ -303,50 +288,55 @@ def _first_passing(first: int, running: np.ndarray, x: float, params: SumParams)
     """Index i of the first order n = first + i that certifies its tail, or None.
 
     n certifies when tail_bound(n + 1) <= TAIL_RELATIVE_TOLERANCE e^running[i],
-    running[i] being ln of the partial sum through n.  For beta >= 0 the
-    bound falls and the partial sum grows with n, so the passing orders
-    form a suffix and bisection finds the first; for beta < 0 only the
-    last order is tested.
+    running[i] being ln of the partial sum through n.  The last order is
+    tested first and bisection keeps a passing upper end, so the result
+    always certifies.  It is the first passing order for every beta: the
+    partial sum grows with n, and the bound falls wherever
+    n >= |beta| / (kappa y).  Below that (beta < 0 only), for n >= 64,
+    the bound still exceeds the partial sum itself, so no order passes.
     """
     log_tol = math.log(TAIL_RELATIVE_TOLERANCE)
 
     def passes(i: int) -> bool:
         return tail_bound(first + i + 1, x, params).logmag <= running[i] + log_tol
 
-    candidates = range(max(running.size - 1, 0) if params.beta < 0.0 else 0, running.size)
-    if not candidates or not passes(candidates[-1]):
+    last = running.size - 1
+    if last < 0 or not passes(last):
         return None
-    return candidates[bisect.bisect_left(candidates, True, hi=len(candidates) - 1, key=passes)]
+    return bisect.bisect_left(range(last), True, key=passes)
 
 
 def _sum_internals(x: float, params: SumParams) -> tuple[float, np.ndarray, int]:
     """(log S, term logs, n_stop) with the tail certified negligible.
 
     One lazy recurrence pass, hermite_core._scalar_loop, converted to
-    logs in blocks whose ends the stop rule picks.  n_stop is an order
-    n >= max(N, 64), N the analysis cutoff, where tail_bound(n + 1) is at
-    most TAIL_RELATIVE_TOLERANCE times the partial sum through n, a
-    lower bound on S.  The first block runs to max(N, 64), rounded up to
-    the end of a stride slice (past _LARGEST_BLOCK orders, several
-    blocks do).  For beta >= 0, n_stop is the smallest such order: the
-    closed-form tail bound falls by e^(-kappa y) an order at least, so
-    the order where it passes against the partial sum so far is solved
-    for, and the next block runs to it.  For beta < 0, the blocks grow
-    by _FIRST_GROWTH, then twice as many orders each time, and n_stop is
-    the first block end that passes.  log S is summed over all kept
-    terms at once, so it does not depend on the block boundaries.
+    logs in blocks whose ends the stop rule picks.  n_stop is the
+    smallest order n >= max(N, 64), N the analysis cutoff, where
+    tail_bound(n + 1) is at most TAIL_RELATIVE_TOLERANCE times the
+    partial sum through n, a lower bound on S (see _first_passing).  The
+    first block runs to max(N, 64), rounded up to the end of a stride
+    slice (past _LARGEST_BLOCK orders, several blocks do).  Each later
+    block runs to the order where the tail bound would pass against the
+    partial sum so far if it fell by e^(-kappa y) an order.  For
+    beta >= 0 it falls at least that fast, so one block reaches n_stop;
+    for beta < 0 the solve repeats from the block end.  log S is summed
+    over all kept terms at once, so it does not depend on the block
+    boundaries.  Raises ValueError for an x hermite_core rejects or whose
+    analysis cutoff lies past _MAX_ORDER.
     """
+    hermite_core._check_arguments(_MAX_ORDER, x)
     x = abs(x)
-    n_min = max(truncation_index(x, params.y), 64)
-    n_top = max(n_min, _MAX_ORDER)
+    n_cut = truncation_index(x, params.y)
+    if n_cut > _MAX_ORDER:
+        raise ValueError(f"analysis cutoff N={n_cut} at x={x} lies past order {_MAX_ORDER}")
+    n_min = max(n_cut, 64)
     log_tol = math.log(TAIL_RELATIVE_TOLERANCE)
-    slices = hermite_core._scalar_loop(n_top, x, keep=True)
+    slices = hermite_core._scalar_loop(_MAX_ORDER, x, keep=True)
     _, logs = hermite_core._next_orders(slices, min(n_min, _LARGEST_BLOCK) + 1, x, 0)
     logs = logs[1:]  # h_0 carries no summand
     blocks = []
     n_end = 0  # the last order summed
     log_partial = -math.inf  # ln of the partial sum through n_end
-    growth = _FIRST_GROWTH
     while logs.size:
         n = np.arange(n_end + 1, n_end + 1 + logs.size, dtype=float)
         terms = _summand_logs(logs, n, params)
@@ -367,11 +357,9 @@ def _sum_internals(x: float, params: SumParams) -> tuple[float, np.ndarray, int]
             log_partial = float(running[-1])
         if n_end < n_min:
             count = n_min - n_end
-        elif params.beta >= 0.0:
-            gap = tail_bound(n_end + 1, x, params).logmag - (log_partial + log_tol)
-            count = math.ceil(min(gap / (params.kappa * params.y), n_top))
         else:
-            count, growth = growth, 2 * growth
+            gap = tail_bound(n_end + 1, x, params).logmag - (log_partial + log_tol)
+            count = math.ceil(min(gap / (params.kappa * params.y), _MAX_ORDER))
         count = min(max(count, 1), _LARGEST_BLOCK)
         _, logs = hermite_core._next_orders(slices, count, x, n_end + 1)
     raise RuntimeError(f"tail certification failed to converge by n={n_end} at x={x}")
@@ -381,12 +369,13 @@ def direct_sum(x: float, params: SumParams) -> SignedLog:
     """S(x; kappa, beta, y) summed in the log domain, tail certified.
 
     One streaming pass of the recurrence in ascending n, converted to
-    logs in two or three blocks: the sum stops at the first order past
-    the analysis cutoff N (at least 64) where tail_bound certifies a
+    logs in a few blocks: the sum stops at the first order past the
+    analysis cutoff N (at least 64) where tail_bound certifies a
     relative tail below TAIL_RELATIVE_TOLERANCE against the partial sum
-    so far (for beta < 0, at the first such block end).
-    S is even in x, so negative arguments are folded; every term is
-    nonnegative and the result sign is +1.
+    so far.  S is even in x, so negative arguments are folded; every
+    term is nonnegative and the result sign is +1.  Raises ValueError
+    for a non-finite x or one whose cutoff N exceeds 4e6 orders
+    (|x| above about 2.9e3 at y = 1/2).
     """
     log_s, _, _ = _sum_internals(x, params)
     return SignedLog(1, log_s)

@@ -13,15 +13,15 @@ materialize an over- or underflowing double.  The walls are tested once
 every few dozen steps, as often as the largest |x| needs to keep the
 running values inside 2^(+-912).  Arguments below 2^-511 in magnitude
 run at +-2^-511, where h_n is even or odd to double precision, so no
-step starts from a subnormal.
+step starts from a subnormal; every frontend rejects x that is not
+finite or exceeds 2^511 in magnitude, where a step would overflow.
 
 Every frontend reads one recurrence: a scalar loop for one point
-(hermite_exact, hermite_order_blocks and hermite_orders, its
-concatenation) and an array loop for many points (hermite_batch,
-hermite_values, hermite_moment_sweep).  Both share one
-coefficient table and one compensated log finalizer.  Above
-EXTENDED_PRECISION_ORDER, hermite_exact runs the scalar loop in long
-double.
+(hermite_exact, and hermite_orders for all orders up to n_top) and an
+array loop for many points (hermite_batch, hermite_values,
+hermite_moment_sweep).  Both share one coefficient table and one
+compensated log finalizer.  Above EXTENDED_PRECISION_ORDER,
+hermite_exact runs the scalar loop in long double.
 
 For large orders inside the monotonic (zero-free) region
 2(n+1) < x^2, the classical Plancherel-Rotach asymptotic in the
@@ -60,17 +60,11 @@ _STRIDE_BITS = 400
 _WALL_LOG_HI = float.fromhex("0x1.62e42ff000000p+8")
 _WALL_LOG_LO = float.fromhex("-0x1.718432a1b0e26p-26")
 
-# Largest block of the values hermite_order_blocks yields and of the
-# coefficient slices the loops walk.  Blocks start at _FIRST_BLOCK orders
-# and double up to _BLOCK, so a consumer that stops after a few dozen
-# orders pays for a few dozen.
-_FIRST_BLOCK = 64
-_BLOCK = 1024
-
 # Orders of the coefficient table kept per float type, built once per
 # process: 2^14 orders cost 256 kB in doubles and 512 kB in long double.
-# Loops past it compute their coefficients block by block.
+# Loops past it compute their coefficients in blocks of _BLOCK orders.
 _TABLE_ORDERS = 1 << 14
+_BLOCK = 1024
 _TABLES: dict = {}
 
 # Below this |x| the loops run at copysign(_TINY_X, x) instead: m_1 =
@@ -78,6 +72,11 @@ _TABLES: dict = {}
 # h_n is even or odd in x to double precision there, so the odd orders
 # only differ by the exact factor x / copysign(_TINY_X, x).
 _TINY_X = 2.0**-511
+
+# Largest |x| the loops take: a step multiplies the larger of the pair,
+# at most 2^512 after a wall test, by up to x sqrt(2), which stays below
+# 2^1024 up to here (and x*x stays finite).
+_X_MAX = 2.0**511
 
 # Hard floor on the monotonic-region margin epsilon: callers may pass a
 # larger (e.g. y-dependent) epsilon but never a smaller one.
@@ -199,12 +198,17 @@ def _square_with_residual(x):
     return p, ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
 
 
-def _block_sizes():
-    """_FIRST_BLOCK, 2 _FIRST_BLOCK, ... orders, doubling up to _BLOCK, then _BLOCK for ever."""
-    size = _FIRST_BLOCK
-    while True:
-        yield size
-        size = min(2 * size, _BLOCK)
+def _check_arguments(orders, xs) -> None:
+    """Raise ValueError unless every order is >= 0 and every |x| <= _X_MAX.
+
+    orders and xs are scalars or arrays; a non-finite x fails too.
+    """
+    if np.min(orders, initial=0) < 0:
+        raise ValueError(f"orders must be nonnegative, got {np.min(orders)}")
+    xs = np.asarray(xs, dtype=float)
+    bad = xs[~(np.abs(xs) <= _X_MAX)]
+    if bad.size:
+        raise ValueError(f"x must be finite with |x| <= 2^511, got {bad[0]}")
 
 
 def _coefficient_range(start: int, stop: int, dtype):
@@ -227,25 +231,18 @@ def _coefficient_range(start: int, stop: int, dtype):
 def _coefficients(n: int, dtype):
     """Yield sqrt(2/(k+1)) and sqrt(k/(k+1)) for k = 0..n-1, computed in dtype.
 
-    Comes in blocks of _block_sizes() orders.  Orders below _TABLE_ORDERS
-    are slices of one table per dtype, built at the first call of the
-    process; later blocks are computed when the loop reaches them.  So a
-    loop holds a bounded table whatever n is, and no call rebuilds the
-    orders below the cap.
+    Orders below _TABLE_ORDERS come as one slice of a table per dtype,
+    built at the first call of the process; later orders come in blocks
+    of _BLOCK, computed when the loop reaches them.  So a loop holds a
+    bounded table whatever n is, and no call rebuilds the orders below
+    the cap.
     """
     table = _TABLES.get(dtype)
     if table is None:
         table = _TABLES[dtype] = _coefficient_range(0, _TABLE_ORDERS, dtype)
-    start = 0
-    for size in _block_sizes():
-        if start >= n:
-            return
-        stop = min(n, start + size)
-        if stop <= _TABLE_ORDERS:
-            yield table[0][start:stop], table[1][start:stop]
-        else:
-            yield _coefficient_range(start, stop, dtype)
-        start = stop
+    yield table[0][:n], table[1][:n]
+    for start in range(_TABLE_ORDERS, n, _BLOCK):
+        yield _coefficient_range(start, min(n, start + _BLOCK), dtype)
 
 
 def _is_tiny(x):
@@ -309,7 +306,7 @@ def _scalar_loop(n: int, x: float, dtype=float, keep: bool = False):
     slice also holds k = 0), so memory stays bounded whatever n is: ms
     in a typed buffer (array('d') for doubles, a numpy array otherwise)
     and the slice's one wall count repeated per order as an array('q').
-    Consumers join the slices into blocks of their own.  Without keep,
+    Consumers join the slices with _next_orders.  Without keep,
     once, [m_n] and [walls_n].
     """
     stride = _stride(abs(x))
@@ -425,7 +422,7 @@ def hermite_exact(n: int, x: float) -> SignedLog:
     n : int
         Order, n >= 0.
     x : float
-        Evaluation point, any finite real.
+        Evaluation point, finite with |x| <= 2^511.
 
     Returns
     -------
@@ -437,7 +434,7 @@ def hermite_exact(n: int, x: float) -> SignedLog:
     Raises
     ------
     ValueError
-        For n < 0, non-finite x, or n > EXTENDED_PRECISION_ORDER on a
+        For n < 0, x outside that range, or n > EXTENDED_PRECISION_ORDER on a
         platform whose long double has fewer than 64 significand bits.
 
     Notes
@@ -454,10 +451,7 @@ def hermite_exact(n: int, x: float) -> SignedLog:
     long double, coefficients included, because the drift of the double
     loop alone would exceed the contract there.
     """
-    if n < 0:
-        raise ValueError(f"order must be nonnegative, got {n}")
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
+    _check_arguments(n, x)
     dtype = float
     if n > EXTENDED_PRECISION_ORDER:
         if _EXTENDED_FLOAT is None:
@@ -474,55 +468,24 @@ def hermite_exact(n: int, x: float) -> SignedLog:
     return SignedLog(1 if m > 0 else -1, float(logmag))
 
 
-def hermite_order_blocks(n_top: int, x: float):
-    """h_0(x) .. h_{n_top}(x) in one recurrence sweep, block by block.
-
-    Returns
-    -------
-    iterator of (signs, logmags) : (int8 array, float array)
-        Consecutive blocks covering orders 0..n_top: the first holds
-        orders 0..64, the next ones 128, 256 and 512 orders, and every
-        later one 1024.  The sweep runs lazily, one block per step, so a
-        consumer that stops early does not pay for the remaining orders.
-        signs[k] is 0 exactly at the exact zeros, in which case
-        logmags[k] is -inf.
-
-    Notes
-    -----
-    Same rescaled recurrence and compensated ledger as hermite_exact,
-    in doubles for every n_top; one pass costs O(n_top) regardless of
-    how far below double range the values sit.  The blocks join the
-    stride slices of _scalar_loop, which never straddle a block end.
-    """
-    if n_top < 0:
-        raise ValueError(f"n_top must be nonnegative, got {n_top}")
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
-    slices = _scalar_loop(n_top, x, keep=True)
-
-    def blocks():
-        start = 0
-        for size in _block_sizes():
-            signs, logmags = _next_orders(slices, size + (start == 0), x, start)
-            if not signs.size:
-                return
-            yield signs, logmags
-            start += signs.size
-
-    return blocks()
-
-
 def hermite_orders(n_top: int, x: float) -> tuple[np.ndarray, np.ndarray]:
-    """All of h_0(x) .. h_{n_top}(x): hermite_order_blocks concatenated.
+    """All of h_0(x) .. h_{n_top}(x) in one recurrence sweep.
 
     Returns
     -------
     (signs, logmags) : (int8 array, float array)
         Arrays of length n_top + 1; signs[k] is 0 exactly at the exact
         zeros, in which case logmags[k] is -inf.
+
+    Notes
+    -----
+    Same rescaled recurrence and compensated ledger as hermite_exact,
+    in doubles for every n_top; one pass costs O(n_top) regardless of
+    how far below double range the values sit.  Raises ValueError for
+    n_top < 0 or an x that hermite_exact rejects.
     """
-    signs, logmags = zip(*hermite_order_blocks(n_top, x))
-    return np.concatenate(signs), np.concatenate(logmags)
+    _check_arguments(n_top, x)
+    return _next_orders(_scalar_loop(n_top, x, keep=True), n_top + 1, x, 0)
 
 
 def hermite_batch(orders, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -542,17 +505,14 @@ def hermite_batch(orders, xs) -> tuple[np.ndarray, np.ndarray]:
     -----
     All pairs advance through the recurrence together, each harvested at
     its own order; total work is O(max order) vectorized across the
-    batch.  Raises ValueError for a negative order or a non-finite x,
-    as hermite_exact does.
+    batch.  Raises ValueError for a negative order or an x that
+    hermite_exact rejects.
     """
     orders = np.asarray(orders, dtype=np.int64)
     xs = np.asarray(xs, dtype=float)
     if orders.shape != xs.shape or orders.ndim != 1:
         raise ValueError("orders and xs must be 1-D arrays of equal length")
-    if orders.size and orders.min() < 0:
-        raise ValueError("orders must be nonnegative")
-    if not np.isfinite(xs).all():
-        raise ValueError("xs must be finite")
+    _check_arguments(orders, xs)
     out_signs = np.zeros(orders.size, dtype=np.int8)
     out_logs = np.full(orders.size, -math.inf)
     if orders.size == 0:
@@ -579,23 +539,26 @@ def _value_rows(xs: np.ndarray, n_top: int):
     """Yield (k, h_k(xs) as doubles) for k = 0..n_top.
 
     h_k = m * 2^(512 walls) * e^g with g = -x^2/2 - ln(pi)/4; e^g is
-    split once into a factor in [1, 2) times 2^e, so every value comes
+    split once into a factor in [1, 2] times 2^e, so every value comes
     from one exact ldexp and only the result can underflow.  The
     running pair grows to 2^912, so a value can be a normal double while
     its scale alone lies far below double range.  Values below double
     range flush to exactly 0.0.  At odd k the factor also carries
-    _odd_scale(xs), 1 unless a point is tiny.
+    _odd_scale(xs), 1 unless a point is tiny.  Callers check the
+    arguments first.
     """
-    if not np.isfinite(xs).all():
-        raise ValueError("xs must be finite")
     gauss = _log_magnitude(0, 0.0, xs)
     e_gauss = np.floor(gauss / _LN_2)
-    factor = np.exp(gauss - e_gauss * _LN_2)
+    # the remainder leaves [0, ln 2] only by rounding, where |g| is so
+    # large (|x| ~ 1e8) that every value is 0.0: clipping keeps it finite
+    factor = np.exp(np.clip(gauss - e_gauss * _LN_2, 0.0, _LN_2))
     factors = (factor, factor * _odd_scale(xs))
     with np.errstate(under="ignore"):
         for k, m, walls, rescaled in _array_loop(xs, n_top):
             if rescaled:
-                exponent = (512 * walls + e_gauss).astype(np.intc)
+                # |h| <= 1 keeps the true exponent below 1075, and below
+                # -4096 every value is 0.0, so the clip changes no value
+                exponent = np.clip(512 * walls + e_gauss, -4096, 4096).astype(np.intc)
             yield k, np.ldexp(m * factors[k % 2], exponent)
 
 
@@ -604,9 +567,11 @@ def hermite_values(n_top: int, xs) -> np.ndarray:
 
     Magnitudes below double range flush to 0.0; safe whenever consumers
     only need values down to the underflow threshold (reconstruction,
-    quadrature, plotting).  Raises ValueError for a non-finite x.
+    quadrature, plotting).  Raises ValueError for n_top < 0 or an x
+    that hermite_exact rejects.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    _check_arguments(n_top, xs)
     out = np.empty((n_top + 1, xs.size))
     for k, row in _value_rows(xs, n_top):
         out[k] = row
@@ -618,12 +583,13 @@ def hermite_moment_sweep(xs, weights, n_top: int) -> np.ndarray:
 
     Streams the order sweep so only O(len(xs)) memory is used; this is
     the quadrature workhorse for coefficient expansion.  Raises
-    ValueError for a non-finite x.
+    ValueError for n_top < 0 or an x that hermite_exact rejects.
     """
     xs = np.asarray(xs, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if xs.shape != weights.shape or xs.ndim != 1:
         raise ValueError("xs and weights must be 1-D arrays of equal length")
+    _check_arguments(n_top, xs)
     out = np.empty(n_top + 1)
     for k, row in _value_rows(xs, n_top):
         out[k] = row @ weights

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decay_sum import SumParams, direct_sum
+from .decay_sum import SumParams, direct_sum, tail_bound
 from .hermite_core import SignedLog, hermite_moment_sweep, hermite_values
 
 BASIS_SCALE = math.sqrt(2.0 * math.pi)
@@ -150,19 +150,15 @@ def _log_envelope(n: int, alpha: float) -> float:
 
 
 def envelope_tail_log(alpha: float, c_bound: float, n_top: int) -> float:
-    """log of a bound on sum_{n > n_top} c_bound e^(-alpha n) n^(-1/4) * sup|e_n|."""
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
+    """log of a bound on sum_{n > n_top} c_bound e^(-alpha n) n^(-1/4) * sup|e_n|.
+
+    sup|e_n| = (2 pi)^(1/4) pi^(-1/4), so this is c_bound (2 pi)^(1/4)
+    times the tail bound of S with kappa = 1, beta = 1/4, y = alpha.
+    """
     if not c_bound > 0.0 or not math.isfinite(c_bound):
         raise ValueError("c_bound must be positive and finite")
-    start = n_top + 1
-    return (
-        math.log(c_bound)
-        + 0.25 * math.log(2.0)
-        - alpha * start
-        - 0.25 * math.log(start)
-        - math.log1p(-math.exp(-alpha))
-    )
+    tail = tail_bound(n_top + 1, 0.0, SumParams(1.0, 0.25, alpha)).logmag
+    return math.log(c_bound) + math.log(BASIS_NORMALIZER) + tail
 
 
 def basis_values(xs, n_top: int) -> np.ndarray:

@@ -359,6 +359,14 @@ class TestMainExitCodes:
         assert "numeric failure" in captured.err
         assert "ValueError" in captured.out  # embedded in the row, not hidden
 
+    def test_sum_past_the_largest_order_is_a_row_error(self, capsys):
+        rc = main(["sum", "--x-min", "1", "--x-max", "1e6", "--x-count", "2"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        first, last = captured.out.splitlines()[-2:]
+        assert first.endswith(",") and "ValueError" not in first
+        assert "ValueError" in last and "analysis cutoff" in last
+
     def test_module_entry_point_runs_without_warnings(self):
         # `python -m hermite_decay.cli_report` must not find the module
         # already imported by the package, which runpy reports as a

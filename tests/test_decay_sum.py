@@ -27,7 +27,7 @@ from hermite_decay.decay_sum import (
     theta_sum,
     truncation_index,
 )
-from hermite_decay.decay_sum import _log_sum, _sum_internals, _term_logs
+from hermite_decay.decay_sum import _log_sum, _sum_internals, _summand_logs
 from hermite_decay.hermite_core import (
     EPSILON_MONOTONIC,
     hermite_orders,
@@ -276,7 +276,9 @@ class TestDirectSum:
                        SumParams(1.0, -0.5, 0.5)):
             for x in (7.0, 33.0, 80.0, 150.0):
                 log_s, _, n_stop = _sum_internals(x, params)
-                again = _log_sum(_term_logs(x, params, 2 * n_stop))
+                _, logs = hermite_orders(2 * n_stop, x)
+                n = np.arange(1, 2 * n_stop + 1, dtype=float)
+                again = _log_sum(_summand_logs(logs[1:], n, params))
                 assert again == pytest.approx(log_s, abs=1e-10)
 
     @pytest.mark.parametrize("kappa, beta, y", [(1.0, 0.25, 0.5), (2.0, 0.0, 0.25), (2.0, 0.0, 1.0)])
@@ -299,7 +301,11 @@ class TestDirectSum:
         assert len(passes) == 1
         assert passes[0] <= max(truncation_index(x, y), 64) + 1025
 
-    @pytest.mark.parametrize("kappa, beta, y", [(1.0, 0.25, 0.5), (2.0, 0.0, 0.25), (2.0, 0.0, 1.0)])
+    @pytest.mark.parametrize(
+        "kappa, beta, y",
+        [(1.0, 0.25, 0.5), (2.0, 0.0, 0.25), (2.0, 0.0, 1.0),
+         (1.0, -0.5, 0.5), (2.0, -2.0, 0.3), (1.0, -140.0, 0.5)],
+    )
     @pytest.mark.parametrize("x", [7.5, 60.0, 150.0])
     def test_stops_at_smallest_certified_order(self, kappa, beta, y, x):
         # re-run the stop rule order by order over the returned terms: the
@@ -320,18 +326,22 @@ class TestDirectSum:
     @pytest.mark.parametrize("kappa, beta, y", [(1.0, 0.25, 0.5), (2.0, 0.0, 0.25), (1.0, -0.5, 0.5)])
     @pytest.mark.parametrize("x", [7.5, 60.0])
     def test_small_blocks_keep_the_sum(self, monkeypatch, kappa, beta, y, x):
-        # a far analysis cutoff is reached in several blocks; the terms and,
-        # for beta >= 0, the stop do not depend on where the blocks end
+        # a far analysis cutoff is reached in several blocks; the terms and
+        # the stop do not depend on where the blocks end
         params = SumParams(kappa, beta, y)
         log_s, terms, n_stop = _sum_internals(x, params)
         monkeypatch.setattr(decay_sum, "_LARGEST_BLOCK", 50)
         small_log_s, small_terms, small_n_stop = _sum_internals(x, params)
-        if beta >= 0.0:
-            assert small_n_stop == n_stop
-            assert small_log_s == log_s
-        n = min(n_stop, small_n_stop)
-        np.testing.assert_array_equal(small_terms[:n], terms[:n])
-        assert small_log_s == pytest.approx(log_s, rel=1e-12)
+        assert small_n_stop == n_stop
+        assert small_log_s == log_s
+        np.testing.assert_array_equal(small_terms, terms)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", [1e6, -1e6, math.inf, math.nan, 2.0**512])
+    def test_rejects_x_past_the_largest_order(self, x):
+        # at x = 1e6 the analysis cutoff alone is 4.6e11 orders
+        with pytest.raises(ValueError):
+            direct_sum(x, SumParams(1.0, 0.25, 0.5))
 
     def test_dominant_term_gap(self):
         # log S sits above the max term by at most ln(3x): the peak is

@@ -15,7 +15,6 @@ from hermite_decay.hermite_core import (
     hermite_batch,
     hermite_exact,
     hermite_moment_sweep,
-    hermite_order_blocks,
     hermite_orders,
     hermite_pr_bound,
     hermite_values,
@@ -219,20 +218,51 @@ class TestSweeps:
             if ref.sign != 0:
                 assert logs[n] == pytest.approx(ref.logmag, rel=1e-12, abs=1e-12)
 
-    @pytest.mark.parametrize("n_top", [0, 63, 64, 65, 5000])
-    def test_order_blocks_concatenate_to_orders(self, n_top):
+    def test_orders_continue_across_coefficient_blocks(self):
+        # the table ends at _TABLE_ORDERS and _BLOCK-order blocks follow;
+        # orders on both sides of each edge continue one recurrence
         x = 41.3
-        blocks = list(hermite_order_blocks(n_top, x))
-        assert blocks[0][0].size <= 65
-        assert all(signs.size <= 1024 for signs, _ in blocks)
+        table = hermite_core._TABLE_ORDERS
+        edge = table + hermite_core._BLOCK
+        signs, logs = hermite_orders(edge + 5, x)
+        assert signs.size == logs.size == edge + 6
+        for n in (table - 1, table, table + 1, edge - 1, edge, edge + 1):
+            ref = hermite_exact(n, x)
+            assert signs[n] == ref.sign
+            assert logs[n] == pytest.approx(ref.logmag, rel=1e-12)
+
+    @pytest.mark.parametrize("n_top", [63, 64, 65, 5000])
+    def test_order_blocks_concatenate_to_orders(self, n_top):
+        # the sum streams the recurrence in blocks drawn with _next_orders;
+        # joined, they are the one sweep of hermite_orders
+        x = 41.3
+        stride = hermite_core._stride(x)
+        slices = hermite_core._scalar_loop(n_top, x, keep=True)
+        blocks, start, count = [], 0, 64
+        while True:
+            block = hermite_core._next_orders(slices, count, x, start)
+            if not block[0].size:
+                break
+            assert block[0].size < count + stride
+            blocks.append(block)
+            start += block[0].size
+            count *= 2
+        assert start == n_top + 1
         signs, logs = hermite_orders(n_top, x)
         assert np.array_equal(np.concatenate([b[0] for b in blocks]), signs)
         assert np.array_equal(np.concatenate([b[1] for b in blocks]), logs)
         # orders on both sides of each block boundary continue one recurrence
-        for n in {0, 63, 64, 65, 192, 193, 448, 449, n_top} & set(range(n_top + 1)):
+        edges = np.cumsum([b[0].size for b in blocks])
+        for n in ({0, n_top} | set(edges - 1) | set(edges)) & set(range(n_top + 1)):
             ref = hermite_exact(n, x)
             assert signs[n] == ref.sign
             assert logs[n] == pytest.approx(ref.logmag, rel=1e-12)
+
+    @pytest.mark.parametrize("n_top", [0, 1])
+    def test_orders_at_the_smallest_n_top(self, n_top):
+        signs, logs = hermite_orders(n_top, 0.0)
+        assert list(signs) == [1, 0][: n_top + 1]
+        assert logs[0] == pytest.approx(-0.25 * math.log(math.pi), rel=1e-15)
 
     def test_orders_rescales_far_below_double_range(self):
         signs, logs = hermite_orders(10, 60.0)
@@ -274,6 +304,55 @@ class TestSweeps:
     def test_moment_sweep_rejects_non_finite_x(self, x):
         with pytest.raises(ValueError, match="finite"):
             hermite_moment_sweep([x, 0.5], [1.0, 1.0], 3)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", [2.0**511, -(2.0**511)])
+    def test_every_frontend_runs_at_the_largest_x(self, x):
+        # one recurrence step multiplies by up to |x| sqrt(2), which stays
+        # finite up to 2^511; the values are far below double range
+        exact = hermite_exact(3, x)
+        signs, logs = hermite_orders(3, x)
+        batch_signs, batch_logs = hermite_batch([3, 0], [x, x])
+        assert exact.sign == signs[3] == batch_signs[0] == (-1 if x < 0 else 1)
+        assert math.isfinite(exact.logmag) and exact.logmag < -1e300
+        assert np.isfinite(logs).all() and np.isfinite(batch_logs).all()
+        assert logs[3] == pytest.approx(exact.logmag, rel=1e-15)
+        assert batch_logs[0] == pytest.approx(exact.logmag, rel=1e-15)
+        assert np.array_equal(hermite_values(60, [x, 1.0])[:, 0], np.zeros(61))
+        assert np.array_equal(hermite_moment_sweep([x], [1.0], 60), np.zeros(61))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", [2.0**512, 1.99 * 2.0**511, math.inf, math.nan])
+    def test_every_frontend_rejects_x_past_the_largest(self, x):
+        calls = (
+            lambda: hermite_exact(3, x),
+            lambda: hermite_orders(3, x),
+            lambda: hermite_batch([3], [x]),
+            lambda: hermite_values(60, [x]),
+            lambda: hermite_moment_sweep([x], [1.0], 60),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="finite with"):
+                call()
+
+    def test_negative_n_top_raises(self):
+        for call in (
+            lambda: hermite_orders(-1, 1.0),
+            lambda: hermite_values(-1, [1.0]),
+            lambda: hermite_moment_sweep([1.0], [1.0], -1),
+            lambda: hermite_batch([2, -1], [1.0, 1.0]),
+        ):
+            with pytest.raises(ValueError, match="nonnegative"):
+                call()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", [6e4, 1e10, 2.0**511])
+    def test_values_far_out_are_exact_zeros(self, x):
+        # the exponent of 2 and the factor of the Gaussian stay in range
+        # whatever x is, so no cast or multiply warns
+        vals = hermite_values(3, [x, 1.0, -x])
+        assert np.array_equal(vals[:, [0, 2]], np.zeros((4, 2)))
+        assert np.array_equal(vals[:, 1], hermite_values(3, [1.0])[:, 0])
 
     def test_values_matches_orders(self):
         xs = np.array([-8.0, -1.0, 0.0, 0.5, 9.0, 40.0])
@@ -327,7 +406,9 @@ class TestCoefficientTable:
             assert a.dtype == b.dtype == np.dtype(dtype)
             np.testing.assert_array_equal(a, fresh_a)
             np.testing.assert_array_equal(b, fresh_b)
-        assert len(blocks[0][0]) == 64 and all(len(a) <= 1024 for a, _ in blocks)
+        # one table slice, then blocks of at most _BLOCK orders
+        assert len(blocks[0][0]) == hermite_core._TABLE_ORDERS
+        assert all(len(a) <= hermite_core._BLOCK for a, _ in blocks[1:])
 
 
 class TestOrthonormality:
