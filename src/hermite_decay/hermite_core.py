@@ -16,6 +16,15 @@ run at +-2^-511, where h_n is even or odd to double precision, so no
 step starts from a subnormal; every frontend rejects x that is not
 finite or exceeds 2^511 in magnitude, where a step would overflow.
 
+The recurrence h_{k+1} = x sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1}
+runs on m_k = h_k / (pi^(-1/4) e^(-x^2/2)), diagonally rescaled so
+that the h_{k-1} coefficient is 1 (Gautschi, SIAM Rev. 9, 1967): with
+the x-independent scales s_0 = s_1 = 1, s_{k+1} = sqrt(k/(k+1)) s_{k-1},
+the values p_k = m_k / s_k obey p_{k+1} = (x a'_k) p_k - p_{k-1} with
+a'_k = sqrt(2/(k+1)) s_k / s_{k+1} <= sqrt(2): one multiply and one
+subtract a step.  s_k falls like k^(-1/4), so p_k is m_k times about
+k^(1/4); the frontends put s_k back when they convert.
+
 Every frontend reads one recurrence: a scalar loop for one point
 (hermite_exact, and hermite_orders for all orders up to n_top) and an
 array loop for many points (hermite_batch, hermite_values,
@@ -43,9 +52,10 @@ _LN_PI = math.log(math.pi)
 _LN_2 = math.log(2.0)
 
 # Rescaling walls for the running recurrence values, tested once every
-# _stride(max |x|) steps.  One step changes the larger of the pair by at
-# most a factor 2|x| + 2, so a stride moves it by at most _STRIDE_BITS
-# bits: between two tests it stays inside 2^(+-(512 + _STRIDE_BITS)),
+# _stride(max |x|) steps.  One step p_{k+1} = (x a'_k) p_k - p_{k-1},
+# with a'_k <= sqrt(2), changes the larger of the pair by at most a
+# factor sqrt(2)|x| + 1 <= 2|x| + 2, so a stride moves it by at most
+# _STRIDE_BITS bits: between two tests it stays inside 2^(+-(512 + _STRIDE_BITS)),
 # normal and finite, and one multiply by 2^(+-512) per crossing brings
 # it back.  Scaling by a power of two is exact for normal doubles, so
 # where the test runs changes no represented value.
@@ -60,9 +70,10 @@ _STRIDE_BITS = 400
 _WALL_LOG_HI = float.fromhex("0x1.62e42ff000000p+8")
 _WALL_LOG_LO = float.fromhex("-0x1.718432a1b0e26p-26")
 
-# Orders of the coefficient table kept per float type, built once per
-# process: 2^14 orders cost 256 kB in doubles and 512 kB in long double.
-# Loops past it compute their coefficients in blocks of _BLOCK orders.
+# Orders of the coefficient table (a'_k and s_{k+1}) kept per float
+# type, built once per process: 2^14 orders cost 256 kB in doubles and
+# 512 kB in long double.  Loops read it in blocks of _BLOCK orders, and
+# past it compute their coefficients block by block, carrying the scales.
 _TABLE_ORDERS = 1 << 14
 _BLOCK = 1024
 _TABLES: dict = {}
@@ -74,8 +85,9 @@ _TABLES: dict = {}
 _TINY_X = 2.0**-511
 
 # Largest |x| the loops take: a step multiplies the larger of the pair,
-# at most 2^512 after a wall test, by up to x sqrt(2), which stays below
-# 2^1024 up to here (and x*x stays finite).
+# at most 2^512 after a wall test, by x a'_k <= x sqrt(2) and subtracts
+# at most 2^512, which stays below 2^1024 up to here (and x*x stays
+# finite).
 _X_MAX = 2.0**511
 
 # Hard floor on the monotonic-region margin epsilon: callers may pass a
@@ -211,38 +223,55 @@ def _check_arguments(orders, xs) -> None:
         raise ValueError(f"x must be finite with |x| <= 2^511, got {bad[0]}")
 
 
-def _coefficient_range(start: int, stop: int, dtype):
-    """sqrt(2/(k+1)) and sqrt(k/(k+1)) for k = start..stop-1, computed in dtype.
+def _coefficient_range(start: int, stop: int, dtype, s_before, s_start):
+    """a'_k and s_{k+1} for k = start..stop-1, computed in dtype.
 
-    Each value is computed elementwise, so it does not depend on the range
-    it lands in.  Doubles come as memoryviews, whose items step as Python
-    floats, much faster than numpy scalars.  Both are read-only, since
-    the process-wide table hands out views of them.
+    (s_before, s_start) are (s_{start-1}, s_start).  The scales follow
+    s_{k+1} = fl(b_k s_{k-1}) with b_k = sqrt(k/(k+1)), one sequential
+    product per parity, and a'_k = fl(fl(a_k s_k) / s_{k+1}) with
+    a_k = sqrt(2/(k+1)); a_k and b_k are each computed elementwise.  So
+    every value is the one a plain loop from k = 0 gives, whatever range
+    it lands in.  b_0 multiplies m_{-1} = 0, so it is taken as 1, which
+    makes s_1 = 1.  Both arrays are read-only, since the process-wide
+    table hands out views of them.
     """
     k = np.arange(start, stop, dtype=dtype)
     k1 = k + 1
     # in place, so that no more than the two results are ever held
-    b = np.sqrt(np.divide(k, k1, out=k), out=k)
+    s = np.sqrt(np.divide(k, k1, out=k), out=k)
     a = np.sqrt(np.divide(2, k1, out=k1), out=k1)
-    a.flags.writeable = b.flags.writeable = False
-    return (memoryview(a), memoryview(b)) if dtype is float else (a, b)
+    if start == 0:
+        s[0] = 1
+    for chain, first in ((s[0::2], s_before), (s[1::2], s_start)):
+        if chain.size:
+            chain[0] *= first
+            np.multiply.accumulate(chain, out=chain)
+    a[0] *= s_start
+    a[1:] *= s[:-1]
+    a /= s
+    a.flags.writeable = s.flags.writeable = False
+    return a, s
 
 
 def _coefficients(n: int, dtype):
-    """Yield sqrt(2/(k+1)) and sqrt(k/(k+1)) for k = 0..n-1, computed in dtype.
+    """Yield blocks of a'_k and s_{k+1} for k = 0..n-1, computed in dtype.
 
-    Orders below _TABLE_ORDERS come as one slice of a table per dtype,
-    built at the first call of the process; later orders come in blocks
-    of _BLOCK, computed when the loop reaches them.  So a loop holds a
-    bounded table whatever n is, and no call rebuilds the orders below
-    the cap.
+    Blocks hold _BLOCK orders (the last one fewer).  Orders below
+    _TABLE_ORDERS are slices of a table per dtype, built at the first
+    call of the process; later blocks are computed when the loop reaches
+    them, each from the last two scales of the one before.  So a loop
+    holds a bounded table whatever n is, and no call rebuilds the orders
+    below the cap.
     """
     table = _TABLES.get(dtype)
     if table is None:
-        table = _TABLES[dtype] = _coefficient_range(0, _TABLE_ORDERS, dtype)
-    yield table[0][:n], table[1][:n]
-    for start in range(_TABLE_ORDERS, n, _BLOCK):
-        yield _coefficient_range(start, min(n, start + _BLOCK), dtype)
+        table = _TABLES[dtype] = _coefficient_range(0, _TABLE_ORDERS, dtype, 1, 1)
+    a, s = table
+    for lo in range(0, min(n, _TABLE_ORDERS), _BLOCK):
+        yield a[lo : min(n, lo + _BLOCK)], s[lo : min(n, lo + _BLOCK)]
+    for lo in range(_TABLE_ORDERS, n, _BLOCK):
+        a, s = _coefficient_range(lo, min(n, lo + _BLOCK), dtype, s[-2], s[-1])
+        yield a, s
 
 
 def _is_tiny(x):
@@ -281,8 +310,9 @@ def _log_magnitude(walls, log_m, x):
 def _stride(x_max) -> int:
     """Steps between two wall tests for points with |x| <= x_max.
 
-    1 (a test every step) when one step alone may move _STRIDE_BITS
-    bits, or when x_max is not finite.
+    One step moves the larger of the pair by at most log2(2 x_max + 2)
+    bits, since a'_k <= sqrt(2).  1 (a test every step) when one step
+    alone may move _STRIDE_BITS bits, or when x_max is not finite.
     """
     bits = math.log2(2.0 * float(x_max) + 2.0)
     return max(1, int(_STRIDE_BITS / bits)) if bits < _STRIDE_BITS else 1
@@ -291,60 +321,77 @@ def _stride(x_max) -> int:
 def _scalar_loop(n: int, x: float, dtype=float, keep: bool = False):
     """The rescaled recurrence at one point x, up to order n.
 
-    Runs h_{k+1} = x sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1} on a
-    running pair m_k with h_k = m_k * 2^(512 walls) * pi^(-1/4) e^(-x^2/2).
-    Each coefficient block is walked in slices of _stride(|x|) steps;
-    after each slice, if the larger of the pair lies outside
-    [2^-512, 2^512], both move back by one wall and the integer count
-    walls records it.  So the pair stays inside 2^(+-912), and every m_k
-    is the value a test after each step would give, times an exact
-    power of two.  A tiny x (0 < |x| < _TINY_X) runs at
+    Runs p_{k+1} = (x a'_k) p_k - p_{k-1} from p_0 = 1 on a running
+    pair with h_k = p_k * s_k * 2^(512 walls) * pi^(-1/4) e^(-x^2/2)
+    (see the module docstring): x a'_k is formed once per coefficient
+    block, rounded as the array loop rounds it, and each step is one
+    multiply and one subtract.  Each block is walked in slices of
+    _stride(|x|) steps; after each slice, if the larger of the pair lies
+    outside [2^-512, 2^512], both move back by one wall and the integer
+    count walls records it.  So the pair stays inside 2^(+-912), and
+    every p_k is the value a test after each step would give, times an
+    exact power of two.  A tiny x (0 < |x| < _TINY_X) runs at
     copysign(_TINY_X, x); _odd_scale gives the factor back.
 
-    Yields (ms, walls), the m_k (in dtype) and their wall counts.  With
-    keep, one pair per stride slice, for k = 0..n in order (the first
-    slice also holds k = 0), so memory stays bounded whatever n is: ms
-    in a typed buffer (array('d') for doubles, a numpy array otherwise)
-    and the slice's one wall count repeated per order as an array('q').
-    Consumers join the slices with _next_orders.  Without keep,
-    once, [m_n] and [walls_n].
+    The lower wall fires on no input known: from p_0 = 1 the pair grows
+    through the monotonic region, and in the oscillatory one |h_k|
+    decays only like (2k - x^2)^(-1/4) while 1/s_k grows like k^(1/4),
+    so the larger of the pair stays near its peak (within 6 bits for x
+    from 0 to 10^3 and n up to 2 10^5), far from falling 2^512 below
+    its last upward wall.  The branch stays, since nothing here proves
+    that for every x.
+
+    Yields (ps, walls, scales), the p_k (in dtype), their wall counts
+    and their s_k (in dtype).  With keep, first order 0 alone, then one
+    triple per stride slice for k = 1..n in order, so memory stays
+    bounded whatever n is: ps in a typed buffer (array('d') for doubles,
+    a numpy array otherwise), the slice's one wall count repeated per
+    order as an array('q'), and scales as a view of the coefficient
+    block.  Consumers join the slices with _next_orders.  Without keep,
+    once, [p_n], [walls_n] and [s_n].
     """
     stride = _stride(abs(x))
     if _is_tiny(x):
         x = math.copysign(_TINY_X, x)
     x = dtype(x)
-    m_prev, m_cur = dtype(0), dtype(1)
+    p_prev, p_cur = dtype(0), dtype(1)
+    s_n = dtype(1)
     walls = 0
-    ms = [m_cur]
-    for a_block, b_block in _coefficients(n, dtype):
-        for lo in range(0, len(a_block), stride):
-            steps = zip(a_block[lo : lo + stride], b_block[lo : lo + stride])
+    if keep:
+        yield _typed([p_cur], dtype), array("q", (walls,)), _typed([s_n], dtype)
+    for a_block, s_block in _coefficients(n, dtype):
+        coefficients = np.multiply(x, a_block)
+        if dtype is float:
+            # items of a memoryview step as Python floats, much faster
+            # than numpy scalars
+            coefficients = memoryview(coefficients)
+        for lo in range(0, len(coefficients), stride):
+            steps = coefficients[lo : lo + stride]
             if keep:
-                append = ms.append
-                for a, b in steps:
-                    m_prev, m_cur = m_cur, x * a * m_cur - b * m_prev
-                    append(m_cur)
-                yield _typed(ms, dtype), array("q", (walls,)) * len(ms)
-                ms = []
+                ps = []
+                append = ps.append
+                for c in steps:
+                    p_prev, p_cur = p_cur, c * p_cur - p_prev
+                    append(p_cur)
+                yield _typed(ps, dtype), array("q", (walls,)) * len(ps), s_block[lo : lo + stride]
             else:
-                for a, b in steps:
-                    m_prev, m_cur = m_cur, x * a * m_cur - b * m_prev
-            big = abs(m_cur)
-            other = abs(m_prev)
+                for c in steps:
+                    p_prev, p_cur = p_cur, c * p_cur - p_prev
+            big = abs(p_cur)
+            other = abs(p_prev)
             if other > big:
                 big = other
             if big > _WALL_HI:
-                m_cur *= _WALL_LO
-                m_prev *= _WALL_LO
+                p_cur *= _WALL_LO
+                p_prev *= _WALL_LO
                 walls += 1
             elif 0.0 < big < _WALL_LO:
-                m_cur *= _WALL_HI
-                m_prev *= _WALL_HI
+                p_cur *= _WALL_HI
+                p_prev *= _WALL_HI
                 walls -= 1
+        s_n = s_block[-1]
     if not keep:
-        yield [m_cur], [walls]
-    elif ms:  # n = 0: no slice ran, so h_0 is still pending
-        yield _typed(ms, dtype), array("q", (walls,))
+        yield [p_cur], [walls], [s_n]
 
 
 def _typed(values: list, dtype):
@@ -359,59 +406,71 @@ def _next_orders(slices, count: int, x: float, start: int):
     orders, or the loop ends; start is the order of the first.  Both
     arrays are empty once the loop has ended.
     """
-    ms, walls = array("d"), array("q")
-    for m, w in slices:
-        ms += m
+    ps, walls, scales = array("d"), array("q"), []
+    for p, w, s in slices:
+        ps += p
         walls += w
-        if len(ms) >= count:
+        scales.append(s)
+        if len(ps) >= count:
             break
-    return _signed_logs(ms, walls, x, range(start, start + len(ms)))
+    scales = np.concatenate(scales) if scales else np.empty(0)
+    return _signed_logs(ps, walls, scales, x, range(start, start + len(ps)))
 
 
 def _array_loop(xs: np.ndarray, n_top: int):
     """The rescaled recurrence on every point of xs at once, in doubles.
 
-    Yields (k, m, walls, rescaled) for k = 0..n_top, with the scaling of
-    _scalar_loop per point, tiny points included: the walls are tested
-    every _stride(max |xs|) steps, and rescaled tells whether any wall
-    count moved at step k.
-    Later steps update m and walls in place, so consumers copy what they
-    keep.
+    Yields (k, p, walls, rescaled, s_k) for k = 0..n_top, with the
+    values and scaling of _scalar_loop per point, tiny points included,
+    bit for bit: each step is three in-place ufuncs, p_{k+1} = x a'_k,
+    times p_k, minus p_{k-1}.  The walls are tested every
+    _stride(max |xs|) steps, and rescaled tells whether any wall count
+    moved at step k; h_k = p * s_k * 2^(512 walls) * pi^(-1/4) e^(-x^2/2).
+    Later steps overwrite p and walls in place, so consumers copy what
+    they keep.
     """
     stride = _stride(np.max(np.abs(xs), initial=0.0))
     xs = np.where(_is_tiny(xs), np.copysign(_TINY_X, xs), xs)
-    m_prev = np.zeros(xs.size)
-    m_cur = np.ones(xs.size)
+    p_prev = np.zeros(xs.size)
+    p_cur = np.ones(xs.size)
+    p_next = np.empty(xs.size)
     walls = np.zeros(xs.size, dtype=np.int64)
     k = 0
-    yield k, m_cur, walls, True
-    for a_block, b_block in _coefficients(n_top, float):
-        for a, b in zip(a_block, b_block):
+    yield k, p_cur, walls, True, 1.0
+    for a_block, s_block in _coefficients(n_top, float):
+        for a, s in zip(a_block.tolist(), s_block.tolist()):
             k += 1
-            m_prev, m_cur = m_cur, xs * a * m_cur - b * m_prev
-            rescaled = False
-            if k % stride == 0:
-                big = np.maximum(np.abs(m_cur), np.abs(m_prev))
-                shift = (big > _WALL_HI).astype(np.intc) - ((big > 0.0) & (big < _WALL_LO))
-                rescaled = shift.any()
-                if rescaled:
-                    scale = np.ldexp(1.0, -512 * shift)  # exactly 2^-512, 1 or 2^512
-                    m_cur *= scale
-                    m_prev *= scale
-                    walls += shift
-            yield k, m_cur, walls, rescaled
+            np.multiply(xs, a, out=p_next)
+            p_next *= p_cur
+            p_next -= p_prev
+            p_prev, p_cur, p_next = p_cur, p_next, p_prev
+            if k % stride:
+                yield k, p_cur, walls, False, s
+                continue
+            big = np.maximum(np.abs(p_cur), np.abs(p_prev))
+            shift = (big > _WALL_HI).astype(np.intc) - ((big > 0.0) & (big < _WALL_LO))
+            rescaled = shift.any()
+            if rescaled:
+                scale = np.ldexp(1.0, -512 * shift)  # exactly 2^-512, 1 or 2^512
+                p_cur *= scale
+                p_prev *= scale
+                walls += shift
+            yield k, p_cur, walls, rescaled, s
 
 
-def _signed_logs(ms, walls, x, orders) -> tuple[np.ndarray, np.ndarray]:
-    """(int8 signs, log magnitudes) of recurrence values m of orders at points x."""
-    ms = np.asarray(ms, dtype=float)
+def _signed_logs(ps, walls, scales, x, orders) -> tuple[np.ndarray, np.ndarray]:
+    """(int8 signs, log magnitudes) of recurrence values p with scales s_k.
+
+    orders are the orders of the values, x their points.
+    """
+    ps = np.asarray(ps, dtype=float)
     with np.errstate(divide="ignore"):
-        log_m = np.log(np.abs(ms))
+        log_m = np.log(np.abs(ps) * scales)
         tiny = _is_tiny(x)
         if tiny if isinstance(tiny, bool) else tiny.any():
             log_m += np.asarray(orders) % 2 * np.log(_odd_scale(x))
         logs = _log_magnitude(np.asarray(walls), log_m, x)
-    return np.sign(ms).astype(np.int8), logs
+    return np.sign(ps).astype(np.int8), logs
 
 
 def hermite_exact(n: int, x: float) -> SignedLog:
@@ -440,8 +499,10 @@ def hermite_exact(n: int, x: float) -> SignedLog:
     Notes
     -----
     Runs h_{k+1} = x sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1} from
-    h_0 = pi^(-1/4) e^(-x^2/2), keeping the running pair inside
-    2^(+-912) and counting discarded exponents separately.
+    h_0 = pi^(-1/4) e^(-x^2/2) as p_k = m_k / s_k with a unit h_{k-1}
+    coefficient (see the module docstring), keeping the running pair
+    inside 2^(+-912) and counting discarded exponents separately; s_n
+    goes back into ln|m_n| = ln(|p_n| s_n), in the loop's float type.
     Forward recurrence is stable here: h_n is the dominant solution in
     the classically allowed region.  At |x| near 1e3 the log magnitude
     reaches ~5e5, so the Gaussian constant and the rescaling ledger are
@@ -460,12 +521,12 @@ def hermite_exact(n: int, x: float) -> SignedLog:
                 f"64-bit significand; this platform's has {np.finfo(np.longdouble).nmant + 1}"
             )
         dtype = _EXTENDED_FLOAT
-    [([m], [walls])] = _scalar_loop(n, x, dtype)
-    if m == 0:
+    [([p], [walls], [s])] = _scalar_loop(n, x, dtype)
+    if p == 0:
         return SignedLog(0, -math.inf)
-    log_m = float(np.log(abs(m))) + n % 2 * float(np.log(_odd_scale(x)))
+    log_m = float(np.log(abs(p) * s)) + n % 2 * float(np.log(_odd_scale(x)))
     logmag = _log_magnitude(walls, log_m, float(x))
-    return SignedLog(1 if m > 0 else -1, float(logmag))
+    return SignedLog(1 if p > 0 else -1, float(logmag))
 
 
 def hermite_orders(n_top: int, x: float) -> tuple[np.ndarray, np.ndarray]:
@@ -524,28 +585,30 @@ def hermite_batch(orders, xs) -> tuple[np.ndarray, np.ndarray]:
     harvest = {
         k: slice(i, i + c) for k, i, c in zip(top.tolist(), first.tolist(), count.tolist())
     }
-    ms = np.empty(orders.size)
+    ps = np.empty(orders.size)
     walls = np.empty(orders.size, dtype=np.int64)
-    for k, m_k, walls_k, _ in _array_loop(sorted_x, int(top[-1])):
+    scales = np.empty(orders.size)
+    for k, p_k, walls_k, _, s_k in _array_loop(sorted_x, int(top[-1])):
         part = harvest.get(k)
         if part is not None:
-            ms[part] = m_k[part]
+            ps[part] = p_k[part]
             walls[part] = walls_k[part]
-    out_signs[sort], out_logs[sort] = _signed_logs(ms, walls, sorted_x, orders[sort])
+            scales[part] = s_k
+    out_signs[sort], out_logs[sort] = _signed_logs(ps, walls, scales, sorted_x, orders[sort])
     return out_signs, out_logs
 
 
 def _value_rows(xs: np.ndarray, n_top: int):
     """Yield (k, h_k(xs) as doubles) for k = 0..n_top.
 
-    h_k = m * 2^(512 walls) * e^g with g = -x^2/2 - ln(pi)/4; e^g is
-    split once into a factor in [1, 2] times 2^e, so every value comes
-    from one exact ldexp and only the result can underflow.  The
-    running pair grows to 2^912, so a value can be a normal double while
-    its scale alone lies far below double range.  Values below double
-    range flush to exactly 0.0.  At odd k the factor also carries
-    _odd_scale(xs), 1 unless a point is tiny.  Callers check the
-    arguments first.
+    h_k = p * s_k * 2^(512 walls) * e^g with g = -x^2/2 - ln(pi)/4; e^g
+    is split once into a factor in [1, 2] times 2^e, and s_k is folded
+    into that factor row by row, so every value comes from one exact
+    ldexp and only the result can underflow.  The running pair grows to
+    2^912, so a value can be a normal double while its scale alone lies
+    far below double range.  Values below double range flush to exactly
+    0.0.  At odd k the factor also carries _odd_scale(xs), 1 unless a
+    point is tiny.  Callers check the arguments first.
     """
     gauss = _log_magnitude(0, 0.0, xs)
     e_gauss = np.floor(gauss / _LN_2)
@@ -554,12 +617,14 @@ def _value_rows(xs: np.ndarray, n_top: int):
     factor = np.exp(np.clip(gauss - e_gauss * _LN_2, 0.0, _LN_2))
     factors = (factor, factor * _odd_scale(xs))
     with np.errstate(under="ignore"):
-        for k, m, walls, rescaled in _array_loop(xs, n_top):
+        for k, p, walls, rescaled, s in _array_loop(xs, n_top):
             if rescaled:
                 # |h| <= 1 keeps the true exponent below 1075, and below
                 # -4096 every value is 0.0, so the clip changes no value
                 exponent = np.clip(512 * walls + e_gauss, -4096, 4096).astype(np.intc)
-            yield k, np.ldexp(m * factors[k % 2], exponent)
+            row = factors[k % 2] * s
+            row *= p
+            yield k, np.ldexp(row, exponent, out=row)
 
 
 def hermite_values(n_top: int, xs) -> np.ndarray:

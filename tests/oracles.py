@@ -21,17 +21,26 @@ POLYNOMIAL_ORACLE_MAX = 30
 
 def mp_hermite_log(n: int, x: float, dps: int = 40) -> tuple[int, float]:
     """(sign, ln|h_n(x)|) via the recurrence in mpmath arithmetic."""
+    return mp_hermite_logs([n], x, dps)[0]
+
+
+def mp_hermite_logs(orders, x: float, dps: int = 40) -> list[tuple[int, float]]:
+    """(sign, ln|h_n(x)|) for each n in orders, from one mpmath recurrence pass."""
+    wanted = set(orders)
+    found = {}
     with mp.workdps(dps):
         xm = mp.mpf(x)
         prev = mp.mpf(0)
         cur = mp.pi ** mp.mpf("-0.25") * mp.exp(-xm * xm / 2)
-        for k in range(n):
+        for k in range(max(orders) + 1):
+            if k in wanted:
+                found[k] = (0, -math.inf) if cur == 0 else (
+                    (1 if cur > 0 else -1), float(mp.log(abs(cur)))
+                )
             prev, cur = cur, xm * mp.sqrt(mp.mpf(2) / (k + 1)) * cur - mp.sqrt(
                 mp.mpf(k) / (k + 1)
             ) * prev
-        if cur == 0:
-            return 0, -math.inf
-        return (1 if cur > 0 else -1), float(mp.log(abs(cur)))
+    return [found[n] for n in orders]
 
 
 def mp_hermite_value(n: int, x: float, dps: int = 40) -> float:
@@ -175,41 +184,66 @@ def hermite_via_polynomial(n: int, x: float) -> float:
     return math.exp(-0.5 * x * x) * float(h) / norm
 
 
-def per_step_rescaled_recurrence(n: int, x: float, dtype=float) -> tuple[list, list]:
-    """(m_k, walls_k) for k = 0..n, with the walls tested after every step.
+_UNIT_COEFFICIENTS: dict = {}
 
-    The running pair of the rescaled recurrence, h_k = m_k 2^(512 walls_k)
-    pi^(-1/4) e^(-x^2/2), computed in dtype with the coefficients
-    sqrt(2/(k+1)) and sqrt(k/(k+1)) rounded once in dtype.  After every
-    step whose larger value leaves [2^-512, 2^512], both move back by
-    2^(+-512).  Testing that less often changes each m_k by an exact power
-    of two only, so this pins down the value every rescaled loop must
-    represent.  A tiny x, 0 < |x| < 2^-511, runs at copysign(2^-511, x),
-    as the library's loops do: h_n is even or odd in x to double
-    precision there, and m_1 = x sqrt(2) stays a normal double.
+
+def unit_coefficients(n: int, dtype=float) -> tuple[list, list]:
+    """(a'_k, s_{k+1}) for k = 0..n-1, computed one plain step at a time in dtype.
+
+    The diagonal rescaling that gives the Hermite recurrence a unit
+    h_{k-1} coefficient: s_0 = s_1 = 1, s_{k+1} = b_k s_{k-1} for k >= 1
+    and a'_k = a_k s_k / s_{k+1}, with a_k = sqrt(2/(k+1)) and
+    b_k = sqrt(k/(k+1)) each rounded once in dtype and every product
+    and quotient rounded in dtype, left to right.  Values are kept per
+    dtype and extended on demand; doubles come as Python floats.
+    """
+    a_all, s_all = _UNIT_COEFFICIENTS.setdefault(dtype, ([], [dtype(1)]))  # s_all[k] = s_k
+    one, two = dtype(1), dtype(2)
+    for k in range(len(a_all), n):
+        kk = dtype(k)
+        a = np.sqrt(two / (kk + one))
+        s_next = one if k == 0 else np.sqrt(kk / (kk + one)) * s_all[k - 1]
+        a_prime = a * s_all[k] / s_next
+        if dtype is float:
+            s_next, a_prime = float(s_next), float(a_prime)
+        s_all.append(s_next)
+        a_all.append(a_prime)
+    return a_all[:n], s_all[1 : n + 1]
+
+
+def per_step_rescaled_recurrence(n: int, x: float, dtype=float) -> tuple[list, list]:
+    """(p_k, walls_k) for k = 0..n, with the walls tested after every step.
+
+    The running pair of the rescaled recurrence with a unit h_{k-1}
+    coefficient, h_k = p_k s_k 2^(512 walls_k) pi^(-1/4) e^(-x^2/2) and
+    p_{k+1} = (x a'_k) p_k - p_{k-1} from p_0 = 1, computed in dtype with
+    the coefficients of unit_coefficients.  After every step whose larger
+    value leaves [2^-512, 2^512], both move back by 2^(+-512).  Testing
+    that less often changes each p_k by an exact power of two only, so
+    this pins down the value every rescaled loop must represent.  A tiny
+    x, 0 < |x| < 2^-511, runs at copysign(2^-511, x), as the library's
+    loops do: h_n is even or odd in x to double precision there, and
+    p_1 = x sqrt(2) stays a normal double.
     """
     wall_hi, wall_lo = 2.0**512, 2.0**-512
     if 0.0 < abs(x) < 2.0**-511:
         x = math.copysign(2.0**-511, x)
-    k = np.arange(n, dtype=dtype)
-    a_all, b_all = np.sqrt(2 / (k + 1)), np.sqrt(k / (k + 1))
-    if dtype is float:
-        a_all, b_all = a_all.tolist(), b_all.tolist()
+    a_all, _ = unit_coefficients(n, dtype)
     x = dtype(x)
-    m_prev, m_cur = dtype(0), dtype(1)
+    p_prev, p_cur = dtype(0), dtype(1)
     walls = 0
-    ms, ws = [m_cur], [walls]
-    for a, b in zip(a_all, b_all):
-        m_prev, m_cur = m_cur, x * a * m_cur - b * m_prev
-        big = max(abs(m_cur), abs(m_prev))
+    ps, ws = [p_cur], [walls]
+    for a in a_all:
+        p_prev, p_cur = p_cur, x * a * p_cur - p_prev
+        big = max(abs(p_cur), abs(p_prev))
         if big > wall_hi:
-            m_cur *= wall_lo
-            m_prev *= wall_lo
+            p_cur *= wall_lo
+            p_prev *= wall_lo
             walls += 1
         elif 0.0 < big < wall_lo:
-            m_cur *= wall_hi
-            m_prev *= wall_hi
+            p_cur *= wall_hi
+            p_prev *= wall_hi
             walls -= 1
-        ms.append(m_cur)
+        ps.append(p_cur)
         ws.append(walls)
-    return ms, ws
+    return ps, ws

@@ -33,3 +33,7 @@ def test_large_order_workload_is_correct():
 
 def test_sum_sweep_workload_is_correct():
     assert_workload_correct("sum-sweep")
+
+
+def test_oscillator_workload_is_correct():
+    assert_workload_correct("oscillator")

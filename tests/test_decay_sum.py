@@ -292,9 +292,9 @@ class TestDirectSum:
 
         def counting(n, x, dtype=float, keep=False):
             passes.append(0)
-            for ms, walls in loop(n, x, dtype, keep):
-                passes[-1] += len(ms)
-                yield ms, walls
+            for ps, *rest in loop(n, x, dtype, keep):
+                passes[-1] += len(ps)
+                yield ps, *rest
 
         monkeypatch.setattr(hermite_core, "_scalar_loop", counting)
         direct_sum(x, SumParams(kappa, beta, y))

@@ -26,8 +26,10 @@ from oracles import (
     hermite_polynomial_coefficients,
     hermite_via_polynomial,
     mp_hermite_log,
+    mp_hermite_logs,
     mp_hermite_value,
     per_step_rescaled_recurrence,
+    unit_coefficients,
 )
 
 LOG_UNIFORM_BOUND = -0.25 * math.log(math.pi)
@@ -394,21 +396,31 @@ class TestCoefficientTable:
         "dtype", [float] + ([hermite_core._EXTENDED_FLOAT] if hermite_core._EXTENDED_FLOAT else [])
     )
     def test_cached_table_matches_fresh(self, dtype):
-        # past the cap the blocks are computed as the loop reaches them;
-        # either way every value is the one a fresh computation gives
+        # past the cap the blocks are computed as the loop reaches them,
+        # each carrying the scales of the one before; either way every
+        # a'_k and s_{k+1} is the one a plain sequential loop gives.  The
+        # orders run across the cap and the next two _BLOCK edges.
         n = hermite_core._TABLE_ORDERS + 3000
-        k = np.arange(n, dtype=dtype)
-        fresh_a, fresh_b = np.sqrt(2 / (k + 1)), np.sqrt(k / (k + 1))
+        fresh_a, fresh_s = (np.array(v, dtype=dtype) for v in unit_coefficients(n, dtype))
         for _ in range(2):  # the second pass reads the table the first one kept
             blocks = list(hermite_core._coefficients(n, dtype))
-            a = np.concatenate([np.asarray(block, dtype=dtype) for block, _ in blocks])
-            b = np.concatenate([np.asarray(block, dtype=dtype) for _, block in blocks])
-            assert a.dtype == b.dtype == np.dtype(dtype)
+            a = np.concatenate([block for block, _ in blocks])
+            s = np.concatenate([block for _, block in blocks])
+            assert a.dtype == s.dtype == np.dtype(dtype)
             np.testing.assert_array_equal(a, fresh_a)
-            np.testing.assert_array_equal(b, fresh_b)
-        # one table slice, then blocks of at most _BLOCK orders
-        assert len(blocks[0][0]) == hermite_core._TABLE_ORDERS
-        assert all(len(a) <= hermite_core._BLOCK for a, _ in blocks[1:])
+            np.testing.assert_array_equal(s, fresh_s)
+        # blocks of _BLOCK orders, the last one fewer
+        sizes = [len(block) for block, _ in blocks]
+        assert set(sizes[:-1]) == {hermite_core._BLOCK}
+        assert 0 < sizes[-1] <= hermite_core._BLOCK
+        # the bound that _stride and _X_MAX rely on: one step multiplies
+        # the larger of the pair by at most sqrt(2)|x| + 1.  a'_0 and a'_1
+        # are sqrt(2) exactly, and the quotient that forms a'_1 may round
+        # one unit above fl(sqrt(2)) (it does in long double); every later
+        # a'_k is below 1
+        assert a.max() <= np.sqrt(dtype(2)) * (1 + np.finfo(dtype).eps)
+        assert a[2:].max() < 1
+        assert s.min() > 0
 
 
 class TestOrthonormality:
@@ -566,6 +578,31 @@ class TestFrontendsAgree:
             assert_value_matches(values[n, i], ref.sign, ref.logmag)
 
 
+class TestFrontendsAgreeAcrossBlockEdges:
+    """Fixed cases past the hypothesis draws above, which stop at n = 3000.
+
+    The orders sit on both sides of the coefficient table's cap (2^14)
+    and of the first _BLOCK edge past it, where the scales s_k are
+    carried from block to block, and at n = 20000.
+    """
+
+    ORDERS = [16383, 16384, 16385, 17408, 17409, 20000]
+
+    @pytest.mark.parametrize("x", [0.5, 30.0, 150.0, 1000.0])
+    def test_all_frontends_match_mpmath(self, x):
+        refs = mp_hermite_logs(self.ORDERS, x)
+        n_top = max(self.ORDERS)
+        order_signs, order_logs = hermite_orders(n_top, x)
+        batch_signs, batch_logs = hermite_batch(self.ORDERS, [x] * len(self.ORDERS))
+        values = hermite_values(n_top, [x])
+        for i, (n, (sign, logmag)) in enumerate(zip(self.ORDERS, refs)):
+            got = hermite_exact(n, x)
+            assert got.sign == order_signs[n] == batch_signs[i] == sign
+            for log in (got.logmag, order_logs[n], batch_logs[i]):
+                assert abs(log - logmag) <= 1e-10
+            assert_value_matches(values[n, 0], sign, logmag)
+
+
 def assert_same_values(ms, walls, ref_ms, ref_walls):
     """m * 2^(512 walls) equal bit for bit, and every m 0 or a normal double."""
     ms, ref_ms = np.asarray(ms), np.asarray(ref_ms)
@@ -589,15 +626,23 @@ class TestStridedWalls:
         for x in xs:
             for dtype in dtypes:
                 ref_ms, ref_walls = per_step_rescaled_recurrence(n, x, dtype)
+                ref_scales = np.array([1] + unit_coefficients(n, dtype)[1], dtype=dtype)
                 blocks = list(hermite_core._scalar_loop(n, x, dtype, keep=True))
-                ms = [m for block, _ in blocks for m in block]
-                walls = [w for _, block in blocks for w in block]
+                ms = [m for block, _, _ in blocks for m in block]
+                walls = [w for _, block, _ in blocks for w in block]
                 assert_same_values(ms, walls, ref_ms, ref_walls)
-                [(last_m, last_walls)] = hermite_core._scalar_loop(n, x, dtype)
+                scales = np.concatenate([block for _, _, block in blocks])
+                np.testing.assert_array_equal(scales, ref_scales)
+                [(last_m, last_walls, last_scale)] = hermite_core._scalar_loop(n, x, dtype)
                 assert_same_values(last_m, last_walls, ref_ms[-1:], ref_walls[-1:])
-        steps = [(m.copy(), w.copy()) for _, m, w, _ in hermite_core._array_loop(np.array(xs), n)]
-        array_ms = np.array([m for m, _ in steps])
-        array_walls = np.array([w for _, w in steps])
+                assert last_scale == ref_scales[-1:]
+        steps = [
+            (m.copy(), w.copy(), s)
+            for _, m, w, _, s in hermite_core._array_loop(np.array(xs), n)
+        ]
+        array_ms = np.array([m for m, _, _ in steps])
+        array_walls = np.array([w for _, w, _ in steps])
+        np.testing.assert_array_equal([s for _, _, s in steps], [1.0] + unit_coefficients(n)[1])
         for j, x in enumerate(xs):
             ref_ms, ref_walls = per_step_rescaled_recurrence(n, x)
             assert_same_values(array_ms[:, j], array_walls[:, j], ref_ms, ref_walls)
