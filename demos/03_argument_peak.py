@@ -26,9 +26,11 @@ for n in (50, 200, 400, 600, 800, 983, 1100, 1230):
 # 2. The solver brackets the root of A'(n) = 0 through a change of
 #    variable and bisects; no clamping, failures raise.
 prof = find_nmax(x, y)
+_, curvature = argument_derivatives(prof.n_max, x, y)
 print(f"\nn_max        = {prof.n_max:.4f}")
+print(f"n_max / x^2  = {prof.lam:.6f}")
 print(f"A(n_max)     = {prof.a_max:.6f}")
-print(f"curvature    = {prof.lam:.3e}  (A'' at the peak)")
+print(f"curvature    = {curvature:.3e}  (A'' at the peak)")
 
 # 3. Two closed-form asymptotes, both visible at x = 50 already:
 #    n_max ~ x^2 / (2 cosh^2 y) and A(n_max) ~ -x^2 tanh(y)/2.

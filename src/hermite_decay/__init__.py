@@ -12,7 +12,6 @@ from hermite_decay.hermite_core import (
     hermite_values,
     phi_coordinate,
     plancherel_rotach_estimate,
-    hermite_pr_bound,
 )
 from hermite_decay.decay_sum import (
     SumParams,
@@ -20,7 +19,6 @@ from hermite_decay.decay_sum import (
     SharpnessCertificate,
     argument_function,
     argument_derivatives,
-    check_second_derivative_inequality,
     find_nmax,
     direct_sum,
     tail_bound,
@@ -33,7 +31,6 @@ from hermite_decay.oscillator import (
     QuadratureSpec,
     expand,
     gaussian_coefficients,
-    synthetic_envelope_coefficients,
     vemuri_decay_check,
     vemuri_envelope,
     evolve,
@@ -51,13 +48,11 @@ __all__ = [
     "hermite_values",
     "phi_coordinate",
     "plancherel_rotach_estimate",
-    "hermite_pr_bound",
     "SumParams",
     "ArgumentProfile",
     "SharpnessCertificate",
     "argument_function",
     "argument_derivatives",
-    "check_second_derivative_inequality",
     "find_nmax",
     "direct_sum",
     "tail_bound",
@@ -68,7 +63,6 @@ __all__ = [
     "QuadratureSpec",
     "expand",
     "gaussian_coefficients",
-    "synthetic_envelope_coefficients",
     "vemuri_decay_check",
     "vemuri_envelope",
     "evolve",

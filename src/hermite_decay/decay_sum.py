@@ -20,7 +20,6 @@ certificate comparing S against the envelope across an x-grid.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -68,17 +67,16 @@ class SumParams:
 
 @dataclass(frozen=True)
 class ArgumentProfile:
-    """A(n) landscape at one (x, y): interior maximum and samples.
+    """A(n) landscape at one (x, y): its interior maximum.
 
-    lam is n_max / x^2; samples holds (n, A, A', A'') rows on a grid
-    spanning [1, truncation_n - 1].
+    lam is n_max / x^2; truncation_n is the analysis cutoff N, so the
+    maximum lies in [1, N - 1].
     """
 
     n_max: float
     a_max: float
     lam: float
     truncation_n: int
-    samples: tuple[tuple[float, float, float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -176,7 +174,7 @@ def check_second_derivative_inequality(n: int, x: float, c: float) -> bool:
     return lhs >= rhs
 
 
-def find_nmax(x: float, y: float, n_samples: int = 33) -> ArgumentProfile:
+def find_nmax(x: float, y: float) -> ArgumentProfile:
     """Locate the interior maximum of A by bracketed bisection.
 
     A'(n) = 0 transforms to G(phi) = phi + cosh(phi)^3 / (x^2 sinh(phi))
@@ -225,51 +223,48 @@ def find_nmax(x: float, y: float, n_samples: int = 33) -> ArgumentProfile:
     phi_star = 0.5 * (lo + hi)
 
     n_max = x * x / (2.0 * math.cosh(phi_star) ** 2) - 1.0
-    a_max = argument_function(n_max, x, y)
-    lam = n_max / (x * x)
-    grid = np.linspace(1.0, float(n_trunc - 1), n_samples)
-    samples = []
-    for n in grid:
-        a1, a2 = argument_derivatives(float(n), x, y)
-        samples.append((float(n), argument_function(float(n), x, y), a1, a2))
     return ArgumentProfile(
         n_max=n_max,
-        a_max=a_max,
-        lam=lam,
+        a_max=argument_function(n_max, x, y),
+        lam=n_max / (x * x),
         truncation_n=n_trunc,
-        samples=tuple(samples),
     )
 
 
-def tail_bound(start_n: int, x: float, params: SumParams) -> SignedLog:
-    """Certified upper bound on the sum of terms n >= start_n.
+def _log_tails(start, params: SumParams) -> np.ndarray:
+    """ln of a bound on the sum of the terms n >= s, for each order s in start.
 
-    Uses only |h_n| <= pi^(-1/4), so the bound is uniform in x.  For
-    beta >= 0 the power factor is monotone and the geometric closed form
-    pi^(-kappa/4) start_n^(-beta) e^(-kappa start_n y) / (1 - e^(-kappa y))
-    is already sound.  For beta < 0 the growing power n^|beta| is
-    majorized block by block on dyadic ranges [m 2^j, m 2^(j+1)).
+    Uses only |h_n| <= pi^(-1/4), so the bound holds for every x.  With
+    b = max(-beta, 0), n^(-beta) <= s^(-beta) e^(b (n - s) / s) for n >= s
+    (as ln t <= t - 1), so a geometric series of ratio e^(-kappa y + b/s)
+    majorizes the terms:
+
+        pi^(-kappa/4) s^(-beta) e^(-kappa y s) / (1 - e^(-kappa y + b/s)),
+
+    and +inf while kappa y s <= b, where that series diverges.  For
+    beta >= 0 the ratio is e^(-kappa y), the series of a falling power
+    factor.  Elementwise; the ratio is capped at 1 before exp, so no
+    beta can make it overflow.
+    """
+    s = np.asarray(start, dtype=float)
+    kappa, beta, y = params.kappa, params.beta, params.y
+    ratio = np.exp(np.minimum(max(-beta, 0.0) / s - kappa * y, 0.0))
+    converges = ratio < 1.0
+    log_geo = -np.log1p(-np.where(converges, ratio, 0.0))
+    logs = -0.25 * kappa * _LN_PI + log_geo - beta * np.log(s) - kappa * s * y
+    return np.where(converges, logs, np.inf)
+
+
+def tail_bound(start_n: int, params: SumParams) -> SignedLog:
+    """Certified upper bound on the sum of terms n >= start_n, for every x.
+
+    The geometric bound of _log_tails at one order, with b = max(-beta, 0):
+    pi^(-kappa/4) start_n^(-beta) e^(-kappa y start_n) / (1 - e^(-kappa y + b/start_n)),
+    +inf while kappa y start_n <= b.
     """
     if start_n < 1:
         raise ValueError(f"start_n must be >= 1, got {start_n}")
-    kappa, beta, y = params.kappa, params.beta, params.y
-    log_geo = -math.log1p(-math.exp(-kappa * y))
-    base = -0.25 * kappa * _LN_PI + log_geo
-    if beta >= 0.0:
-        return SignedLog(1, base - beta * math.log(start_n) - kappa * start_n * y)
-    block_logs = []
-    j = 0
-    while True:
-        lead = start_n * 2.0**j
-        t = base - beta * (math.log(start_n) + (j + 1) * math.log(2.0)) - kappa * lead * y
-        block_logs.append(t)
-        if j > 0 and t < max(block_logs) - 80.0:
-            break
-        j += 1
-    m = max(block_logs)
-    return SignedLog(
-        1, m + math.log(math.fsum(math.exp(t - m) for t in block_logs))
-    )
+    return SignedLog(1, float(_log_tails(start_n, params)))
 
 
 def _summand_logs(h_logs: np.ndarray, n: np.ndarray, params: SumParams) -> np.ndarray:
@@ -284,52 +279,38 @@ def _log_sum(term_logs: np.ndarray) -> float:
         return m + math.log(float(np.exp(term_logs - m).sum()))
 
 
-def _first_passing(first: int, running: np.ndarray, x: float, params: SumParams):
-    """Index i of the first order n = first + i that certifies its tail, or None.
-
-    n certifies when tail_bound(n + 1) <= TAIL_RELATIVE_TOLERANCE e^running[i],
-    running[i] being ln of the partial sum through n.  The last order is
-    tested first and bisection keeps a passing upper end, so the result
-    always certifies.  It is the first passing order for every beta: the
-    partial sum grows with n, and the bound falls wherever
-    n >= |beta| / (kappa y).  Below that (beta < 0 only), for n >= 64,
-    the bound still exceeds the partial sum itself, so no order passes.
-    """
-    log_tol = math.log(TAIL_RELATIVE_TOLERANCE)
-
-    def passes(i: int) -> bool:
-        return tail_bound(first + i + 1, x, params).logmag <= running[i] + log_tol
-
-    last = running.size - 1
-    if last < 0 or not passes(last):
-        return None
-    return bisect.bisect_left(range(last), True, key=passes)
-
-
 def _sum_internals(x: float, params: SumParams) -> tuple[float, np.ndarray, int]:
     """(log S, term logs, n_stop) with the tail certified negligible.
 
     One lazy recurrence pass, hermite_core._scalar_loop, converted to
     logs in blocks whose ends the stop rule picks.  n_stop is the
-    smallest order n >= max(N, 64), N the analysis cutoff, where
-    tail_bound(n + 1) is at most TAIL_RELATIVE_TOLERANCE times the
-    partial sum through n, a lower bound on S (see _first_passing).  The
-    first block runs to max(N, 64), rounded up to the end of a stride
-    slice (past _LARGEST_BLOCK orders, several blocks do).  Each later
-    block runs to the order where the tail bound would pass against the
+    smallest order n >= max(N, 64), N the analysis cutoff, where the
+    tail bound at n + 1 (_log_tails) is at most TAIL_RELATIVE_TOLERANCE
+    times the partial sum through n, a lower bound on S.  Each block
+    tests all its orders at once and stops at the first that passes;
+    the orders below max(N, 64) only feed the partial sum.  The first
+    block runs to max(N, 64), rounded up to the end of a stride slice
+    (past _LARGEST_BLOCK orders, several blocks do).  For beta < 0 the
+    bound is infinite up to order |beta| / (kappa y), so the blocks run
+    on to the first order where it is finite.  Past both, each block
+    runs to the order where the tail bound would pass against the
     partial sum so far if it fell by e^(-kappa y) an order.  For
     beta >= 0 it falls at least that fast, so one block reaches n_stop;
     for beta < 0 the solve repeats from the block end.  log S is summed
     over all kept terms at once, so it does not depend on the block
-    boundaries.  Raises ValueError for an x hermite_core rejects or whose
-    analysis cutoff lies past _MAX_ORDER.
+    boundaries.  Raises ValueError for an x hermite_core rejects or
+    whose analysis cutoff lies past _MAX_ORDER.
     """
     hermite_core._check_arguments(_MAX_ORDER, x)
     x = abs(x)
+    kappa_y = params.kappa * params.y
     n_cut = truncation_index(x, params.y)
     if n_cut > _MAX_ORDER:
         raise ValueError(f"analysis cutoff N={n_cut} at x={x} lies past order {_MAX_ORDER}")
     n_min = max(n_cut, 64)
+    # the block solve starts past max(N, 64) and past the first order
+    # whose tail bound is finite, kappa y n > max(-beta, 0)
+    n_solve = max(n_min, math.floor(max(-params.beta, 0.0) / kappa_y) + 1)
     log_tol = math.log(TAIL_RELATIVE_TOLERANCE)
     slices = hermite_core._scalar_loop(_MAX_ORDER, x, keep=True)
     _, logs = hermite_core._next_orders(slices, min(n_min, _LARGEST_BLOCK) + 1, x, 0)
@@ -346,20 +327,20 @@ def _sum_internals(x: float, params: SumParams) -> tuple[float, np.ndarray, int]
         if skip:
             log_partial = float(np.logaddexp(log_partial, _log_sum(terms[:skip])))
         running = np.logaddexp.accumulate(np.concatenate(([log_partial], terms[skip:])))[1:]
-        first = n_end + skip + 1
         n_end += terms.size
-        stop = _first_passing(first, running, x, params)
-        if stop is not None:
-            blocks[-1] = terms[: skip + stop + 1]
+        passing = _log_tails(n[skip:] + 1.0, params) <= running + log_tol
+        if passing.any():
+            stop = skip + int(passing.argmax())
+            blocks[-1] = terms[: stop + 1]
             terms = np.concatenate(blocks)
-            return _log_sum(terms), terms, first + stop
+            return _log_sum(terms), terms, int(n[stop])
         if running.size:
             log_partial = float(running[-1])
-        if n_end < n_min:
-            count = n_min - n_end
+        if n_end < n_solve:
+            count = n_solve - n_end
         else:
-            gap = tail_bound(n_end + 1, x, params).logmag - (log_partial + log_tol)
-            count = math.ceil(min(gap / (params.kappa * params.y), _MAX_ORDER))
+            gap = float(_log_tails(n_end + 1, params)) - (log_partial + log_tol)
+            count = math.ceil(min(gap / kappa_y, _MAX_ORDER))
         count = min(max(count, 1), _LARGEST_BLOCK)
         _, logs = hermite_core._next_orders(slices, count, x, n_end + 1)
     raise RuntimeError(f"tail certification failed to converge by n={n_end} at x={x}")
@@ -370,12 +351,14 @@ def direct_sum(x: float, params: SumParams) -> SignedLog:
 
     One streaming pass of the recurrence in ascending n, converted to
     logs in a few blocks: the sum stops at the first order past the
-    analysis cutoff N (at least 64) where tail_bound certifies a
-    relative tail below TAIL_RELATIVE_TOLERANCE against the partial sum
-    so far.  S is even in x, so negative arguments are folded; every
-    term is nonnegative and the result sign is +1.  Raises ValueError
-    for a non-finite x or one whose cutoff N exceeds 4e6 orders
-    (|x| above about 2.9e3 at y = 1/2).
+    analysis cutoff N (at least 64) where the geometric tail bound of
+    tail_bound, taken from the next order on, is below
+    TAIL_RELATIVE_TOLERANCE times the partial sum so far.  For beta < 0
+    that bound is infinite up to order |beta| / (kappa y), so the sum
+    runs at least that far.  S is even in x, so negative arguments are
+    folded; every term is nonnegative and the result sign is +1.  Raises
+    ValueError for a non-finite x or one whose cutoff N exceeds 4e6
+    orders (|x| above about 2.9e3 at y = 1/2).
     """
     log_s, _, _ = _sum_internals(x, params)
     return SignedLog(1, log_s)
@@ -467,7 +450,7 @@ def largeness_threshold(y: float) -> float:
 
     def usable(x: float) -> bool:
         try:
-            find_nmax(x, y, n_samples=3)
+            find_nmax(x, y)
         except ValueError:
             return False
         return True

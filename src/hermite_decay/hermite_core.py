@@ -11,10 +11,11 @@ three-term recurrence runs on rescaled values with an integer count of
 rescaling walls, so orders up to 10^6 and arguments up to 10^3 never
 materialize an over- or underflowing double.  The walls are tested once
 every few dozen steps, as often as the largest |x| needs to keep the
-running values inside 2^(+-912).  Arguments below 2^-511 in magnitude
-run at +-2^-511, where h_n is even or odd to double precision, so no
-step starts from a subnormal; every frontend rejects x that is not
-finite or exceeds 2^511 in magnitude, where a step would overflow.
+running values below 2^912; they never fall below 2^-263 (see
+_scalar_loop).  Arguments below 2^-511 in magnitude run at +-2^-511,
+where h_n is even or odd to double precision, so no step starts from a
+subnormal; every frontend rejects x that is not finite or exceeds 2^511
+in magnitude, where a step would overflow.
 
 The recurrence h_{k+1} = x sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1}
 runs on m_k = h_k / (pi^(-1/4) e^(-x^2/2)), diagonally rescaled so
@@ -51,14 +52,15 @@ import numpy as np
 _LN_PI = math.log(math.pi)
 _LN_2 = math.log(2.0)
 
-# Rescaling walls for the running recurrence values, tested once every
+# Rescaling wall for the running recurrence values, tested once every
 # _stride(max |x|) steps.  One step p_{k+1} = (x a'_k) p_k - p_{k-1},
 # with a'_k <= sqrt(2), changes the larger of the pair by at most a
 # factor sqrt(2)|x| + 1 <= 2|x| + 2, so a stride moves it by at most
-# _STRIDE_BITS bits: between two tests it stays inside 2^(+-(512 + _STRIDE_BITS)),
-# normal and finite, and one multiply by 2^(+-512) per crossing brings
-# it back.  Scaling by a power of two is exact for normal doubles, so
-# where the test runs changes no represented value.
+# _STRIDE_BITS bits: between two tests it stays below 2^(512 + _STRIDE_BITS),
+# finite, and one multiply by 2^-512 per crossing brings it back.  The
+# pair never needs a wall below (see _scalar_loop).  Scaling by a power
+# of two is exact for normal doubles, so where the test runs changes no
+# represented value.
 _WALL_HI = 2.0**512
 _WALL_LO = 2.0**-512
 _STRIDE_BITS = 400
@@ -327,19 +329,27 @@ def _scalar_loop(n: int, x: float, dtype=float, keep: bool = False):
     block, rounded as the array loop rounds it, and each step is one
     multiply and one subtract.  Each block is walked in slices of
     _stride(|x|) steps; after each slice, if the larger of the pair lies
-    outside [2^-512, 2^512], both move back by one wall and the integer
-    count walls records it.  So the pair stays inside 2^(+-912), and
-    every p_k is the value a test after each step would give, times an
-    exact power of two.  A tiny x (0 < |x| < _TINY_X) runs at
-    copysign(_TINY_X, x); _odd_scale gives the factor back.
+    above 2^512, both move down by one wall and the integer count walls
+    records it.  So the pair stays below 2^912, and every p_k is the
+    value a test after each step would give, times an exact power of
+    two.  A tiny x (0 < |x| < _TINY_X) runs at copysign(_TINY_X, x);
+    _odd_scale gives the factor back.
 
-    The lower wall fires on no input known: from p_0 = 1 the pair grows
-    through the monotonic region, and in the oscillatory one |h_k|
-    decays only like (2k - x^2)^(-1/4) while 1/s_k grows like k^(1/4),
-    so the larger of the pair stays near its peak (within 6 bits for x
-    from 0 to 10^3 and n up to 2 10^5), far from falling 2^512 below
-    its last upward wall.  The branch stays, since nothing here proves
-    that for every x.
+    No wall is needed below.  Christoffel-Darboux at coincident points
+    gives
+
+        sum_{j<k} h_j^2 = k (h_{k-1}^2 + h_k^2) - sqrt(2k) x h_{k-1} h_k
+                        <= (k + |x| sqrt(k/2)) (h_{k-1}^2 + h_k^2),
+
+    so no h_j with j < k exceeds sqrt(2 (k + |x| sqrt(k/2))) times the
+    larger of h_{k-1}, h_k.  Each parity chain of s_k falls, so
+    s_j >= min(s_{k-1}, s_k), and neighbouring scales differ by at most
+    sqrt(2).  In p, then, the larger of the pair never falls more than
+    2 sqrt(k + |x| sqrt(k/2)) below any earlier p_j: less than 2^263
+    for k <= 4 10^6 and |x| <= 2^511, and less than 2^512 for every k
+    below 2^900.  It is at least 1 at p_0 and after every wall, so up to
+    order 4 10^6 it stays above 2^-263, a margin of 2^249 against the
+    rounding drift of the loop.
 
     Yields (ps, walls, scales), the p_k (in dtype), their wall counts
     and their s_k (in dtype).  With keep, first order 0 alone, then one
@@ -385,10 +395,6 @@ def _scalar_loop(n: int, x: float, dtype=float, keep: bool = False):
                 p_cur *= _WALL_LO
                 p_prev *= _WALL_LO
                 walls += 1
-            elif 0.0 < big < _WALL_LO:
-                p_cur *= _WALL_HI
-                p_prev *= _WALL_HI
-                walls -= 1
         s_n = s_block[-1]
     if not keep:
         yield [p_cur], [walls], [s_n]
@@ -448,10 +454,10 @@ def _array_loop(xs: np.ndarray, n_top: int):
                 yield k, p_cur, walls, False, s
                 continue
             big = np.maximum(np.abs(p_cur), np.abs(p_prev))
-            shift = (big > _WALL_HI).astype(np.intc) - ((big > 0.0) & (big < _WALL_LO))
+            shift = (big > _WALL_HI).astype(np.intc)
             rescaled = shift.any()
             if rescaled:
-                scale = np.ldexp(1.0, -512 * shift)  # exactly 2^-512, 1 or 2^512
+                scale = np.ldexp(1.0, -512 * shift)  # exactly 2^-512 or 1
                 p_cur *= scale
                 p_prev *= scale
                 walls += shift
@@ -501,7 +507,7 @@ def hermite_exact(n: int, x: float) -> SignedLog:
     Runs h_{k+1} = x sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1} from
     h_0 = pi^(-1/4) e^(-x^2/2) as p_k = m_k / s_k with a unit h_{k-1}
     coefficient (see the module docstring), keeping the running pair
-    inside 2^(+-912) and counting discarded exponents separately; s_n
+    below 2^912 and counting discarded exponents separately; s_n
     goes back into ln|m_n| = ln(|p_n| s_n), in the loop's float type.
     Forward recurrence is stable here: h_n is the dominant solution in
     the classically allowed region.  At |x| near 1e3 the log magnitude

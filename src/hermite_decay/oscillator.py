@@ -67,7 +67,6 @@ class HermiteCoefficients:
     """
 
     coeffs: tuple[float, ...]
-    basis_scale: float = BASIS_SCALE
     quad_error: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
@@ -76,8 +75,6 @@ class HermiteCoefficients:
             raise ValueError("at least one coefficient is required")
         if any(not math.isfinite(c) for c in coeffs):
             raise ValueError("coefficients must be finite")
-        if self.basis_scale != BASIS_SCALE:
-            raise ValueError("basis_scale is fixed at sqrt(2 pi)")
         errors = tuple(float(e) for e in self.quad_error)
         if not errors:
             errors = (0.0,) * len(coeffs)
@@ -157,7 +154,7 @@ def envelope_tail_log(alpha: float, c_bound: float, n_top: int) -> float:
     """
     if not c_bound > 0.0 or not math.isfinite(c_bound):
         raise ValueError("c_bound must be positive and finite")
-    tail = tail_bound(n_top + 1, 0.0, SumParams(1.0, 0.25, alpha)).logmag
+    tail = tail_bound(n_top + 1, SumParams(1.0, 0.25, alpha)).logmag
     return math.log(c_bound) + math.log(BASIS_NORMALIZER) + tail
 
 
@@ -235,7 +232,7 @@ def expand(f, n_terms: int, quad: QuadratureSpec | None = None) -> HermiteCoeffi
     # tighter than this
     floor = 4.0 * np.finfo(float).eps * UNIFORM_BASIS_BOUND * mass
     diff = np.maximum(diff, floor)
-    return HermiteCoefficients(tuple(current), BASIS_SCALE, tuple(diff))
+    return HermiteCoefficients(tuple(current), tuple(diff))
 
 
 def gaussian_coefficients(alpha: float, n_terms: int) -> HermiteCoefficients:
@@ -262,7 +259,7 @@ def gaussian_coefficients(alpha: float, n_terms: int) -> HermiteCoefficients:
             - math.lgamma(m + 1)
         )
         coeffs[2 * m] = math.exp(log_c)
-    return HermiteCoefficients(tuple(coeffs), BASIS_SCALE)
+    return HermiteCoefficients(tuple(coeffs))
 
 
 def synthetic_envelope_coefficients(
@@ -282,7 +279,7 @@ def synthetic_envelope_coefficients(
     coeffs = [0.0] * (n_terms + 1)
     for n in range(1, n_terms + 1):
         coeffs[n] = signs[n] * vemuri_envelope(n, alpha)
-    return HermiteCoefficients(tuple(coeffs), BASIS_SCALE)
+    return HermiteCoefficients(tuple(coeffs))
 
 
 def vemuri_decay_check(coeffs: HermiteCoefficients, alpha: float) -> float:

@@ -44,6 +44,21 @@ FROZEN_ARGUMENT_VALUES = [
 ]
 
 
+def count_recurrence_orders(monkeypatch) -> list:
+    """Count the orders each later _scalar_loop pass yields, one list entry a pass."""
+    passes = []
+    loop = hermite_core._scalar_loop
+
+    def counting(n, x, dtype=float, keep=False):
+        passes.append(0)
+        for ps, *rest in loop(n, x, dtype, keep):
+            passes[-1] += len(ps)
+            yield ps, *rest
+
+    monkeypatch.setattr(hermite_core, "_scalar_loop", counting)
+    return passes
+
+
 class TestSumParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -187,7 +202,9 @@ class TestFindNmax:
         assert isinstance(profile, ArgumentProfile)
         assert 1.0 <= profile.n_max <= profile.truncation_n - 1
         assert profile.lam == profile.n_max / (40.0 * 40.0)
-        assert all(s[3] < 0.0 for s in profile.samples)  # A'' < 0 throughout
+        # A'' < 0 throughout [1, N - 1]
+        for n in np.linspace(1.0, profile.truncation_n - 1.0, 33):
+            assert argument_derivatives(float(n), 40.0, 0.5)[1] < 0.0
         assert profile.a_max == pytest.approx(
             argument_function(profile.n_max, 40.0, 0.5), rel=1e-12
         )
@@ -287,19 +304,24 @@ class TestDirectSum:
         # the truncation streams: one recurrence sweep per sum, stopping
         # within one block of the analysis cutoff instead of restarting
         # from n = 0 at a doubled cutoff
-        passes = []
-        loop = hermite_core._scalar_loop
-
-        def counting(n, x, dtype=float, keep=False):
-            passes.append(0)
-            for ps, *rest in loop(n, x, dtype, keep):
-                passes[-1] += len(ps)
-                yield ps, *rest
-
-        monkeypatch.setattr(hermite_core, "_scalar_loop", counting)
+        passes = count_recurrence_orders(monkeypatch)
         direct_sum(x, SumParams(kappa, beta, y))
         assert len(passes) == 1
         assert passes[0] <= max(truncation_index(x, y), 64) + 1025
+
+    @pytest.mark.parametrize(
+        "kappa, beta, y", [(1.0, -0.5, 0.5), (2.0, -2.0, 0.3), (1.0, -140.0, 0.5), (1.0, -1000.0, 0.5)]
+    )
+    @pytest.mark.parametrize("x", [7.5, 60.0, 150.0])
+    def test_negative_beta_pass_ends_near_the_stop(self, monkeypatch, kappa, beta, y, x):
+        # the tail bound is infinite up to order |beta| / (kappa y): the
+        # blocks run to the first finite one and solve from there, not
+        # from the infinite bound, so the pass ends within a block of
+        # n_stop
+        passes = count_recurrence_orders(monkeypatch)
+        _, _, n_stop = _sum_internals(x, SumParams(kappa, beta, y))
+        assert len(passes) == 1
+        assert passes[0] <= n_stop + 1025
 
     @pytest.mark.parametrize(
         "kappa, beta, y",
@@ -319,7 +341,7 @@ class TestDirectSum:
         first = next(
             n
             for n in range(max(truncation_index(x, y), 64), n_stop + 1)
-            if tail_bound(n + 1, x, params).logmag <= running[n - 1] + log_tol
+            if tail_bound(n + 1, params).logmag <= running[n - 1] + log_tol
         )
         assert n_stop == first
 
@@ -343,6 +365,14 @@ class TestDirectSum:
         with pytest.raises(ValueError):
             direct_sum(x, SumParams(1.0, 0.25, 0.5))
 
+    def test_large_negative_beta(self):
+        # the tail bound is infinite up to order 2000 here; ln S is frozen
+        # from a truncation at n = 5439 by a looser (dyadic) tail bound,
+        # and the two truncations agree to 1e-12
+        log_s, _, n_stop = _sum_internals(20.0, SumParams(1.0, -1000.0, 0.5))
+        assert n_stop > 2000
+        assert log_s == pytest.approx(6603.244276570468, rel=1e-12)
+
     def test_dominant_term_gap(self):
         # log S sits above the max term by at most ln(3x): the peak is
         # locally Gaussian with width O(x), so the effective term count
@@ -358,7 +388,7 @@ class TestDirectSum:
 class TestTailBound:
     def test_beta_zero_closed_form(self):
         params = SumParams(2.0, 0.0, 0.7)
-        got = tail_bound(25, 5.0, params)
+        got = tail_bound(25, params)
         want = (
             -0.5 * math.log(math.pi)
             - 2.0 * 25 * 0.7
@@ -376,11 +406,44 @@ class TestTailBound:
             n = np.arange(start, start + 100_001, dtype=float)
             t = params.kappa * (logs[start:] - n * params.y) - beta * np.log(n)
             partial = _log_sum(t)
-            assert tail_bound(start, x, params).logmag >= partial
+            assert tail_bound(start, params).logmag >= partial
 
     def test_start_validation(self):
         with pytest.raises(ValueError):
-            tail_bound(0, 1.0, SumParams(1.0, 0.0, 1.0))
+            tail_bound(0, SumParams(1.0, 0.0, 1.0))
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_while_the_majorant_diverges(self):
+        # at beta = -1000 the geometric ratio e^(-kappa y + |beta|/s) is
+        # e^999.5 at s = 1; the bound is +inf up to kappa y s = |beta|
+        # without evaluating it
+        params = SumParams(1.0, -1000.0, 0.5)
+        assert tail_bound(1, params).logmag == math.inf
+        assert tail_bound(2000, params).logmag == math.inf
+        # a form that masks the divergent orders only after computing
+        # their ratio overflows
+        s = np.arange(1.0, 2001.0)
+        with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
+            np.where(s > 2000.0, np.exp(1000.0 / s - 0.5), np.inf)
+
+    @pytest.mark.parametrize("kappa, beta, y", [(1.0, -1000.0, 0.5), (2.0, -2.0, 0.3)])
+    def test_finite_past_the_divergence(self, kappa, beta, y):
+        # past s = |beta| / (kappa y) the bound is the closed form of the
+        # geometric majorant, and dominates the sum of pi^(-kappa/4)
+        # e^(-kappa y n) n^(-beta) over 2e5 orders from s on
+        params = SumParams(kappa, beta, y)
+        for s in (math.floor(-beta / (kappa * y)) + 1, 4000, 100_000):
+            got = tail_bound(s, params).logmag
+            want = (
+                -0.25 * kappa * math.log(math.pi)
+                - beta * math.log(s)
+                - kappa * y * s
+                - math.log1p(-math.exp(-kappa * y - beta / s))
+            )
+            assert got == pytest.approx(want, rel=1e-14)
+            n = np.arange(s, s + 200_000, dtype=float)
+            majorant = -0.25 * kappa * math.log(math.pi) - kappa * y * n - beta * np.log(n)
+            assert got >= _log_sum(majorant)
 
     def test_tail_negligible_against_main_scale(self):
         # at the analysis cutoff N the tail is at most a bounded multiple
@@ -390,7 +453,7 @@ class TestTailBound:
             params = SumParams(kappa, beta, y)
             for x in (20.0, 50.0, 100.0):
                 n_cut = truncation_index(x, y)
-                t = tail_bound(n_cut, x, params).logmag
+                t = tail_bound(n_cut, params).logmag
                 main_scale = -2.0 * beta * math.log(x) - 0.5 * kappa * x * x * math.tanh(y)
                 assert t - main_scale <= 3.0
 

@@ -670,6 +670,19 @@ class TestStridedWalls:
     def test_matches_per_step_walls_at_fixed_points(self, n, xs):
         self.check(n, xs)
 
+    @pytest.mark.parametrize("x", [0.0, 1e-300, 0.01, 0.5, 3.0, -30.0, 150.0, 1000.0])
+    def test_christoffel_darboux_bounds_the_fall(self, x):
+        # sum_{j<k} h_j^2 <= (k + |x| sqrt(k/2)) (h_{k-1}^2 + h_k^2), the
+        # inequality that keeps the pair off a lower wall (an equality at
+        # x = 0, hence the 1e-10 slack on the logs)
+        n = 5000
+        _, logs = hermite_orders(n, x)
+        squares = 2.0 * logs
+        prefix = np.logaddexp.accumulate(squares)[:-1]  # ln sum_{j<k}, k = 1..n
+        k = np.arange(1, n + 1, dtype=float)
+        bound = np.log(k + abs(x) * np.sqrt(k / 2.0)) + np.logaddexp(squares[:-1], squares[1:])
+        assert np.all(prefix <= bound + 1e-10)
+
     def test_stride_shrinks_with_x_and_falls_back_to_every_step(self):
         assert hermite_core._stride(0.0) == 400
         assert hermite_core._stride(1000.0) == 36

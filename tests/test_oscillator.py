@@ -62,8 +62,6 @@ class TestHermiteCoefficients:
         with pytest.raises(ValueError):
             HermiteCoefficients((1.0, math.inf))
         with pytest.raises(ValueError):
-            HermiteCoefficients((1.0,), basis_scale=1.0)
-        with pytest.raises(ValueError):
             HermiteCoefficients((1.0, 0.5), quad_error=(0.0,))
         with pytest.raises(ValueError):
             HermiteCoefficients((1.0,), quad_error=(-1e-3,))
@@ -72,7 +70,6 @@ class TestHermiteCoefficients:
         c = HermiteCoefficients((0.5, 0.25))
         assert c.quad_error == (0.0, 0.0)
         assert c.truncation_n == 1
-        assert c.basis_scale == BASIS_SCALE
 
 
 class TestExpand:
