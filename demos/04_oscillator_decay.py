@@ -16,7 +16,7 @@ import numpy as np
 
 from hermite_decay import (
     decay_certificate,
-    evolve,
+    evolve_grid,
     gaussian_coefficients,
     vemuri_decay_check,
     weighted_sup,
@@ -36,8 +36,8 @@ for n in (0, 2, 20, 80):
 # 2. Evolve to a few times and watch the pointwise values.  At t = 0
 #    the series resums f itself; at t = 1/2 it resums -f exactly.
 for t in (0.0, 0.125, 0.5):
-    v = evolve(coeffs, 1.0, t, envelope=(alpha, c_bound))
-    print(f"t={t:5.3f}  Phi(1, t) = {v.value:+.6f}  tail <= {v.tail_radius:.1e}")
+    values, tail = evolve_grid(coeffs, [1.0], t, envelope=(alpha, c_bound))
+    print(f"t={t:5.3f}  Phi(1, t) = {complex(values[0]):+.6f}  tail <= {tail:.1e}")
 print(f"f(1)     = {math.exp(-math.tanh(2.0 * alpha) * math.pi):+.6f}")
 
 # 3. The decay claim: sup over x and a dyadic time grid of

@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from hermite_decay.hermite_core import (
     SignedLog,
-    PhiCoordinate,
     hermite_exact,
     hermite_orders,
     hermite_batch,
@@ -33,7 +32,6 @@ from hermite_decay.oscillator import (
     gaussian_coefficients,
     vemuri_decay_check,
     vemuri_envelope,
-    evolve,
     evolve_grid,
     weighted_sup,
     decay_certificate,
@@ -41,7 +39,6 @@ from hermite_decay.oscillator import (
 
 __all__ = [
     "SignedLog",
-    "PhiCoordinate",
     "hermite_exact",
     "hermite_orders",
     "hermite_batch",
@@ -65,7 +62,6 @@ __all__ = [
     "gaussian_coefficients",
     "vemuri_decay_check",
     "vemuri_envelope",
-    "evolve",
     "evolve_grid",
     "weighted_sup",
     "decay_certificate",

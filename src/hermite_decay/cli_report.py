@@ -119,8 +119,8 @@ class SweepConfig:
             self.sum_params()
         if self.mode == "nmax" and self.y is None:
             raise ValueError(f"y is required for mode {self.mode}")
-        if self.mode == "nmax" and not self.y > 0.0:
-            raise ValueError("y must be positive")
+        if self.mode == "nmax" and not (math.isfinite(self.y) and self.y > 0.0):
+            raise ValueError(f"y must be finite and positive, got {self.y!r}")
         if self.mode == "eval":
             if self.order is None:
                 raise ValueError("order is required for mode eval")

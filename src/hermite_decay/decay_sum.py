@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hermite_decay import hermite_core
-from hermite_decay.hermite_core import EPSILON_MONOTONIC, SignedLog, phi_coordinate
+from hermite_decay.hermite_core import SignedLog, phi_coordinate
 
 _LN_PI = math.log(math.pi)
 
@@ -102,22 +102,13 @@ class SharpnessCertificate:
     params: SumParams
 
 
-def monotonic_margin(y: float) -> float:
-    """y-dependent monotonic-region margin eps = (1 - tanh(y)/y) / 2.
-
-    Chosen so the truncation window 2(n+1) <= x^2 tanh(y)/y sits halfway
-    inside the (1 - eps) x^2 / 2 regime; never below EPSILON_MONOTONIC.
-    """
-    if y <= 0.0:
-        raise ValueError(f"y must be positive, got {y}")
-    return max(0.5 * (1.0 - math.tanh(y) / y), EPSILON_MONOTONIC)
-
-
 def truncation_index(x: float, y: float) -> int:
     """N = max(floor(x^2 tanh(y) / (2y)) - 1, 1), the analysis cutoff.
 
     Orders n >= N contribute only a geometrically certified tail; orders
-    n < N lie inside the monotonic region with margin monotonic_margin(y).
+    n < N lie inside the monotonic region 2(n+1) <= (1 - eps) x^2 with
+    margin eps = max((1 - tanh(y)/y) / 2, 1e-3), which puts the window
+    2(n+1) <= x^2 tanh(y)/y halfway inside that region.
     """
     return max(int(x * x * math.tanh(y) / (2.0 * y)) - 1, 1)
 
@@ -133,7 +124,7 @@ def argument_function(n: float, x: float, y: float) -> float:
     disc = x * x - 2.0 * (n + 1.0)
     if disc < 0.0:
         raise ValueError(f"n={n} lies past the turning point (x^2 - 2(n+1) < 0)")
-    phi = phi_coordinate(n, x).phi
+    phi = phi_coordinate(n, x)
     return n * phi - n * y - 0.5 * x * math.sqrt(disc)
 
 
@@ -148,7 +139,7 @@ def argument_derivatives(n: float, x: float, y: float) -> tuple[float, float]:
     disc = x * x - 2.0 * (n + 1.0)
     if disc <= 0.0:
         raise ValueError(f"n={n} is at or past the turning point for x={x}")
-    phi = phi_coordinate(n, x).phi
+    phi = phi_coordinate(n, x)
     root = math.sqrt(disc)
     a1 = phi + x / (2.0 * (n + 1.0) * root) - y
     a2 = (
@@ -356,9 +347,12 @@ def direct_sum(x: float, params: SumParams) -> SignedLog:
     TAIL_RELATIVE_TOLERANCE times the partial sum so far.  For beta < 0
     that bound is infinite up to order |beta| / (kappa y), so the sum
     runs at least that far.  S is even in x, so negative arguments are
-    folded; every term is nonnegative and the result sign is +1.  Raises
-    ValueError for a non-finite x or one whose cutoff N exceeds 4e6
-    orders (|x| above about 2.9e3 at y = 1/2).
+    folded; every term is nonnegative and the result sign is +1.  The
+    recurrence runs in doubles at every order, as in hermite_orders,
+    whose drift in ln|h_n| is 3.4e-12 at n = 2e5 and 8.1e-10 at
+    n = 1e6 (ROADMAP.md, item 3).  Raises ValueError for a non-finite x
+    or one whose cutoff N exceeds 4e6 orders (|x| above about 2.9e3 at
+    y = 1/2).
     """
     log_s, _, _ = _sum_internals(x, params)
     return SignedLog(1, log_s)
@@ -435,54 +429,20 @@ def sharpness_certificate(x_grid, params: SumParams) -> SharpnessCertificate:
     )
 
 
-def default_sweep_start(y: float) -> float:
-    """Conservative default first x for sweeps at a given y."""
-    return max(10.0, 3.0 / math.sqrt(math.tanh(y)))
-
-
-def largeness_threshold(y: float) -> float:
-    """Smallest x (to ~1e-6) at which find_nmax operates for this y.
-
-    Operational definition: the truncation window holds at least 3
-    orders and the A' bracket on (0, y) has a sign change.  Found by
-    bisection on that predicate.
-    """
-
-    def usable(x: float) -> bool:
-        try:
-            find_nmax(x, y)
-        except ValueError:
-            return False
-        return True
-
-    hi = default_sweep_start(y)
-    while not usable(hi):
-        hi *= 2.0
-        if hi > 1e6:
-            raise RuntimeError(f"no usable x found for y={y}")
-    lo = 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if usable(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def theta_sum(scale: float) -> float:
     """sum over all integers n of e^(-scale n^2), scale > 0; exact fsum."""
-    if scale <= 0.0:
+    if not scale > 0.0:
         raise ValueError(f"scale must be positive, got {scale}")
-    terms = [1.0]
-    n = 1
-    while True:
-        t = math.exp(-scale * n * n)
-        if t < 1e-22:
-            break
-        terms.append(2.0 * t)  # n and -n contribute equally
-        n += 1
-    return math.fsum(terms)
+
+    def terms():
+        yield 1.0
+        n = 1
+        while (t := math.exp(-scale * n * n)) >= 1e-22:
+            yield 2.0 * t  # n and -n contribute equally
+            n += 1
+
+    # a generator, not a list: gaussian_theta(1e8, 1) sums 4e8 terms
+    return math.fsum(terms())
 
 
 def gaussian_theta(x: float, delta: float) -> float:

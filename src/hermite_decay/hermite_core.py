@@ -92,8 +92,8 @@ _TINY_X = 2.0**-511
 # finite).
 _X_MAX = 2.0**511
 
-# Hard floor on the monotonic-region margin epsilon: callers may pass a
-# larger (e.g. y-dependent) epsilon but never a smaller one.
+# Margin epsilon of the monotonic region 2(n+1) <= (1 - epsilon) x^2 that
+# the Plancherel-Rotach forms accept.
 EPSILON_MONOTONIC = 1e-3
 
 # Above this order the drift of the forward recurrence in doubles would
@@ -149,44 +149,14 @@ class SignedLog:
             return math.inf * self.sign
 
 
-@dataclass(frozen=True)
-class PhiCoordinate:
-    """Hyperbolic coordinate of a point in the monotonic region.
+def phi_coordinate(n: float, x: float) -> float:
+    """Hyperbolic coordinate phi = arccosh(x / sqrt(2(n+1))) of the monotonic region.
 
-    phi >= 0 satisfies x = sqrt(2(n+1)) * cosh(phi); phi = 0 exactly on
-    the boundary x = sqrt(2(n+1)).
-    """
-
-    phi: float
-    n: float
-    x: float
-
-
-def phi_coordinate(n: float, x: float) -> PhiCoordinate:
-    """Hyperbolic coordinate phi = arccosh(x / sqrt(2(n+1))).
-
-    Parameters
-    ----------
-    n : float
-        Order, n >= 0.  Real values are accepted; the weighted-sum
-        analysis treats the order as a continuous variable.
-    x : float
-        Evaluation point, x >= sqrt(2(n+1)).
-
-    Returns
-    -------
-    PhiCoordinate
-
-    Raises
-    ------
-    ValueError
-        If x < sqrt(2(n+1)), i.e. the point lies outside the monotonic
-        region.
-
-    Notes
-    -----
-    Computed in the log form arccosh(r) = ln(r + sqrt(r^2 - 1)), which
-    is stable for the large ratios r that arise at big x.
+    phi >= 0 with x = sqrt(2(n+1)) cosh(phi), exactly 0 on the boundary
+    x = sqrt(2(n+1)).  The order n >= 0 may be real: the weighted-sum
+    analysis treats it as a continuous variable.  Raises ValueError for
+    x < sqrt(2(n+1)), outside the monotonic region.  Computed in the log
+    form ln(r + sqrt(r^2 - 1)), stable for the large ratios r at big x.
     """
     if n < 0:
         raise ValueError(f"order must be nonnegative, got {n}")
@@ -196,8 +166,7 @@ def phi_coordinate(n: float, x: float) -> PhiCoordinate:
         raise ValueError(
             f"x={x} is below the monotonic-region edge sqrt(2(n+1))={edge} for order n={n}"
         )
-    phi = math.log(r + math.sqrt(r * r - 1.0))
-    return PhiCoordinate(phi=phi, n=n, x=x)
+    return math.log(r + math.sqrt(r * r - 1.0))
 
 
 def _square_with_residual(x):
@@ -547,9 +516,15 @@ def hermite_orders(n_top: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     Notes
     -----
     Same rescaled recurrence and compensated ledger as hermite_exact,
-    in doubles for every n_top; one pass costs O(n_top) regardless of
-    how far below double range the values sit.  Raises ValueError for
-    n_top < 0 or an x that hermite_exact rejects.
+    but in doubles for every n_top: no order switches to long double,
+    so the 1e-10 contract holds only as far as the double loop's drift
+    allows.  Against hermite_exact, the worst |error| in ln|h_n| over
+    seven x in [0.5, 1000] is 3.4e-12 at n = 2e5 (at x = 600), while
+    h_{1e6}(900) reads -10.83972416038096 against -10.839724161192464,
+    an error of 8.1e-10, past the contract (ROADMAP.md, item 3).  One
+    pass costs O(n_top) regardless of how far below double range the
+    values sit.  Raises ValueError for n_top < 0 or an x that
+    hermite_exact rejects.
     """
     _check_arguments(n_top, x)
     return _next_orders(_scalar_loop(n_top, x, keep=True), n_top + 1, x, 0)
@@ -572,8 +547,10 @@ def hermite_batch(orders, xs) -> tuple[np.ndarray, np.ndarray]:
     -----
     All pairs advance through the recurrence together, each harvested at
     its own order; total work is O(max order) vectorized across the
-    batch.  Raises ValueError for a negative order or an x that
-    hermite_exact rejects.
+    batch.  Runs in doubles at every order, with the drift measured for
+    hermite_orders: 3.4e-12 in ln|h_n| at n = 2e5, and 8.1e-10, past the
+    1e-10 contract, at h_{1e6}(900) (ROADMAP.md, item 3).  Raises
+    ValueError for a negative order or an x that hermite_exact rejects.
     """
     orders = np.asarray(orders, dtype=np.int64)
     xs = np.asarray(xs, dtype=float)
@@ -667,28 +644,25 @@ def hermite_moment_sweep(xs, weights, n_top: int) -> np.ndarray:
     return out
 
 
-def _require_monotonic(n: float, x: float, eps: float | None) -> float:
-    """Validate 2 <= n+1 <= (1-eps) x^2 / 2 and return the effective eps."""
-    eff = EPSILON_MONOTONIC if eps is None else max(eps, EPSILON_MONOTONIC)
+def _require_monotonic(n: float, x: float) -> None:
+    """Validate 2 <= n+1 <= (1-eps) x^2 / 2 with eps = EPSILON_MONOTONIC."""
     if n + 1.0 < 2.0:
         raise ValueError(f"asymptotic forms need order n >= 1, got n={n}")
-    if 2.0 * (n + 1.0) > (1.0 - eff) * x * x:
+    if 2.0 * (n + 1.0) > (1.0 - EPSILON_MONOTONIC) * x * x:
         raise ValueError(
             f"(n={n}, x={x}) is outside the monotonic regime 2(n+1) <= (1-eps) x^2 "
-            f"with eps={eff}"
+            f"with eps={EPSILON_MONOTONIC}"
         )
-    return eff
 
 
-def plancherel_rotach_estimate(n: float, x: float, eps: float | None = None) -> SignedLog:
+def plancherel_rotach_estimate(n: float, x: float) -> SignedLog:
     """Monotonic-region Plancherel-Rotach estimate of h_n(x).
 
     Parameters
     ----------
     n, x : float
-        Point with 2 <= n+1 <= (1-eps) x^2 / 2; x > 0.
-    eps : float, optional
-        Monotonic-region margin; floored at EPSILON_MONOTONIC.
+        Point with 2 <= n+1 <= (1-eps) x^2 / 2, eps = EPSILON_MONOTONIC;
+        x > 0.
 
     Returns
     -------
@@ -708,7 +682,7 @@ def plancherel_rotach_estimate(n: float, x: float, eps: float | None = None) -> 
     useful direction for upper bounds; relative accuracy improves as n
     grows and degrades toward the turning point.
     """
-    _require_monotonic(n, x, eps)
+    _require_monotonic(n, x)
     nu = 2.0 * n + 1.0
     root = math.sqrt(x * x - nu)  # sqrt(nu) sinh(phi)
     sh = root / math.sqrt(nu)
@@ -724,9 +698,7 @@ def plancherel_rotach_estimate(n: float, x: float, eps: float | None = None) -> 
     return SignedLog(1, logmag)
 
 
-def hermite_pr_bound(
-    n: float, x: float, kappa: float, beta: float, y: float, eps: float | None = None
-) -> SignedLog:
+def hermite_pr_bound(n: float, x: float, kappa: float, beta: float, y: float) -> SignedLog:
     """Reduced per-term bound for the weighted sum, in log form.
 
     Returns the log of n^(-1/4 - beta) exp(kappa A(n)) with
@@ -738,8 +710,8 @@ def hermite_pr_bound(
     Same domain as plancherel_rotach_estimate; no implicit constant is
     included (constants are calibration outputs, not ground truth).
     """
-    _require_monotonic(n, x, eps)
-    phi = phi_coordinate(n, x).phi
+    _require_monotonic(n, x)
+    phi = phi_coordinate(n, x)
     disc = x * x - 2.0 * (n + 1.0)
     logmag = (-0.25 - beta) * math.log(n) + kappa * (
         n * phi - n * y - 0.5 * x * math.sqrt(disc)

@@ -91,14 +91,6 @@ class HermiteCoefficients:
 
 
 @dataclass(frozen=True)
-class EvolvedValue:
-    """Truncated series value with a rigorous radius for the dropped tail."""
-
-    value: complex
-    tail_radius: float
-
-
-@dataclass(frozen=True)
 class DecayCertificate:
     """Grid-certified Gaussian decay of the evolved expansion.
 
@@ -128,6 +120,16 @@ class DecayCertificate:
     log_tail_contribution: float
 
 
+def _check_alpha(alpha: float, name: str = "alpha") -> None:
+    if not alpha > 0.0 or not math.isfinite(alpha):
+        raise ValueError(f"{name} must be positive and finite")
+
+
+def _log_envelope(n: int, alpha: float) -> float:
+    m = max(int(n), 1)
+    return -alpha * m - 0.25 * math.log(m)
+
+
 def vemuri_envelope(n: int, alpha: float) -> float:
     """Coefficient decay envelope e^(-alpha n) n^(-1/4), clamped at n = 1.
 
@@ -135,15 +137,22 @@ def vemuri_envelope(n: int, alpha: float) -> float:
     a pure e_0 certifies with constant e^alpha rather than an undefined
     0^(-1/4).
     """
-    if not alpha > 0.0 or not math.isfinite(alpha):
-        raise ValueError("alpha must be positive and finite")
-    m = max(int(n), 1)
-    return math.exp(-alpha * m) * m**-0.25
+    _check_alpha(alpha)
+    return math.exp(_log_envelope(n, alpha))
 
 
-def _log_envelope(n: int, alpha: float) -> float:
-    m = max(int(n), 1)
-    return -alpha * m - 0.25 * math.log(m)
+def _certified_envelopes(coeffs: HermiteCoefficients, alpha: float) -> list[tuple[int, float]]:
+    """(n, ln envelope) for each index whose quad_error fits under the envelope.
+
+    A larger quad_error cannot tell a genuine coefficient from
+    quadrature noise at the scale being tested.
+    """
+    certified = []
+    for n, err in enumerate(coeffs.quad_error):
+        log_env = _log_envelope(n, alpha)
+        if err <= math.exp(log_env):
+            certified.append((n, log_env))
+    return certified
 
 
 def envelope_tail_log(alpha: float, c_bound: float, n_top: int) -> float:
@@ -242,8 +251,7 @@ def gaussian_coefficients(alpha: float, n_terms: int) -> HermiteCoefficients:
     rho = (1 - a)/(1 + a) = e^(-4 alpha); odd coefficients vanish by
     parity.  Assembled in log space, so there is no factorial overflow.
     """
-    if not alpha > 0.0 or not math.isfinite(alpha):
-        raise ValueError("alpha must be positive and finite")
+    _check_alpha(alpha)
     if n_terms < 0:
         raise ValueError("n_terms must be nonnegative")
     a = math.tanh(2.0 * alpha)
@@ -262,50 +270,24 @@ def gaussian_coefficients(alpha: float, n_terms: int) -> HermiteCoefficients:
     return HermiteCoefficients(tuple(coeffs))
 
 
-def synthetic_envelope_coefficients(
-    alpha: float, n_terms: int, seed: int | None = None
-) -> HermiteCoefficients:
-    """Coefficient vector sitting exactly on the decay envelope.
-
-    c_n = s_n e^(-alpha n) n^(-1/4) for n >= 1 with signs s_n = +1, or
-    random +-1 when a seed is given; c_0 = 0.  By construction the
-    certified decay constant is exactly 1.
-    """
-    if n_terms < 1:
-        raise ValueError("n_terms must be at least 1")
-    signs = np.ones(n_terms + 1)
-    if seed is not None:
-        signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=n_terms + 1)
-    coeffs = [0.0] * (n_terms + 1)
-    for n in range(1, n_terms + 1):
-        coeffs[n] = signs[n] * vemuri_envelope(n, alpha)
-    return HermiteCoefficients(tuple(coeffs))
-
-
 def vemuri_decay_check(coeffs: HermiteCoefficients, alpha: float) -> float:
     """Smallest C with |c_n| <= C e^(-alpha n) n^(-1/4) over testable n.
 
-    Indices whose quad_error exceeds the envelope cannot distinguish a
-    genuine coefficient from quadrature noise at the scale being
-    tested, so they are excluded.  Returns +inf when the largest ratio
-    sits at the truncation edge on a rising trend: the data then shows
-    no attained supremum and certifies nothing.
+    Indices whose quad_error exceeds the envelope are excluded (see
+    _certified_envelopes).  Returns +inf when the largest ratio sits at
+    the truncation edge on a rising trend: the data then shows no
+    attained supremum and certifies nothing.
     """
-    if not alpha > 0.0 or not math.isfinite(alpha):
-        raise ValueError("alpha must be positive and finite")
-    kept: list[int] = []
-    log_ratios: list[float] = []
-    for n, (c, err) in enumerate(zip(coeffs.coeffs, coeffs.quad_error)):
-        log_env = _log_envelope(n, alpha)
-        if err > math.exp(log_env):
-            continue
-        kept.append(n)
-        log_ratios.append(-math.inf if c == 0.0 else math.log(abs(c)) - log_env)
-    if not kept:
+    _check_alpha(alpha)
+    log_ratios = [
+        -math.inf if coeffs.coeffs[n] == 0.0 else math.log(abs(coeffs.coeffs[n])) - log_env
+        for n, log_env in _certified_envelopes(coeffs, alpha)
+    ]
+    if not log_ratios:
         raise ValueError("quadrature error exceeds the tested envelope everywhere")
-    best = max(range(len(kept)), key=lambda i: log_ratios[i])
-    if best == len(kept) - 1 and len(kept) >= 3:
-        window = log_ratios[-min(10, len(kept)) :]
+    best = max(range(len(log_ratios)), key=log_ratios.__getitem__)
+    if best == len(log_ratios) - 1 and len(log_ratios) >= 3:
+        window = log_ratios[-10:]
         rising = all(b - a > 1e-9 for a, b in zip(window, window[1:]))
         if rising:
             return math.inf
@@ -342,12 +324,13 @@ def evolve_grid(
 ) -> tuple[np.ndarray, float]:
     """Evolved values Phi(xs, t) and a shared tail radius.
 
-    t is a scalar or a 1-D time grid; the values have shape
-    np.shape(t) + (len(xs),), so a scalar t gives one row over xs and a
-    grid gives one row per time.  The basis is built once for all times.
-    The tail radius bounds the dropped n > truncation_n part using a
-    coefficient envelope (alpha, C) and the uniform basis bound; it is
-    +inf when no envelope is supplied.
+    Phi(x, t) = sum_n e^(2(2n+1) pi i t) c_n e_n(x), truncated at
+    coeffs.truncation_n.  t is a scalar or a 1-D time grid; the values
+    have shape np.shape(t) + (len(xs),), so a scalar t gives one row
+    over xs and a grid gives one row per time.  The basis is built once
+    for all times.  The tail radius bounds the dropped n > truncation_n
+    part using a coefficient envelope (alpha, C) and the uniform basis
+    bound; it is +inf when no envelope is supplied.
     """
     if not np.all(np.isfinite(t)):
         raise ValueError("t must be finite")
@@ -359,36 +342,6 @@ def evolve_grid(
     tail = SignedLog(1, envelope_tail_log(alpha, c_bound, coeffs.truncation_n)).to_float()
     # a bound must round up, never underflow to an exact zero
     return values, max(tail, 5e-324)
-
-
-def evolve(
-    coeffs: HermiteCoefficients,
-    x: float,
-    t: float,
-    envelope: tuple[float, float] | None = None,
-) -> EvolvedValue:
-    """Phi_f(x, t) = sum_n e^(2(2n+1) pi i t) c_n e_n(x), truncated."""
-    values, tail = evolve_grid(coeffs, [x], t, envelope)
-    return EvolvedValue(complex(values[0]), tail)
-
-
-def reconstructed_norm(
-    coeffs: HermiteCoefficients, t: float, n_nodes: int = 4001, padding: float = 5.0
-) -> float:
-    """L^2 norm of the truncated Phi(., t) on a trapezoid grid.
-
-    The window covers the largest basis turning point plus padding, so
-    the integrand has decayed to roundoff at the endpoints and the
-    trapezoid rule converges superalgebraically.
-    """
-    turning = math.sqrt((2.0 * coeffs.truncation_n + 1.0) / (2.0 * math.pi))
-    width = turning + padding
-    xs = np.linspace(-width, width, n_nodes)
-    values, _ = evolve_grid(coeffs, xs, t)
-    step = xs[1] - xs[0]
-    total = step * float(np.sum(np.abs(values) ** 2))
-    total -= 0.5 * step * float(np.abs(values[0]) ** 2 + np.abs(values[-1]) ** 2)
-    return math.sqrt(total)
 
 
 def weighted_sup(
@@ -405,8 +358,7 @@ def weighted_sup(
     +inf.  The tail radius, if an envelope is given, is folded into
     every point.
     """
-    if not weight_alpha > 0.0 or not math.isfinite(weight_alpha):
-        raise ValueError("weight_alpha must be positive and finite")
+    _check_alpha(weight_alpha, "weight_alpha")
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
     ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if xs.size == 0 or ts.size == 0:
@@ -447,12 +399,8 @@ def decay_certificate(
     log_weight = math.tanh(alpha) * math.pi * xs * xs
     log_tail = envelope_tail_log(alpha, c_bound, n_top)
 
-    certified = np.array(
-        [
-            err <= math.exp(_log_envelope(n, alpha))
-            for n, err in enumerate(coeffs.quad_error)
-        ]
-    )
+    certified = np.zeros(n_top + 1, dtype=bool)
+    certified[[n for n, _ in _certified_envelopes(coeffs, alpha)]] = True
     majorant_all = magnitudes @ np.abs(basis)
     majorant_kept = np.where(certified, magnitudes, 0.0) @ np.abs(basis)
 

@@ -3,7 +3,10 @@
 Everything here is deliberately written against mpmath primitives,
 exact rational arithmetic or plain floating-point loops, never against
 the library under test, so a defect in the library cannot hide in its
-own oracle.
+own oracle.  Two oscillator helpers at the end handle library objects:
+synthetic_envelope_coefficients returns its plain-float values in a
+HermiteCoefficients, and reconstructed_norm integrates the values that
+evolve_grid returns.
 """
 
 from __future__ import annotations
@@ -247,3 +250,43 @@ def per_step_rescaled_recurrence(n: int, x: float, dtype=float) -> tuple[list, l
         ps.append(p_cur)
         ws.append(walls)
     return ps, ws
+
+
+def synthetic_envelope_coefficients(alpha: float, n_terms: int, seed: int | None = None):
+    """HermiteCoefficients sitting exactly on the decay envelope.
+
+    c_n = s_n e^(-alpha n) n^(-1/4) for n >= 1 with signs s_n = +1, or
+    random +-1 when a seed is given; c_0 = 0.  Each magnitude is
+    exp(-alpha n - ln(n)/4), the float operations of the library's
+    log envelope, so the certified decay constant is exactly 1.
+    """
+    from hermite_decay.oscillator import HermiteCoefficients
+
+    if n_terms < 1:
+        raise ValueError("n_terms must be at least 1")
+    signs = np.ones(n_terms + 1)
+    if seed is not None:
+        signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=n_terms + 1)
+    coeffs = [0.0] * (n_terms + 1)
+    for n in range(1, n_terms + 1):
+        coeffs[n] = signs[n] * math.exp(-alpha * n - 0.25 * math.log(n))
+    return HermiteCoefficients(tuple(coeffs))
+
+
+def reconstructed_norm(coeffs, t: float, n_nodes: int = 4001, padding: float = 5.0) -> float:
+    """L^2 norm of the truncated Phi(., t) from evolve_grid, on a trapezoid grid.
+
+    The window covers the largest basis turning point plus padding, so
+    the integrand has decayed to roundoff at the endpoints and the
+    trapezoid rule converges superalgebraically.
+    """
+    from hermite_decay.oscillator import evolve_grid
+
+    turning = math.sqrt((2.0 * coeffs.truncation_n + 1.0) / (2.0 * math.pi))
+    width = turning + padding
+    xs = np.linspace(-width, width, n_nodes)
+    values, _ = evolve_grid(coeffs, xs, t)
+    step = xs[1] - xs[0]
+    total = step * float(np.sum(np.abs(values) ** 2))
+    total -= 0.5 * step * float(np.abs(values[0]) ** 2 + np.abs(values[-1]) ** 2)
+    return math.sqrt(total)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,9 +300,9 @@ class TestFixtures:
     def test_refreeze_is_byte_identical(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HERMITE_DECAY_FIXTURE_DIR", str(tmp_path))
         path = calibrate(self.fixture_config())
-        first = open(path, "rb").read()
+        first = Path(path).read_bytes()
         calibrate(self.fixture_config(force=True))
-        assert open(path, "rb").read() == first
+        assert Path(path).read_bytes() == first
 
     def test_compare_detects_perturbation(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HERMITE_DECAY_FIXTURE_DIR", str(tmp_path))
@@ -358,6 +359,14 @@ class TestMainExitCodes:
         assert rc == 2
         assert "numeric failure" in captured.err
         assert "ValueError" in captured.out  # embedded in the row, not hidden
+
+    def test_nmax_infinite_y_is_config_error(self, capsys):
+        # as for sum: y must be finite, not a row error at every point
+        rc = main(["nmax", "--y", "inf", "--x-min", "20", "--x-max", "30",
+                   "--x-count", "3"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "config error" in err and "y must be finite and positive" in err
 
     def test_sum_past_the_largest_order_is_a_row_error(self, capsys):
         rc = main(["sum", "--x-min", "1", "--x-max", "1e6", "--x-count", "2"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,26 +14,19 @@ from hermite_decay.decay_sum import (
     argument_derivatives,
     argument_function,
     check_second_derivative_inequality,
-    default_sweep_start,
     direct_sum,
     envelope,
     envelope_power,
     find_nmax,
     gaussian_theta,
     gaussian_theta_dual,
-    largeness_threshold,
-    monotonic_margin,
     sharpness_certificate,
     tail_bound,
     theta_sum,
     truncation_index,
 )
 from hermite_decay.decay_sum import _log_sum, _sum_internals, _summand_logs
-from hermite_decay.hermite_core import (
-    EPSILON_MONOTONIC,
-    hermite_orders,
-    hermite_pr_bound,
-)
+from hermite_decay.hermite_core import hermite_orders, hermite_pr_bound
 from oracles import mp_argument_fd, mp_argument_function, naive_weighted_sum
 
 # Frozen oracle values: closed form evaluated at 50 significant digits
@@ -72,14 +66,6 @@ class TestSumParams:
 
 
 class TestScaffolding:
-    def test_monotonic_margin(self):
-        assert monotonic_margin(1.0) == pytest.approx(
-            0.5 * (1.0 - math.tanh(1.0)), rel=1e-15
-        )
-        # small y collapses onto the hard floor
-        assert monotonic_margin(1e-6) == EPSILON_MONOTONIC
-        assert monotonic_margin(1e-6) == 1e-3
-
     def test_truncation_index(self):
         assert truncation_index(10.0, 1.0) == int(100.0 * math.tanh(1.0) / 2.0) - 1
         assert truncation_index(0.5, 1.0) == 1
@@ -235,18 +221,10 @@ class TestFindNmax:
 
     def test_thresholds_match_operational_definition(self):
         # probe-measured first usable x: ~8.2 (y=0.25), ~3.2 (y=1)
-        t_quarter = largeness_threshold(0.25)
-        assert 7.0 < t_quarter < 8.5
-        t_one = largeness_threshold(1.0)
-        assert 2.5 < t_one < 3.5
-        find_nmax(t_quarter + 0.01, 0.25)
-        with pytest.raises(ValueError):
-            find_nmax(t_quarter - 0.01, 0.25)
-
-    def test_default_sweep_start_is_usable(self):
-        for y in (0.25, 0.5, 1.0, 2.0):
-            assert default_sweep_start(y) > largeness_threshold(y)
-            find_nmax(default_sweep_start(y), y)
+        for y, below, above in ((0.25, 7.0, 8.5), (1.0, 2.5, 3.5)):
+            find_nmax(above, y)
+            with pytest.raises(ValueError):
+                find_nmax(below, y)
 
 
 class TestDirectSum:
@@ -557,6 +535,27 @@ class TestPoissonIdentity:
     def test_theta_domain(self):
         with pytest.raises(ValueError):
             theta_sum(0.0)
+        with pytest.raises(ValueError):
+            theta_sum(math.nan)
+
+    def test_theta_sum_streams_its_terms(self):
+        # 7.1e4 terms: a list of them alone would peak near 2 MB
+        scale = 1e-8
+        terms = [1.0]
+        n = 1
+        while (t := math.exp(-scale * n * n)) >= 1e-22:
+            terms.append(2.0 * t)
+            n += 1
+        want = math.fsum(terms)
+        del terms
+        tracemalloc.start()
+        try:
+            got = theta_sum(scale)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 0.5e6
 
 
 class TestQuadraticEnvelope:

@@ -10,7 +10,6 @@ from hermite_decay import hermite_core
 from hermite_decay.hermite_core import (
     EPSILON_MONOTONIC,
     EXTENDED_PRECISION_ORDER,
-    PhiCoordinate,
     SignedLog,
     hermite_batch,
     hermite_exact,
@@ -96,13 +95,13 @@ class TestSignedLog:
 
 class TestPhiCoordinate:
     def test_example_49_20(self):
-        pc = phi_coordinate(49, 20.0)
-        assert pc.phi == pytest.approx(math.log(2.0 + math.sqrt(3.0)), rel=1e-14)
-        assert isinstance(pc, PhiCoordinate)
+        phi = phi_coordinate(49, 20.0)
+        assert phi == pytest.approx(math.log(2.0 + math.sqrt(3.0)), rel=1e-14)
+        assert isinstance(phi, float)
 
     def test_boundary_is_exact_zero(self):
         x = math.sqrt(2.0 * 50.0)
-        assert phi_coordinate(49, x).phi == 0.0
+        assert phi_coordinate(49, x) == 0.0
 
     def test_inside_oscillatory_region_rejected(self):
         with pytest.raises(ValueError):
@@ -115,8 +114,8 @@ class TestPhiCoordinate:
     def test_cosh_inverse_invariant(self, n, ratio):
         edge = math.sqrt(2.0 * (n + 1.0))
         x = ratio * edge
-        pc = phi_coordinate(n, x)
-        assert edge * math.cosh(pc.phi) == pytest.approx(x, rel=1e-12)
+        phi = phi_coordinate(n, x)
+        assert edge * math.cosh(phi) == pytest.approx(x, rel=1e-12)
 
 
 class TestHermiteExact:
@@ -474,11 +473,13 @@ class TestPlancherelRotach:
             plancherel_rotach_estimate(49, x_edge)
 
     def test_eps_floor_applies(self):
-        # passing a tiny eps must not weaken the floor
+        # a point inside the EPSILON_MONOTONIC margin is rejected by both forms
         n = 49
         x = math.sqrt(2.0 * (n + 1) / (1.0 - 0.5 * EPSILON_MONOTONIC))
         with pytest.raises(ValueError):
-            plancherel_rotach_estimate(n, x, eps=1e-9)
+            plancherel_rotach_estimate(n, x)
+        with pytest.raises(ValueError):
+            hermite_pr_bound(n, x, 1.0, 0.0, 0.5)
 
     def test_reduced_bound_drops_only_bounded_factors(self):
         # reduced - (kappa*unreduced - kappa n y - beta ln n) collapses to
@@ -601,6 +602,19 @@ class TestFrontendsAgreeAcrossBlockEdges:
             for log in (got.logmag, order_logs[n], batch_logs[i]):
                 assert abs(log - logmag) <= 1e-10
             assert_value_matches(values[n, 0], sign, logmag)
+
+    def test_double_frontends_track_the_extended_tier_at_order_2e5(self):
+        # hermite_orders and hermite_batch stay in doubles past
+        # EXTENDED_PRECISION_ORDER: at n = 2e5 their worst drift is
+        # 3.4e-12 (x = 600); at n = 1e6 it reaches 8.1e-10
+        n, xs = 200_000, [30.0, 150.0, 600.0, 1000.0]
+        batch_signs, batch_logs = hermite_batch([n] * len(xs), xs)
+        for i, x in enumerate(xs):
+            ref = hermite_exact(n, x)
+            order_signs, order_logs = hermite_orders(n, x)
+            assert order_signs[n] == batch_signs[i] == ref.sign != 0
+            assert abs(order_logs[n] - ref.logmag) <= 1e-11
+            assert abs(batch_logs[i] - ref.logmag) <= 1e-11
 
 
 def assert_same_values(ms, walls, ref_ms, ref_walls):
