@@ -1,12 +1,18 @@
 """Command-line sweeps, calibration fixtures, and CSV/JSON reports.
 
+Each mode is declared once, in MODES: its help text, the SweepConfig
+fields it reads, its row builder, and, for a mode that calibrate can
+freeze, the frozen columns with their tolerances.  _PARAMETERS gives
+each such field its flag type, default and range check.  The parser,
+calibrate's sub-parsers and the config checks all read these two tables.
+
 Reports are deterministic given (config, library version): rows are
 ordered by grid index, floats are emitted at 17 significant digits, and
 nothing time- or host-dependent is written.  Values far below double
 range stay readable through the separate log-magnitude columns.
 
-Exit codes: 0 success, 1 config error, 2 numeric failure in at least
-one grid point, 3 fixture mismatch.
+Exit codes: 0 success, 1 config or usage error, 2 numeric failure in at
+least one grid point, 3 fixture mismatch.
 """
 
 from __future__ import annotations
@@ -19,7 +25,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -34,13 +42,12 @@ from .decay_sum import (
 )
 from .hermite_core import SignedLog, hermite_exact
 from .oscillator import (
+    _check_alpha,
     evolve_grid,
     gaussian_coefficients,
     vemuri_decay_check,
 )
 
-MODES = ("eval", "sum", "envelope", "nmax", "sharpness", "oscillator")
-CALIBRATABLE = ("sharpness", "nmax")
 DEFAULT_T_GRID = tuple(sorted({k / 64 for k in range(64)} | {(2 * k + 1) / 16 for k in range(8)}))
 
 # numeric failures that belong in a row's error column rather than a traceback
@@ -71,18 +78,6 @@ class GridSpec:
             return np.geomspace(self.start, self.stop, self.count)
         return np.linspace(self.start, self.stop, self.count)
 
-    def to_dict(self) -> dict:
-        return {"start": self.start, "stop": self.stop, "count": self.count, "log": self.log}
-
-    @staticmethod
-    def from_dict(data: dict) -> "GridSpec":
-        return GridSpec(
-            start=float(data["start"]),
-            stop=float(data["stop"]),
-            count=int(data["count"]),
-            log=bool(data["log"]),
-        )
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -111,55 +106,20 @@ class SweepConfig:
             raise ValueError("format must be csv or json")
         if self.jobs is not None and self.jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if self.mode in ("sum", "envelope", "sharpness"):
-            for name in ("kappa", "beta", "y"):
-                if getattr(self, name) is None:
-                    raise ValueError(f"{name} is required for mode {self.mode}")
-            # constructing SumParams validates the ranges
-            self.sum_params()
-        if self.mode == "nmax" and self.y is None:
-            raise ValueError(f"y is required for mode {self.mode}")
-        if self.mode == "nmax" and not (math.isfinite(self.y) and self.y > 0.0):
-            raise ValueError(f"y must be finite and positive, got {self.y!r}")
-        if self.mode == "eval":
-            if self.order is None:
-                raise ValueError("order is required for mode eval")
-            if self.order < 0:
-                raise ValueError("order must be nonnegative")
-        if self.mode == "oscillator":
-            if self.alpha is None:
-                raise ValueError("alpha is required for mode oscillator")
-            if not self.alpha > 0.0:
-                raise ValueError("alpha must be positive")
-            if self.n_terms is None or self.n_terms < 1:
-                raise ValueError("n_terms must be at least 1 for mode oscillator")
-            if not self.t_grid:
-                raise ValueError("t_grid is required for mode oscillator")
-            if any(not math.isfinite(t) for t in self.t_grid):
-                raise ValueError("t_grid entries must be finite")
+        for name in MODES[self.mode].parameters:
+            value = getattr(self, name)
+            if value is None or value == ():
+                raise ValueError(f"{name} is required for mode {self.mode}")
+            _PARAMETERS[name][2](value)
 
     def sum_params(self) -> SumParams:
         return SumParams(kappa=self.kappa, beta=self.beta, y=self.y)
-
-    def to_dict(self) -> dict:
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data["x_grid"] = self.x_grid.to_dict()
-        data["t_grid"] = list(self.t_grid)
-        return data
-
-    @staticmethod
-    def from_dict(data: dict) -> "SweepConfig":
-        kwargs = {f.name: data[f.name] for f in fields(SweepConfig) if f.name in data}
-        kwargs["x_grid"] = GridSpec.from_dict(data["x_grid"])
-        kwargs["t_grid"] = tuple(data.get("t_grid", ()))
-        kwargs["force"] = bool(data.get("force", False))
-        return SweepConfig(**kwargs)
 
     def content_dict(self) -> dict:
         """Config echo without output disposition (out/fmt/fixture/jobs/force)."""
         return {
             k: v
-            for k, v in self.to_dict().items()
+            for k, v in asdict(self).items()
             if k not in ("out", "fmt", "fixture", "jobs", "force")
         }
 
@@ -209,36 +169,27 @@ def _nmax_point(config: SweepConfig, x: float) -> tuple:
             asymptote_dev, peak_dev)
 
 
-# pointwise modes: the columns between x and error, the per-point
-# function, and the cells of a failed point's row
-_POINTWISE = {
-    "eval": (("sign", "log_magnitude", "value"), _eval_point,
-             lambda config: (0, math.nan, math.nan)),
-    "sum": (("value", "log_magnitude"), _sum_point,
-            lambda config: (math.nan, math.nan)),
-    "envelope": (("value", "log_magnitude", "x_power"), _envelope_point,
-                 lambda config: (math.nan, math.nan, envelope_power(config.sum_params()))),
-    "nmax": (("n_max", "a_max", "lambda", "truncation_n", "asymptote_dev", "peak_dev"),
-             _nmax_point,
-             lambda config: (math.nan, math.nan, math.nan, 0, math.nan, math.nan)),
-}
-
-
 def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _pointwise_rows(config: SweepConfig) -> tuple[tuple[str, ...], list[tuple], dict]:
-    columns, point, failed = _POINTWISE[config.mode]
+def _pointwise(columns: tuple[str, ...], point, failed):
+    """Row builder that computes point(config, x) at each grid point.
 
-    def one(x: float) -> tuple:
-        try:
-            return (x, *point(config, float(x)), "")
-        except _POINT_ERRORS as exc:
-            return (x, *failed(config), _error_text(exc))
+    columns are those between x and error; failed(config) gives the
+    cells of a point whose computation raised.
+    """
 
-    rows = [one(x) for x in config.x_grid.points()]
-    return ("x", *columns, "error"), rows, {}
+    def rows(config: SweepConfig) -> tuple[tuple[str, ...], list[tuple], dict]:
+        def one(x: float) -> tuple:
+            try:
+                return (x, *point(config, float(x)), "")
+            except _POINT_ERRORS as exc:
+                return (x, *failed(config), _error_text(exc))
+
+        return ("x", *columns, "error"), [one(x) for x in config.x_grid.points()], {}
+
+    return rows
 
 
 def _sharpness_rows(config: SweepConfig) -> tuple[tuple[str, ...], list[tuple], dict]:
@@ -280,18 +231,90 @@ def _oscillator_rows(config: SweepConfig) -> tuple[tuple[str, ...], list[tuple],
     return columns, rows, summary
 
 
-_MODE_BUILDERS = {
-    **dict.fromkeys(_POINTWISE, _pointwise_rows),
+@dataclass(frozen=True)
+class Mode:
+    """One CLI mode: parameters are the SweepConfig fields it reads and
+    offers as flags, all required; frozen maps the columns calibrate
+    freezes to (absolute, relative) tolerances, empty if it cannot."""
+
+    help: str
+    parameters: tuple[str, ...]
+    rows: Callable[[SweepConfig], tuple[tuple[str, ...], list[tuple], dict]]
+    frozen: dict[str, tuple[float, float]] = field(default_factory=dict)
+
+
+_SUM_PARAMETERS = ("kappa", "beta", "y")
+
+MODES = {
+    "eval": Mode(
+        "h_n(x) along an x grid", ("order",),
+        _pointwise(("sign", "log_magnitude", "value"), _eval_point,
+                   lambda config: (0, math.nan, math.nan)),
+    ),
+    "sum": Mode(
+        "weighted sum S(x) along an x grid", _SUM_PARAMETERS,
+        _pointwise(("value", "log_magnitude"), _sum_point,
+                   lambda config: (math.nan, math.nan)),
+    ),
+    "envelope": Mode(
+        "closed-form envelope along an x grid", _SUM_PARAMETERS,
+        _pointwise(("value", "log_magnitude", "x_power"), _envelope_point,
+                   lambda config: (math.nan, math.nan, envelope_power(config.sum_params()))),
+    ),
+    "nmax": Mode(
+        "argument-function maximizer diagnostics", ("y",),
+        _pointwise(("n_max", "a_max", "lambda", "truncation_n", "asymptote_dev", "peak_dev"),
+                   _nmax_point,
+                   lambda config: (math.nan, math.nan, math.nan, 0, math.nan, math.nan)),
+        frozen={"n_max": (1e-6, 0.0), "a_max": (0.0, 1e-9), "lambda": (0.0, 1e-9)},
+    ),
     # the slope and the evolution table couple all grid points, so these
     # modes are computed jointly
-    "sharpness": _sharpness_rows,
-    "oscillator": _oscillator_rows,
+    "sharpness": Mode(
+        "sum-to-envelope ratio certificate", _SUM_PARAMETERS, _sharpness_rows,
+        frozen={"ratio": (0.0, 1e-9), "restricted_fraction": (1e-12, 1e-9)},
+    ),
+    "oscillator": Mode(
+        "evolved Gaussian decay sweep", ("alpha", "n_terms", "t_grid"), _oscillator_rows,
+    ),
+}
+
+
+def _parse_t_grid(text: str) -> tuple[float, ...]:
+    if text == "default":
+        return DEFAULT_T_GRID
+    try:
+        return tuple(float(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad t-grid {text!r}: comma-separated floats")
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
+def _check_sum_parameter(name: str, value: float) -> None:
+    # SumParams holds the library's rule for each of kappa, beta and y
+    SumParams(**{"kappa": 1.0, "beta": 0.0, "y": 1.0, name: value})
+
+
+# flag type, default, and range check of each mode parameter
+_PARAMETERS = {
+    "order": (int, 0, lambda v: _require(v >= 0, "order must be nonnegative")),
+    "kappa": (float, 1.0, partial(_check_sum_parameter, "kappa")),
+    "beta": (float, 0.25, partial(_check_sum_parameter, "beta")),
+    "y": (float, 0.5, partial(_check_sum_parameter, "y")),
+    "alpha": (float, 0.5, _check_alpha),
+    "n_terms": (int, 400, lambda v: _require(v >= 1, "n_terms must be at least 1")),
+    "t_grid": (_parse_t_grid, DEFAULT_T_GRID,
+               lambda v: _require(all(map(math.isfinite, v)), "t_grid entries must be finite")),
 }
 
 
 def run(config: SweepConfig) -> SweepReport:
     """Execute the sweep; per-point numeric failures land in row error columns."""
-    columns, rows, summary = _MODE_BUILDERS[config.mode](config)
+    columns, rows, summary = MODES[config.mode].rows(config)
     return SweepReport(
         config=config,
         version=__version__,
@@ -332,7 +355,7 @@ def to_csv(report: SweepReport) -> str:
     preamble = {
         "version": report.version,
         "fixture_id": report.fixture_id,
-        "config": json.dumps(report.config.to_dict(), sort_keys=True),
+        "config": json.dumps(asdict(report.config), sort_keys=True),
     }
     preamble.update({f"summary.{k}": _format_cell(v) for k, v in sorted(report.summary.items())})
     for key, value in preamble.items():
@@ -346,7 +369,7 @@ def to_csv(report: SweepReport) -> str:
 
 def to_json(report: SweepReport) -> str:
     payload = {
-        "config": report.config.to_dict(),
+        "config": asdict(report.config),
         "version": report.version,
         "fixture_id": report.fixture_id,
         "columns": list(report.columns),
@@ -370,22 +393,18 @@ def fixture_path(name: str) -> str:
     return os.path.join(fixture_dir(), name + ".json")
 
 
-# columns frozen into fixtures, with (absolute, relative) comparison tolerances
-_FIXTURE_CONTENT = {
-    "sharpness": {"ratio": (0.0, 1e-9), "restricted_fraction": (1e-12, 1e-9)},
-    "nmax": {"n_max": (1e-6, 0.0), "a_max": (0.0, 1e-9), "lambda": (0.0, 1e-9)},
-}
 _FIXTURE_SUMMARY_TOL = {"slope": 1e-6}
 
 
 def calibrate(config: SweepConfig) -> str:
-    """Freeze a sharpness or nmax sweep into a fixture file; returns its path."""
-    if config.mode not in CALIBRATABLE:
-        raise ValueError(f"mode must be one of {'|'.join(CALIBRATABLE)} to calibrate")
+    """Freeze a sweep of a mode with frozen columns into a fixture; returns its path."""
+    tracked = MODES[config.mode].frozen
+    if not tracked:
+        frozen = "|".join(name for name, mode in MODES.items() if mode.frozen)
+        raise ValueError(f"mode must be one of {frozen} to calibrate")
     report = run(config)
     if report.error_rows:
         raise RuntimeError(f"cannot calibrate: {len(report.error_rows)} grid points failed")
-    tracked = _FIXTURE_CONTENT[config.mode]
     data = {
         name: [_json_safe(row[report.columns.index(name)]) for row in report.rows]
         for name in tracked
@@ -443,9 +462,20 @@ def compare_to_fixture(report: SweepReport, fixture: dict) -> list[str]:
     return problems
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, grid_required: bool = True):
-    parser.add_argument("--x-min", type=float, required=grid_required)
-    parser.add_argument("--x-max", type=float, required=grid_required)
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a config error: exit 2 means numeric failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(message)
+
+
+def _add_mode_flags(parser: argparse.ArgumentParser, mode: Mode):
+    for name in mode.parameters:
+        kind, default, _ = _PARAMETERS[name]
+        parser.add_argument("--" + name.replace("_", "-"), type=kind, default=default)
+    parser.add_argument("--x-min", type=float, required=True)
+    parser.add_argument("--x-max", type=float, required=True)
     parser.add_argument("--x-count", type=int, default=50)
     parser.add_argument("--x-log", action="store_true")
     parser.add_argument("--out", type=str, default=None)
@@ -456,104 +486,42 @@ def _add_common_flags(parser: argparse.ArgumentParser, grid_required: bool = Tru
     parser.add_argument("--force", action="store_true")
 
 
-def _add_sum_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--kappa", type=float, default=1.0)
-    parser.add_argument("--beta", type=float, default=0.25)
-    parser.add_argument("--y", type=float, default=0.5)
-
-
-def _parse_t_grid(text: str) -> tuple[float, ...]:
-    if text == "default":
-        return DEFAULT_T_GRID
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad t-grid {text!r}: comma-separated floats")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hermite-decay",
         description="Sweep reports for Hermite-function decay certificates",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("eval", help="h_n(x) along an x grid")
-    p_eval.add_argument("--order", type=int, default=0)
-    _add_common_flags(p_eval)
-
-    p_sum = sub.add_parser("sum", help="weighted sum S(x) along an x grid")
-    _add_sum_flags(p_sum)
-    _add_common_flags(p_sum)
-
-    p_env = sub.add_parser("envelope", help="closed-form envelope along an x grid")
-    _add_sum_flags(p_env)
-    _add_common_flags(p_env)
-
-    p_nmax = sub.add_parser("nmax", help="argument-function maximizer diagnostics")
-    p_nmax.add_argument("--y", type=float, default=0.5)
-    _add_common_flags(p_nmax)
-
-    p_sharp = sub.add_parser("sharpness", help="sum-to-envelope ratio certificate")
-    _add_sum_flags(p_sharp)
-    _add_common_flags(p_sharp)
-
-    p_osc = sub.add_parser("oscillator", help="evolved Gaussian decay sweep")
-    p_osc.add_argument("--alpha", type=float, default=0.5)
-    p_osc.add_argument("--n-terms", type=int, default=400)
-    p_osc.add_argument("--t-grid", type=_parse_t_grid, default=DEFAULT_T_GRID)
-    _add_common_flags(p_osc)
-
-    p_cal = sub.add_parser("calibrate", help="freeze a sweep into a fixture")
-    p_cal.add_argument("mode", choices=CALIBRATABLE)
-    _add_sum_flags(p_cal)
-    _add_common_flags(p_cal)
-
+    for name, mode in MODES.items():
+        _add_mode_flags(sub.add_parser(name, help=mode.help), mode)
+    frozen = sub.add_parser("calibrate", help="freeze a sweep into a fixture")
+    frozen_modes = frozen.add_subparsers(dest="mode", required=True)
+    for name, mode in MODES.items():
+        if mode.frozen:
+            _add_mode_flags(frozen_modes.add_parser(name, help=mode.help), mode)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> SweepConfig:
     mode = args.mode if args.command == "calibrate" else args.command
-    grid = GridSpec(start=args.x_min, stop=args.x_max, count=args.x_count, log=args.x_log)
     return SweepConfig(
         mode=mode,
-        x_grid=grid,
-        kappa=getattr(args, "kappa", None),
-        beta=getattr(args, "beta", None),
-        y=getattr(args, "y", None),
-        alpha=getattr(args, "alpha", None),
-        n_terms=getattr(args, "n_terms", None),
-        order=getattr(args, "order", None),
-        t_grid=tuple(getattr(args, "t_grid", ())),
-        out=args.out,
-        fmt=args.fmt,
-        fixture=args.fixture,
-        jobs=args.jobs,
-        force=args.force,
+        x_grid=GridSpec(start=args.x_min, stop=args.x_max, count=args.x_count, log=args.x_log),
+        out=args.out, fmt=args.fmt, fixture=args.fixture, jobs=args.jobs, force=args.force,
+        **{f: getattr(args, f) for f in MODES[mode].parameters},
     )
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = _config_from_args(args)
-    except (ValueError, TypeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    if args.command == "calibrate":
-        try:
-            path = calibrate(config)
-        except (ValueError, FileExistsError, RuntimeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
-        print(path)
-        return 0
-
-    try:
-        report = run(config)
-    except _POINT_ERRORS as exc:
+        if args.command == "calibrate":
+            print(calibrate(config))
+            return 0
         # joint modes (sharpness) validate the whole grid up front
+        report = run(config)
+    except (*_POINT_ERRORS, FileExistsError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
@@ -582,10 +550,7 @@ def main(argv=None) -> int:
             return 3
 
     if report.error_rows:
-        print(
-            f"numeric failure in {len(report.error_rows)} grid point(s)",
-            file=sys.stderr,
-        )
+        print(f"numeric failure in {len(report.error_rows)} grid point(s)", file=sys.stderr)
         return 2
     return 0
 

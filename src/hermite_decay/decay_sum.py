@@ -177,8 +177,10 @@ def find_nmax(x: float, y: float) -> ArgumentProfile:
 
     Raises ValueError when x is too small for the given y (truncation
     window shorter than 3 orders, or no sign change in the bracket);
-    failure is reported, never clamped.
+    failure is reported, never clamped.  The summand |h_n(x)|^kappa is
+    even in x, so the profile at x is the one at |x|.
     """
+    x = abs(x)
     n_trunc = truncation_index(x, y)
     if n_trunc < 3:
         raise ValueError(

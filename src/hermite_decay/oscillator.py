@@ -255,7 +255,8 @@ def gaussian_coefficients(alpha: float, n_terms: int) -> HermiteCoefficients:
     if n_terms < 0:
         raise ValueError("n_terms must be nonnegative")
     a = math.tanh(2.0 * alpha)
-    log_rho = math.log1p(-a) - math.log1p(a)
+    # ln rho = -4 alpha exactly; ln(1 - a) - ln(1 + a) cancels as a -> 1
+    log_rho = -4.0 * alpha
     base = 0.25 * math.log(2.0) - 0.5 * math.log1p(a)
     coeffs = [0.0] * (n_terms + 1)
     for m in range(0, n_terms // 2 + 1):

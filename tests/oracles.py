@@ -141,6 +141,24 @@ def mp_gaussian_coefficient(n: int, a: float, dps: int = 40) -> float:
         return float((2 * mp.pi) ** mp.mpf("-0.25") * val)
 
 
+def mp_gaussian_coefficients(alpha: float, n_terms: int, dps: int = 60) -> list[float]:
+    """c_0..c_{n_terms} of e^(-a pi x^2), a = tanh(2 alpha), in closed form.
+
+    c_{2m} = 2^(1/4) (1 + a)^(-1/2) rho^m sqrt((2m)!)/(2^m m!) with
+    rho = (1 - a)/(1 + a) formed literally at dps digits, so a stays
+    below 1 well past the alpha where tanh(2 alpha) rounds to 1 in double.
+    """
+    with mp.workdps(dps):
+        a = mp.tanh(2 * mp.mpf(alpha))
+        rho = (1 - a) / (1 + a)
+        base = mp.mpf(2) ** mp.mpf("0.25") / mp.sqrt(1 + a)
+        coeffs = [0.0] * (n_terms + 1)
+        for m in range(n_terms // 2 + 1):
+            value = base * rho**m * mp.sqrt(mp.factorial(2 * m)) / (2**m * mp.factorial(m))
+            coeffs[2 * m] = float(value)
+        return coeffs
+
+
 def _build_polynomial_tables(n_top: int) -> list[list[int]]:
     """Exact integer coefficients of H_0..H_{n_top}, ascending powers."""
     tables = [[1], [0, 2]]

@@ -1,10 +1,13 @@
+import argparse
 import csv
 import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +17,11 @@ import hermite_decay
 from hermite_decay import cli_report, oscillator
 from hermite_decay.cli_report import (
     DEFAULT_T_GRID,
+    MODES,
     GridSpec,
     SweepConfig,
+    SweepReport,
+    build_parser,
     calibrate,
     compare_to_fixture,
     fixture_path,
@@ -40,6 +46,21 @@ def sum_config(**overrides):
     )
     base.update(overrides)
     return SweepConfig(**base)
+
+
+def config_echoes(config: SweepConfig) -> list[dict]:
+    """The config echo of the JSON and of the CSV rendering of a report."""
+    report = SweepReport(config, "0", config.fixture_id(), ("x", "error"), ())
+    line = next(l for l in to_csv(report).splitlines() if l.startswith("# config="))
+    return [json.loads(to_json(report))["config"], json.loads(line[len("# config="):])]
+
+
+def field_values(config: SweepConfig) -> dict:
+    """Every SweepConfig field with its value, as a JSON echo spells it."""
+    want = {f.name: getattr(config, f.name) for f in fields(SweepConfig)}
+    want["x_grid"] = {f.name: getattr(config.x_grid, f.name) for f in fields(GridSpec)}
+    want["t_grid"] = list(config.t_grid)
+    return want
 
 
 def parse_csv(text: str):
@@ -67,8 +88,10 @@ class TestGridSpec:
         assert np.allclose(log, [1.0, 10.0, 100.0])
 
     def test_round_trip(self):
+        # the config echo holds every grid field with its value
         spec = GridSpec(2.0, 50.0, 11, log=True)
-        assert GridSpec.from_dict(spec.to_dict()) == spec
+        for echo in config_echoes(sum_config(x_grid=spec)):
+            assert echo["x_grid"] == {"start": 2.0, "stop": 50.0, "count": 11, "log": True}
 
 
 class TestSweepConfig:
@@ -102,7 +125,8 @@ class TestSweepConfig:
                         n_terms=400, t_grid=DEFAULT_T_GRID, fixture="osc"),
         ]
         for config in configs:
-            assert SweepConfig.from_dict(config.to_dict()) == config
+            for echo in config_echoes(config):
+                assert echo == field_values(config)
 
     def test_fixture_id_stable_and_output_independent(self):
         a = sum_config()
@@ -261,7 +285,7 @@ class TestFormats:
         assert doc["config"]["mode"] == "sum"
         assert doc["columns"] == ["x", "value", "log_magnitude", "error"]
         assert len(doc["rows"]) == 3
-        assert SweepConfig.from_dict(doc["config"]) == report.config
+        assert doc["config"] == field_values(report.config)
 
     def test_json_handles_nonfinite(self):
         config = SweepConfig(mode="nmax", x_grid=GridSpec(3.0, 30.0, 3), y=0.25,
@@ -432,6 +456,41 @@ class TestMainExitCodes:
         assert "--force" in capsys.readouterr().err
         assert main([*argv, "--force"]) == 0
 
+    @pytest.mark.parametrize("argv,message", [
+        (["sum", "--x-min", "1"], "required: --x-max"),
+        (["sum", "--x-min", "1", "--x-max", "2", "--alpha", "1"], "unrecognized arguments"),
+        (["oscillator", "--x-min", "0", "--x-max", "1", "--t-grid", "0,x"], "bad t-grid"),
+    ])
+    def test_usage_error_is_config_error(self, argv, message, capsys):
+        # exit 2 means a numeric failure, so a usage error exits 1
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "config error" in err and message in err
+
+    def test_help_exits_zero(self, capsys):
+        for argv in (["--help"], ["sum", "--help"], ["calibrate", "nmax", "--help"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 0
+            assert "usage:" in capsys.readouterr().out
+
+    def test_oscillator_at_large_alpha(self, tmp_path):
+        # tanh(2 alpha) rounds to 1 here; the coefficients need ln rho = -4 alpha
+        argv = ["oscillator", "--alpha", "12", "--x-min", "0", "--x-max", "2",
+                "--x-count", "3", "--out", str(tmp_path / "osc.csv")]
+        assert main(argv) == 0
+
+    def test_nmax_on_a_symmetric_grid_fails_only_at_zero(self, tmp_path):
+        config = SweepConfig(mode="nmax", x_grid=GridSpec(-30.0, 30.0, 5), y=0.5)
+        report = run(config)
+        assert report.error_rows == [2]
+        assert report.rows[0][1:] == report.rows[-1][1:]
+        assert report.rows[1][1:] == report.rows[-2][1:]
+        rc = main(["nmax", "--y", "0.5", "--x-min", "-30", "--x-max", "30", "--x-count", "5",
+                   "--out", str(tmp_path / "nmax.csv")])
+        assert rc == 2
+
     def test_missing_fixture_is_config_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("HERMITE_DECAY_FIXTURE_DIR", str(tmp_path))
         rc = main(["sum", "--x-min", "1", "--x-max", "2", "--x-count", "2",
@@ -466,3 +525,65 @@ class TestCheckedInFixtures:
             "--out", str(tmp_path / "nmax.csv"),
         ])
         assert rc == 0
+
+
+class TestModeTable:
+    """Each mode's flags, calibrate's sub-parsers and fixture ids follow MODES."""
+
+    COMMON = {"help", "x_min", "x_max", "x_count", "x_log", "out", "fmt", "fixture",
+              "jobs", "force"}
+    FIELDS = {
+        "eval": {"order"},
+        "sum": {"kappa", "beta", "y"},
+        "envelope": {"kappa", "beta", "y"},
+        "nmax": {"y"},
+        "sharpness": {"kappa", "beta", "y"},
+        "oscillator": {"alpha", "n_terms", "t_grid"},
+    }
+
+    @staticmethod
+    def subparsers(parser: argparse.ArgumentParser) -> dict:
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    def test_each_parser_offers_exactly_its_mode_fields(self):
+        commands = self.subparsers(build_parser())
+        frozen = self.subparsers(commands["calibrate"])
+        assert set(commands) == set(self.FIELDS) | {"calibrate"}
+        assert set(frozen) == {"nmax", "sharpness"}
+        assert {name for name, mode in MODES.items() if mode.frozen} == set(frozen)
+        for name, want in self.FIELDS.items():
+            assert set(MODES[name].parameters) == want
+            for parser in (commands[name], frozen.get(name)):
+                if parser is not None:
+                    assert {a.dest for a in parser._actions} - self.COMMON == want
+
+    def test_calibrate_nmax_keeps_the_report_fixture_id(self, tmp_path):
+        grid = ["--y", "0.5", "--x-min", "20", "--x-max", "200", "--x-count", "46"]
+        fixture = tmp_path / "nmax.json"
+        report = tmp_path / "nmax.csv"
+        assert main(["calibrate", "nmax", *grid, "--out", str(fixture)]) == 0
+        assert main(["nmax", *grid, "--out", str(report)]) == 0
+        doc = json.loads(fixture.read_text())
+        assert f"# fixture_id={doc['fixture_id']}" in report.read_text().splitlines()
+        assert doc["config"]["kappa"] is None and doc["config"]["beta"] is None
+        assert main(["nmax", *grid, "--fixture", str(fixture), "--out", str(report)]) == 0
+
+    def test_calibrate_nmax_rejects_sum_flags(self, tmp_path, capsys):
+        rc = main(["calibrate", "nmax", "--kappa", "1", "--y", "0.5", "--x-min", "20",
+                   "--x-max", "60", "--x-count", "5", "--out", str(tmp_path / "f.json")])
+        assert rc == 1
+        assert "--kappa" in capsys.readouterr().err
+        assert not (tmp_path / "f.json").exists()
+
+
+def test_readme_cli_commands_run(tmp_path):
+    """Every hermite-decay line of the README's CLI block runs and exits 0."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    cli = readme[readme.index("## CLI"):]
+    block = cli[cli.index("```sh"):cli.index("```", cli.index("```sh") + 5)]
+    commands = [shlex.split(line) for line in block.splitlines()
+                if line.startswith("hermite-decay ")]
+    assert len(commands) >= 3
+    for i, command in enumerate(commands):
+        assert main([*command[1:], "--out", str(tmp_path / f"readme-{i}.out")]) == 0, command

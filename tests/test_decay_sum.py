@@ -219,6 +219,13 @@ class TestFindNmax:
         with pytest.raises(ValueError):
             find_nmax(3.0, 0.25)
 
+    def test_even_in_x(self):
+        # the summand |h_n(x)|^kappa is even, so the profile at -x is the one at x
+        for x, y in ((30.0, 0.5), (8.5, 0.25), (200.0, 2.0)):
+            assert find_nmax(-x, y) == find_nmax(x, y)
+        with pytest.raises(ValueError, match="largeness threshold"):
+            find_nmax(-3.0, 0.25)
+
     def test_thresholds_match_operational_definition(self):
         # probe-measured first usable x: ~8.2 (y=0.25), ~3.2 (y=1)
         for y, below, above in ((0.25, 7.0, 8.5), (1.0, 2.5, 3.5)):

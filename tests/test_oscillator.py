@@ -22,7 +22,7 @@ from hermite_decay.oscillator import (
     vemuri_envelope,
     weighted_sup,
 )
-from oracles import reconstructed_norm, synthetic_envelope_coefficients
+from oracles import mp_gaussian_coefficients, reconstructed_norm, synthetic_envelope_coefficients
 
 # Closed-form coefficients of e^(-a pi x^2), a = tanh(1), cross-checked
 # against independent 40-digit quadrature at two resolutions (agreement
@@ -179,6 +179,16 @@ class TestGaussianCoefficients:
         logs = np.log([c.coeffs[2 * m] for m in ms])
         slope = np.polyfit(ms, logs, 1)[0]
         assert abs(slope / (-4.0 * alpha) - 1.0) <= 0.01
+
+    @pytest.mark.parametrize("alpha", [2.0, 5.0, 9.0, 12.0])
+    def test_closed_form_oracle_at_large_alpha(self, alpha):
+        # ln(1 - a) - ln(1 + a) cancels as a = tanh(2 alpha) nears 1 and
+        # fails once a rounds to 1 (alpha near 9.53); ln rho is -4 alpha
+        got = gaussian_coefficients(alpha, 20).coeffs
+        want = mp_gaussian_coefficients(alpha, 20)
+        assert got[1::2] == (0.0,) * 10
+        for g, w in zip(got[::2], want[::2]):
+            assert g == pytest.approx(w, rel=1e-13)
 
     def test_validation(self):
         with pytest.raises(ValueError):
