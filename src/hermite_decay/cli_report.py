@@ -470,7 +470,8 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _add_mode_flags(parser: argparse.ArgumentParser, mode: Mode):
+def _add_mode_flags(parser: argparse.ArgumentParser, mode: Mode, compare: bool = True):
+    """Flags of one mode; --fixture only where a sweep compares (not calibrate)."""
     for name in mode.parameters:
         kind, default, _ = _PARAMETERS[name]
         parser.add_argument("--" + name.replace("_", "-"), type=kind, default=default)
@@ -480,7 +481,10 @@ def _add_mode_flags(parser: argparse.ArgumentParser, mode: Mode):
     parser.add_argument("--x-log", action="store_true")
     parser.add_argument("--out", type=str, default=None)
     parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    parser.add_argument("--fixture", type=str, default=None)
+    if compare:
+        parser.add_argument("--fixture", type=str, default=None)
+    else:
+        parser.set_defaults(fixture=None)
     parser.add_argument("--jobs", type=int, default=None,
                         help="accepted for compatibility; every mode runs in one thread")
     parser.add_argument("--force", action="store_true")
@@ -498,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     frozen_modes = frozen.add_subparsers(dest="mode", required=True)
     for name, mode in MODES.items():
         if mode.frozen:
-            _add_mode_flags(frozen_modes.add_parser(name, help=mode.help), mode)
+            _add_mode_flags(frozen_modes.add_parser(name, help=mode.help), mode, compare=False)
     return parser
 
 

@@ -38,9 +38,13 @@ TAIL_RELATIVE_TOLERANCE = 1e-12
 # and rejects x whose analysis cutoff lies past it.
 _MAX_ORDER = 4_000_000
 
-# Most orders direct_sum converts to logs at once: the conversion holds
-# about a dozen arrays of 8 bytes an order, so this bounds its memory
-# when the analysis cutoff lies far out (it is 4.6e5 at x = 1e3, y = 1/2).
+# Most orders direct_sum draws from its order stream at once.  The
+# request holds three arrays of 8 bytes an order from the stream and
+# about a dozen more in the conversion to logs, so this bounds its
+# memory when the analysis cutoff lies far out (it is 4.6e5 at x = 1e3,
+# y = 1/2).  The stream's scan adds its (B, 2M) buffers, U and V and
+# the coefficients, plus the (M, B) combination: about 48 bytes an
+# order, for at most hermite_core._SCAN_ORDERS orders a pass.
 _LARGEST_BLOCK = 1 << 16
 
 # Bisection control for the interior-maximum solve.
@@ -275,24 +279,27 @@ def _log_sum(term_logs: np.ndarray) -> float:
 def _sum_internals(x: float, params: SumParams) -> tuple[float, np.ndarray, int]:
     """(log S, term logs, n_stop) with the tail certified negligible.
 
-    One lazy recurrence pass, hermite_core._scalar_loop, converted to
-    logs in blocks whose ends the stop rule picks.  n_stop is the
-    smallest order n >= max(N, 64), N the analysis cutoff, where the
-    tail bound at n + 1 (_log_tails) is at most TAIL_RELATIVE_TOLERANCE
-    times the partial sum through n, a lower bound on S.  Each block
-    tests all its orders at once and stops at the first that passes;
-    the orders below max(N, 64) only feed the partial sum.  The first
-    block runs to max(N, 64), rounded up to the end of a stride slice
-    (past _LARGEST_BLOCK orders, several blocks do).  For beta < 0 the
-    bound is infinite up to order |beta| / (kappa y), so the blocks run
-    on to the first order where it is finite.  Past both, each block
-    runs to the order where the tail bound would pass against the
-    partial sum so far if it fell by e^(-kappa y) an order.  For
-    beta >= 0 it falls at least that fast, so one block reaches n_stop;
-    for beta < 0 the solve repeats from the block end.  log S is summed
-    over all kept terms at once, so it does not depend on the block
-    boundaries.  Raises ValueError for an x hermite_core rejects or
-    whose analysis cutoff lies past _MAX_ORDER.
+    One recurrence pass at x, a hermite_core._OrderStream, hands out the
+    orders as logs in blocks of exactly the sizes asked for, and runs
+    less than one stride past the last block.  n_stop is the smallest
+    order n >= max(N, 64), N the analysis cutoff, where the tail bound
+    at n + 1 (_log_tails) is at most TAIL_RELATIVE_TOLERANCE times the
+    partial sum through n, a lower bound on S.  Each block tests all its
+    orders at once and stops at the first that passes; the orders below
+    max(N, 64) only feed the partial sum.  The first block runs past
+    max(N, 64), past the first order where the bound is finite (for
+    beta < 0 it is infinite up to order |beta| / (kappa y)), and
+    lookahead = (2 - ln TAIL_RELATIVE_TOLERANCE) / (kappa y) orders past
+    N: at N the bound is about S, and for beta >= 0 it falls by
+    e^(-kappa y) an order or faster, so there it has usually passed.
+    Past _LARGEST_BLOCK orders the first block runs as several.  Each
+    later block runs to the order where the bound alone would pass
+    against the partial sum so far: the count that a fall of
+    e^(-kappa y) an order needs, enough for beta >= 0, doubled until the
+    bound passes for beta < 0, where it falls more slowly.  log S is
+    summed over all kept terms at once, so it does not depend on the
+    block boundaries.  Raises ValueError for an x hermite_core rejects
+    or whose analysis cutoff lies past _MAX_ORDER.
     """
     hermite_core._check_arguments(_MAX_ORDER, x)
     x = abs(x)
@@ -305,8 +312,14 @@ def _sum_internals(x: float, params: SumParams) -> tuple[float, np.ndarray, int]
     # whose tail bound is finite, kappa y n > max(-beta, 0)
     n_solve = max(n_min, math.floor(max(-params.beta, 0.0) / kappa_y) + 1)
     log_tol = math.log(TAIL_RELATIVE_TOLERANCE)
-    slices = hermite_core._scalar_loop(_MAX_ORDER, x, keep=True)
-    _, logs = hermite_core._next_orders(slices, min(n_min, _LARGEST_BLOCK) + 1, x, 0)
+    # at N the tail bound is about S itself, and from there it falls by
+    # e^(-kappa y) an order or faster: so the stop usually lies within
+    # this many orders past N, where the bound has fallen by the
+    # tolerance and two more e-folds
+    lookahead = math.ceil((2.0 - log_tol) / kappa_y)
+    n_first = max(n_solve, n_cut + lookahead)
+    stream = hermite_core._OrderStream(_MAX_ORDER, x)
+    _, logs = stream.logs(min(n_first, _LARGEST_BLOCK) + 1)
     logs = logs[1:]  # h_0 carries no summand
     blocks = []
     n_end = 0  # the last order summed
@@ -329,13 +342,20 @@ def _sum_internals(x: float, params: SumParams) -> tuple[float, np.ndarray, int]
             return _log_sum(terms), terms, int(n[stop])
         if running.size:
             log_partial = float(running[-1])
-        if n_end < n_solve:
-            count = n_solve - n_end
+        if n_end < n_first:
+            count = n_first - n_end
         else:
-            gap = float(_log_tails(n_end + 1, params)) - (log_partial + log_tol)
-            count = math.ceil(min(gap / kappa_y, _MAX_ORDER))
+            # the bound falls by e^(-kappa y) an order or faster for
+            # beta >= 0, more slowly for beta < 0: double the count, up to
+            # 128 times, until the bound alone would pass against the
+            # partial sum so far
+            target = log_partial + log_tol
+            gap = float(_log_tails(n_end + 1, params)) - target
+            counts = math.ceil(min(gap / kappa_y, _MAX_ORDER)) * 2 ** np.arange(8)
+            passing = _log_tails(n_end + 1 + counts, params) <= target
+            count = int(counts[passing.argmax() if passing.any() else -1])
         count = min(max(count, 1), _LARGEST_BLOCK)
-        _, logs = hermite_core._next_orders(slices, count, x, n_end + 1)
+        _, logs = stream.logs(count)
     raise RuntimeError(f"tail certification failed to converge by n={n_end} at x={x}")
 
 
@@ -350,11 +370,16 @@ def direct_sum(x: float, params: SumParams) -> SignedLog:
     that bound is infinite up to order |beta| / (kappa y), so the sum
     runs at least that far.  S is even in x, so negative arguments are
     folded; every term is nonnegative and the result sign is +1.  The
-    recurrence runs in doubles at every order, as in hermite_orders,
-    whose drift in ln|h_n| is 3.4e-12 at n = 2e5 and 8.1e-10 at
-    n = 1e6 (ROADMAP.md, item 3).  Raises ValueError for a non-finite x
-    or one whose cutoff N exceeds 4e6 orders (|x| above about 2.9e3 at
-    y = 1/2).
+    recurrence runs in doubles, on the order stream of hermite_orders.
+    At large x the sum stops below the turning point 2n + 1 < x^2
+    (n_stop is about x^2 tanh(y) / (2y) + 28 / (kappa y)), where h_n is
+    the dominant solution of the forward recurrence, so its drift stays
+    far below that of hermite_orders past the turning point.  The limit
+    is the ulp of ln S, which a double stores: at kappa = 2, beta = 0,
+    ln S is within 2 ulps of Mehler's closed form at x up to 2500 (3.1e6
+    orders), and that ulp is 4.7e-10 at x = 2000, y = 1.  Raises
+    ValueError for a non-finite x or one whose cutoff N exceeds 4e6
+    orders (|x| above about 2.9e3 at y = 1/2).
     """
     log_s, _, _ = _sum_internals(x, params)
     return SignedLog(1, log_s)

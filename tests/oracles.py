@@ -28,21 +28,26 @@ def mp_hermite_log(n: int, x: float, dps: int = 40) -> tuple[int, float]:
 
 
 def mp_hermite_logs(orders, x: float, dps: int = 40) -> list[tuple[int, float]]:
-    """(sign, ln|h_n(x)|) for each n in orders, from one mpmath recurrence pass."""
+    """(sign, ln|h_n(x)|) for each n in orders, from one mpmath recurrence pass.
+
+    The pass runs on g_k = h_k sqrt(k!), for which the recurrence
+    h_{k+1} = x sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1} becomes
+    g_{k+1} = x sqrt(2) g_k - k g_{k-1}, with no square root a step;
+    ln|h_n| = ln|g_n| - ln(n!)/2.
+    """
     wanted = set(orders)
     found = {}
     with mp.workdps(dps):
         xm = mp.mpf(x)
+        x_root2 = xm * mp.sqrt(2)
         prev = mp.mpf(0)
         cur = mp.pi ** mp.mpf("-0.25") * mp.exp(-xm * xm / 2)
         for k in range(max(orders) + 1):
             if k in wanted:
                 found[k] = (0, -math.inf) if cur == 0 else (
-                    (1 if cur > 0 else -1), float(mp.log(abs(cur)))
+                    (1 if cur > 0 else -1), float(mp.log(abs(cur)) - mp.loggamma(k + 1) / 2)
                 )
-            prev, cur = cur, xm * mp.sqrt(mp.mpf(2) / (k + 1)) * cur - mp.sqrt(
-                mp.mpf(k) / (k + 1)
-            ) * prev
+            prev, cur = cur, x_root2 * cur - k * prev
     return [found[n] for n in orders]
 
 
@@ -232,7 +237,7 @@ def unit_coefficients(n: int, dtype=float) -> tuple[list, list]:
     return a_all[:n], s_all[1 : n + 1]
 
 
-def per_step_rescaled_recurrence(n: int, x: float, dtype=float) -> tuple[list, list]:
+def per_step_rescaled_recurrence(n: int, x: float, dtype=float, start=None) -> tuple[list, list]:
     """(p_k, walls_k) for k = 0..n, with the walls tested after every step.
 
     The running pair of the rescaled recurrence with a unit h_{k-1}
@@ -244,17 +249,19 @@ def per_step_rescaled_recurrence(n: int, x: float, dtype=float) -> tuple[list, l
     this pins down the value every rescaled loop must represent.  A tiny
     x, 0 < |x| < 2^-511, runs at copysign(2^-511, x), as the library's
     loops do: h_n is even or odd in x to double precision there, and
-    p_1 = x sqrt(2) stays a normal double.
+    p_1 = x sqrt(2) stays a normal double.  With start = (k0, p_{k0-1},
+    p_{k0}, walls_{k0}), the pass starts from that pair instead and
+    returns k = k0..n.
     """
     wall_hi, wall_lo = 2.0**512, 2.0**-512
     if 0.0 < abs(x) < 2.0**-511:
         x = math.copysign(2.0**-511, x)
     a_all, _ = unit_coefficients(n, dtype)
     x = dtype(x)
-    p_prev, p_cur = dtype(0), dtype(1)
-    walls = 0
+    k0, p_prev, p_cur, walls = start or (0, 0, 1, 0)
+    p_prev, p_cur = dtype(p_prev), dtype(p_cur)
     ps, ws = [p_cur], [walls]
-    for a in a_all:
+    for a in a_all[k0:]:
         p_prev, p_cur = p_cur, x * a * p_cur - p_prev
         big = max(abs(p_cur), abs(p_prev))
         if big > wall_hi:

@@ -468,6 +468,16 @@ class TestMainExitCodes:
         assert rc == 1
         assert "config error" in err and message in err
 
+    def test_calibrate_rejects_fixture(self, tmp_path, capsys):
+        # calibrate writes a fixture and compares against none
+        out = tmp_path / "f.json"
+        rc = main(["calibrate", "nmax", "--y", "0.5", "--x-min", "20", "--x-max", "60",
+                   "--x-count", "5", "--fixture", "absent", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "config error" in err and "--fixture" in err
+        assert not out.exists()
+
     def test_help_exits_zero(self, capsys):
         for argv in (["--help"], ["sum", "--help"], ["calibrate", "nmax", "--help"]):
             with pytest.raises(SystemExit) as exit_info:

@@ -39,18 +39,55 @@ FROZEN_ARGUMENT_VALUES = [
 
 
 def count_recurrence_orders(monkeypatch) -> list:
-    """Count the orders each later _scalar_loop pass yields, one list entry a pass."""
+    """Count the orders each later order stream computes, one list entry a stream.
+
+    An entry counts every order the stream ran the recurrence to, order 0
+    and the orders it computed past the last one it handed out included.
+    """
     passes = []
-    loop = hermite_core._scalar_loop
 
-    def counting(n, x, dtype=float, keep=False):
-        passes.append(0)
-        for ps, *rest in loop(n, x, dtype, keep):
-            passes[-1] += len(ps)
-            yield ps, *rest
+    class CountingStream(hermite_core._OrderStream):
+        def __init__(self, n_top, x):
+            super().__init__(n_top, x)
+            self.entry = len(passes)
+            passes.append(1)
 
-    monkeypatch.setattr(hermite_core, "_scalar_loop", counting)
+        def take(self, count):
+            out = super().take(count)
+            passes[self.entry] = self._k + 1
+            return out
+
+    monkeypatch.setattr(hermite_core, "_OrderStream", CountingStream)
     return passes
+
+
+def first_request_end(x: float, params: SumParams) -> int:
+    """The last order of a sum's first request.
+
+    It lies past max(N, 64), past the tail bound's first finite order, and
+    as far past N as the bound takes to fall by the tolerance and two more
+    e-folds at e^(-kappa y) an order.
+    """
+    kappa_y = params.kappa * params.y
+    n_cut = truncation_index(x, params.y)
+    lookahead = math.ceil((2.0 - math.log(TAIL_RELATIVE_TOLERANCE)) / kappa_y)
+    n_solve = max(n_cut, 64, math.floor(max(-params.beta, 0.0) / kappa_y) + 1)
+    return max(n_solve, n_cut + lookahead)
+
+
+def mehler_pair(x: float, y: float) -> tuple[float, float]:
+    """(ln of direct_sum's S(x; 2, 0, y) plus the n = 0 term, ln of Mehler's closed form).
+
+    Mehler: sum_{n>=0} e^(-2ny) h_n(x)^2 = (pi (1 - e^(-4y)))^(-1/2) e^(-x^2 tanh y),
+    so S(x; 2, 0, y) plus the n = 0 term has x-power 0, the sharp envelope
+    power 1 - kappa/2 - 2 beta at kappa = 2, beta = 0.
+    """
+    s = direct_sum(x, SumParams(2.0, 0.0, y)).logmag
+    h0_sq = -0.5 * math.log(math.pi) - x * x
+    hi, lo = max(s, h0_sq), min(s, h0_sq)
+    total = hi + math.log1p(math.exp(lo - hi))
+    mehler = -0.5 * math.log(math.pi * -math.expm1(-4.0 * y)) - x * x * math.tanh(y)
+    return total, mehler
 
 
 class TestSumParams:
@@ -260,17 +297,18 @@ class TestDirectSum:
     @pytest.mark.parametrize("x", [2.0, 15.0, 40.0])
     @pytest.mark.parametrize("y", [0.25, 0.5, 1.0])
     def test_mehler_closed_form_at_kappa_two(self, x, y):
-        # Mehler: sum_{n>=0} e^(-2ny) h_n(x)^2
-        #   = (pi (1 - e^(-4y)))^(-1/2) e^(-x^2 tanh y),
-        # so S(x; 2, 0, y) plus the n = 0 term has x-power 0, the sharp
-        # envelope power 1 - kappa/2 - 2 beta at kappa = 2, beta = 0
-        s = direct_sum(x, SumParams(2.0, 0.0, y)).logmag
-        h0_sq = -0.5 * math.log(math.pi) - x * x
-        hi, lo = max(s, h0_sq), min(s, h0_sq)
-        total = hi + math.log1p(math.exp(lo - hi))
-        mehler = -0.5 * math.log(math.pi * -math.expm1(-4.0 * y)) - x * x * math.tanh(y)
+        total, mehler = mehler_pair(x, y)
         assert abs(total - mehler) <= 1e-12
         assert envelope_power(SumParams(2.0, 0.0, y)) == 0.0
+
+    @pytest.mark.parametrize("x", [1000.0, 2500.0])
+    @pytest.mark.parametrize("y", [0.25, 1.0])
+    def test_mehler_closed_form_at_large_x(self, x, y):
+        # up to 3.1e6 orders (x = 2500, y = 1/4), nearly all of them scanned
+        # below the turning point, in about 50 requests of _LARGEST_BLOCK
+        # orders: ln S holds to the last ulps that a double can store
+        total, mehler = mehler_pair(x, y)
+        assert abs(total - mehler) <= 2.0 * np.spacing(abs(mehler))
 
     def test_truncation_soundness(self):
         # doubling the certified truncation must not move the total
@@ -286,13 +324,16 @@ class TestDirectSum:
     @pytest.mark.parametrize("kappa, beta, y", [(1.0, 0.25, 0.5), (2.0, 0.0, 0.25), (2.0, 0.0, 1.0)])
     @pytest.mark.parametrize("x", [7.5, 60.0, 150.0])
     def test_one_recurrence_pass_per_sum(self, monkeypatch, kappa, beta, y, x):
-        # the truncation streams: one recurrence sweep per sum, stopping
-        # within one block of the analysis cutoff instead of restarting
-        # from n = 0 at a doubled cutoff
+        # the truncation streams: one recurrence sweep per sum, instead of
+        # restarting from n = 0 at a doubled cutoff.  For beta >= 0 the
+        # first request reaches the stop, and the stream runs less than
+        # one stride past the end of the request
+        params = SumParams(kappa, beta, y)
         passes = count_recurrence_orders(monkeypatch)
-        direct_sum(x, SumParams(kappa, beta, y))
+        _, _, n_stop = _sum_internals(x, params)
         assert len(passes) == 1
-        assert passes[0] <= max(truncation_index(x, y), 64) + 1025
+        assert n_stop <= first_request_end(x, params)
+        assert passes[0] <= first_request_end(x, params) + hermite_core._stride(x)
 
     @pytest.mark.parametrize(
         "kappa, beta, y", [(1.0, -0.5, 0.5), (2.0, -2.0, 0.3), (1.0, -140.0, 0.5), (1.0, -1000.0, 0.5)]
@@ -300,13 +341,14 @@ class TestDirectSum:
     @pytest.mark.parametrize("x", [7.5, 60.0, 150.0])
     def test_negative_beta_pass_ends_near_the_stop(self, monkeypatch, kappa, beta, y, x):
         # the tail bound is infinite up to order |beta| / (kappa y): the
-        # blocks run to the first finite one and solve from there, not
-        # from the infinite bound, so the pass ends within a block of
-        # n_stop
+        # first request runs past that, and later ones double the solved
+        # count until the bound alone would pass; the pass ends past n_stop
+        # by less than the longest gap that solve leaves (measured at most
+        # 181 orders) plus one stride
         passes = count_recurrence_orders(monkeypatch)
         _, _, n_stop = _sum_internals(x, SumParams(kappa, beta, y))
         assert len(passes) == 1
-        assert passes[0] <= n_stop + 1025
+        assert passes[0] <= n_stop + 256 + hermite_core._stride(x)
 
     @pytest.mark.parametrize(
         "kappa, beta, y",
@@ -342,6 +384,23 @@ class TestDirectSum:
         assert small_n_stop == n_stop
         assert small_log_s == log_s
         np.testing.assert_array_equal(small_terms, terms)
+
+    def test_memory_of_a_far_sum(self):
+        # n_stop = 462,166 at x = 1000: the sum draws at most _LARGEST_BLOCK
+        # orders a request and the stream scans at most
+        # hermite_core._SCAN_ORDERS a pass, so the peak is the kept terms
+        # (3.5 MB, twice while they are joined) plus one request's
+        # conversion.  Measured 14.2 MB; the slice-join stream took 14.1 MB.
+        params = SumParams(1.0, 0.25, 0.5)
+        hermite_orders(1, 1.0)  # builds the process's coefficient table first
+        tracemalloc.start()
+        try:
+            _, _, n_stop = _sum_internals(1000.0, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert n_stop > 460_000
+        assert peak < 16 * 2**20
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("x", [1e6, -1e6, math.inf, math.nan, 2.0**512])

@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hermite_decay import hermite_core
@@ -234,30 +234,34 @@ class TestSweeps:
 
     @pytest.mark.parametrize("n_top", [63, 64, 65, 5000])
     def test_order_blocks_concatenate_to_orders(self, n_top):
-        # the sum streams the recurrence in blocks drawn with _next_orders;
-        # joined, they are the one sweep of hermite_orders
-        x = 41.3
-        stride = hermite_core._stride(x)
-        slices = hermite_core._scalar_loop(n_top, x, keep=True)
-        blocks, start, count = [], 0, 64
-        while True:
-            block = hermite_core._next_orders(slices, count, x, start)
-            if not block[0].size:
-                break
-            assert block[0].size < count + stride
-            blocks.append(block)
-            start += block[0].size
-            count *= 2
-        assert start == n_top + 1
-        signs, logs = hermite_orders(n_top, x)
-        assert np.array_equal(np.concatenate([b[0] for b in blocks]), signs)
-        assert np.array_equal(np.concatenate([b[1] for b in blocks]), logs)
-        # orders on both sides of each block boundary continue one recurrence
-        edges = np.cumsum([b[0].size for b in blocks])
-        for n in ({0, n_top} | set(edges - 1) | set(edges)) & set(range(n_top + 1)):
-            ref = hermite_exact(n, x)
-            assert signs[n] == ref.sign
-            assert logs[n] == pytest.approx(ref.logmag, rel=1e-12)
+        # the sum draws the orders from one stream in requests of its own
+        # sizes; each request gets exactly its orders, the stream runs
+        # less than one stride past them, and joined they are the one
+        # sweep of hermite_orders (at x = 150 a scan, at x = 41.3 single
+        # steps)
+        for x in (41.3, 150.0):
+            stride = hermite_core._stride(x)
+            stream = hermite_core._OrderStream(n_top, x)
+            blocks, start, count = [], 0, 64
+            while True:
+                block = stream.logs(count)
+                assert block[0].size == min(count, n_top + 1 - start)
+                if not block[0].size:
+                    break
+                blocks.append(block)
+                start += block[0].size
+                assert stream._k - (start - 1) < stride  # computed past the last handed out
+                count *= 2
+            assert start == n_top + 1
+            signs, logs = hermite_orders(n_top, x)
+            assert np.array_equal(np.concatenate([b[0] for b in blocks]), signs)
+            assert np.array_equal(np.concatenate([b[1] for b in blocks]), logs)
+            # orders on both sides of each block boundary continue one recurrence
+            edges = np.cumsum([b[0].size for b in blocks])
+            for n in ({0, n_top} | set(edges - 1) | set(edges)) & set(range(n_top + 1)):
+                ref = hermite_exact(n, x)
+                assert signs[n] == ref.sign
+                assert logs[n] == pytest.approx(ref.logmag, rel=1e-12)
 
     @pytest.mark.parametrize("n_top", [0, 1])
     def test_orders_at_the_smallest_n_top(self, n_top):
@@ -605,8 +609,9 @@ class TestFrontendsAgreeAcrossBlockEdges:
 
     def test_double_frontends_track_the_extended_tier_at_order_2e5(self):
         # hermite_orders and hermite_batch stay in doubles past
-        # EXTENDED_PRECISION_ORDER: at n = 2e5 their worst drift is
-        # 3.4e-12 (x = 600); at n = 1e6 it reaches 8.1e-10
+        # EXTENDED_PRECISION_ORDER: at n = 2e5 their worst drifts are
+        # 2.1e-12 and 3.4e-12 (x = 600); at n = 1e6 they reach 6.9e-10
+        # and 8.1e-10
         n, xs = 200_000, [30.0, 150.0, 600.0, 1000.0]
         batch_signs, batch_logs = hermite_batch([n] * len(xs), xs)
         for i, x in enumerate(xs):
@@ -615,6 +620,70 @@ class TestFrontendsAgreeAcrossBlockEdges:
             assert order_signs[n] == batch_signs[i] == ref.sign != 0
             assert abs(order_logs[n] - ref.logmag) <= 1e-11
             assert abs(batch_logs[i] - ref.logmag) <= 1e-11
+
+
+def long_double_log(n: int, x: float) -> tuple[int, float]:
+    """(sign, ln|h_n(x)|) from the long-double _scalar_loop, at one order."""
+    p, walls, s = hermite_core._scalar_loop(n, x, hermite_core._EXTENDED_FLOAT)
+    log_m = float(np.log(abs(p) * s))
+    return int(np.sign(p)), float(hermite_core._log_magnitude(walls, log_m, x))
+
+
+def turning_order(x: float) -> int:
+    """The last order n below the turning point, 2n + 1 < x^2."""
+    return math.ceil((x * x - 1.0) / 2.0) - 1
+
+
+class TestScanBelowTheTurningPoint:
+    """The order stream against the long-double loop and mpmath.
+
+    Below the turning point the stream scans blocks of _stride(|x|)
+    steps, for x above about 52.  There its ln|h_n| stays within
+    2 ulp(ln|h_n|) + 2e-13 of both references.  The measured worst over
+    x in [40, 185], all orders below the turning point, is 1 ulp + 1.0e-13;
+    the double scalar loop's is 1 ulp + 7.7e-14.  Orders run to 16400 at
+    most, so for x above 181 they cross the coefficient table's edge at
+    2^14.
+    """
+
+    @given(
+        st.floats(min_value=40.0, max_value=1000.0),
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=4),
+    )
+    @example(60.0, [0.5])
+    @example(182.0, [0.99])
+    @example(1000.0, [1.0])
+    @settings(max_examples=10, deadline=None)
+    def test_matches_long_double_and_mpmath(self, x, fractions):
+        n_last = min(turning_order(x), 16400)
+        table = hermite_core._TABLE_ORDERS
+        orders = {1, n_last} | {max(1, round(f * n_last)) for f in fractions}
+        orders |= {n for n in (table - 1, table, table + 1) if n <= n_last}
+        orders = sorted(orders)
+        signs, logs = hermite_orders(n_last, x)
+        for n, (sign, logmag) in zip(orders, mp_hermite_logs(orders, x)):
+            bound = 2.0 * np.spacing(abs(logmag)) + 2e-13
+            assert signs[n] == sign
+            assert abs(logs[n] - logmag) <= bound
+            if hermite_core._EXTENDED_FLOAT is not None:
+                ld_sign, ld_log = long_double_log(n, x)
+                assert ld_sign == sign
+                assert abs(logs[n] - ld_log) <= bound
+
+    @pytest.mark.parametrize("x", [60.0, 150.0, 600.0])
+    def test_hands_off_to_single_steps_past_the_turning_point(self, x):
+        # the scan ends at the last whole block below the turning point;
+        # single steps go on from its last pair and wall count, and
+        # hermite_orders keeps its 1e-10 contract on both sides
+        stream = hermite_core._OrderStream(0, x)
+        end, n_turn = stream.scan_end, turning_order(x)
+        assert 0 < end <= n_turn < end + stream.stride
+        n_top = n_turn + int(x)
+        orders = [end - 1, end, end + 1, n_turn, n_turn + 1, n_top]
+        signs, logs = hermite_orders(n_top, x)
+        for n, (sign, logmag) in zip(orders, mp_hermite_logs(orders, x)):
+            assert signs[n] == sign
+            assert abs(logs[n] - logmag) <= 1e-10
 
 
 def assert_same_values(ms, walls, ref_ms, ref_walls):
@@ -632,24 +701,27 @@ def assert_same_values(ms, walls, ref_ms, ref_walls):
 
 
 class TestStridedWalls:
-    """Testing the walls once per stride represents the per-step values exactly."""
+    """Testing the walls once per stride represents the per-step values exactly.
 
-    @staticmethod
-    def check(n, xs):
+    That holds bit for bit on every path that steps one order at a time:
+    _scalar_loop in both float types, the order stream past its scan, and
+    _array_loop.  The stream's scan regroups the rounding; its values stay
+    within SCAN_REL of the per-step ones (measured worst: 1.7e-14 over
+    n <= 20000 and |x| <= 1e5).
+    """
+
+    SCAN_REL = 1e-13
+
+    @classmethod
+    def check(cls, n, xs):
         dtypes = [float] + ([hermite_core._EXTENDED_FLOAT] if hermite_core._EXTENDED_FLOAT else [])
         for x in xs:
             for dtype in dtypes:
                 ref_ms, ref_walls = per_step_rescaled_recurrence(n, x, dtype)
-                ref_scales = np.array([1] + unit_coefficients(n, dtype)[1], dtype=dtype)
-                blocks = list(hermite_core._scalar_loop(n, x, dtype, keep=True))
-                ms = [m for block, _, _ in blocks for m in block]
-                walls = [w for _, block, _ in blocks for w in block]
-                assert_same_values(ms, walls, ref_ms, ref_walls)
-                scales = np.concatenate([block for _, _, block in blocks])
-                np.testing.assert_array_equal(scales, ref_scales)
-                [(last_m, last_walls, last_scale)] = hermite_core._scalar_loop(n, x, dtype)
-                assert_same_values(last_m, last_walls, ref_ms[-1:], ref_walls[-1:])
-                assert last_scale == ref_scales[-1:]
+                last_m, last_walls, last_scale = hermite_core._scalar_loop(n, x, dtype)
+                assert_same_values([last_m], [last_walls], ref_ms[-1:], ref_walls[-1:])
+                assert last_scale == ([1] + unit_coefficients(n, dtype)[1])[-1]
+            cls.check_stream(n, x)
         steps = [
             (m.copy(), w.copy(), s)
             for _, m, w, _, s in hermite_core._array_loop(np.array(xs), n)
@@ -660,6 +732,24 @@ class TestStridedWalls:
         for j, x in enumerate(xs):
             ref_ms, ref_walls = per_step_rescaled_recurrence(n, x)
             assert_same_values(array_ms[:, j], array_walls[:, j], ref_ms, ref_walls)
+
+    @classmethod
+    def check_stream(cls, n, x):
+        stream = hermite_core._OrderStream(n, x)
+        ms, walls, scales = stream.take(n + 1)
+        np.testing.assert_array_equal(scales, [1.0] + unit_coefficients(n)[1])
+        ref_ms, ref_walls = per_step_rescaled_recurrence(n, x)
+        end = min(stream.scan_end, n)
+        if end:
+            ratio = ms[: end + 1] / np.array(ref_ms[: end + 1])
+            rel = np.ldexp(ratio, 512 * (walls[: end + 1] - np.array(ref_walls[: end + 1]))) - 1.0
+            assert np.all(np.abs(rel) <= cls.SCAN_REL)
+            # the steps past the scan start from its last pair
+            prev = np.ldexp(ms[end - 1], 512 * (walls[end - 1] - walls[end]))
+            ref_ms, ref_walls = per_step_rescaled_recurrence(
+                n, x, start=(end, prev, ms[end], walls[end])
+            )
+        assert_same_values(ms[end:], walls[end:], ref_ms, ref_walls)
 
     @given(
         st.integers(min_value=0, max_value=5000),
