@@ -81,7 +81,11 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One sweep: mode, parameters, grids, and output disposition."""
+    """One sweep: mode, parameters, grids, and output disposition.
+
+    The mode's parameters (MODES[mode].parameters) are required, and the
+    others must stay unset: fixture_id hashes every field.
+    """
 
     mode: str
     x_grid: GridSpec
@@ -106,11 +110,17 @@ class SweepConfig:
             raise ValueError("format must be csv or json")
         if self.jobs is not None and self.jobs < 1:
             raise ValueError("jobs must be at least 1")
-        for name in MODES[self.mode].parameters:
+        for name, (_, _, check) in _PARAMETERS.items():
             value = getattr(self, name)
-            if value is None or value == ():
-                raise ValueError(f"{name} is required for mode {self.mode}")
-            _PARAMETERS[name][2](value)
+            unset = value is None or value == ()
+            if name in MODES[self.mode].parameters:
+                if unset:
+                    raise ValueError(f"{name} is required for mode {self.mode}")
+                check(value)
+            elif not unset:
+                # fixture_id hashes every field, so a value here would key
+                # the sweep by a parameter that it never reads
+                raise ValueError(f"mode {self.mode} does not read {name}")
 
     def sum_params(self) -> SumParams:
         return SumParams(kappa=self.kappa, beta=self.beta, y=self.y)
@@ -470,8 +480,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _add_mode_flags(parser: argparse.ArgumentParser, mode: Mode, compare: bool = True):
-    """Flags of one mode; --fixture only where a sweep compares (not calibrate)."""
+def _add_mode_flags(parser: argparse.ArgumentParser, mode: Mode, calibrate: bool = False):
+    """Flags of one mode, each only where it acts: a sweep writes csv or
+    json and may compare against a fixture; calibrate writes a fixture,
+    always JSON, and may overwrite one."""
     for name in mode.parameters:
         kind, default, _ = _PARAMETERS[name]
         parser.add_argument("--" + name.replace("_", "-"), type=kind, default=default)
@@ -480,14 +492,15 @@ def _add_mode_flags(parser: argparse.ArgumentParser, mode: Mode, compare: bool =
     parser.add_argument("--x-count", type=int, default=50)
     parser.add_argument("--x-log", action="store_true")
     parser.add_argument("--out", type=str, default=None)
-    parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    if compare:
-        parser.add_argument("--fixture", type=str, default=None)
+    if calibrate:
+        parser.add_argument("--force", action="store_true")
+        parser.set_defaults(fmt="csv", fixture=None)
     else:
-        parser.set_defaults(fixture=None)
+        parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+        parser.add_argument("--fixture", type=str, default=None)
+        parser.set_defaults(force=False)
     parser.add_argument("--jobs", type=int, default=None,
                         help="accepted for compatibility; every mode runs in one thread")
-    parser.add_argument("--force", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -502,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     frozen_modes = frozen.add_subparsers(dest="mode", required=True)
     for name, mode in MODES.items():
         if mode.frozen:
-            _add_mode_flags(frozen_modes.add_parser(name, help=mode.help), mode, compare=False)
+            _add_mode_flags(frozen_modes.add_parser(name, help=mode.help), mode, calibrate=True)
     return parser
 
 

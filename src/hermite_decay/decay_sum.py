@@ -38,13 +38,11 @@ TAIL_RELATIVE_TOLERANCE = 1e-12
 # and rejects x whose analysis cutoff lies past it.
 _MAX_ORDER = 4_000_000
 
-# Most orders direct_sum draws from its order stream at once.  The
-# request holds three arrays of 8 bytes an order from the stream and
-# about a dozen more in the conversion to logs, so this bounds its
-# memory when the analysis cutoff lies far out (it is 4.6e5 at x = 1e3,
-# y = 1/2).  The stream's scan adds its (B, 2M) buffers, U and V and
-# the coefficients, plus the (M, B) combination: about 48 bytes an
-# order, for at most hermite_core._SCAN_ORDERS orders a pass.
+# Most orders direct_sum draws from its order stream at once.  A block
+# holds about fifteen arrays of 8 bytes an order at a time, in the
+# conversion to logs and in the stop test: up to 8 MB.  The term logs
+# kept up to n_stop add 8 bytes an order, twice while they are joined.
+# At x = 1e3, y = 1/2 (n_stop = 4.6e5) the sum peaks at 15 MB.
 _LARGEST_BLOCK = 1 << 16
 
 # Bisection control for the interior-maximum solve.
@@ -179,11 +177,13 @@ def find_nmax(x: float, y: float) -> ArgumentProfile:
     a negative value lands strictly between the two roots and brackets
     only the wanted one.
 
-    Raises ValueError when x is too small for the given y (truncation
-    window shorter than 3 orders, or no sign change in the bracket);
-    failure is reported, never clamped.  The summand |h_n(x)|^kappa is
-    even in x, so the profile at x is the one at |x|.
+    Raises ValueError for a non-finite x, or when x is too small for the
+    given y (truncation window shorter than 3 orders, or no sign change
+    in the bracket); failure is reported, never clamped.  The summand
+    |h_n(x)|^kappa is even in x, so the profile at x is the one at |x|.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     x = abs(x)
     n_trunc = truncation_index(x, y)
     if n_trunc < 3:
@@ -292,16 +292,17 @@ def _sum_internals(x: float, params: SumParams) -> tuple[float, np.ndarray, int]
     lookahead = (2 - ln TAIL_RELATIVE_TOLERANCE) / (kappa y) orders past
     N: at N the bound is about S, and for beta >= 0 it falls by
     e^(-kappa y) an order or faster, so there it has usually passed.
-    Past _LARGEST_BLOCK orders the first block runs as several.  Each
-    later block runs to the order where the bound alone would pass
+    Every later block runs to the order where the bound alone would pass
     against the partial sum so far: the count that a fall of
     e^(-kappa y) an order needs, enough for beta >= 0, doubled until the
-    bound passes for beta < 0, where it falls more slowly.  log S is
-    summed over all kept terms at once, so it does not depend on the
-    block boundaries.  Raises ValueError for an x hermite_core rejects
-    or whose analysis cutoff lies past _MAX_ORDER.
+    bound passes for beta < 0, where it falls more slowly.  No block
+    holds more than _LARGEST_BLOCK orders or runs past _MAX_ORDER.
+    log S is summed over all kept terms at once, so it does not depend
+    on the block boundaries.  Raises ValueError for an x hermite_core
+    rejects or whose analysis cutoff lies past _MAX_ORDER, and
+    RuntimeError when the tail is not certified by _MAX_ORDER.
     """
-    hermite_core._check_arguments(_MAX_ORDER, x)
+    hermite_core._check_arguments(0, x)
     x = abs(x)
     kappa_y = params.kappa * params.y
     n_cut = truncation_index(x, params.y)
@@ -318,8 +319,8 @@ def _sum_internals(x: float, params: SumParams) -> tuple[float, np.ndarray, int]
     # tolerance and two more e-folds
     lookahead = math.ceil((2.0 - log_tol) / kappa_y)
     n_first = max(n_solve, n_cut + lookahead)
-    stream = hermite_core._OrderStream(_MAX_ORDER, x)
-    _, logs = stream.logs(min(n_first, _LARGEST_BLOCK) + 1)
+    stream = hermite_core._OrderStream(x)
+    _, logs = stream.logs(min(n_first, _LARGEST_BLOCK, _MAX_ORDER) + 1)
     logs = logs[1:]  # h_0 carries no summand
     blocks = []
     n_end = 0  # the last order summed
@@ -342,20 +343,15 @@ def _sum_internals(x: float, params: SumParams) -> tuple[float, np.ndarray, int]
             return _log_sum(terms), terms, int(n[stop])
         if running.size:
             log_partial = float(running[-1])
-        if n_end < n_first:
-            count = n_first - n_end
-        else:
-            # the bound falls by e^(-kappa y) an order or faster for
-            # beta >= 0, more slowly for beta < 0: double the count, up to
-            # 128 times, until the bound alone would pass against the
-            # partial sum so far
-            target = log_partial + log_tol
-            gap = float(_log_tails(n_end + 1, params)) - target
-            counts = math.ceil(min(gap / kappa_y, _MAX_ORDER)) * 2 ** np.arange(8)
-            passing = _log_tails(n_end + 1 + counts, params) <= target
-            count = int(counts[passing.argmax() if passing.any() else -1])
-        count = min(max(count, 1), _LARGEST_BLOCK)
-        _, logs = stream.logs(count)
+        # the bound falls by e^(-kappa y) an order or faster for beta >= 0,
+        # more slowly for beta < 0: double the count, up to 128 times,
+        # until the bound alone would pass against the partial sum so far
+        target = log_partial + log_tol
+        gap = float(_log_tails(n_end + 1, params)) - target
+        counts = math.ceil(min(gap / kappa_y, _MAX_ORDER)) * 2 ** np.arange(8)
+        passing = _log_tails(n_end + 1 + counts, params) <= target
+        count = int(counts[passing.argmax() if passing.any() else -1])
+        _, logs = stream.logs(min(max(count, 1), _LARGEST_BLOCK, _MAX_ORDER - n_end))
     raise RuntimeError(f"tail certification failed to converge by n={n_end} at x={x}")
 
 
@@ -395,14 +391,14 @@ def envelope_power(params: SumParams) -> float:
 
 
 def envelope(x: float, params: SumParams) -> SignedLog:
-    """Log envelope p ln x - kappa x^2 tanh(y) / 2, x > 0.
+    """Log envelope p ln x - kappa x^2 tanh(y) / 2, x > 0 and finite.
 
     p = envelope_power(params) = 1 - kappa/2 - 2 beta.  No
     multiplicative constant is included: constants are calibration
     outputs (see SharpnessCertificate), not ground truth.
     """
-    if x <= 0.0:
-        raise ValueError(f"envelope needs x > 0, got {x}")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"envelope needs a finite x > 0, got {x}")
     logmag = envelope_power(params) * math.log(x) - 0.5 * params.kappa * x * x * math.tanh(params.y)
     return SignedLog(1, logmag)
 

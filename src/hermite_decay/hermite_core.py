@@ -33,8 +33,10 @@ hands out every order at one point in requests of any size
 for many points (hermite_batch, hermite_values, hermite_moment_sweep).
 The stream scans the orders below the turning point 2n + 1 < x^2 as
 blocked 2x2 transfer matrices and steps one order at a time past it
-(see _OrderStream).  All three share one coefficient table and one
-compensated log finalizer.  Above EXTENDED_PRECISION_ORDER,
+(see _OrderStream).  All three read their coefficients from one
+cursor (_Coefficients), test their walls after the orders that are
+multiples of one stride, and convert through one compensated log
+finalizer (_signed_logs).  Above EXTENDED_PRECISION_ORDER,
 hermite_exact runs the scalar loop in long double.
 
 For large orders inside the monotonic (zero-free) region
@@ -77,10 +79,11 @@ _WALL_LOG_LO = float.fromhex("-0x1.718432a1b0e26p-26")
 
 # Orders of the coefficient table (a'_k and s_{k+1}) kept per float
 # type, built once per process: 2^14 orders cost 256 kB in doubles and
-# 512 kB in long double.  Loops read it in blocks of _BLOCK orders, and
-# past it compute their coefficients block by block, carrying the scales.
+# 512 kB in long double.  The cursor _Coefficients hands out views of it,
+# and past it computes the coefficients that a request lacks, carrying
+# the scales.  _scalar_loop and _array_loop request at most this many
+# orders at once.
 _TABLE_ORDERS = 1 << 14
-_BLOCK = 1024
 _TABLES: dict = {}
 
 # Below this |x| the loops run at copysign(_TINY_X, x) instead: m_1 =
@@ -171,11 +174,14 @@ def phi_coordinate(n: float, x: float) -> float:
     phi >= 0 with x = sqrt(2(n+1)) cosh(phi), exactly 0 on the boundary
     x = sqrt(2(n+1)).  The order n >= 0 may be real: the weighted-sum
     analysis treats it as a continuous variable.  Raises ValueError for
-    x < sqrt(2(n+1)), outside the monotonic region.  Computed in the log
-    form ln(r + sqrt(r^2 - 1)), stable for the large ratios r at big x.
+    a non-finite x and for x < sqrt(2(n+1)), outside the monotonic
+    region.  Computed in the log form ln(r + sqrt(r^2 - 1)), stable for
+    the large ratios r at big x.
     """
-    if n < 0:
+    if not n >= 0:
         raise ValueError(f"order must be nonnegative, got {n}")
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     edge = math.sqrt(2.0 * (n + 1.0))
     r = x / edge
     if r < 1.0:
@@ -197,17 +203,29 @@ def _square_with_residual(x):
     return p, ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
 
 
-def _check_arguments(orders, xs) -> None:
-    """Raise ValueError unless every order is >= 0 and every |x| <= _X_MAX.
+def _check_arguments(orders, xs):
+    """Check the arguments of a frontend; return its orders as integers.
 
-    orders and xs are scalars or arrays; a non-finite x fails too.
+    Raises ValueError unless every order is a whole number in
+    [0, 2^63) (2.5, nan, inf and 1e30 fail: an order must survive the
+    cast to int64 unchanged, so none is truncated or wrapped) and every
+    x is finite with |x| <= _X_MAX.  orders and xs are scalars or
+    arrays.
     """
-    if np.min(orders, initial=0) < 0:
-        raise ValueError(f"orders must be nonnegative, got {np.min(orders)}")
+    ints = orders = np.asarray(orders)
+    if orders.dtype.kind != "i":
+        with np.errstate(invalid="ignore"):
+            ints = orders.astype(np.int64)
+        bad = orders[ints != orders]
+        if bad.size:
+            raise ValueError(f"orders must be whole numbers below 2^63, got {bad[0]}")
+    if np.min(ints, initial=0) < 0:
+        raise ValueError(f"orders must be nonnegative, got {np.min(ints)}")
     xs = np.asarray(xs, dtype=float)
     bad = xs[~(np.abs(xs) <= _X_MAX)]
     if bad.size:
         raise ValueError(f"x must be finite with |x| <= 2^511, got {bad[0]}")
+    return ints if ints.ndim else int(ints)
 
 
 def _coefficient_range(start: int, stop: int, dtype, s_before, s_start):
@@ -240,25 +258,41 @@ def _coefficient_range(start: int, stop: int, dtype, s_before, s_start):
     return a, s
 
 
-def _coefficients(n: int, dtype):
-    """Yield blocks of a'_k and s_{k+1} for k = 0..n-1, computed in dtype.
+class _Coefficients:
+    """a'_k and s_{k+1} for k = 0, 1, 2, ..., computed in dtype, handed out in order.
 
-    Blocks hold _BLOCK orders (the last one fewer).  Orders below
-    _TABLE_ORDERS are slices of a table per dtype, built at the first
-    call of the process; later blocks are computed when the loop reaches
-    them, each from the last two scales of the one before.  So a loop
-    holds a bounded table whatever n is, and no call rebuilds the orders
-    below the cap.
+    take(count) returns the next count of each, read-only.  Orders below
+    _TABLE_ORDERS are views of a table per dtype, built at the first use
+    of the process; past it, each request that runs beyond the orders
+    computed so far computes the ones it lacks (two at least), from the
+    last two scales before them.  So a walk holds no more coefficients
+    than its largest request, no call rebuilds the orders below the
+    table's end, and how a walk splits its requests changes no value.
     """
-    table = _TABLES.get(dtype)
-    if table is None:
-        table = _TABLES[dtype] = _coefficient_range(0, _TABLE_ORDERS, dtype, 1, 1)
-    a, s = table
-    for lo in range(0, min(n, _TABLE_ORDERS), _BLOCK):
-        yield a[lo : min(n, lo + _BLOCK)], s[lo : min(n, lo + _BLOCK)]
-    for lo in range(_TABLE_ORDERS, n, _BLOCK):
-        a, s = _coefficient_range(lo, min(n, lo + _BLOCK), dtype, s[-2], s[-1])
-        yield a, s
+
+    def __init__(self, dtype) -> None:
+        table = _TABLES.get(dtype)
+        if table is None:
+            table = _TABLES[dtype] = _coefficient_range(0, _TABLE_ORDERS, dtype, 1, 1)
+        self._dtype = dtype
+        self._range = table  # the computed orders holding the next one
+        self._at = 0  # the next order's index in them
+        self._end = _TABLE_ORDERS  # the order past them
+
+    def take(self, count: int):
+        """(a'_k, s_{k+1}) of the next count orders k."""
+        a, s = self._range
+        lo = self._at
+        self._at += count
+        if self._at <= a.size:
+            return a[lo : self._at], s[lo : self._at]
+        self._at -= a.size  # the orders of the next range that this request takes
+        # two orders at least, so that the range after it starts from two scales
+        start, self._end = self._end, self._end + max(self._at, 2)
+        self._range = _coefficient_range(start, self._end, self._dtype, s[-2], s[-1])
+        return tuple(
+            np.concatenate((old[lo:], new[: self._at])) for old, new in zip((a, s), self._range)
+        )
 
 
 def _is_tiny(x):
@@ -311,14 +345,16 @@ def _scalar_loop(n: int, x: float, dtype=float):
     Runs p_{k+1} = (x a'_k) p_k - p_{k-1} from p_0 = 1 on a running
     pair with h_k = p_k * s_k * 2^(512 walls) * pi^(-1/4) e^(-x^2/2)
     (see the module docstring), in dtype: x a'_k is formed once per
-    coefficient block, rounded as the array loop rounds it, and each
-    step is one multiply and one subtract.  Each block is walked in
-    slices of _stride(|x|) steps; after each slice, if the larger of the
-    pair lies above 2^512, both move down by one wall and the integer
-    count walls records it.  So the pair stays below 2^912, and p_n is
-    the value a test after each step would give, times an exact power of
-    two.  A tiny x (0 < |x| < _TINY_X) runs at copysign(_TINY_X, x);
-    _odd_scale gives the factor back.
+    request to the coefficient cursor, rounded as the array loop rounds
+    it, and each step is one multiply and one subtract.  After every
+    order that is a multiple of _stride(|x|), if the larger of the pair
+    lies above 2^512, both move down by one wall and the integer count
+    walls records it, as _array_loop and _OrderStream past its scan do:
+    so at every order they hold the same pair and wall count, and no
+    request size changes a value.  The pair stays below 2^912, and p_n
+    is the value a test after each step would give, times an exact
+    power of two.  A tiny x (0 < |x| < _TINY_X) runs at
+    copysign(_TINY_X, x); _odd_scale gives the factor back.
 
     No wall is needed below.  Christoffel-Darboux at coincident points
     gives
@@ -344,15 +380,22 @@ def _scalar_loop(n: int, x: float, dtype=float):
     p_prev, p_cur = dtype(0), dtype(1)
     s_n = dtype(1)
     walls = 0
-    for a_block, s_block in _coefficients(n, dtype):
-        coefficients = np.multiply(x, a_block)
+    coefficients = _Coefficients(dtype)
+    # whole strides a request, so that every slice ends at a multiple of
+    # the stride but the last
+    chunk = _TABLE_ORDERS // stride * stride
+    for lo in range(0, n, chunk):
+        a, s = coefficients.take(min(chunk, n - lo))
+        products = np.multiply(x, a)
         if dtype is float:
             # items of a memoryview step as Python floats, much faster
             # than numpy scalars
-            coefficients = memoryview(coefficients)
-        for lo in range(0, len(coefficients), stride):
-            for c in coefficients[lo : lo + stride]:
+            products = memoryview(products)
+        for start in range(0, len(products), stride):
+            for c in products[start : start + stride]:
                 p_prev, p_cur = p_cur, c * p_cur - p_prev
+            if start + stride > len(products):
+                break  # order n, not a multiple of the stride
             big = abs(p_cur)
             other = abs(p_prev)
             if other > big:
@@ -361,7 +404,7 @@ def _scalar_loop(n: int, x: float, dtype=float):
                 p_cur *= _WALL_LO
                 p_prev *= _WALL_LO
                 walls += 1
-        s_n = s_block[-1]
+        s_n = s[-1]
     return p_cur, walls, s_n
 
 
@@ -369,10 +412,10 @@ class _OrderStream:
     """The rescaled recurrence at one point x, in doubles, handed out in order.
 
     take(count) returns (ps, walls, scales) for the next count orders,
-    fewer once order n_top is out: the p_k, wall counts and s_k of the
-    recurrence of _scalar_loop, h_k = p_k s_k 2^(512 walls) pi^(-1/4)
-    e^(-x^2/2).  logs(count) returns them as (int8 signs, ln|h_k|).
-    A tiny x runs as in _scalar_loop.
+    as many as asked for, with no last order: the p_k, wall counts and
+    s_k of the recurrence of _scalar_loop, h_k = p_k s_k 2^(512 walls)
+    pi^(-1/4) e^(-x^2/2).  logs(count) returns them as (int8 signs,
+    ln|h_k|).  A tiny x runs as in _scalar_loop.
 
     Orders 1..scan_end lie below the turning point 2n + 1 < x^2, where
     h_k is the dominant solution of the forward recurrence.  There the
@@ -388,7 +431,8 @@ class _OrderStream:
     does, and every p_k comes from one (B x M) linear combination.
     Past scan_end, the stream steps one order at a time from the scan's
     last pair and wall count, testing the wall after every order that is
-    a multiple of B, as often as _scalar_loop does.
+    a multiple of B, where _scalar_loop tests it.  A handed-out p_k at
+    such an order is the one before the test.
 
     A request computes no order past the last one it asks for, but for
     the rest of a scan block: at most B - 1 orders, kept for the next
@@ -396,75 +440,46 @@ class _OrderStream:
     do not depend on how callers split the orders into requests.
     """
 
-    def __init__(self, n_top: int, x: float) -> None:
+    def __init__(self, x: float) -> None:
         self.x = x
-        self.n_top = n_top
         self.stride = stride = _stride(abs(x))
         # the last order scanned: the last multiple of B below the turning
         # point, if _SCAN_MIN_BLOCKS blocks fit there, so it depends on x alone
         blocks = (math.ceil((x * x - 1.0) / 2.0) - 1) // stride
         self.scan_end = blocks * stride if blocks >= _SCAN_MIN_BLOCKS else 0
         self._x = math.copysign(_TINY_X, x) if _is_tiny(x) else float(x)
+        self._coefficients = _Coefficients(float)
         self._k = 0  # the last order computed
         self._pair = (0.0, 1.0, 0)  # (p_{k-1}, p_k, walls)
         self._pending = (np.ones(1), np.zeros(1, dtype=np.int64), np.ones(1))  # order 0
         self._handed = 0  # orders handed out
-        # the scan computes whole blocks, so up to the block holding n_top
-        if n_top > self.scan_end:
-            n_coefficients = n_top
-        else:
-            n_coefficients = -(-n_top // stride) * stride
-        self._blocks = _coefficients(n_coefficients, float)
-        self._rest = (np.empty(0), np.empty(0))
 
     def take(self, count: int):
-        """(ps, walls, scales) of the next count orders, fewer past n_top."""
-        count = max(0, min(count, self.n_top + 1 - self._handed))
+        """(ps, walls, scales) of the next count orders."""
         parts = [self._pending]
-        have = parts[0][0].size
+        have = self._pending[0].size
         while have < count:
-            if self._k < self.scan_end:
-                part = self._scan(count - have)
-            else:
-                part = self._steps(count - have)
-            parts.append(part)
-            have += part[0].size
-        if len(parts) > 1:
-            parts = [tuple(np.concatenate(field) for field in zip(*parts))]
-        [joined] = parts
+            parts.append((self._scan if self._k < self.scan_end else self._steps)(count - have))
+            have += parts[-1][0].size
+        joined = [np.concatenate(field) for field in zip(*parts)]
         self._pending = tuple(field[count:] for field in joined)
         self._handed += count
         return tuple(field[:count] for field in joined)
 
     def logs(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """(int8 signs, ln|h_k|) of the next count orders, fewer past n_top."""
+        """(int8 signs, ln|h_k|) of the next count orders."""
         start = self._handed
         ps, walls, scales = self.take(count)
-        return _signed_logs(ps, walls, scales, self.x, range(start, start + ps.size))
-
-    def _next_coefficients(self, count: int):
-        """a'_k and s_{k+1} for the next count orders k of the walk."""
-        a, s = self._rest
-        parts = [(a, s)] if a.size else []
-        have = a.size
-        while have < count:
-            a, s = next(self._blocks)
-            parts.append((a, s))
-            have += a.size
-        if len(parts) > 1:
-            a, s = (np.concatenate(field) for field in zip(*parts))
-        self._rest = (a[count:], s[count:])
-        return a[:count], s[:count]
+        return _signed_logs(ps, walls, scales, self.x, range(start, start + count))
 
     def _scan(self, need: int):
         """(ps, walls, scales) of the next whole blocks holding need orders.
 
-        At most _SCAN_ORDERS orders a pass and never past scan_end;
-        orders past n_top are dropped.
+        At most _SCAN_ORDERS orders a pass and never past scan_end.
         """
         b = self.stride
         m = min(-(-need // b), (self.scan_end - self._k) // b, max(_SCAN_ORDERS // b, 1))
-        a, scales = self._next_coefficients(m * b)
+        a, scales = self._coefficients.take(m * b)
         # column j of the 2m-wide stack is U of block j, column m + j its V
         coefficients = np.empty((b, 2 * m))
         np.multiply(self._x, a.reshape(m, b).T, out=coefficients[:, :m])
@@ -496,19 +511,17 @@ class _OrderStream:
         self._pair = (p_prev, p_cur, walls)
         ps = uv[2:, :m].T * np.array(prevs)[:, None]
         ps += uv[2:, m:].T * np.array(curs)[:, None]
-        keep = min(m * b, self.n_top - self._k)
         self._k += m * b
-        return ps.ravel()[:keep], np.repeat(counts, b)[:keep], scales[:keep]
+        return ps.ravel(), np.repeat(counts, b), scales
 
-    def _steps(self, need: int):
-        """(ps, walls, scales) of the next need orders, fewer past n_top.
+    def _steps(self, count: int):
+        """(ps, walls, scales) of the next count orders.
 
         The wall test follows each order that is a multiple of B, so a
         request may end, and the next one resume, inside a stride slice.
         """
         b = self.stride
-        count = min(need, self.n_top - self._k)
-        a, scales = self._next_coefficients(count)
+        a, scales = self._coefficients.take(count)
         # items of a memoryview step as Python floats
         coefficients = memoryview(np.multiply(self._x, a))
         p_prev, p_cur, walls = self._pair
@@ -557,8 +570,11 @@ def _array_loop(xs: np.ndarray, n_top: int):
     walls = np.zeros(xs.size, dtype=np.int64)
     k = 0
     yield k, p_cur, walls, True, 1.0
-    for a_block, s_block in _coefficients(n_top, float):
-        for a, s in zip(a_block.tolist(), s_block.tolist()):
+    coefficients = _Coefficients(float)
+    for lo in range(0, n_top, _TABLE_ORDERS):
+        a_chunk, s_chunk = coefficients.take(min(_TABLE_ORDERS, n_top - lo))
+        # memoryviews hand out Python floats one at a time, with no list
+        for a, s in zip(memoryview(a_chunk), memoryview(s_chunk)):
             k += 1
             np.multiply(xs, a, out=p_next)
             p_next *= p_cur
@@ -581,13 +597,14 @@ def _array_loop(xs: np.ndarray, n_top: int):
 def _signed_logs(ps, walls, scales, x, orders) -> tuple[np.ndarray, np.ndarray]:
     """(int8 signs, log magnitudes) of recurrence values p with scales s_k.
 
-    orders are the orders of the values, x their points.
+    orders are the orders of the values, x their points.  ln(|p| s_k) is
+    taken in the float type of p and rounded to a double before the
+    ledger, so a long-double p keeps its extra bits through the log.
     """
-    ps = np.asarray(ps, dtype=float)
+    ps = np.asarray(ps)
     with np.errstate(divide="ignore"):
-        log_m = np.log(np.abs(ps) * scales)
-        tiny = _is_tiny(x)
-        if tiny if isinstance(tiny, bool) else tiny.any():
+        log_m = np.asarray(np.log(np.abs(ps) * scales), dtype=float)
+        if np.any(_is_tiny(x)):
             log_m += np.asarray(orders) % 2 * np.log(_odd_scale(x))
         logs = _log_magnitude(np.asarray(walls), log_m, x)
     return np.sign(ps).astype(np.int8), logs
@@ -613,8 +630,9 @@ def hermite_exact(n: int, x: float) -> SignedLog:
     Raises
     ------
     ValueError
-        For n < 0, x outside that range, or n > EXTENDED_PRECISION_ORDER on a
-        platform whose long double has fewer than 64 significand bits.
+        For n < 0 or not a whole number (2.5, nan, inf), x outside that
+        range, or n > EXTENDED_PRECISION_ORDER on a platform whose long
+        double has fewer than 64 significand bits.
 
     Notes
     -----
@@ -622,7 +640,8 @@ def hermite_exact(n: int, x: float) -> SignedLog:
     h_0 = pi^(-1/4) e^(-x^2/2) as p_k = m_k / s_k with a unit h_{k-1}
     coefficient (see the module docstring), keeping the running pair
     below 2^912 and counting discarded exponents separately; s_n
-    goes back into ln|m_n| = ln(|p_n| s_n), in the loop's float type.
+    goes back into ln|m_n| = ln(|p_n| s_n), in the loop's float type
+    (see _signed_logs).
     Forward recurrence is stable here: h_n is the dominant solution in
     the classically allowed region.  At |x| near 1e3 the log magnitude
     reaches ~5e5, so the Gaussian constant and the rescaling ledger are
@@ -632,7 +651,7 @@ def hermite_exact(n: int, x: float) -> SignedLog:
     long double, coefficients included, because the drift of the double
     loop alone would exceed the contract there.
     """
-    _check_arguments(n, x)
+    n = _check_arguments(n, x)
     dtype = float
     if n > EXTENDED_PRECISION_ORDER:
         if _EXTENDED_FLOAT is None:
@@ -641,12 +660,8 @@ def hermite_exact(n: int, x: float) -> SignedLog:
                 f"64-bit significand; this platform's has {np.finfo(np.longdouble).nmant + 1}"
             )
         dtype = _EXTENDED_FLOAT
-    p, walls, s = _scalar_loop(n, x, dtype)
-    if p == 0:
-        return SignedLog(0, -math.inf)
-    log_m = float(np.log(abs(p) * s)) + n % 2 * float(np.log(_odd_scale(x)))
-    logmag = _log_magnitude(walls, log_m, float(x))
-    return SignedLog(1 if p > 0 else -1, float(logmag))
+    sign, logmag = _signed_logs(*_scalar_loop(n, x, dtype), float(x), n)
+    return SignedLog(int(sign), float(logmag))
 
 
 def hermite_orders(n_top: int, x: float) -> tuple[np.ndarray, np.ndarray]:
@@ -660,8 +675,9 @@ def hermite_orders(n_top: int, x: float) -> tuple[np.ndarray, np.ndarray]:
 
     Notes
     -----
-    The order stream of _OrderStream, with the rescaled recurrence and
-    compensated ledger of hermite_exact, in doubles for every n_top: no
+    One request of n_top + 1 orders to an _OrderStream, with the
+    rescaled recurrence and compensated ledger of hermite_exact, in
+    doubles for every n_top: no
     order switches to long double, so the 1e-10 contract holds only as
     far as the double recurrence's drift allows.  Below the turning
     point 2n + 1 < x^2 the stream scans blocks of steps, and ln|h_n|
@@ -672,11 +688,11 @@ def hermite_orders(n_top: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     x = 600), while h_{1e6}(900) reads -10.839724160507096 against
     -10.839724161192464, an error of 6.9e-10, past the contract
     (ROADMAP.md, item 3).  One pass costs O(n_top) regardless of how far
-    below double range the values sit.  Raises ValueError for n_top < 0
+    below double range the values sit.  Raises ValueError for an n_top
     or an x that hermite_exact rejects.
     """
-    _check_arguments(n_top, x)
-    return _OrderStream(n_top, x).logs(n_top + 1)
+    n_top = _check_arguments(n_top, x)
+    return _OrderStream(x).logs(n_top + 1)
 
 
 def hermite_batch(orders, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -699,13 +715,13 @@ def hermite_batch(orders, xs) -> tuple[np.ndarray, np.ndarray]:
     batch.  Runs in doubles at every order, one order at a time: its
     drift in ln|h_n| is 3.4e-12 at n = 2e5, and 8.1e-10, past the 1e-10
     contract, at h_{1e6}(900) (ROADMAP.md, item 3).  Raises
-    ValueError for a negative order or an x that hermite_exact rejects.
+    ValueError for an order or an x that hermite_exact rejects.
     """
-    orders = np.asarray(orders, dtype=np.int64)
+    orders = np.asarray(orders)
     xs = np.asarray(xs, dtype=float)
     if orders.shape != xs.shape or orders.ndim != 1:
         raise ValueError("orders and xs must be 1-D arrays of equal length")
-    _check_arguments(orders, xs)
+    orders = _check_arguments(orders, xs)
     out_signs = np.zeros(orders.size, dtype=np.int8)
     out_logs = np.full(orders.size, -math.inf)
     if orders.size == 0:
@@ -764,11 +780,11 @@ def hermite_values(n_top: int, xs) -> np.ndarray:
 
     Magnitudes below double range flush to 0.0; safe whenever consumers
     only need values down to the underflow threshold (reconstruction,
-    quadrature, plotting).  Raises ValueError for n_top < 0 or an x
+    quadrature, plotting).  Raises ValueError for an n_top or an x
     that hermite_exact rejects.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    _check_arguments(n_top, xs)
+    n_top = _check_arguments(n_top, xs)
     out = np.empty((n_top + 1, xs.size))
     for k, row in _value_rows(xs, n_top):
         out[k] = row
@@ -780,13 +796,13 @@ def hermite_moment_sweep(xs, weights, n_top: int) -> np.ndarray:
 
     Streams the order sweep so only O(len(xs)) memory is used; this is
     the quadrature workhorse for coefficient expansion.  Raises
-    ValueError for n_top < 0 or an x that hermite_exact rejects.
+    ValueError for an n_top or an x that hermite_exact rejects.
     """
     xs = np.asarray(xs, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if xs.shape != weights.shape or xs.ndim != 1:
         raise ValueError("xs and weights must be 1-D arrays of equal length")
-    _check_arguments(n_top, xs)
+    n_top = _check_arguments(n_top, xs)
     out = np.empty(n_top + 1)
     for k, row in _value_rows(xs, n_top):
         out[k] = row @ weights
@@ -794,8 +810,10 @@ def hermite_moment_sweep(xs, weights, n_top: int) -> np.ndarray:
 
 
 def _require_monotonic(n: float, x: float) -> None:
-    """Validate 2 <= n+1 <= (1-eps) x^2 / 2 with eps = EPSILON_MONOTONIC."""
-    if n + 1.0 < 2.0:
+    """Validate 2 <= n+1 <= (1-eps) x^2 / 2 with eps = EPSILON_MONOTONIC, x finite."""
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
+    if not n + 1.0 >= 2.0:
         raise ValueError(f"asymptotic forms need order n >= 1, got n={n}")
     if 2.0 * (n + 1.0) > (1.0 - EPSILON_MONOTONIC) * x * x:
         raise ValueError(

@@ -237,8 +237,10 @@ def unit_coefficients(n: int, dtype=float) -> tuple[list, list]:
     return a_all[:n], s_all[1 : n + 1]
 
 
-def per_step_rescaled_recurrence(n: int, x: float, dtype=float, start=None) -> tuple[list, list]:
-    """(p_k, walls_k) for k = 0..n, with the walls tested after every step.
+def per_step_rescaled_recurrence(
+    n: int, x: float, dtype=float, start=None, stride: int = 1
+) -> tuple[list, list]:
+    """(p_k, walls_k) for k = 0..n, with the walls tested after every step (or stride).
 
     The running pair of the rescaled recurrence with a unit h_{k-1}
     coefficient, h_k = p_k s_k 2^(512 walls_k) pi^(-1/4) e^(-x^2/2) and
@@ -251,7 +253,9 @@ def per_step_rescaled_recurrence(n: int, x: float, dtype=float, start=None) -> t
     loops do: h_n is even or odd in x to double precision there, and
     p_1 = x sqrt(2) stays a normal double.  With start = (k0, p_{k0-1},
     p_{k0}, walls_{k0}), the pass starts from that pair instead and
-    returns k = k0..n.
+    returns k = k0..n.  With stride > 1 the walls are tested only after
+    the orders k that are multiples of stride, which pins down the pair
+    and the wall count themselves of a loop that tests there.
     """
     wall_hi, wall_lo = 2.0**512, 2.0**-512
     if 0.0 < abs(x) < 2.0**-511:
@@ -261,9 +265,9 @@ def per_step_rescaled_recurrence(n: int, x: float, dtype=float, start=None) -> t
     k0, p_prev, p_cur, walls = start or (0, 0, 1, 0)
     p_prev, p_cur = dtype(p_prev), dtype(p_cur)
     ps, ws = [p_cur], [walls]
-    for a in a_all[k0:]:
+    for k, a in enumerate(a_all[k0:], k0 + 1):
         p_prev, p_cur = p_cur, x * a * p_cur - p_prev
-        big = max(abs(p_cur), abs(p_prev))
+        big = max(abs(p_cur), abs(p_prev)) if k % stride == 0 else 1.0
         if big > wall_hi:
             p_cur *= wall_lo
             p_prev *= wall_lo

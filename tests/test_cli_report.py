@@ -135,6 +135,21 @@ class TestSweepConfig:
         assert a.fixture_id() == b.fixture_id()
         assert a.fixture_id() != c.fixture_id()
 
+    @pytest.mark.parametrize("extra", [
+        {"kappa": 1.0, "beta": 0.25},
+        {"alpha": -3.0},
+        {"order": 0},
+        {"t_grid": (0.0,)},
+    ])
+    def test_rejects_fields_the_mode_does_not_read(self, extra):
+        # fixture_id hashes every field, so these once keyed an nmax sweep
+        # by values that it never read; the ids of the sweeps that pass stay
+        grid = GridSpec(20.0, 60.0, 5)
+        assert SweepConfig(mode="nmax", x_grid=grid, y=0.5).fixture_id() == "40d9818304ed"
+        name = next(iter(extra))
+        with pytest.raises(ValueError, match=f"mode nmax does not read {name}"):
+            SweepConfig(mode="nmax", x_grid=grid, y=0.5, **extra)
+
 
 class TestRun:
     def test_eval_rows(self):
@@ -478,6 +493,20 @@ class TestMainExitCodes:
         assert "config error" in err and "--fixture" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["calibrate", "nmax", "--y", "0.5", "--format", "json"], "--format"),
+        (["nmax", "--y", "0.5", "--force"], "--force"),
+        (["sum", "--force"], "--force"),
+    ])
+    def test_flags_that_would_act_nowhere_are_usage_errors(self, argv, flag, tmp_path, capsys):
+        # calibrate always writes JSON, and only calibrate overwrites
+        out = tmp_path / "f.out"
+        rc = main([*argv, "--x-min", "20", "--x-max", "60", "--x-count", "5", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "config error" in err and flag in err
+        assert not out.exists()
+
     def test_help_exits_zero(self, capsys):
         for argv in (["--help"], ["sum", "--help"], ["calibrate", "nmax", "--help"]):
             with pytest.raises(SystemExit) as exit_info:
@@ -540,8 +569,10 @@ class TestCheckedInFixtures:
 class TestModeTable:
     """Each mode's flags, calibrate's sub-parsers and fixture ids follow MODES."""
 
-    COMMON = {"help", "x_min", "x_max", "x_count", "x_log", "out", "fmt", "fixture",
-              "jobs", "force"}
+    # the flags besides the mode's own fields, per kind of parser
+    GRID = {"help", "x_min", "x_max", "x_count", "x_log", "out", "jobs"}
+    SWEEP = GRID | {"fmt", "fixture"}
+    CALIBRATE = GRID | {"force"}
     FIELDS = {
         "eval": {"order"},
         "sum": {"kappa", "beta", "y"},
@@ -564,9 +595,9 @@ class TestModeTable:
         assert {name for name, mode in MODES.items() if mode.frozen} == set(frozen)
         for name, want in self.FIELDS.items():
             assert set(MODES[name].parameters) == want
-            for parser in (commands[name], frozen.get(name)):
-                if parser is not None:
-                    assert {a.dest for a in parser._actions} - self.COMMON == want
+            assert {a.dest for a in commands[name]._actions} == self.SWEEP | want
+            if name in frozen:
+                assert {a.dest for a in frozen[name]._actions} == self.CALIBRATE | want
 
     def test_calibrate_nmax_keeps_the_report_fixture_id(self, tmp_path):
         grid = ["--y", "0.5", "--x-min", "20", "--x-max", "200", "--x-count", "46"]
@@ -587,13 +618,42 @@ class TestModeTable:
         assert not (tmp_path / "f.json").exists()
 
 
-def test_readme_cli_commands_run(tmp_path):
-    """Every hermite-decay line of the README's CLI block runs and exits 0."""
+def readme_cli_commands() -> list[list[str]]:
+    """The argument lists of the hermite-decay lines of the README's CLI block."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     cli = readme[readme.index("## CLI"):]
     block = cli[cli.index("```sh"):cli.index("```", cli.index("```sh") + 5)]
-    commands = [shlex.split(line) for line in block.splitlines()
-                if line.startswith("hermite-decay ")]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("hermite-decay ")]
+
+
+def test_readme_cli_commands_run(tmp_path):
+    """Every hermite-decay line of the README's CLI block runs and exits 0."""
+    commands = readme_cli_commands()
     assert len(commands) >= 3
     for i, command in enumerate(commands):
-        assert main([*command[1:], "--out", str(tmp_path / f"readme-{i}.out")]) == 0, command
+        assert main([*command, "--out", str(tmp_path / f"readme-{i}.out")]) == 0, command
+
+
+def test_readme_cli_commands_load_no_mpmath(tmp_path):
+    """numpy is the only runtime dependency: in a fresh interpreter, the
+    package and the README's sum, sharpness and oscillator runs leave
+    mpmath unloaded (the benchmark's set-up and memory figures rely on it
+    too)."""
+    commands = [c for c in readme_cli_commands() if c[0] in ("sum", "sharpness", "oscillator")]
+    assert sorted(c[0] for c in commands) == ["oscillator", "sharpness", "sum"]
+    script = (
+        "import json, sys\n"
+        "import hermite_decay\n"
+        "from hermite_decay import cli_report\n"
+        "codes = [cli_report.main(c) for c in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, 'mpmath' in sys.modules]))\n"
+    )
+    argv = [[*c, "--out", str(tmp_path / f"{c[0]}.out")] for c in commands]
+    src = os.path.dirname(os.path.dirname(hermite_decay.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0, 0], False]

@@ -26,7 +26,12 @@ from hermite_decay.decay_sum import (
     truncation_index,
 )
 from hermite_decay.decay_sum import _log_sum, _sum_internals, _summand_logs
-from hermite_decay.hermite_core import hermite_orders, hermite_pr_bound
+from hermite_decay.hermite_core import (
+    hermite_orders,
+    hermite_pr_bound,
+    phi_coordinate,
+    plancherel_rotach_estimate,
+)
 from oracles import mp_argument_fd, mp_argument_function, naive_weighted_sum
 
 # Frozen oracle values: closed form evaluated at 50 significant digits
@@ -47,8 +52,8 @@ def count_recurrence_orders(monkeypatch) -> list:
     passes = []
 
     class CountingStream(hermite_core._OrderStream):
-        def __init__(self, n_top, x):
-            super().__init__(n_top, x)
+        def __init__(self, x):
+            super().__init__(x)
             self.entry = len(passes)
             passes.append(1)
 
@@ -350,6 +355,18 @@ class TestDirectSum:
         assert len(passes) == 1
         assert passes[0] <= n_stop + 256 + hermite_core._stride(x)
 
+    @pytest.mark.parametrize("x", [7.5, 30.0])
+    def test_gives_up_at_the_largest_order(self, monkeypatch, x):
+        # the stream has no last order: the sum stops its requests at
+        # _MAX_ORDER itself, and fails where the tail is not yet certified
+        # there (here the bound is infinite up to order 2000)
+        monkeypatch.setattr(decay_sum, "_MAX_ORDER", 500)
+        passes = count_recurrence_orders(monkeypatch)
+        with pytest.raises(RuntimeError, match="by n=500 "):
+            _sum_internals(x, SumParams(1.0, -1000.0, 0.5))
+        assert len(passes) == 1
+        assert passes[0] < 501 + hermite_core._stride(x)
+
     @pytest.mark.parametrize(
         "kappa, beta, y",
         [(1.0, 0.25, 0.5), (2.0, 0.0, 0.25), (2.0, 0.0, 1.0),
@@ -527,6 +544,25 @@ class TestEnvelope:
             profile = find_nmax(x, params.y)
             env_exp = envelope(x, params).logmag - envelope_power(params) * math.log(x)
             assert abs(env_exp - params.kappa * profile.a_max) <= params.kappa * 1.0
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: envelope(x, SumParams(1.0, 0.25, 0.5)),
+        lambda x: plancherel_rotach_estimate(10, x),
+        lambda x: hermite_pr_bound(10, x, 1.0, 0.25, 0.5),
+        lambda x: phi_coordinate(1, x),
+        lambda x: find_nmax(x, 0.5),
+    ],
+    ids=["envelope", "plancherel_rotach_estimate", "hermite_pr_bound", "phi_coordinate",
+         "find_nmax"],
+)
+def test_rejects_a_non_finite_x(call, x):
+    # each once returned nan or raised something other than ValueError
+    with pytest.raises(ValueError, match="finite"):
+        call(x)
 
 
 class TestSharpnessCertificate:

@@ -146,6 +146,16 @@ class TestHermiteExact:
         assert got.sign == 1
         assert abs(got.logmag - -10.83972416119240080081) <= 1e-10
 
+    @pytest.mark.skipif(hermite_core._EXTENDED_FLOAT is None, reason="no extended long double")
+    def test_extended_tier_takes_the_log_in_long_double(self):
+        # ln(|p| s) is taken in long double and only then rounded to a
+        # double for the ledger; at these points rounding p to a double
+        # first would move that log
+        for n, x in [(20699, -33.3), (21498, -2.3), (21368, 170.6), (20728, 127.8),
+                     (21938, -4.4), (21526, -106.6), (40000, 310.0)]:
+            got = hermite_exact(n, x)
+            assert (got.sign, got.logmag) == long_double_log(n, x), (n, x)
+
     def test_extended_tier_needs_long_double(self, monkeypatch):
         monkeypatch.setattr(hermite_core, "_EXTENDED_FLOAT", None)
         with pytest.raises(ValueError, match="long double"):
@@ -220,11 +230,12 @@ class TestSweeps:
                 assert logs[n] == pytest.approx(ref.logmag, rel=1e-12, abs=1e-12)
 
     def test_orders_continue_across_coefficient_blocks(self):
-        # the table ends at _TABLE_ORDERS and _BLOCK-order blocks follow;
-        # orders on both sides of each edge continue one recurrence
+        # the table ends at _TABLE_ORDERS and computed ranges of as many
+        # orders follow; orders on both sides of each edge continue one
+        # recurrence
         x = 41.3
         table = hermite_core._TABLE_ORDERS
-        edge = table + hermite_core._BLOCK
+        edge = 2 * table
         signs, logs = hermite_orders(edge + 5, x)
         assert signs.size == logs.size == edge + 6
         for n in (table - 1, table, table + 1, edge - 1, edge, edge + 1):
@@ -241,13 +252,11 @@ class TestSweeps:
         # steps)
         for x in (41.3, 150.0):
             stride = hermite_core._stride(x)
-            stream = hermite_core._OrderStream(n_top, x)
+            stream = hermite_core._OrderStream(x)
             blocks, start, count = [], 0, 64
-            while True:
-                block = stream.logs(count)
-                assert block[0].size == min(count, n_top + 1 - start)
-                if not block[0].size:
-                    break
+            while start <= n_top:
+                block = stream.logs(min(count, n_top + 1 - start))
+                assert block[0].size == block[1].size == min(count, n_top + 1 - start)
                 blocks.append(block)
                 start += block[0].size
                 assert stream._k - (start - 1) < stride  # computed past the last handed out
@@ -350,6 +359,28 @@ class TestSweeps:
             with pytest.raises(ValueError, match="nonnegative"):
                 call()
 
+    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf, -math.inf, 1e30])
+    def test_every_frontend_rejects_an_order_that_is_no_whole_number(self, n):
+        # checked against the cast: hermite_batch once truncated 2.5 to 2,
+        # and 1e30 would wrap in int64
+        calls = (
+            lambda: hermite_exact(n, 1.0),
+            lambda: hermite_orders(n, 1.0),
+            lambda: hermite_batch([1, n], [1.0, 1.0]),
+            lambda: hermite_values(n, [1.0]),
+            lambda: hermite_moment_sweep([1.0], [1.0], n),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="whole numbers"):
+                call()
+
+    def test_every_frontend_takes_a_whole_float_order(self):
+        want = hermite_exact(3, 1.0)
+        assert hermite_exact(3.0, 1.0) == want
+        assert hermite_orders(3.0, 1.0)[1][3] == hermite_batch([3.0], [1.0])[1][0]
+        assert hermite_values(3.0, [1.0]).shape == (4, 1)
+        assert hermite_moment_sweep([1.0], [1.0], 3.0).shape == (4,)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("x", [6e4, 1e10, 2.0**511])
     def test_values_far_out_are_exact_zeros(self, x):
@@ -398,24 +429,28 @@ class TestCoefficientTable:
     @pytest.mark.parametrize(
         "dtype", [float] + ([hermite_core._EXTENDED_FLOAT] if hermite_core._EXTENDED_FLOAT else [])
     )
-    def test_cached_table_matches_fresh(self, dtype):
-        # past the cap the blocks are computed as the loop reaches them,
-        # each carrying the scales of the one before; either way every
-        # a'_k and s_{k+1} is the one a plain sequential loop gives.  The
-        # orders run across the cap and the next two _BLOCK edges.
-        n = hermite_core._TABLE_ORDERS + 3000
+    def test_cursor_hands_out_exactly_the_requested_orders(self, dtype):
+        # uneven requests cross the table's end and the next computed
+        # range; each gets exactly its orders, views of the table below
+        # its end and computed ranges past it, each carrying the scales of
+        # the one before, and joined they are the values a plain
+        # sequential loop gives, whatever the request sizes
+        table = hermite_core._TABLE_ORDERS
+        sizes = [0, 1, 7, 1023, 5000, 0, table - 6031, 1, table, 2, 3]
+        n = sum(sizes)
+        assert n > 2 * table
         fresh_a, fresh_s = (np.array(v, dtype=dtype) for v in unit_coefficients(n, dtype))
         for _ in range(2):  # the second pass reads the table the first one kept
-            blocks = list(hermite_core._coefficients(n, dtype))
-            a = np.concatenate([block for block, _ in blocks])
-            s = np.concatenate([block for _, block in blocks])
+            cursor = hermite_core._Coefficients(dtype)
+            parts = [cursor.take(count) for count in sizes]
+            assert [(a.size, s.size) for a, s in parts] == [(count, count) for count in sizes]
+            a = np.concatenate([a for a, _ in parts])
+            s = np.concatenate([s for _, s in parts])
             assert a.dtype == s.dtype == np.dtype(dtype)
             np.testing.assert_array_equal(a, fresh_a)
             np.testing.assert_array_equal(s, fresh_s)
-        # blocks of _BLOCK orders, the last one fewer
-        sizes = [len(block) for block, _ in blocks]
-        assert set(sizes[:-1]) == {hermite_core._BLOCK}
-        assert 0 < sizes[-1] <= hermite_core._BLOCK
+        # requests below the table's end are views of the one table
+        assert all(np.shares_memory(a, hermite_core._TABLES[dtype][0]) for a, _ in parts[1:5])
         # the bound that _stride and _X_MAX rely on: one step multiplies
         # the larger of the pair by at most sqrt(2)|x| + 1.  a'_0 and a'_1
         # are sqrt(2) exactly, and the quotient that forms a'_1 may round
@@ -586,9 +621,9 @@ class TestFrontendsAgree:
 class TestFrontendsAgreeAcrossBlockEdges:
     """Fixed cases past the hypothesis draws above, which stop at n = 3000.
 
-    The orders sit on both sides of the coefficient table's cap (2^14)
-    and of the first _BLOCK edge past it, where the scales s_k are
-    carried from block to block, and at n = 20000.
+    The orders sit on both sides of the coefficient table's end (2^14),
+    past which the cursor computes the coefficients, carrying the scales
+    s_k from the table on, at 17408 (once a chunk edge) and at n = 20000.
     """
 
     ORDERS = [16383, 16384, 16385, 17408, 17409, 20000]
@@ -675,7 +710,7 @@ class TestScanBelowTheTurningPoint:
         # the scan ends at the last whole block below the turning point;
         # single steps go on from its last pair and wall count, and
         # hermite_orders keeps its 1e-10 contract on both sides
-        stream = hermite_core._OrderStream(0, x)
+        stream = hermite_core._OrderStream(x)
         end, n_turn = stream.scan_end, turning_order(x)
         assert 0 < end <= n_turn < end + stream.stride
         n_top = n_turn + int(x)
@@ -707,7 +742,8 @@ class TestStridedWalls:
     _scalar_loop in both float types, the order stream past its scan, and
     _array_loop.  The stream's scan regroups the rounding; its values stay
     within SCAN_REL of the per-step ones (measured worst: 1.7e-14 over
-    n <= 20000 and |x| <= 1e5).
+    n <= 20000 and |x| <= 1e5).  Since all of them test at the multiples
+    of one stride, they also hold the same pair and wall count.
     """
 
     SCAN_REL = 1e-13
@@ -735,7 +771,7 @@ class TestStridedWalls:
 
     @classmethod
     def check_stream(cls, n, x):
-        stream = hermite_core._OrderStream(n, x)
+        stream = hermite_core._OrderStream(x)
         ms, walls, scales = stream.take(n + 1)
         np.testing.assert_array_equal(scales, [1.0] + unit_coefficients(n)[1])
         ref_ms, ref_walls = per_step_rescaled_recurrence(n, x)
@@ -773,6 +809,50 @@ class TestStridedWalls:
     )
     def test_matches_per_step_walls_at_fixed_points(self, n, xs):
         self.check(n, xs)
+
+    @pytest.mark.parametrize("x", [1e-300, -0.5, 41.3, -52.0, 60.0, -150.0, 1000.0])
+    def test_walks_share_the_pair_and_walls_at_every_order(self, x):
+        # one wall rule: every walk tests its walls after the orders that
+        # are multiples of _stride(|x|), so at a shared order each holds
+        # the same p_k and the same wall count bit for bit, not only the
+        # same p_k 2^(512 walls).  The orders lie on both sides of the
+        # coefficient table's end, at 20000, at multiples of the stride
+        # and off them, and around the first walls; the stream's running
+        # pair is compared past its scan, where it steps one order at a time
+        n = 20000
+        table = hermite_core._TABLE_ORDERS
+        stride = hermite_core._stride(abs(x))
+        near = table // stride * stride
+        ref_ms, ref_walls = per_step_rescaled_recurrence(n, x, stride=stride)
+        fired = [k for k in range(1, n + 1) if ref_walls[k] > ref_walls[k - 1]][:2]
+        orders = {1, stride, stride + 1, near, near + stride, table - 1, table, table + 1, n}
+        orders = sorted(orders | {j for k in fired for j in (k - 1, k, k + 1)})
+        dtypes = [float] + ([hermite_core._EXTENDED_FLOAT] if hermite_core._EXTENDED_FLOAT else [])
+        for dtype in dtypes:
+            typed_ms, typed_walls = per_step_rescaled_recurrence(n, x, dtype, stride=stride)
+            for k in orders:
+                p, walls, _ = hermite_core._scalar_loop(k, x, dtype)
+                assert type(p) is type(typed_ms[k])
+                assert (p, walls) == (typed_ms[k], typed_walls[k]), (dtype, k)
+        wanted = set(orders)
+        for k, p, walls, _, _ in hermite_core._array_loop(np.array([x]), n):
+            if k in wanted:
+                assert (p[0], walls[0]) == (ref_ms[k], ref_walls[k]), k
+        stream = hermite_core._OrderStream(x)
+        end = stream.scan_end
+        if end:
+            stream.take(end + 1)
+            ref_ms, ref_walls = per_step_rescaled_recurrence(
+                n, x, start=(end, *stream._pair), stride=stride
+            )
+            ref_ms, ref_walls = [None] * end + ref_ms, [None] * end + ref_walls
+        past = [k for k in orders if k > end]
+        assert past or x == 1000.0  # at x = 1000 the scan covers every order here
+        for k in past:
+            stream.take(k + 1 - stream._handed)
+            assert stream._k == k
+            _, p, walls = stream._pair
+            assert (p, walls) == (ref_ms[k], ref_walls[k]), k
 
     @pytest.mark.parametrize("x", [0.0, 1e-300, 0.01, 0.5, 3.0, -30.0, 150.0, 1000.0])
     def test_christoffel_darboux_bounds_the_fall(self, x):
