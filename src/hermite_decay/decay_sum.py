@@ -39,10 +39,12 @@ TAIL_RELATIVE_TOLERANCE = 1e-12
 _MAX_ORDER = 4_000_000
 
 # Most orders direct_sum draws from its order stream at once.  A block
-# holds about fifteen arrays of 8 bytes an order at a time, in the
-# conversion to logs and in the stop test: up to 8 MB.  The term logs
-# kept up to n_stop add 8 bytes an order, twice while they are joined.
-# At x = 1e3, y = 1/2 (n_stop = 4.6e5) the sum peaks at 15 MB.
+# peaks at about nine arrays of 8 bytes an order, the stream's buffers
+# included: under 5 MB.  The term logs kept up to n_stop add 8 bytes an
+# order; when they span several blocks they are held four times while
+# _log_sum runs over their join (the blocks, the join, and the two
+# arrays of its exp).  At x = 1e3, y = 1/2 (n_stop = 4.6e5) the sum
+# peaks at 14.3 MB.
 _LARGEST_BLOCK = 1 << 16
 
 # Bisection control for the interior-maximum solve.
@@ -240,12 +242,17 @@ def _log_tails(start, params: SumParams) -> np.ndarray:
 
     and +inf while kappa y s <= b, where that series diverges.  For
     beta >= 0 the ratio is e^(-kappa y), the series of a falling power
-    factor.  Elementwise; the ratio is capped at 1 before exp, so no
-    beta can make it overflow.
+    factor, one scalar for every s.  Elementwise; the ratio is capped at
+    1 before exp, so no beta can make it overflow.
     """
     s = np.asarray(start, dtype=float)
     kappa, beta, y = params.kappa, params.beta, params.y
-    ratio = np.exp(np.minimum(max(-beta, 0.0) / s - kappa * y, 0.0))
+    if beta >= 0.0:
+        # b = 0: one ratio for every s, so the geometric factor is one scalar
+        ratio = np.exp(-kappa * y)
+        head = -0.25 * kappa * _LN_PI - np.log1p(-ratio) if ratio < 1.0 else math.inf
+        return head - beta * np.log(s) - kappa * s * y
+    ratio = np.exp(np.minimum(-beta / s - kappa * y, 0.0))
     converges = ratio < 1.0
     log_geo = -np.log1p(-np.where(converges, ratio, 0.0))
     logs = -0.25 * kappa * _LN_PI + log_geo - beta * np.log(s) - kappa * s * y
@@ -257,10 +264,13 @@ def tail_bound(start_n: int, params: SumParams) -> SignedLog:
 
     The geometric bound of _log_tails at one order, with b = max(-beta, 0):
     pi^(-kappa/4) start_n^(-beta) e^(-kappa y start_n) / (1 - e^(-kappa y + b/start_n)),
-    +inf while kappa y start_n <= b.
+    +inf while kappa y start_n <= b.  Raises ValueError unless start_n
+    is a whole number >= 1 (not a bool, 2.5, nan or inf).
     """
-    if start_n < 1:
-        raise ValueError(f"start_n must be >= 1, got {start_n}")
+    if isinstance(start_n, (bool, np.bool_)) or not (
+        math.isfinite(start_n) and start_n == int(start_n) >= 1
+    ):
+        raise ValueError(f"start_n must be a whole number >= 1, got {start_n!r}")
     return SignedLog(1, float(_log_tails(start_n, params)))
 
 
@@ -280,13 +290,17 @@ def _sum_internals(x: float, params: SumParams) -> tuple[float, np.ndarray, int]
     """(log S, term logs, n_stop) with the tail certified negligible.
 
     One recurrence pass at x, a hermite_core._OrderStream, hands out the
-    orders as logs in blocks of exactly the sizes asked for, and runs
-    less than one stride past the last block.  n_stop is the smallest
-    order n >= max(N, 64), N the analysis cutoff, where the tail bound
-    at n + 1 (_log_tails) is at most TAIL_RELATIVE_TOLERANCE times the
-    partial sum through n, a lower bound on S.  Each block tests all its
-    orders at once and stops at the first that passes; the orders below
-    max(N, 64) only feed the partial sum.  The first block runs past
+    raw orders (p_k, walls, s_k) in blocks of exactly the sizes asked
+    for, and runs less than one stride past the last block.  n_stop is
+    the smallest order n >= max(N, 64), N the analysis cutoff, where the
+    tail bound at n + 1 (_log_tails) is at most TAIL_RELATIVE_TOLERANCE
+    times the partial sum through n, a lower bound on S.  Each block
+    makes one pass: it converts its orders to logs
+    (hermite_core._log_magnitudes) and term logs, takes e = exp(terms -
+    top) once, top the larger of the block's largest term and the
+    partial sum so far, and tests all its orders at or past max(N, 64)
+    at once against the prefix sums of e, taking a log only of those;
+    it stops at the first that passes.  The first block runs past
     max(N, 64), past the first order where the bound is finite (for
     beta < 0 it is infinite up to order |beta| / (kappa y)), and
     lookahead = (2 - ln TAIL_RELATIVE_TOLERANCE) / (kappa y) orders past
@@ -295,14 +309,20 @@ def _sum_internals(x: float, params: SumParams) -> tuple[float, np.ndarray, int]
     Every later block runs to the order where the bound alone would pass
     against the partial sum so far: the count that a fall of
     e^(-kappa y) an order needs, enough for beta >= 0, doubled until the
-    bound passes for beta < 0, where it falls more slowly.  No block
+    bound passes for beta < 0, where it falls more slowly; and at least
+    to the first order that may stop the sum.  No block
     holds more than _LARGEST_BLOCK orders or runs past _MAX_ORDER.
-    log S is summed over all kept terms at once, so it does not depend
-    on the block boundaries.  Raises ValueError for an x hermite_core
-    rejects or whose analysis cutoff lies past _MAX_ORDER, and
-    RuntimeError when the tail is not certified by _MAX_ORDER.
+    log S is summed over all kept terms at once, as _log_sum does, so it
+    does not depend on the block boundaries: when the first block stops,
+    top is the largest kept term (each later term lies below the tail
+    bound, far below the partial sum) and log S is top plus the log of
+    the sum of e up to the stop; after several blocks it is _log_sum of
+    the joined terms.  Raises ValueError for an x hermite_core rejects
+    or whose analysis cutoff lies past _MAX_ORDER, and RuntimeError when
+    the tail is not certified by _MAX_ORDER.
     """
-    hermite_core._check_arguments(0, x)
+    if not abs(x) <= hermite_core._X_MAX:
+        raise ValueError(f"x must be finite with |x| <= 2^511, got {x}")
     x = abs(x)
     kappa_y = params.kappa * params.y
     n_cut = truncation_index(x, params.y)
@@ -320,46 +340,59 @@ def _sum_internals(x: float, params: SumParams) -> tuple[float, np.ndarray, int]
     lookahead = math.ceil((2.0 - log_tol) / kappa_y)
     n_first = max(n_solve, n_cut + lookahead)
     stream = hermite_core._OrderStream(x)
-    _, logs = stream.logs(min(n_first, _LARGEST_BLOCK, _MAX_ORDER) + 1)
-    logs = logs[1:]  # h_0 carries no summand
+    ps, walls, scales = stream.take(min(n_first, _LARGEST_BLOCK, _MAX_ORDER) + 1)
+    ps, walls, scales = ps[1:], walls[1:], scales[1:]  # h_0 carries no summand
     blocks = []
     n_end = 0  # the last order summed
     log_partial = -math.inf  # ln of the partial sum through n_end
-    while logs.size:
-        n = np.arange(n_end + 1, n_end + 1 + logs.size, dtype=float)
+    while ps.size:
+        n = np.arange(n_end + 1, n_end + 1 + ps.size, dtype=float)
+        logs = hermite_core._log_magnitudes(ps, walls, scales, x, n)
         terms = _summand_logs(logs, n, params)
         blocks.append(terms)
         # orders below max(N, 64) may not stop the sum
         skip = min(max(n_min - n_end - 1, 0), terms.size)
-        if skip:
-            log_partial = float(np.logaddexp(log_partial, _log_sum(terms[:skip])))
-        running = np.logaddexp.accumulate(np.concatenate(([log_partial], terms[skip:])))[1:]
         n_end += terms.size
+        top = max(float(terms.max()), log_partial)
+        with np.errstate(under="ignore", divide="ignore"):
+            e = np.exp(terms - top)
+            # the partial sums through each tested order, seeded by the
+            # orders below them
+            below = math.exp(log_partial - top) + float(e[:skip].sum())
+            running = np.cumsum(e[skip:])
+            running += below
+            np.log(running, out=running)
+        running += top
         passing = _log_tails(n[skip:] + 1.0, params) <= running + log_tol
         if passing.any():
             stop = skip + int(passing.argmax())
+            if len(blocks) == 1:
+                return top + math.log(float(e[: stop + 1].sum())), terms[: stop + 1], int(n[stop])
             blocks[-1] = terms[: stop + 1]
             terms = np.concatenate(blocks)
             return _log_sum(terms), terms, int(n[stop])
-        if running.size:
-            log_partial = float(running[-1])
+        log_partial = top + math.log(float(e.sum()) + math.exp(log_partial - top))
         # the bound falls by e^(-kappa y) an order or faster for beta >= 0,
         # more slowly for beta < 0: double the count, up to 128 times,
-        # until the bound alone would pass against the partial sum so far
+        # until the bound alone would pass against the partial sum so far.
+        # Where the block ended below max(N, 64) it may pass already: the
+        # next block then runs to n_solve
         target = log_partial + log_tol
-        gap = float(_log_tails(n_end + 1, params)) - target
+        gap = max(float(_log_tails(n_end + 1, params)) - target, 0.0)
         counts = math.ceil(min(gap / kappa_y, _MAX_ORDER)) * 2 ** np.arange(8)
         passing = _log_tails(n_end + 1 + counts, params) <= target
-        count = int(counts[passing.argmax() if passing.any() else -1])
-        _, logs = stream.logs(min(max(count, 1), _LARGEST_BLOCK, _MAX_ORDER - n_end))
+        count = max(int(counts[passing.argmax() if passing.any() else -1]), n_solve - n_end, 1)
+        ps, walls, scales = stream.take(min(count, _LARGEST_BLOCK, _MAX_ORDER - n_end))
     raise RuntimeError(f"tail certification failed to converge by n={n_end} at x={x}")
 
 
 def direct_sum(x: float, params: SumParams) -> SignedLog:
     """S(x; kappa, beta, y) summed in the log domain, tail certified.
 
-    One streaming pass of the recurrence in ascending n, converted to
-    logs in a few blocks: the sum stops at the first order past the
+    One streaming pass of the recurrence in ascending n, in a few
+    blocks; each block is converted to term logs and exponentiated once,
+    and that one exp pass serves both the stop test and S (see
+    _sum_internals).  The sum stops at the first order past the
     analysis cutoff N (at least 64) where the geometric tail bound of
     tail_bound, taken from the next order on, is below
     TAIL_RELATIVE_TOLERANCE times the partial sum so far.  For beta < 0

@@ -36,7 +36,7 @@ blocked 2x2 transfer matrices and steps one order at a time past it
 (see _OrderStream).  All three read their coefficients from one
 cursor (_Coefficients), test their walls after the orders that are
 multiples of one stride, and convert through one compensated log
-finalizer (_signed_logs).  Above EXTENDED_PRECISION_ORDER,
+finalizer (_log_magnitudes).  Above EXTENDED_PRECISION_ORDER,
 hermite_exact runs the scalar loop in long double.
 
 For large orders inside the monotonic (zero-free) region
@@ -316,16 +316,29 @@ def _log_magnitude(walls, log_m, x):
     count and ln|m|.  walls * _WALL_LOG_HI and -x^2/2 are both exact
     (the Dekker residual of x^2 is kept aside), and an error-free
     two-sum adds them, so the result carries about one final rounding.
-    Elementwise on arrays as well as on scalars.
+    Elementwise on arrays as well as on scalars.  For one x and an array
+    of wall counts (never negative), this ledger is formed once per wall
+    count and gathered: the same operations on the same values, so the
+    same bits, with no arithmetic on the wall counts order by order.
     """
+    index = None
+    if isinstance(walls, np.ndarray) and not isinstance(x, np.ndarray):
+        index, walls = walls, np.arange(walls.max(initial=0) + 1)
     sq, sq_res = _square_with_residual(x)
     walls_main = _WALL_LOG_HI * walls
     gauss = -0.5 * sq
     total = walls_main + gauss
     part = total - walls_main
     err = (walls_main - (total - part)) + (gauss - part)
-    small = (_WALL_LOG_LO * walls - 0.5 * sq_res) + (log_m - 0.25 * _LN_PI)
-    return total + (err + small)
+    low = _WALL_LOG_LO * walls - 0.5 * sq_res
+    small = log_m - 0.25 * _LN_PI
+    if index is None:
+        return total + (err + (low + small))
+    # a + b is b + a in IEEE arithmetic, so the in-place adds keep the order
+    small += low[index]
+    small += err[index]
+    small += total[index]
+    return small
 
 
 def _stride(x_max) -> int:
@@ -470,7 +483,8 @@ class _OrderStream:
         """(int8 signs, ln|h_k|) of the next count orders."""
         start = self._handed
         ps, walls, scales = self.take(count)
-        return _signed_logs(ps, walls, scales, self.x, range(start, start + count))
+        logs = _log_magnitudes(ps, walls, scales, self.x, range(start, start + count))
+        return np.sign(ps).astype(np.int8), logs
 
     def _scan(self, need: int):
         """(ps, walls, scales) of the next whole blocks holding need orders.
@@ -594,20 +608,26 @@ def _array_loop(xs: np.ndarray, n_top: int):
             yield k, p_cur, walls, rescaled, s
 
 
-def _signed_logs(ps, walls, scales, x, orders) -> tuple[np.ndarray, np.ndarray]:
-    """(int8 signs, log magnitudes) of recurrence values p with scales s_k.
+def _log_magnitudes(ps, walls, scales, x, orders):
+    """ln|h_k| of recurrence values p_k with scales s_k, the one conversion of every frontend.
 
-    orders are the orders of the values, x their points.  ln(|p| s_k) is
-    taken in the float type of p and rounded to a double before the
-    ledger, so a long-double p keeps its extra bits through the log.
+    orders are the orders of the values, x their point or one point per
+    value.  ln(|p| s_k) is taken in the float type of p and rounded to a
+    double before the ledger (_log_magnitude), so a long-double p keeps
+    its extra bits through the log; an exact zero gives -inf.  ps, walls,
+    scales and orders are arrays, or scalars for one value, which then
+    runs on Python floats with no 0-d arrays.  Callers that want signs
+    take them from p.
     """
-    ps = np.asarray(ps)
-    with np.errstate(divide="ignore"):
-        log_m = np.asarray(np.log(np.abs(ps) * scales), dtype=float)
-        if np.any(_is_tiny(x)):
-            log_m += np.asarray(orders) % 2 * np.log(_odd_scale(x))
-        logs = _log_magnitude(np.asarray(walls), log_m, x)
-    return np.sign(ps).astype(np.int8), logs
+    if isinstance(ps, np.ndarray):
+        with np.errstate(divide="ignore"):
+            log_m = np.log(np.abs(ps) * scales).astype(float, copy=False)
+    else:
+        log_m = float(np.log(abs(ps) * scales)) if ps else -math.inf
+    tiny = _is_tiny(x)
+    if tiny.any() if isinstance(tiny, np.ndarray) else tiny:
+        log_m = log_m + np.asarray(orders) % 2 * np.log(_odd_scale(x))
+    return _log_magnitude(walls, log_m, x)
 
 
 def hermite_exact(n: int, x: float) -> SignedLog:
@@ -641,7 +661,7 @@ def hermite_exact(n: int, x: float) -> SignedLog:
     coefficient (see the module docstring), keeping the running pair
     below 2^912 and counting discarded exponents separately; s_n
     goes back into ln|m_n| = ln(|p_n| s_n), in the loop's float type
-    (see _signed_logs).
+    (see _log_magnitudes).
     Forward recurrence is stable here: h_n is the dominant solution in
     the classically allowed region.  At |x| near 1e3 the log magnitude
     reaches ~5e5, so the Gaussian constant and the rescaling ledger are
@@ -660,8 +680,8 @@ def hermite_exact(n: int, x: float) -> SignedLog:
                 f"64-bit significand; this platform's has {np.finfo(np.longdouble).nmant + 1}"
             )
         dtype = _EXTENDED_FLOAT
-    sign, logmag = _signed_logs(*_scalar_loop(n, x, dtype), float(x), n)
-    return SignedLog(int(sign), float(logmag))
+    p, walls, s_n = _scalar_loop(n, x, dtype)
+    return SignedLog(int(p > 0) - int(p < 0), float(_log_magnitudes(p, walls, s_n, float(x), n)))
 
 
 def hermite_orders(n_top: int, x: float) -> tuple[np.ndarray, np.ndarray]:
@@ -742,7 +762,8 @@ def hermite_batch(orders, xs) -> tuple[np.ndarray, np.ndarray]:
             ps[part] = p_k[part]
             walls[part] = walls_k[part]
             scales[part] = s_k
-    out_signs[sort], out_logs[sort] = _signed_logs(ps, walls, scales, sorted_x, orders[sort])
+    out_signs[sort] = np.sign(ps)
+    out_logs[sort] = _log_magnitudes(ps, walls, scales, sorted_x, orders[sort])
     return out_signs, out_logs
 
 

@@ -3,7 +3,10 @@
 Everything here is deliberately written against mpmath primitives,
 exact rational arithmetic or plain floating-point loops, never against
 the library under test, so a defect in the library cannot hide in its
-own oracle.  Two oscillator helpers at the end handle library objects:
+own oracle.  Three helpers handle library objects: reference_sum
+restates the weighted sum's stop rule order by order on top of the
+library's own Hermite values and summands, so that it pins down the
+bookkeeping of the blocked sum, not the recurrence;
 synthetic_envelope_coefficients returns its plain-float values in a
 HermiteCoefficients, and reconstructed_norm integrates the values that
 evolve_grid returns.
@@ -122,6 +125,40 @@ def naive_weighted_sum(x: float, kappa: float, beta: float, y: float) -> float:
             n / (n + 1)
         ) * h_prev
         n += 1
+
+
+def reference_sum(x: float, params) -> tuple[float, np.ndarray, int]:
+    """(ln S, term logs, n_stop) of the weighted sum, by its stop rule order by order.
+
+    The plainest form of the rule decay_sum._sum_internals documents:
+    every h_n from one hermite_orders sweep, the summands of
+    _summand_logs, the running partial sums of np.logaddexp.accumulate,
+    then the first n >= max(N, 64) with tail_bound(n + 1) at most
+    TAIL_RELATIVE_TOLERANCE times the partial sum through n, and ln S as
+    _log_sum of the terms through n.  The sweep doubles until the rule
+    fires.
+    """
+    from hermite_decay.decay_sum import (
+        TAIL_RELATIVE_TOLERANCE,
+        _log_sum,
+        _summand_logs,
+        tail_bound,
+        truncation_index,
+    )
+    from hermite_decay.hermite_core import hermite_orders
+
+    x = abs(x)
+    log_tol = math.log(TAIL_RELATIVE_TOLERANCE)
+    first = max(truncation_index(x, params.y), 64)
+    n_top = 2 * first
+    while True:
+        _, logs = hermite_orders(n_top, x)
+        terms = _summand_logs(logs[1:], np.arange(1, n_top + 1, dtype=float), params)
+        running = np.logaddexp.accumulate(terms)
+        for n in range(first, n_top + 1):
+            if tail_bound(n + 1, params).logmag <= running[n - 1] + log_tol:
+                return _log_sum(terms[:n]), terms[:n], n
+        first, n_top = n_top + 1, 2 * n_top
 
 
 def mp_gaussian_coefficient(n: int, a: float, dps: int = 40) -> float:

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hermite_decay import decay_sum, hermite_core
@@ -32,7 +32,7 @@ from hermite_decay.hermite_core import (
     phi_coordinate,
     plancherel_rotach_estimate,
 )
-from oracles import mp_argument_fd, mp_argument_function, naive_weighted_sum
+from oracles import mp_argument_fd, mp_argument_function, naive_weighted_sum, reference_sum
 
 # Frozen oracle values: closed form evaluated at 50 significant digits
 # by tests/oracles.mp_argument_function.
@@ -402,12 +402,45 @@ class TestDirectSum:
         assert small_log_s == log_s
         np.testing.assert_array_equal(small_terms, terms)
 
+    @given(
+        st.floats(min_value=0.5, max_value=2.5),
+        st.one_of(st.floats(min_value=-3.0, max_value=1.0), st.just(-140.0)),
+        st.floats(min_value=0.2, max_value=1.5),
+        st.one_of(
+            st.floats(min_value=0.0, max_value=53.0),
+            st.floats(min_value=53.0, max_value=160.0),
+            st.floats(min_value=5e-324, max_value=1e-154),
+        ),
+        st.sampled_from([None, 50]),
+    )
+    @example(1.0, 0.25, 0.5, 150.0, None)
+    @example(1.0, -140.0, 0.5, 60.0, 50)
+    @example(2.0, 0.0, 1.0, 2.0**-600, None)
+    @example(1.0, 0.0, 1.0, 0.0, 50)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_reference_bit_for_bit(self, kappa, beta, y, x, block):
+        # the one exp pass per block, its prefix sums and the scalar tail
+        # factor against the stop rule restated order by order: x on both
+        # sides of the scan's threshold (about 53) and tiny, beta < 0, and
+        # blocks of 50 orders, where the sum takes many requests and ln S
+        # comes from the joined terms
+        params = SumParams(kappa, beta, y)
+        with pytest.MonkeyPatch.context() as patch:
+            if block:
+                patch.setattr(decay_sum, "_LARGEST_BLOCK", block)
+            log_s, terms, n_stop = _sum_internals(x, params)
+        ref_log_s, ref_terms, ref_n_stop = reference_sum(x, params)
+        assert n_stop == ref_n_stop
+        assert log_s == ref_log_s
+        np.testing.assert_array_equal(terms, ref_terms)
+
     def test_memory_of_a_far_sum(self):
         # n_stop = 462,166 at x = 1000: the sum draws at most _LARGEST_BLOCK
         # orders a request and the stream scans at most
         # hermite_core._SCAN_ORDERS a pass, so the peak is the kept terms
-        # (3.5 MB, twice while they are joined) plus one request's
-        # conversion.  Measured 14.2 MB; the slice-join stream took 14.1 MB.
+        # (3.5 MB), held four times while _log_sum runs over their join:
+        # the blocks, the join and the two arrays of its exp.  Measured
+        # 14.3 MB; a block alone peaks at about 8.5 doubles an order.
         params = SumParams(1.0, 0.25, 0.5)
         hermite_orders(1, 1.0)  # builds the process's coefficient table first
         tracemalloc.start()
@@ -472,6 +505,17 @@ class TestTailBound:
     def test_start_validation(self):
         with pytest.raises(ValueError):
             tail_bound(0, SumParams(1.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize("start", [2.5, True, np.True_, math.nan, math.inf, -math.inf, -3])
+    def test_start_must_be_a_whole_number(self, start):
+        # 2.5 and True once returned a bound, nan +inf, and inf -inf, which
+        # claimed a zero tail
+        with pytest.raises(ValueError, match="whole number >= 1"):
+            tail_bound(start, SumParams(1.0, 0.0, 1.0))
+
+    def test_takes_a_whole_float_start(self):
+        params = SumParams(1.0, -0.5, 0.5)
+        assert tail_bound(3.0, params) == tail_bound(3, params) == tail_bound(np.int64(3), params)
 
     @pytest.mark.filterwarnings("error")
     def test_infinite_while_the_majorant_diverges(self):

@@ -156,6 +156,17 @@ class TestHermiteExact:
             got = hermite_exact(n, x)
             assert (got.sign, got.logmag) == long_double_log(n, x), (n, x)
 
+    @pytest.mark.parametrize("x", [0.0, -1e-300, 3.0, 41.3, -150.0, 1000.0])
+    def test_one_conversion_for_one_value_and_for_a_stream(self, x):
+        # the stream's orders convert with the ledger formed once per wall
+        # count and gathered, hermite_exact's one value on Python floats:
+        # the same bits at every order, across up to 49 wall counts
+        ps, walls, scales = hermite_core._OrderStream(x).take(5000)
+        logs = hermite_core._log_magnitudes(ps, walls, scales, x, range(5000))
+        one = hermite_core._log_magnitudes
+        for k in range(5000):
+            assert logs[k] == one(float(ps[k]), int(walls[k]), scales[k], x, k), k
+
     def test_extended_tier_needs_long_double(self, monkeypatch):
         monkeypatch.setattr(hermite_core, "_EXTENDED_FLOAT", None)
         with pytest.raises(ValueError, match="long double"):
