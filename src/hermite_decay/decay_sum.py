@@ -12,16 +12,22 @@ the peak is about x orders wide.  At kappa = 1 this is the power
 x^(1/2 - 2 beta) of the paper's upper bound; at kappa = 2, beta = 0
 Mehler's formula gives the sum in closed form, with power x^0.
 
-This module computes S by certified log-domain truncation, the
-analysis machinery behind the envelope (the argument function A(n),
-its derivatives, the interior maximum n_max), and a sharpness
-certificate comparing S against the envelope across an x-grid.
+This module computes S by certified log-domain truncation on both
+sides of that peak: a geometric tail bound stops the sum past the
+analysis cutoff, and, below the turning point, a ratio lemma certifies
+the head of orders far left of the peak negligible, so that only the
+peak's window is converted and exponentiated (see _sum_internals).  It
+also holds the analysis machinery behind the envelope (the argument
+function A(n), its derivatives, the interior maximum n_max), and a
+sharpness certificate comparing S against the envelope across an
+x-grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,13 +44,27 @@ TAIL_RELATIVE_TOLERANCE = 1e-12
 # and rejects x whose analysis cutoff lies past it.
 _MAX_ORDER = 4_000_000
 
+# A sum drops a head of its orders once _Head bounds it by e^-60 times a
+# term of the sum: far below TAIL_RELATIVE_TOLERANCE (e^-27.6), and far
+# above any rounding of the bound.
+_HEAD_LOG_MARGIN = 60.0
+
+# A sum certifies and drops its head only where _expected_head holds at
+# least this many orders.  Measured crossover of the certificate, about
+# 20 us a scan pass, against the orders it drops (2-core x86-64 VM,
+# Python 3.11, numpy 2.4): 1550-1950 expected orders over five
+# (kappa, beta, y) with y from 1/4 to 1 (x = 62 to 80); at y = 2 the
+# head is empty below x = 85 and still 67 orders at x = 100.
+_HEAD_MIN_ORDERS = 2000
+
 # Most orders direct_sum draws from its order stream at once.  A block
 # peaks at about nine arrays of 8 bytes an order, the stream's buffers
-# included: under 5 MB.  The term logs kept up to n_stop add 8 bytes an
-# order; when they span several blocks they are held four times while
-# _log_sum runs over their join (the blocks, the join, and the two
-# arrays of its exp).  At x = 1e3, y = 1/2 (n_stop = 4.6e5) the sum
-# peaks at 14.3 MB.
+# included: under 5 MB.  The term logs kept add 8 bytes an order; when
+# they span several blocks they are held four times while _log_sum runs
+# over their join (the blocks, the join, and the two arrays of its exp).
+# A far sum keeps only the orders from its dropped head to n_stop: at
+# x = 1e3, y = 1/2 that is 75,958 of n_stop = 462,166 orders, and the
+# sum peaks at 4.1 MB, one block's worth.
 _LARGEST_BLOCK = 1 << 16
 
 # Bisection control for the interior-maximum solve.
@@ -286,16 +306,112 @@ def _log_sum(term_logs: np.ndarray) -> float:
         return m + math.log(float(np.exp(term_logs - m).sum()))
 
 
-def _sum_internals(x: float, params: SumParams) -> tuple[float, np.ndarray, int]:
-    """(log S, term logs, n_stop) with the tail certified negligible.
+class _Head:
+    """The head certificate of one sum at x > 0, the head of its order stream.
+
+    Called on a scan pass (hermite_core._OrderStream) with block-start
+    orders a, ln r_{a-1} = ln(h_a(x)/h_{a-1}(x)) and ln|h_a(x)|; returns
+    the largest a below n_min, max(N, 64), whose head 1..a it certifies,
+    or 0.
+
+    Below the turning point, r_k = h_{k+1}/h_k does not rise in k (the
+    lemma of ROADMAP item 5): r_k = F_k(r_{k-1}) with
+    F_k(r) = x sqrt(2/(k+1)) - sqrt(k/(k+1))/r, F_k rises in r > 0,
+    F_k <= F_{k-1} pointwise and r_1 < r_0, so by induction r_k <= r_{k-1}
+    while h stays positive, which it does for 2k + 1 < x^2, where every
+    block start a of the scan lies.  With u_k = t_k k^beta and
+    rho = r_{a-1}^kappa e^(-kappa y) > 1, u_k/u_{k+1} = 1/(r_k^kappa
+    e^(-kappa y)) <= 1/rho for k < a, so u_k <= u_a rho^(k-a); as k^(-beta)
+    is at most 1 for beta >= 0 and at most a^(-beta) for beta < 0,
+
+        t_1 + ... + t_a <= t_a (1 + a^max(beta, 0) / (rho - 1)).
+
+    The head is certified when this bound is at most e^(-_HEAD_LOG_MARGIN)
+    times top, the largest block-start term seen so far, a lower bound
+    on S.  ln r_{a-1} comes from the start pair's own p and s_k, before
+    its walls and the Gaussian, so it carries a few ulps of numbers below
+    10^3 plus the relative drift of the recurrence between neighbouring
+    orders; ln rho is taken less a margin of 2^-40 (x^2 + 1) kappa, at
+    least 2.6e-9 kappa where the stream scans (x >= 53), far above both.
+    The terms at the block starts round like any term, which the e^60
+    margin absorbs.  log_bound holds the log of the bound of the last
+    head certified.
+    """
+
+    def __init__(self, x: float, params: SumParams, n_min: int) -> None:
+        self._params = params
+        self._n_min = n_min
+        self._shift = params.y + (x * x + 1.0) * 2.0**-40
+        self.top = -math.inf
+        self.log_bound = -math.inf
+
+    def __call__(self, a: np.ndarray, log_ratios: np.ndarray, logs: np.ndarray) -> int:
+        params = self._params
+        terms = _summand_logs(logs, a, params)
+        self.top = max(self.top, float(terms.max()))
+        log_rho = log_ratios - self._shift
+        log_rho *= params.kappa
+        # rho <= 1 certifies nothing: its bound comes out +inf or nan
+        with np.errstate(divide="ignore", invalid="ignore"):
+            excess = max(params.beta, 0.0) * np.log(a) - np.log(np.expm1(log_rho))
+            bounds = terms + np.logaddexp(0.0, excess)
+        passing = np.flatnonzero((bounds <= self.top - _HEAD_LOG_MARGIN) & (a < self._n_min))
+        if not passing.size:
+            return 0
+        self.log_bound = float(bounds[passing[-1]])
+        return int(a[passing[-1]])
+
+
+def _expected_head(x: float, params: SumParams) -> float:
+    """About how many orders _Head drops: those e^60 below the peak, by Laplace's method.
+
+    The log of the summand peaks near n* = x^2 / (2 cosh^2 y) with
+    curvature -1/sigma^2, sigma^2 = x^2 tanh(y) / (kappa cosh^2 y)
+    (ROADMAP item 6), so it lies e^60 below its top about sqrt(120) sigma
+    before n*.
+    """
+    c = math.cosh(params.y)
+    # sqrt(120) sigma cosh(y) / x
+    spread = math.sqrt(2.0 * _HEAD_LOG_MARGIN * math.tanh(params.y) / params.kappa)
+    return x / c * (0.5 * x / c - spread)
+
+
+class _Sum(NamedTuple):
+    """What _sum_internals found.
+
+    log S; the term logs kept, of orders n_first through n_stop; and
+    log_head, the log of the bound on the dropped head 1..n_first-1
+    (-inf when n_first = 1, where nothing was dropped).
+    """
+
+    log_s: float
+    terms: np.ndarray
+    n_stop: int
+    n_first: int
+    log_head: float
+
+
+def _sum_internals(x: float, params: SumParams) -> _Sum:
+    """log S with the tail certified negligible, and the negligible head dropped.
 
     One recurrence pass at x, a hermite_core._OrderStream, hands out the
     raw orders (p_k, walls, s_k) in blocks of exactly the sizes asked
     for, and runs less than one stride past the last block.  n_stop is
     the smallest order n >= max(N, 64), N the analysis cutoff, where the
     tail bound at n + 1 (_log_tails) is at most TAIL_RELATIVE_TOLERANCE
-    times the partial sum through n, a lower bound on S.  Each block
-    makes one pass: it converts its orders to logs
+    times the partial sum through n, a lower bound on S.
+
+    On every scan pass of the stream, _Head certifies a head 1..a with
+    a < max(N, 64): the orders through a sum to at most e^-60 times a
+    term of S.  The stream then drops them before it combines, converts
+    them or they are exponentiated, and so does the sum with the blocks
+    it kept from earlier requests; the terms kept run from n_first on.
+    A far sum takes many passes, so later certificates drop what earlier
+    ones kept.  The stop rule does not move: it tests no order below
+    max(N, 64), and its partial sums lose at most e^-60 of themselves
+    (the seed from earlier blocks still holds the dropped ones).
+
+    Each block makes one pass: it converts its orders to logs
     (hermite_core._log_magnitudes) and term logs, takes e = exp(terms -
     top) once, top the larger of the block's largest term and the
     partial sum so far, and tests all its orders at or past max(N, 64)
@@ -313,13 +429,14 @@ def _sum_internals(x: float, params: SumParams) -> tuple[float, np.ndarray, int]
     to the first order that may stop the sum.  No block
     holds more than _LARGEST_BLOCK orders or runs past _MAX_ORDER.
     log S is summed over all kept terms at once, as _log_sum does, so it
-    does not depend on the block boundaries: when the first block stops,
-    top is the largest kept term (each later term lies below the tail
-    bound, far below the partial sum) and log S is top plus the log of
-    the sum of e up to the stop; after several blocks it is _log_sum of
-    the joined terms.  Raises ValueError for an x hermite_core rejects
-    or whose analysis cutoff lies past _MAX_ORDER, and RuntimeError when
-    the tail is not certified by _MAX_ORDER.
+    does not depend on the block boundaries: when the kept terms are one
+    block, top is the largest kept term (each later term lies below the
+    tail bound, far below the partial sum, and a dropped head far below
+    a kept term) and log S is top plus the log of the sum of e up to the
+    stop; otherwise it is _log_sum of the joined terms.  Raises
+    ValueError for an x hermite_core rejects or whose analysis cutoff
+    lies past _MAX_ORDER, and RuntimeError when the tail is not
+    certified by _MAX_ORDER.
     """
     if not abs(x) <= hermite_core._X_MAX:
         raise ValueError(f"x must be finite with |x| <= 2^511, got {x}")
@@ -338,21 +455,24 @@ def _sum_internals(x: float, params: SumParams) -> tuple[float, np.ndarray, int]
     # this many orders past N, where the bound has fallen by the
     # tolerance and two more e-folds
     lookahead = math.ceil((2.0 - log_tol) / kappa_y)
-    n_first = max(n_solve, n_cut + lookahead)
+    first_end = max(n_solve, n_cut + lookahead)  # the first request's last order
     stream = hermite_core._OrderStream(x)
-    ps, walls, scales = stream.take(min(n_first, _LARGEST_BLOCK, _MAX_ORDER) + 1)
-    ps, walls, scales = ps[1:], walls[1:], scales[1:]  # h_0 carries no summand
+    stream.first = 1  # h_0 carries no summand
+    # a head is dropped only in scan passes, and pays only where it is long
+    if stream.scan_end and _expected_head(x, params) >= _HEAD_MIN_ORDERS:
+        stream.head = _Head(x, params, n_min)
+    n_end = min(first_end, _LARGEST_BLOCK, _MAX_ORDER)  # the last order requested
+    ps, walls, scales = stream.take(n_end + 1)
     blocks = []
-    n_end = 0  # the last order summed
-    log_partial = -math.inf  # ln of the partial sum through n_end
+    log_partial = -math.inf  # ln of the partial sum before the block
     while ps.size:
-        n = np.arange(n_end + 1, n_end + 1 + ps.size, dtype=float)
+        n_start = n_end + 1 - ps.size  # the block's first order
+        n = np.arange(n_start, n_end + 1, dtype=float)
         logs = hermite_core._log_magnitudes(ps, walls, scales, x, n)
         terms = _summand_logs(logs, n, params)
         blocks.append(terms)
         # orders below max(N, 64) may not stop the sum
-        skip = min(max(n_min - n_end - 1, 0), terms.size)
-        n_end += terms.size
+        skip = min(max(n_min - n_start, 0), terms.size)
         top = max(float(terms.max()), log_partial)
         with np.errstate(under="ignore", divide="ignore"):
             e = np.exp(terms - top)
@@ -367,10 +487,14 @@ def _sum_internals(x: float, params: SumParams) -> tuple[float, np.ndarray, int]
         if passing.any():
             stop = skip + int(passing.argmax())
             if len(blocks) == 1:
-                return top + math.log(float(e[: stop + 1].sum())), terms[: stop + 1], int(n[stop])
-            blocks[-1] = terms[: stop + 1]
-            terms = np.concatenate(blocks)
-            return _log_sum(terms), terms, int(n[stop])
+                log_s = top + math.log(float(e[: stop + 1].sum()))
+                terms = terms[: stop + 1]
+            else:
+                blocks[-1] = terms[: stop + 1]
+                terms = np.concatenate(blocks)
+                log_s = _log_sum(terms)
+            log_head = stream.head.log_bound if stream.head else -math.inf
+            return _Sum(log_s, terms, int(n[stop]), stream.first, log_head)
         log_partial = top + math.log(float(e.sum()) + math.exp(log_partial - top))
         # the bound falls by e^(-kappa y) an order or faster for beta >= 0,
         # more slowly for beta < 0: double the count, up to 128 times,
@@ -382,17 +506,28 @@ def _sum_internals(x: float, params: SumParams) -> tuple[float, np.ndarray, int]
         counts = math.ceil(min(gap / kappa_y, _MAX_ORDER)) * 2 ** np.arange(8)
         passing = _log_tails(n_end + 1 + counts, params) <= target
         count = max(int(counts[passing.argmax() if passing.any() else -1]), n_solve - n_end, 1)
-        ps, walls, scales = stream.take(min(count, _LARGEST_BLOCK, _MAX_ORDER - n_end))
+        count = min(count, _LARGEST_BLOCK, _MAX_ORDER - n_end)
+        first = stream.first
+        ps, walls, scales = stream.take(count)
+        n_end += count
+        if stream.first != first:
+            blocks.clear()  # a head certified past every block kept so far
     raise RuntimeError(f"tail certification failed to converge by n={n_end} at x={x}")
 
 
 def direct_sum(x: float, params: SumParams) -> SignedLog:
-    """S(x; kappa, beta, y) summed in the log domain, tail certified.
+    """S(x; kappa, beta, y) summed in the log domain, head and tail certified.
 
     One streaming pass of the recurrence in ascending n, in a few
     blocks; each block is converted to term logs and exponentiated once,
     and that one exp pass serves both the stop test and S (see
-    _sum_internals).  The sum stops at the first order past the
+    _sum_internals).  Where the recurrence scans below the turning point
+    and the head is long enough to pay for it, the orders 1..a left of
+    the peak are dropped before they are converted once
+    t_a (1 + a^max(beta, 0) / (rho - 1)) bounds their sum by e^-60 times
+    a term of S, with rho = (h_a/h_{a-1})^kappa e^(-kappa y) > 1: the
+    ratio h_{k+1}/h_k does not rise below the turning point (_Head).
+    The sum stops at the first order past the
     analysis cutoff N (at least 64) where the geometric tail bound of
     tail_bound, taken from the next order on, is below
     TAIL_RELATIVE_TOLERANCE times the partial sum so far.  For beta < 0
@@ -410,8 +545,7 @@ def direct_sum(x: float, params: SumParams) -> SignedLog:
     ValueError for a non-finite x or one whose cutoff N exceeds 4e6
     orders (|x| above about 2.9e3 at y = 1/2).
     """
-    log_s, _, _ = _sum_internals(x, params)
-    return SignedLog(1, log_s)
+    return SignedLog(1, _sum_internals(x, params).log_s)
 
 
 def envelope_power(params: SumParams) -> float:
@@ -442,8 +576,10 @@ def sharpness_certificate(x_grid, params: SumParams) -> SharpnessCertificate:
     Per point: R(x) = S(x) / envelope(x), plus the share of S carried by
     the window 2(n+1)/x^2 in (lam/2, tanh(y)/y) around the maximizer;
     the window alone certifying a positive envelope fraction is the
-    lower-bound mechanism behind sharpness.  find_nmax failures at
-    individual points propagate.
+    lower-bound mechanism behind sharpness.  Both read the terms the sum
+    kept, from its first kept order on: a head it dropped holds at most
+    e^-60 of S (see _sum_internals), so the window's share moves by no
+    more than that.  find_nmax failures at individual points propagate.
     """
     xs = [float(v) for v in x_grid]
     if len(xs) < 2:
@@ -460,14 +596,16 @@ def sharpness_certificate(x_grid, params: SumParams) -> SharpnessCertificate:
     restricted_ratios = []
     for x in xs:
         profile = find_nmax(x, params.y)
-        log_s, terms, n_stop = _sum_internals(x, params)
+        total = _sum_internals(x, params)
+        log_s = total.log_s
         log_env = envelope(x, params).logmag
         ratios.append(math.exp(log_s - log_env))
-        u = 2.0 * (np.arange(1, n_stop + 1, dtype=float) + 1.0) / (x * x)
+        # the kept terms: the dropped head adds at most e^-60 of S
+        u = 2.0 * (np.arange(total.n_first, total.n_stop + 1, dtype=float) + 1.0) / (x * x)
         window = (u > 0.5 * profile.lam) & (u < y_ratio)
         if not window.any():
             raise ValueError(f"restricted window is empty at x={x}")
-        log_restricted = _log_sum(terms[window])
+        log_restricted = _log_sum(total.terms[window])
         fractions.append(math.exp(log_restricted - log_s))
         restricted_ratios.append(math.exp(log_restricted - log_env))
     ln_x = np.log(np.array(xs))

@@ -33,11 +33,16 @@ hands out every order at one point in requests of any size
 for many points (hermite_batch, hermite_values, hermite_moment_sweep).
 The stream scans the orders below the turning point 2n + 1 < x^2 as
 blocked 2x2 transfer matrices and steps one order at a time past it
-(see _OrderStream).  All three read their coefficients from one
-cursor (_Coefficients), test their walls after the orders that are
-multiples of one stride, and convert through one compensated log
-finalizer (_log_magnitudes).  Above EXTENDED_PRECISION_ORDER,
-hermite_exact runs the scalar loop in long double.
+(see _OrderStream); a caller may have each scan pass offer its block
+start pairs to a head certificate, and the pass then drops the blocks
+that the certificate covers before it combines them (the weighted sums
+drop the negligible orders left of their peak this way).  All three
+read their coefficients from one cursor (_Coefficients), test their
+walls after the orders that are multiples of one stride, and convert
+through one compensated log finalizer (_log_magnitudes); only the head
+certificate reads plain logs of its start pairs.  Above
+EXTENDED_PRECISION_ORDER, hermite_exact runs the scalar loop in long
+double.
 
 For large orders inside the monotonic (zero-free) region
 2(n+1) < x^2, the classical Plancherel-Rotach asymptotic in the
@@ -208,11 +213,13 @@ def _check_arguments(orders, xs):
 
     Raises ValueError unless every order is a whole number in
     [0, 2^63) (2.5, nan, inf and 1e30 fail: an order must survive the
-    cast to int64 unchanged, so none is truncated or wrapped) and every
-    x is finite with |x| <= _X_MAX.  orders and xs are scalars or
-    arrays.
+    cast to int64 unchanged, so none is truncated or wrapped) and is not
+    a bool (True would pass that cast as order 1), and every x is finite
+    with |x| <= _X_MAX.  orders and xs are scalars or arrays.
     """
     ints = orders = np.asarray(orders)
+    if orders.dtype.kind == "b":
+        raise ValueError("orders must be whole numbers, not bools")
     if orders.dtype.kind != "i":
         with np.errstate(invalid="ignore"):
             ints = orders.astype(np.int64)
@@ -447,10 +454,24 @@ class _OrderStream:
     a multiple of B, where _scalar_loop tests it.  A handed-out p_k at
     such an order is the one before the test.
 
+    A caller may drop the orders below first (0 by default): take then
+    hands out only those of its count orders from first on.  It may
+    also set head, a callable that drops a head of negligible orders
+    (the weighted sums of decay_sum set both).  On every scan pass,
+    after the chain, head gets the start orders a of blocks 1..M-1 with
+    ln(h_a/h_{a-1}) and ln|h_a|, from one plain conversion of the
+    joined start pairs (no compensated ledger: the head needs them only
+    to about 1e-10), and returns one of those a, or 0.  The stream then
+    drops the orders through a: first becomes a + 1, and the combine
+    runs only from the block that starts at a on.  The scales of a start
+    pair are the last two of the block before it, so a head needs
+    B >= 2, which holds for |x| < 2^199.
+
     A request computes no order past the last one it asks for, but for
     the rest of a scan block: at most B - 1 orders, kept for the next
     request.  Blocks and wall tests sit at multiples of B, so the values
-    do not depend on how callers split the orders into requests.
+    do not depend on how callers split the orders into requests; which
+    orders a head drops does, since it reads the passes.
     """
 
     def __init__(self, x: float) -> None:
@@ -460,36 +481,44 @@ class _OrderStream:
         # point, if _SCAN_MIN_BLOCKS blocks fit there, so it depends on x alone
         blocks = (math.ceil((x * x - 1.0) / 2.0) - 1) // stride
         self.scan_end = blocks * stride if blocks >= _SCAN_MIN_BLOCKS else 0
+        self.first = 0  # the first order handed out
+        self.head = None
         self._x = math.copysign(_TINY_X, x) if _is_tiny(x) else float(x)
         self._coefficients = _Coefficients(float)
         self._k = 0  # the last order computed
         self._pair = (0.0, 1.0, 0)  # (p_{k-1}, p_k, walls)
         self._pending = (np.ones(1), np.zeros(1, dtype=np.int64), np.ones(1))  # order 0
-        self._handed = 0  # orders handed out
+        self._handed = 0  # orders handed out or dropped
 
     def take(self, count: int):
-        """(ps, walls, scales) of the next count orders."""
+        """(ps, walls, scales) of the next count orders, those from first on."""
+        end = self._handed + count  # the order past the request
         parts = [self._pending]
-        have = self._pending[0].size
-        while have < count:
-            parts.append((self._scan if self._k < self.scan_end else self._steps)(count - have))
-            have += parts[-1][0].size
+        while self._k + 1 < end:
+            first = self.first
+            part = (self._scan if self._k < self.scan_end else self._steps)(end - 1 - self._k)
+            if self.first != first:
+                parts.clear()  # a head dropped every order computed before this pass
+            parts.append(part)
         joined = [np.concatenate(field) for field in zip(*parts)]
-        self._pending = tuple(field[count:] for field in joined)
-        self._handed += count
-        return tuple(field[:count] for field in joined)
+        start = self._k + 1 - joined[0].size  # the order of the first value joined
+        lo, hi = max(self.first - start, 0), end - start
+        self._pending = tuple(field[hi:] for field in joined)
+        self._handed = end
+        return tuple(field[lo:hi] for field in joined)
 
     def logs(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """(int8 signs, ln|h_k|) of the next count orders."""
-        start = self._handed
+        """(int8 signs, ln|h_k|) of the next count orders, those from first on."""
+        end = self._handed + count
         ps, walls, scales = self.take(count)
-        logs = _log_magnitudes(ps, walls, scales, self.x, range(start, start + count))
+        logs = _log_magnitudes(ps, walls, scales, self.x, range(end - ps.size, end))
         return np.sign(ps).astype(np.int8), logs
 
     def _scan(self, need: int):
         """(ps, walls, scales) of the next whole blocks holding need orders.
 
-        At most _SCAN_ORDERS orders a pass and never past scan_end.
+        At most _SCAN_ORDERS orders a pass and never past scan_end.  The
+        blocks through the last order a head drops are not combined.
         """
         b = self.stride
         m = min(-(-need // b), (self.scan_end - self._k) // b, max(_SCAN_ORDERS // b, 1))
@@ -523,10 +552,23 @@ class _OrderStream:
                 p_prev *= _WALL_LO
                 walls += 1
         self._pair = (p_prev, p_cur, walls)
-        ps = uv[2:, :m].T * np.array(prevs)[:, None]
-        ps += uv[2:, m:].T * np.array(curs)[:, None]
+        starts = np.array((prevs, curs))  # the start pairs (p_{a-1}, p_a) of the blocks
+        counts = np.array(counts)
+        keep = 0  # the first block combined
+        if self.head is not None and m > 1:
+            # ln(|p| s) of the start pairs, one conversion: the pair shares
+            # its walls, and the Gaussian is the same at every order
+            logs = np.log(np.abs(starts[:, 1:]) * scales.reshape(m, b)[:-1, -2:].T)
+            ratios = logs[1] - logs[0]
+            logs[1] += counts[1:] * (512 * _LN_2) + _log_magnitude(0, 0.0, self._x)
+            dropped = self.head(self._k + b * np.arange(1, m), ratios, logs[1])
+            if dropped:
+                keep = (dropped - self._k) // b
+                self.first = dropped + 1
+        ps = uv[2:, keep:m].T * starts[0, keep:, None]
+        ps += uv[2:, m + keep :].T * starts[1, keep:, None]
         self._k += m * b
-        return ps.ravel(), np.repeat(counts, b), scales
+        return ps.ravel(), np.repeat(counts[keep:], b), scales[keep * b :]
 
     def _steps(self, count: int):
         """(ps, walls, scales) of the next count orders.

@@ -127,16 +127,17 @@ def naive_weighted_sum(x: float, kappa: float, beta: float, y: float) -> float:
         n += 1
 
 
-def reference_sum(x: float, params) -> tuple[float, np.ndarray, int]:
+def reference_sum(x: float, params, first: int = 1) -> tuple[float, np.ndarray, int]:
     """(ln S, term logs, n_stop) of the weighted sum, by its stop rule order by order.
 
-    The plainest form of the rule decay_sum._sum_internals documents:
-    every h_n from one hermite_orders sweep, the summands of
-    _summand_logs, the running partial sums of np.logaddexp.accumulate,
-    then the first n >= max(N, 64) with tail_bound(n + 1) at most
-    TAIL_RELATIVE_TOLERANCE times the partial sum through n, and ln S as
-    _log_sum of the terms through n.  The sweep doubles until the rule
-    fires.
+    The plainest form of the rule decay_sum._sum_internals documents,
+    over the terms from order first on (the orders below it are a head
+    the sum dropped): every h_n from one hermite_orders sweep, the
+    summands of _summand_logs, the running partial sums of
+    np.logaddexp.accumulate, then the first n >= max(N, 64) with
+    tail_bound(n + 1) at most TAIL_RELATIVE_TOLERANCE times the partial
+    sum through n, and ln S as _log_sum of the terms from first through
+    n.  The sweep doubles until the rule fires.
     """
     from hermite_decay.decay_sum import (
         TAIL_RELATIVE_TOLERANCE,
@@ -149,16 +150,17 @@ def reference_sum(x: float, params) -> tuple[float, np.ndarray, int]:
 
     x = abs(x)
     log_tol = math.log(TAIL_RELATIVE_TOLERANCE)
-    first = max(truncation_index(x, params.y), 64)
-    n_top = 2 * first
+    lo = max(truncation_index(x, params.y), 64)
+    n_top = 2 * lo
     while True:
         _, logs = hermite_orders(n_top, x)
-        terms = _summand_logs(logs[1:], np.arange(1, n_top + 1, dtype=float), params)
+        terms = _summand_logs(logs[first:], np.arange(first, n_top + 1, dtype=float), params)
         running = np.logaddexp.accumulate(terms)
-        for n in range(first, n_top + 1):
-            if tail_bound(n + 1, params).logmag <= running[n - 1] + log_tol:
-                return _log_sum(terms[:n]), terms[:n], n
-        first, n_top = n_top + 1, 2 * n_top
+        for n in range(lo, n_top + 1):
+            if tail_bound(n + 1, params).logmag <= running[n - first] + log_tol:
+                kept = terms[: n - first + 1]
+                return _log_sum(kept), kept, n
+        lo, n_top = n_top + 1, 2 * n_top
 
 
 def mp_gaussian_coefficient(n: int, a: float, dps: int = 40) -> float:

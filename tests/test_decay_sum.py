@@ -32,7 +32,13 @@ from hermite_decay.hermite_core import (
     phi_coordinate,
     plancherel_rotach_estimate,
 )
-from oracles import mp_argument_fd, mp_argument_function, naive_weighted_sum, reference_sum
+from oracles import (
+    mp_argument_fd,
+    mp_argument_function,
+    mp_hermite_logs,
+    naive_weighted_sum,
+    reference_sum,
+)
 
 # Frozen oracle values: closed form evaluated at 50 significant digits
 # by tests/oracles.mp_argument_function.
@@ -320,11 +326,11 @@ class TestDirectSum:
         for params in (SumParams(1.0, 0.0, 0.5), SumParams(2.0, 0.0, 0.25),
                        SumParams(1.0, -0.5, 0.5)):
             for x in (7.0, 33.0, 80.0, 150.0):
-                log_s, _, n_stop = _sum_internals(x, params)
-                _, logs = hermite_orders(2 * n_stop, x)
-                n = np.arange(1, 2 * n_stop + 1, dtype=float)
+                total = _sum_internals(x, params)
+                _, logs = hermite_orders(2 * total.n_stop, x)
+                n = np.arange(1, 2 * total.n_stop + 1, dtype=float)
                 again = _log_sum(_summand_logs(logs[1:], n, params))
-                assert again == pytest.approx(log_s, abs=1e-10)
+                assert again == pytest.approx(total.log_s, abs=1e-10)
 
     @pytest.mark.parametrize("kappa, beta, y", [(1.0, 0.25, 0.5), (2.0, 0.0, 0.25), (2.0, 0.0, 1.0)])
     @pytest.mark.parametrize("x", [7.5, 60.0, 150.0])
@@ -335,7 +341,7 @@ class TestDirectSum:
         # one stride past the end of the request
         params = SumParams(kappa, beta, y)
         passes = count_recurrence_orders(monkeypatch)
-        _, _, n_stop = _sum_internals(x, params)
+        n_stop = _sum_internals(x, params).n_stop
         assert len(passes) == 1
         assert n_stop <= first_request_end(x, params)
         assert passes[0] <= first_request_end(x, params) + hermite_core._stride(x)
@@ -351,7 +357,7 @@ class TestDirectSum:
         # by less than the longest gap that solve leaves (measured at most
         # 181 orders) plus one stride
         passes = count_recurrence_orders(monkeypatch)
-        _, _, n_stop = _sum_internals(x, SumParams(kappa, beta, y))
+        n_stop = _sum_internals(x, SumParams(kappa, beta, y)).n_stop
         assert len(passes) == 1
         assert passes[0] <= n_stop + 256 + hermite_core._stride(x)
 
@@ -374,20 +380,23 @@ class TestDirectSum:
     )
     @pytest.mark.parametrize("x", [7.5, 60.0, 150.0])
     def test_stops_at_smallest_certified_order(self, kappa, beta, y, x):
-        # re-run the stop rule order by order over the returned terms: the
-        # first n >= max(N, 64) whose tail bound passes against the
-        # running partial sum
+        # re-run the stop rule order by order over the returned terms, which
+        # start at the first kept order: the first n >= max(N, 64) whose
+        # tail bound passes against the running partial sum of the kept
+        # terms.  A dropped head lies below max(N, 64)
         params = SumParams(kappa, beta, y)
-        _, terms, n_stop = _sum_internals(x, params)
-        assert terms.size == n_stop
-        running = np.logaddexp.accumulate(terms)
+        total = _sum_internals(x, params)
+        n_min = max(truncation_index(x, y), 64)
+        assert 1 <= total.n_first < n_min
+        assert total.terms.size == total.n_stop - total.n_first + 1
+        running = np.logaddexp.accumulate(total.terms)
         log_tol = math.log(TAIL_RELATIVE_TOLERANCE)
         first = next(
             n
-            for n in range(max(truncation_index(x, y), 64), n_stop + 1)
-            if tail_bound(n + 1, params).logmag <= running[n - 1] + log_tol
+            for n in range(n_min, total.n_stop + 1)
+            if tail_bound(n + 1, params).logmag <= running[n - total.n_first] + log_tol
         )
-        assert n_stop == first
+        assert total.n_stop == first
 
     @pytest.mark.parametrize("kappa, beta, y", [(1.0, 0.25, 0.5), (2.0, 0.0, 0.25), (1.0, -0.5, 0.5)])
     @pytest.mark.parametrize("x", [7.5, 60.0])
@@ -395,12 +404,12 @@ class TestDirectSum:
         # a far analysis cutoff is reached in several blocks; the terms and
         # the stop do not depend on where the blocks end
         params = SumParams(kappa, beta, y)
-        log_s, terms, n_stop = _sum_internals(x, params)
+        total = _sum_internals(x, params)
         monkeypatch.setattr(decay_sum, "_LARGEST_BLOCK", 50)
-        small_log_s, small_terms, small_n_stop = _sum_internals(x, params)
-        assert small_n_stop == n_stop
-        assert small_log_s == log_s
-        np.testing.assert_array_equal(small_terms, terms)
+        small = _sum_internals(x, params)
+        assert small.n_stop == total.n_stop
+        assert small.log_s == total.log_s
+        np.testing.assert_array_equal(small.terms, total.terms)
 
     @given(
         st.floats(min_value=0.5, max_value=2.5),
@@ -412,45 +421,52 @@ class TestDirectSum:
             st.floats(min_value=5e-324, max_value=1e-154),
         ),
         st.sampled_from([None, 50]),
+        st.booleans(),
     )
-    @example(1.0, 0.25, 0.5, 150.0, None)
-    @example(1.0, -140.0, 0.5, 60.0, 50)
-    @example(2.0, 0.0, 1.0, 2.0**-600, None)
-    @example(1.0, 0.0, 1.0, 0.0, 50)
+    @example(1.0, 0.25, 0.5, 150.0, None, False)
+    @example(1.0, 0.25, 0.5, 150.0, 50, True)
+    @example(1.0, -140.0, 0.5, 60.0, 50, True)
+    @example(2.0, 0.0, 1.0, 2.0**-600, None, False)
+    @example(1.0, 0.0, 1.0, 0.0, 50, True)
     @settings(max_examples=100, deadline=None)
-    def test_matches_the_reference_bit_for_bit(self, kappa, beta, y, x, block):
+    def test_matches_the_reference_bit_for_bit(self, kappa, beta, y, x, block, every_head):
         # the one exp pass per block, its prefix sums and the scalar tail
-        # factor against the stop rule restated order by order: x on both
-        # sides of the scan's threshold (about 53) and tiny, beta < 0, and
-        # blocks of 50 orders, where the sum takes many requests and ln S
-        # comes from the joined terms
+        # factor against the stop rule restated order by order over the
+        # terms from the first kept order on: x on both sides of the scan's
+        # threshold (about 53) and tiny, beta < 0, blocks of 50 orders,
+        # where the sum takes many requests and ln S comes from the joined
+        # terms, and a head certified on every scan pass, where a later
+        # pass drops blocks that earlier requests kept
         params = SumParams(kappa, beta, y)
         with pytest.MonkeyPatch.context() as patch:
             if block:
                 patch.setattr(decay_sum, "_LARGEST_BLOCK", block)
-            log_s, terms, n_stop = _sum_internals(x, params)
-        ref_log_s, ref_terms, ref_n_stop = reference_sum(x, params)
-        assert n_stop == ref_n_stop
-        assert log_s == ref_log_s
-        np.testing.assert_array_equal(terms, ref_terms)
+            if every_head:
+                patch.setattr(decay_sum, "_HEAD_MIN_ORDERS", -math.inf)
+            total = _sum_internals(x, params)
+        ref_log_s, ref_terms, ref_n_stop = reference_sum(x, params, total.n_first)
+        assert total.n_stop == ref_n_stop
+        assert total.log_s == ref_log_s
+        np.testing.assert_array_equal(total.terms, ref_terms)
 
     def test_memory_of_a_far_sum(self):
         # n_stop = 462,166 at x = 1000: the sum draws at most _LARGEST_BLOCK
         # orders a request and the stream scans at most
-        # hermite_core._SCAN_ORDERS a pass, so the peak is the kept terms
-        # (3.5 MB), held four times while _log_sum runs over their join:
-        # the blocks, the join and the two arrays of its exp.  Measured
-        # 14.3 MB; a block alone peaks at about 8.5 doubles an order.
+        # hermite_core._SCAN_ORDERS a pass, and every pass drops the head
+        # that its certificate covers, blocks kept by earlier requests
+        # included.  So the sum keeps 75,958 orders (0.6 MB of term logs),
+        # and the peak is one block's, about 8.5 doubles an order.
+        # Measured 4.1 MB (14.3 MB when every order was kept).
         params = SumParams(1.0, 0.25, 0.5)
         hermite_orders(1, 1.0)  # builds the process's coefficient table first
         tracemalloc.start()
         try:
-            _, _, n_stop = _sum_internals(1000.0, params)
+            n_stop = _sum_internals(1000.0, params).n_stop
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert n_stop > 460_000
-        assert peak < 16 * 2**20
+        assert peak < 6 * 2**20
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("x", [1e6, -1e6, math.inf, math.nan, 2.0**512])
@@ -463,9 +479,9 @@ class TestDirectSum:
         # the tail bound is infinite up to order 2000 here; ln S is frozen
         # from a truncation at n = 5439 by a looser (dyadic) tail bound,
         # and the two truncations agree to 1e-12
-        log_s, _, n_stop = _sum_internals(20.0, SumParams(1.0, -1000.0, 0.5))
-        assert n_stop > 2000
-        assert log_s == pytest.approx(6603.244276570468, rel=1e-12)
+        total = _sum_internals(20.0, SumParams(1.0, -1000.0, 0.5))
+        assert total.n_stop > 2000
+        assert total.log_s == pytest.approx(6603.244276570468, rel=1e-12)
 
     def test_dominant_term_gap(self):
         # log S sits above the max term by at most ln(3x): the peak is
@@ -474,9 +490,113 @@ class TestDirectSum:
         for kappa, beta, y in ((1.0, 0.25, 1.0), (2.0, 1.0, 0.5), (1.0, -0.5, 0.5)):
             params = SumParams(kappa, beta, y)
             for x in (20.0, 50.0, 100.0):
-                log_s, terms, _ = _sum_internals(x, params)
-                gap = log_s - float(terms.max())
+                total = _sum_internals(x, params)
+                gap = total.log_s - float(total.terms.max())
                 assert 0.0 <= gap <= math.log(3.0 * x)
+
+
+def restated_head(x: float, params: SumParams) -> tuple[int, float]:
+    """(first kept order, ln of its head bound) by the head certificate restated.
+
+    For a sum whose first scan pass covers every order below max(N, 64):
+    the block starts a = B, 2B, ... below it, h from one hermite_orders
+    sweep, top the largest term at those starts, and the bound
+    t_a (1 + a^max(beta, 0) / (rho - 1)) with ln rho = kappa (ln r_{a-1}
+    - y - 2^-40 (x^2 + 1)), for rho > 1; the last a whose bound is at
+    most top - 60 gives the first kept order a + 1, and 1 when none does.
+    """
+    kappa, beta, y = params.kappa, params.beta, params.y
+    b = hermite_core._stride(x)
+    n_min = max(truncation_index(x, y), 64)
+    _, logs = hermite_orders(n_min, x)
+    a = np.arange(b, n_min, b)
+    terms = _summand_logs(logs[a], a.astype(float), params)
+    top = float(terms.max())
+    found = (1, -math.inf)
+    for order, term, log_ratio in zip(a, terms, logs[a] - logs[a - 1]):
+        log_rho = kappa * (log_ratio - y - 2.0**-40 * (x * x + 1.0))
+        if log_rho <= 0.0:
+            continue
+        bound = term + math.log1p(order ** max(beta, 0.0) / math.expm1(log_rho))
+        if bound <= top - 60.0:
+            found = (int(order) + 1, bound)
+    return found
+
+
+class TestHead:
+    @pytest.mark.parametrize("x", [5.0, 30.0, 60.0, 150.0])
+    def test_ratio_does_not_rise_below_the_turning_point(self, x):
+        # the lemma behind the head certificate: r_n = h_{n+1}/h_n does not
+        # rise in n for n < M = ceil((x^2 - 1)/2) - 1, from the recurrence in
+        # mpmath
+        m = math.ceil((x * x - 1.0) / 2.0) - 1
+        logs = np.array([logmag for _, logmag in mp_hermite_logs(range(m + 1), x)])
+        log_ratios = np.diff(logs)  # ln r_0 .. ln r_{M-1}
+        assert np.all(np.diff(log_ratios) < 0.0)
+
+    @given(
+        st.floats(min_value=0.5, max_value=2.5),
+        st.floats(min_value=-3.0, max_value=1.0),
+        st.floats(min_value=0.25, max_value=2.0),
+        st.floats(min_value=53.0, max_value=400.0),
+    )
+    @example(1.0, 0.25, 0.5, 150.0)
+    @example(1.0, 1.0, 0.25, 400.0)
+    @example(2.0, -3.0, 1.0, 300.0)
+    @settings(max_examples=30, deadline=None)
+    def test_head_bound_holds_by_brute_force(self, kappa, beta, y, x):
+        # every order below the first kept one, summed from one full sweep,
+        # lies below the head bound, which lies e^60 below the largest term
+        params = SumParams(kappa, beta, y)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(decay_sum, "_HEAD_MIN_ORDERS", -math.inf)
+            total = _sum_internals(x, params)
+        _, logs = hermite_orders(total.n_stop, x)
+        terms = _summand_logs(logs[1:], np.arange(1, total.n_stop + 1, dtype=float), params)
+        if total.n_first == 1:
+            assert total.log_head == -math.inf
+            return
+        assert total.log_head >= np.logaddexp.reduce(terms[: total.n_first - 1])
+        assert total.log_head <= float(terms.max()) - 60.0
+
+    @pytest.mark.parametrize(
+        "kappa, beta, y",
+        [(1.0, 0.25, 0.5), (2.0, 0.0, 0.25), (2.0, 0.0, 1.0), (1.0, 1.0, 0.5),
+         (0.5, -0.5, 0.3), (1.0, -2.0, 0.5), (1.0, 0.25, 2.0)],
+    )
+    @pytest.mark.parametrize("x", [60.0, 110.0, 175.0])
+    def test_certifies_the_last_block_start_that_passes(self, monkeypatch, kappa, beta, y, x):
+        # below x = 180 one scan pass covers every order below max(N, 64):
+        # the sum drops exactly the head that the certificate, restated
+        # from hermite_orders, gives
+        params = SumParams(kappa, beta, y)
+        monkeypatch.setattr(decay_sum, "_HEAD_MIN_ORDERS", -math.inf)
+        total = _sum_internals(x, params)
+        first, log_head = restated_head(x, params)
+        assert total.n_first == first
+        assert total.log_head == pytest.approx(log_head, rel=1e-12, abs=1e-9)
+
+    def test_drops_no_order_at_or_past_the_smallest_stop(self):
+        # every start below passes; only those below n_min = 40 may go
+        params = SumParams(1.0, 0.0, 0.5)
+        a = np.array([10, 20, 30, 40, 50])
+        logs = np.array([-500.0, -400.0, -300.0, -200.0, -100.0])
+        ratios = np.full(5, 5.0)
+        assert decay_sum._Head(100.0, params, 40)(a, ratios, logs) == 30
+        assert decay_sum._Head(100.0, params, 41)(a, ratios, logs) == 40
+
+    def test_bound_carries_the_power_of_the_order(self):
+        # at beta = 1 the start a = 1000 lies 3 below the threshold, with
+        # rho = 2: ln(1 + 1/(rho - 1)) = 0.69 would pass, ln(1 + a/(rho - 1))
+        # = 6.9 does not
+        params = SumParams(1.0, 1.0, 0.5)
+        a = np.array([1000, 2000])
+        # terms 0 and 63: ln|h_a| = t_a + a y + beta ln a
+        logs = np.array([500.0 + math.log(1000.0), 63.0 + 1000.0 + math.log(2000.0)])
+        ratios = np.full(2, math.log(2.0) + 0.5 + 1e-6)
+        head = decay_sum._Head(10.0, params, 5000)
+        assert head(a, ratios, logs) == 0
+        assert head.top == pytest.approx(63.0)
 
 
 class TestTailBound:

@@ -385,6 +385,28 @@ class TestSweeps:
             with pytest.raises(ValueError, match="whole numbers"):
                 call()
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n: hermite_exact(n, 1.0),
+            lambda n: hermite_orders(n, 1.0),
+            lambda n: hermite_batch(np.atleast_1d(n), [1.0]),
+            lambda n: hermite_values(n, [1.0]),
+            lambda n: hermite_moment_sweep([1.0], [1.0], n),
+        ],
+        ids=["hermite_exact", "hermite_orders", "hermite_batch", "hermite_values",
+             "hermite_moment_sweep"],
+    )
+    @pytest.mark.parametrize("n", [True, np.True_, [True]], ids=["True", "np.True_", "[True]"])
+    def test_every_frontend_rejects_a_bool_order(self, call, n):
+        # True once passed the cast to int64 as order 1, as tail_bound's
+        # start did before it was checked
+        with pytest.raises(ValueError, match="not bools"):
+            call(n)
+        call(1)
+        call(np.int64(1))
+        call(1.0)
+
     def test_every_frontend_takes_a_whole_float_order(self):
         want = hermite_exact(3, 1.0)
         assert hermite_exact(3.0, 1.0) == want
