@@ -287,10 +287,7 @@ def tail_bound(start_n: int, params: SumParams) -> SignedLog:
     +inf while kappa y start_n <= b.  Raises ValueError unless start_n
     is a whole number >= 1 (not a bool, 2.5, nan or inf).
     """
-    if isinstance(start_n, (bool, np.bool_)) or not (
-        math.isfinite(start_n) and start_n == int(start_n) >= 1
-    ):
-        raise ValueError(f"start_n must be a whole number >= 1, got {start_n!r}")
+    start_n = hermite_core._whole_number(start_n, "start_n", 1)
     return SignedLog(1, float(_log_tails(start_n, params)))
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decay_sum import SumParams, direct_sum, tail_bound
-from .hermite_core import SignedLog, hermite_moment_sweep, hermite_values
+from .hermite_core import SignedLog, _whole_number, hermite_moment_sweep, hermite_values
 
 BASIS_SCALE = math.sqrt(2.0 * math.pi)
 BASIS_NORMALIZER = (2.0 * math.pi) ** 0.25
@@ -39,6 +39,8 @@ class QuadratureSpec:
     of its peak at the endpoints.  Node count doubles until successive
     coefficient vectors agree to `tolerance` or `max_doublings` is
     exhausted; disagreement is recorded per coefficient, not raised.
+    Both counts must be whole numbers (ValueError otherwise; 16.0
+    becomes 16).
     """
 
     half_width: float | None = None
@@ -49,12 +51,12 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.half_width is not None and not self.half_width > 0.0:
             raise ValueError("half_width must be positive")
-        if self.initial_nodes < 16:
-            raise ValueError("initial_nodes must be at least 16")
+        nodes = _whole_number(self.initial_nodes, "initial_nodes", 16)
+        object.__setattr__(self, "initial_nodes", nodes)
         if not self.tolerance > 0.0:
             raise ValueError("tolerance must be positive")
-        if self.max_doublings < 0:
-            raise ValueError("max_doublings must be nonnegative")
+        doublings = _whole_number(self.max_doublings, "max_doublings")
+        object.__setattr__(self, "max_doublings", doublings)
 
 
 @dataclass(frozen=True)
@@ -207,8 +209,7 @@ def expand(f, n_terms: int, quad: QuadratureSpec | None = None) -> HermiteCoeffi
     reach quad.tolerance keep their larger disagreement on record rather
     than raising.
     """
-    if n_terms < 0:
-        raise ValueError("n_terms must be nonnegative")
+    n_terms = _whole_number(n_terms, "n_terms")
     quad = quad or QuadratureSpec()
     width = quad.half_width if quad.half_width is not None else _auto_half_width(f)
 
@@ -252,8 +253,7 @@ def gaussian_coefficients(alpha: float, n_terms: int) -> HermiteCoefficients:
     parity.  Assembled in log space, so there is no factorial overflow.
     """
     _check_alpha(alpha)
-    if n_terms < 0:
-        raise ValueError("n_terms must be nonnegative")
+    n_terms = _whole_number(n_terms, "n_terms")
     a = math.tanh(2.0 * alpha)
     # ln rho = -4 alpha exactly; ln(1 - a) - ln(1 + a) cancels as a -> 1
     log_rho = -4.0 * alpha

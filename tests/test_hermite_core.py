@@ -315,6 +315,13 @@ class TestSweeps:
         with pytest.raises(ValueError):
             hermite_batch([1, 2], [0.0])
 
+    @pytest.mark.parametrize("xs", [[[1.0, 2.0], [3.0, 4.0]], np.ones((1, 3))])
+    def test_values_reject_xs_that_is_not_1d(self, xs):
+        # a 2-D xs failed with a numpy broadcast error, where hermite_batch
+        # and hermite_moment_sweep raise ValueError
+        with pytest.raises(ValueError, match="1-D"):
+            hermite_values(2, xs)
+
     @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
     def test_batch_rejects_non_finite_x(self, x):
         with pytest.raises(ValueError, match="finite"):
@@ -456,6 +463,93 @@ class TestSweeps:
         dots = hermite_moment_sweep(xs, w, 40)
         want = hermite_values(40, xs) @ w
         np.testing.assert_allclose(dots, want, rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("grid", ["mirrored", "zeros", "tiny", "repeated", "far"])
+    def test_moment_sweep_folds_each_distinct_magnitude(self, grid):
+        # the sweep walks each distinct |x| once, with the weights of +x and
+        # -x folded into an even and an odd weight; unequal weights keep the
+        # odd moments of a mirrored grid from cancelling.  Near |x| = 40 the
+        # Gaussian alone lies below double range, so the folded weights are
+        # subnormal or 0.0 until the first wall moves them up
+        rng = np.random.default_rng(11)
+        half = rng.uniform(0.0, 6.0, 40)
+        xs, n_top = {
+            "mirrored": (np.concatenate([half, -half, [0.0]]), 60),
+            "zeros": (np.array([0.0, -0.0, 0.0, 1.0, -1.0, -0.0]), 60),
+            "tiny": (np.array([1e-300, -1e-300, 5e-324, -2.5e-320, 2.0**-511, -(2.0**-520), 0.5]),
+                     60),
+            "repeated": (np.array([1.5, 1.5, -1.5, 2.0, 2.0, -2.0, -2.0, 3.0, 1.5]), 60),
+            "far": (np.concatenate([40.0 + half / 30, -40.0 - half / 30, [38.0, -41.5]]), 1200),
+        }[grid]
+        w = rng.normal(size=xs.size)
+        dots = hermite_moment_sweep(xs, w, n_top)
+        want = hermite_values(n_top, xs) @ w
+        np.testing.assert_allclose(dots, want, rtol=1e-12, atol=1e-13)
+        assert np.abs(dots).max() > 1e-3  # the moments are not all lost to atol
+
+    @pytest.mark.parametrize("shift", [-1000, 1000])
+    def test_moment_sweep_scales_with_its_weights(self, shift):
+        # the folded weights are taken relative to a power of two at the
+        # largest |weight|, so scaling the weights by 2^shift scales every
+        # moment by exactly 2^shift, wherever the result is a normal
+        # double; weights near 2^-1000 would otherwise fold into the
+        # subnormals and lose their bits
+        rng = np.random.default_rng(13)
+        xs = rng.uniform(-8.0, 8.0, 200)
+        w = rng.normal(size=xs.size)
+        dots = hermite_moment_sweep(xs, w, 80)
+        scaled = hermite_moment_sweep(xs, np.ldexp(w, shift), 80)
+        normal = np.abs(dots) >= 2.0**-20
+        assert normal.sum() > 40
+        assert np.array_equal(scaled[normal], np.ldexp(dots[normal], shift))
+
+
+class TestBlockWidths:
+    """Every point gets the same bits from the block walk at any width.
+
+    A point's p_k and wall counts depend only on the point and on the
+    stride that the largest |x| of the call sets, so a wide call must
+    give each point the bits of a narrow call that shares its largest |x|.
+    Past _CELLS // stride points a block holds fewer orders than a
+    stride, so the widths on both sides of that edge split the strides
+    differently, and short blocks at the stride ends cycle the walk's
+    ring of rows.
+    """
+
+    @staticmethod
+    def grid(x_max, side):
+        stride = hermite_core._stride(x_max)
+        width = hermite_core._CELLS // stride + side
+        rng = np.random.default_rng([int(x_max), side + 1])
+        xs = rng.uniform(-x_max, x_max, width)
+        xs[:5] = [x_max, 0.0, -0.0, 1e-300, -x_max]
+        rows = min(stride, hermite_core._CELLS // width)
+        assert (rows == stride) == (side <= 0)
+        return xs
+
+    @pytest.mark.parametrize("side", [-1, 0, 1, 400])
+    @pytest.mark.parametrize("x_max", [8.0, 60.0, 1000.0])
+    def test_values_match_narrow_calls(self, x_max, side):
+        xs = self.grid(x_max, side)
+        n = 400  # walls move from about order 100 at x = 60
+        wide = hermite_values(n, xs)
+        for lo in range(1, xs.size, 64):
+            narrow = hermite_values(n, np.concatenate([[x_max], xs[lo : lo + 64]]))
+            assert np.array_equal(wide[:, lo : lo + 64], narrow[:, 1:]), lo
+
+    @pytest.mark.parametrize("side", [-1, 0, 1, 400])
+    @pytest.mark.parametrize("x_max", [8.0, 60.0, 1000.0])
+    def test_batch_matches_narrow_calls(self, x_max, side):
+        xs = self.grid(x_max, side)
+        orders = np.random.default_rng(int(x_max)).integers(0, 400, xs.size)
+        signs, logs = hermite_batch(orders, xs)
+        for lo in range(1, xs.size, 64):
+            narrow_signs, narrow_logs = hermite_batch(
+                np.concatenate([[0], orders[lo : lo + 64]]),
+                np.concatenate([[x_max], xs[lo : lo + 64]]),
+            )
+            assert np.array_equal(signs[lo : lo + 64], narrow_signs[1:]), lo
+            assert np.array_equal(logs[lo : lo + 64], narrow_logs[1:]), lo
 
 
 class TestCoefficientTable:
@@ -768,12 +862,40 @@ def assert_same_values(ms, walls, ref_ms, ref_walls):
     assert np.all((magnitudes >= np.finfo(float).tiny) & (magnitudes <= np.finfo(float).max))
 
 
+def block_walk(xs, n):
+    """(p, walls, s) of orders 0..n from _array_blocks, one row an order.
+
+    Checks the block rules on the way: every block is read-only, has its
+    rows on 64-byte boundaries, starts where the one before ended and
+    holds at most min(stride,
+    _CELLS // len(xs)) orders, with no multiple of the stride but at its
+    last row, and the wall counts change only after such an order.
+    """
+    xs = np.asarray(xs, dtype=float)
+    stride = hermite_core._stride(np.max(np.abs(xs), initial=0.0))
+    rows = max(1, min(stride, hermite_core._CELLS // max(xs.size, 1)))
+    ms, walls, scales = [], [], []
+    for k, block, walls_k, s_k in hermite_core._array_blocks(xs, n):
+        r = len(block)
+        assert k == len(ms) and 1 <= r <= rows and len(s_k) == r
+        assert not block.flags.writeable
+        assert block.ctypes.data % 64 == block.strides[0] % 64 == 0  # rows on cache lines
+        assert k == 0 or all((k + i) % stride for i in range(r - 1))
+        assert k == 0 or walls_k is walls[-1] or (k % stride == 0 and r == 1)
+        ms.extend(block.copy())
+        walls += [walls_k] * r
+        scales.extend(s_k)
+    assert len(ms) == n + 1
+    return np.array(ms).reshape(n + 1, xs.size), np.array(walls), np.array(scales)
+
+
 class TestStridedWalls:
     """Testing the walls once per stride represents the per-step values exactly.
 
     That holds bit for bit on every path that steps one order at a time:
     _scalar_loop in both float types, the order stream past its scan, and
-    _array_loop.  The stream's scan regroups the rounding; its values stay
+    the block walk of _array_blocks, which steps one order at a time for
+    every point.  The stream's scan regroups the rounding; its values stay
     within SCAN_REL of the per-step ones (measured worst: 1.7e-14 over
     n <= 20000 and |x| <= 1e5).  Since all of them test at the multiples
     of one stride, they also hold the same pair and wall count.
@@ -791,13 +913,8 @@ class TestStridedWalls:
                 assert_same_values([last_m], [last_walls], ref_ms[-1:], ref_walls[-1:])
                 assert last_scale == ([1] + unit_coefficients(n, dtype)[1])[-1]
             cls.check_stream(n, x)
-        steps = [
-            (m.copy(), w.copy(), s)
-            for _, m, w, _, s in hermite_core._array_loop(np.array(xs), n)
-        ]
-        array_ms = np.array([m for m, _, _ in steps])
-        array_walls = np.array([w for _, w, _ in steps])
-        np.testing.assert_array_equal([s for _, _, s in steps], [1.0] + unit_coefficients(n)[1])
+        array_ms, array_walls, scales = block_walk(xs, n)
+        np.testing.assert_array_equal(scales, [1.0] + unit_coefficients(n)[1])
         for j, x in enumerate(xs):
             ref_ms, ref_walls = per_step_rescaled_recurrence(n, x)
             assert_same_values(array_ms[:, j], array_walls[:, j], ref_ms, ref_walls)
@@ -867,10 +984,9 @@ class TestStridedWalls:
                 p, walls, _ = hermite_core._scalar_loop(k, x, dtype)
                 assert type(p) is type(typed_ms[k])
                 assert (p, walls) == (typed_ms[k], typed_walls[k]), (dtype, k)
-        wanted = set(orders)
-        for k, p, walls, _, _ in hermite_core._array_loop(np.array([x]), n):
-            if k in wanted:
-                assert (p[0], walls[0]) == (ref_ms[k], ref_walls[k]), k
+        array_ms, array_walls, _ = block_walk([x], n)
+        for k in orders:
+            assert (array_ms[k, 0], array_walls[k, 0]) == (ref_ms[k], ref_walls[k]), k
         stream = hermite_core._OrderStream(x)
         end = stream.scan_end
         if end:

@@ -52,6 +52,25 @@ class TestQuadratureSpec:
         with pytest.raises(ValueError):
             QuadratureSpec(max_doublings=-1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("initial_nodes", 16.5), ("initial_nodes", True), ("initial_nodes", math.nan),
+         ("max_doublings", 1.5), ("max_doublings", np.True_), ("max_doublings", math.inf),
+         ("max_doublings", "2")],
+    )
+    def test_counts_are_whole_numbers(self, field, value):
+        # 16.5 and 1.5 were accepted, and expand then raised TypeError
+        with pytest.raises(ValueError, match=field):
+            QuadratureSpec(**{field: value})
+
+    def test_whole_float_counts_become_ints(self):
+        spec = QuadratureSpec(initial_nodes=16.0, max_doublings=np.int64(1))
+        assert (spec.initial_nodes, spec.max_doublings) == (16, 1)
+        assert type(spec.initial_nodes) is type(spec.max_doublings) is int
+        f = gaussian_handle(0.5)
+        want = expand(f, 4, QuadratureSpec(initial_nodes=16, max_doublings=1))
+        assert expand(f, 4.0, spec) == want
+
 
 class TestHermiteCoefficients:
     def test_validation(self):
@@ -195,6 +214,18 @@ class TestGaussianCoefficients:
             gaussian_coefficients(0.0, 10)
         with pytest.raises(ValueError):
             gaussian_coefficients(1.0, -1)
+
+    @pytest.mark.parametrize("n_terms", [2.5, True, np.True_, math.nan, math.inf])
+    def test_counts_are_whole_numbers(self, n_terms):
+        # 2.5 raised TypeError, and True gave two coefficients
+        with pytest.raises(ValueError, match="n_terms"):
+            gaussian_coefficients(0.5, n_terms)
+        with pytest.raises(ValueError, match="n_terms"):
+            expand(gaussian_handle(0.5), n_terms)
+
+    def test_whole_float_count(self):
+        assert gaussian_coefficients(0.5, 4.0) == gaussian_coefficients(0.5, np.int64(4))
+        assert len(gaussian_coefficients(0.5, 4.0).coeffs) == 5
 
 
 class TestSyntheticCoefficients:
