@@ -40,7 +40,7 @@ from .decay_sum import (
     find_nmax,
     sharpness_certificate,
 )
-from .hermite_core import SignedLog, hermite_exact
+from .hermite_core import SignedLog, _whole_number, hermite_exact
 from .oscillator import (
     _check_alpha,
     evolve_grid,
@@ -66,8 +66,7 @@ class GridSpec:
     def __post_init__(self):
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValueError("x_grid.start/stop must be finite")
-        if self.count < 2:
-            raise ValueError("x_grid.count must be at least 2")
+        object.__setattr__(self, "count", _whole_number(self.count, "x_grid.count", 2))
         if not self.start < self.stop:
             raise ValueError("x_grid.start must be below x_grid.stop")
         if self.log and self.start <= 0.0:

@@ -14,9 +14,11 @@ Mehler's formula gives the sum in closed form, with power x^0.
 
 This module computes S by certified log-domain truncation on both
 sides of that peak: a geometric tail bound stops the sum past the
-analysis cutoff, and, below the turning point, a ratio lemma certifies
-the head of orders far left of the peak negligible, so that only the
-peak's window is converted and exponentiated (see _sum_internals).  It
+analysis cutoff, and, below the turning point, a far sum enters the
+recurrence near its window from an asymptotic expansion of h_n instead
+of walking the orders left of it, whose sum a ratio lemma certifies
+negligible, so that only the peak's window is computed, converted and
+exponentiated (see _sum_internals).  It
 also holds the analysis machinery behind the envelope (the argument
 function A(n), its derivatives, the interior maximum n_max), and a
 sharpness certificate comparing S against the envelope across an
@@ -49,12 +51,14 @@ _MAX_ORDER = 4_000_000
 # above any rounding of the bound.
 _HEAD_LOG_MARGIN = 60.0
 
-# A sum certifies and drops its head only where _expected_head holds at
-# least this many orders.  Measured crossover of the certificate, about
-# 20 us a scan pass, against the orders it drops (2-core x86-64 VM,
-# Python 3.11, numpy 2.4): 1550-1950 expected orders over five
-# (kappa, beta, y) with y from 1/4 to 1 (x = 62 to 80); at y = 2 the
-# head is empty below x = 85 and still 67 orders at x = 100.
+# A sum enters at its window only where _expected_head holds at least
+# this many orders.  Measured crossover of an entered sum against the walk
+# from order 1, whose time it matches there (2-core x86-64 VM, Python
+# 3.11, numpy 2.4; best of 7): 1900-2100 orders for (kappa, beta, y) =
+# (1, 1/4, 1/2), (2, 0, 1/4), (2, 1/4, 1/2) and (1, 1/4, 1/4) (x = 70
+# to 80); an entry costs about 30 us (expansion, ratio map and head
+# certificate) and saves about 27 ns an order it does not walk.  With
+# this threshold no README report (x <= 60) enters.
 _HEAD_MIN_ORDERS = 2000
 
 # Most orders direct_sum draws from its order stream at once.  A block
@@ -62,9 +66,10 @@ _HEAD_MIN_ORDERS = 2000
 # included: under 5 MB.  The term logs kept add 8 bytes an order; when
 # they span several blocks they are held four times while _log_sum runs
 # over their join (the blocks, the join, and the two arrays of its exp).
-# A far sum keeps only the orders from its dropped head to n_stop: at
-# x = 1e3, y = 1/2 that is 75,958 of n_stop = 462,166 orders, and the
-# sum peaks at 4.1 MB, one block's worth.
+# A far sum enters at its window and keeps only the orders from its
+# dropped head to n_stop: at x = 1e3, y = 1/2 that is 75,958 of
+# n_stop = 462,166 orders, and the sum peaks at 4.5 MB (tracemalloc),
+# in 4.6 ms (15.1 ms when it walked every order).
 _LARGEST_BLOCK = 1 << 16
 
 # Bisection control for the interior-maximum solve.
@@ -132,8 +137,14 @@ def truncation_index(x: float, y: float) -> int:
     Orders n >= N contribute only a geometrically certified tail; orders
     n < N lie inside the monotonic region 2(n+1) <= (1 - eps) x^2 with
     margin eps = max((1 - tanh(y)/y) / 2, 1e-3), which puts the window
-    2(n+1) <= x^2 tanh(y)/y halfway inside that region.
+    2(n+1) <= x^2 tanh(y)/y halfway inside that region.  Raises
+    ValueError for a non-finite x and for a y that is not finite and
+    positive.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
+    if not (math.isfinite(y) and y > 0.0):
+        raise ValueError(f"y must be finite and positive, got {y!r}")
     return max(int(x * x * math.tanh(y) / (2.0 * y)) - 1, 1)
 
 
@@ -199,15 +210,14 @@ def find_nmax(x: float, y: float) -> ArgumentProfile:
     a negative value lands strictly between the two roots and brackets
     only the wanted one.
 
-    Raises ValueError for a non-finite x, or when x is too small for the
+    Raises ValueError for a non-finite x or a y that is not finite and
+    positive (as truncation_index does), or when x is too small for the
     given y (truncation window shorter than 3 orders, or no sign change
     in the bracket); failure is reported, never clamped.  The summand
     |h_n(x)|^kappa is even in x, so the profile at x is the one at |x|.
     """
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
-    x = abs(x)
     n_trunc = truncation_index(x, y)
+    x = abs(x)
     if n_trunc < 3:
         raise ValueError(
             f"x={x} is below the largeness threshold for y={y}: "
@@ -304,12 +314,12 @@ def _log_sum(term_logs: np.ndarray) -> float:
 
 
 class _Head:
-    """The head certificate of one sum at x > 0, the head of its order stream.
+    """The head certificate of one sum at x > 0, made once on its first block.
 
-    Called on a scan pass (hermite_core._OrderStream) with block-start
-    orders a, ln r_{a-1} = ln(h_a(x)/h_{a-1}(x)) and ln|h_a(x)|; returns
-    the largest a below n_min, max(N, 64), whose head 1..a it certifies,
-    or 0.
+    Called with block-start orders a, ln r_{a-1} = ln(h_a(x)/h_{a-1}(x))
+    and ln|h_a(x)|; returns the largest a below n_min, max(N, 64), whose
+    head 1..a it certifies, or 0.  _sum_internals calls it once per
+    entered sum, on the block starts from the entry on.
 
     Below the turning point, r_k = h_{k+1}/h_k does not rise in k (the
     lemma of ROADMAP item 5): r_k = F_k(r_{k-1}) with
@@ -324,15 +334,16 @@ class _Head:
         t_1 + ... + t_a <= t_a (1 + a^max(beta, 0) / (rho - 1)).
 
     The head is certified when this bound is at most e^(-_HEAD_LOG_MARGIN)
-    times top, the largest block-start term seen so far, a lower bound
-    on S.  ln r_{a-1} comes from the start pair's own p and s_k, before
-    its walls and the Gaussian, so it carries a few ulps of numbers below
-    10^3 plus the relative drift of the recurrence between neighbouring
-    orders; ln rho is taken less a margin of 2^-40 (x^2 + 1) kappa, at
-    least 2.6e-9 kappa where the stream scans (x >= 53), far above both.
-    The terms at the block starts round like any term, which the e^60
-    margin absorbs.  log_bound holds the log of the bound of the last
-    head certified.
+    times top, the largest block-start term given, a lower bound on S.
+    ln r_{a-1} is the difference of two converted logs, so it carries a
+    few ulps of ln|h| (at most about 2^-52 x^2 / 2) plus the relative
+    drift of the recurrence between neighbouring orders and the ratio
+    error of an entry (2^-60); ln rho is taken less a margin of
+    2^-40 (x^2 + 1) kappa, at least 2.6e-9 kappa where the stream scans
+    (x >= 53), far above all three.  The terms at the block starts
+    round like any term and carry the entry's error (below 1e-11 up to
+    x = 2500), which the e^60 margin absorbs.  log_bound holds the log
+    of the bound of the last head certified.
     """
 
     def __init__(self, x: float, params: SumParams, n_min: int) -> None:
@@ -344,13 +355,16 @@ class _Head:
 
     def __call__(self, a: np.ndarray, log_ratios: np.ndarray, logs: np.ndarray) -> int:
         params = self._params
-        terms = _summand_logs(logs, a, params)
+        log_a = np.log(a)
+        terms = params.kappa * (logs - params.y * a) - params.beta * log_a
         self.top = max(self.top, float(terms.max()))
         log_rho = log_ratios - self._shift
         log_rho *= params.kappa
         # rho <= 1 certifies nothing: its bound comes out +inf or nan
         with np.errstate(divide="ignore", invalid="ignore"):
-            excess = max(params.beta, 0.0) * np.log(a) - np.log(np.expm1(log_rho))
+            excess = -np.log(np.expm1(log_rho))
+            if params.beta > 0.0:
+                excess += params.beta * log_a
             bounds = terms + np.logaddexp(0.0, excess)
         passing = np.flatnonzero((bounds <= self.top - _HEAD_LOG_MARGIN) & (a < self._n_min))
         if not passing.size:
@@ -360,17 +374,29 @@ class _Head:
 
 
 def _expected_head(x: float, params: SumParams) -> float:
-    """About how many orders _Head drops: those e^60 below the peak, by Laplace's method.
+    """An order left of the last one _Head certifies, by Laplace's method; the sum enters there.
 
     The log of the summand peaks near n* = x^2 / (2 cosh^2 y) with
     curvature -1/sigma^2, sigma^2 = x^2 tanh(y) / (kappa cosh^2 y)
-    (ROADMAP item 6), so it lies e^60 below its top about sqrt(120) sigma
-    before n*.
+    (ROADMAP item 6).  _Head certifies an order a once its term lies
+    e^60 times the factor 1 + a^max(beta, 0) / (rho - 1) below the top,
+    where rho - 1 is about sqrt(2 L) / sigma: so at about
+    L = 60 + max(beta, 0) ln n* + max(ln(sigma / 11), 0) below it, sqrt(2 L)
+    sigma before n*.  The summand is skewed, and the certificate reads
+    only block starts, so the order returned lies a further
+    B + 10 / (kappa y^2) orders left, B = hermite_core._stride(x): over
+    kappa in [1/2, 5/2], beta in [-3, 1], y in [1/5, 2] and x in
+    [55, 1500], the last start certified lay at most
+    B + 5 / (kappa y^2) orders before the Laplace point (measured).
     """
-    c = math.cosh(params.y)
-    # sqrt(120) sigma cosh(y) / x
-    spread = math.sqrt(2.0 * _HEAD_LOG_MARGIN * math.tanh(params.y) / params.kappa)
-    return x / c * (0.5 * x / c - spread)
+    kappa, y = params.kappa, params.y
+    c = math.cosh(y)
+    n_peak = 0.5 * x * x / (c * c)
+    sigma = x * math.sqrt(math.tanh(y) / kappa) / c
+    level = _HEAD_LOG_MARGIN + max(params.beta, 0.0) * math.log(max(n_peak, 1.0))
+    level += math.log(max(sigma, 11.0) / 11.0)
+    margin = hermite_core._stride(x) + 10.0 / (kappa * y * y)
+    return n_peak - math.sqrt(2.0 * level) * sigma - margin
 
 
 class _Sum(NamedTuple):
@@ -389,7 +415,7 @@ class _Sum(NamedTuple):
 
 
 def _sum_internals(x: float, params: SumParams) -> _Sum:
-    """log S with the tail certified negligible, and the negligible head dropped.
+    """log S with the tail certified negligible, and a far sum entered at its window.
 
     One recurrence pass at x, a hermite_core._OrderStream, hands out the
     raw orders (p_k, walls, s_k) in blocks of exactly the sizes asked
@@ -398,15 +424,25 @@ def _sum_internals(x: float, params: SumParams) -> _Sum:
     tail bound at n + 1 (_log_tails) is at most TAIL_RELATIVE_TOLERANCE
     times the partial sum through n, a lower bound on S.
 
-    On every scan pass of the stream, _Head certifies a head 1..a with
-    a < max(N, 64): the orders through a sum to at most e^-60 times a
-    term of S.  The stream then drops them before it combines, converts
-    them or they are exponentiated, and so does the sum with the blocks
-    it kept from earlier requests; the terms kept run from n_first on.
-    A far sum takes many passes, so later certificates drop what earlier
-    ones kept.  The stop rule does not move: it tests no order below
-    max(N, 64), and its partial sums lose at most e^-60 of themselves
-    (the seed from earlier blocks still holds the dropped ones).
+    Where the stream scans below the turning point and _expected_head
+    holds at least _HEAD_MIN_ORDERS orders, the pass does not walk the
+    head: it enters at the block start a = _expected_head rounded down to
+    a multiple of the stride (_OrderStream.enter), from the expansion of
+    h_a below the turning point and the ratio map.  Its ln|h_n| then
+    carry the entry's error, about the first term the expansion omits
+    (at most 1e-13) plus a few units of 2^-64 of its long-double lead,
+    about x^2 / 2: within 2e-13 + 1e-18 x^2 of the long-double loop over
+    x in [55, 2500] (tests/test_hermite_core.py).  So ln S moves from
+    the walk from order 1 by at most kappa times that, plus the walk's
+    own drift to a and a few ulps (measured on 12 sums at x = 300, 1000
+    and 2500: at most 1 ulp).  On the first block, one _Head
+    certificate takes the block starts a, a + B, ... below max(N, 64),
+    with ln|h| and ln r from the block's own conversion, and drops the
+    head through the last start it certifies, before its terms are
+    formed; the terms kept run from n_first on.  Where the entry is
+    refused, or the certificate passes at no start (its order lies
+    right of the window), the sum walks from order 1 and keeps every
+    order.
 
     Each block makes one pass: it converts its orders to logs
     (hermite_core._log_magnitudes) and term logs, takes e = exp(terms -
@@ -438,10 +474,28 @@ def _sum_internals(x: float, params: SumParams) -> _Sum:
     if not abs(x) <= hermite_core._X_MAX:
         raise ValueError(f"x must be finite with |x| <= 2^511, got {x}")
     x = abs(x)
-    kappa_y = params.kappa * params.y
     n_cut = truncation_index(x, params.y)
     if n_cut > _MAX_ORDER:
         raise ValueError(f"analysis cutoff N={n_cut} at x={x} lies past order {_MAX_ORDER}")
+    stream = hermite_core._OrderStream(x)
+    if stream.scan_end:
+        expected = _expected_head(x, params)
+        entry = int(expected // stream.stride) * stream.stride
+        if expected >= _HEAD_MIN_ORDERS and stream.enter(entry):
+            total = _walk(x, params, n_cut, stream, entry)
+            if total is not None:
+                return total
+            stream = hermite_core._OrderStream(x)
+    stream.first = 1  # h_0 carries no summand
+    return _walk(x, params, n_cut, stream, 0)
+
+
+def _walk(x: float, params: SumParams, n_cut: int, stream, entry: int) -> _Sum | None:
+    """The sum of _sum_internals on one stream, entered at order entry (0: from order 1).
+
+    None when the head certificate of an entry passes at no block start.
+    """
+    kappa_y = params.kappa * params.y
     n_min = max(n_cut, 64)
     # the block solve starts past max(N, 64) and past the first order
     # whose tail bound is finite, kappa y n > max(-beta, 0)
@@ -453,19 +507,27 @@ def _sum_internals(x: float, params: SumParams) -> _Sum:
     # tolerance and two more e-folds
     lookahead = math.ceil((2.0 - log_tol) / kappa_y)
     first_end = max(n_solve, n_cut + lookahead)  # the first request's last order
-    stream = hermite_core._OrderStream(x)
-    stream.first = 1  # h_0 carries no summand
-    # a head is dropped only in scan passes, and pays only where it is long
-    if stream.scan_end and _expected_head(x, params) >= _HEAD_MIN_ORDERS:
-        stream.head = _Head(x, params, n_min)
-    n_end = min(first_end, _LARGEST_BLOCK, _MAX_ORDER)  # the last order requested
-    ps, walls, scales = stream.take(n_end + 1)
+    # the last order requested
+    n_end = min(first_end, stream.first + _LARGEST_BLOCK - 1, _MAX_ORDER)
+    ps, walls, scales = stream.take(n_end + 1 - max(entry - 1, 0))
+    head = None
     blocks = []
     log_partial = -math.inf  # ln of the partial sum before the block
     while ps.size:
         n_start = n_end + 1 - ps.size  # the block's first order
         n = np.arange(n_start, n_end + 1, dtype=float)
         logs = hermite_core._log_magnitudes(ps, walls, scales, x, n)
+        if entry and head is None:
+            # the one head certificate: the block starts from the entry
+            # on, below the smallest stop and the block's last order
+            a = np.arange(entry, min(n_min, n_end), stream.stride)
+            at = logs[a - n_start]
+            head = _Head(x, params, n_min)
+            dropped = head(a, at - logs[a - 1 - n_start], at)
+            if not dropped:
+                return None
+            n, logs = n[dropped + 1 - n_start :], logs[dropped + 1 - n_start :]
+            n_start = dropped + 1
         terms = _summand_logs(logs, n, params)
         blocks.append(terms)
         # orders below max(N, 64) may not stop the sum
@@ -490,8 +552,9 @@ def _sum_internals(x: float, params: SumParams) -> _Sum:
                 blocks[-1] = terms[: stop + 1]
                 terms = np.concatenate(blocks)
                 log_s = _log_sum(terms)
-            log_head = stream.head.log_bound if stream.head else -math.inf
-            return _Sum(log_s, terms, int(n[stop]), stream.first, log_head)
+            n_stop = int(n[stop])
+            log_head = head.log_bound if head else -math.inf
+            return _Sum(log_s, terms, n_stop, n_stop + 1 - terms.size, log_head)
         log_partial = top + math.log(float(e.sum()) + math.exp(log_partial - top))
         # the bound falls by e^(-kappa y) an order or faster for beta >= 0,
         # more slowly for beta < 0: double the count, up to 128 times,
@@ -504,11 +567,8 @@ def _sum_internals(x: float, params: SumParams) -> _Sum:
         passing = _log_tails(n_end + 1 + counts, params) <= target
         count = max(int(counts[passing.argmax() if passing.any() else -1]), n_solve - n_end, 1)
         count = min(count, _LARGEST_BLOCK, _MAX_ORDER - n_end)
-        first = stream.first
         ps, walls, scales = stream.take(count)
         n_end += count
-        if stream.first != first:
-            blocks.clear()  # a head certified past every block kept so far
     raise RuntimeError(f"tail certification failed to converge by n={n_end} at x={x}")
 
 
@@ -519,11 +579,17 @@ def direct_sum(x: float, params: SumParams) -> SignedLog:
     blocks; each block is converted to term logs and exponentiated once,
     and that one exp pass serves both the stop test and S (see
     _sum_internals).  Where the recurrence scans below the turning point
-    and the head is long enough to pay for it, the orders 1..a left of
-    the peak are dropped before they are converted once
-    t_a (1 + a^max(beta, 0) / (rho - 1)) bounds their sum by e^-60 times
-    a term of S, with rho = (h_a/h_{a-1})^kappa e^(-kappa y) > 1: the
-    ratio h_{k+1}/h_k does not rise below the turning point (_Head).
+    and the head is long enough to pay for it, the pass enters at an
+    order a left of the peak instead of walking 1..a: ln|h_a| from the
+    expansion of h_a below the turning point (DLMF 12.10.3), to within
+    about 2e-13 + 1e-18 x^2, and h_a/h_{a-1} from the ratio map; ln S
+    then moves from the walk's by at most kappa times that plus a few
+    ulps.  The orders 1..a', a' the last block start at or past a that
+    passes, are dropped once t_a' (1 + a'^max(beta, 0) / (rho - 1))
+    bounds their sum by e^-60 times a term of S, with
+    rho = (h_a'/h_{a'-1})^kappa e^(-kappa y) > 1: the ratio h_{k+1}/h_k
+    does not rise below the turning point (_Head); where no start
+    passes, the sum walks from order 1 instead.
     The sum stops at the first order past the
     analysis cutoff N (at least 64) where the geometric tail bound of
     tail_bound, taken from the next order on, is below

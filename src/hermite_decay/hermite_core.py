@@ -39,14 +39,14 @@ the moment sweep walks each distinct |x| once, with h_k(-x) =
 weights.
 The stream scans the orders below the turning point 2n + 1 < x^2 as
 blocked 2x2 transfer matrices and steps one order at a time past it
-(see _OrderStream); a caller may have each scan pass offer its block
-start pairs to a head certificate, and the pass then drops the blocks
-that the certificate covers before it combines them (the weighted sums
-drop the negligible orders left of their peak this way).  All three
-read their coefficients from one cursor (_Coefficients), test their
-walls after the orders that are multiples of one stride, and convert
-through one compensated log finalizer (_log_magnitudes); only the head
-certificate reads plain logs of its start pairs.  Above
+(see _OrderStream).  It may also enter at a block start a below the
+turning point instead of walking 1..a: the expansion of h_a there
+(_expansion, DLMF 12.10.3) gives ln|h_a|, a ratio map gives
+h_a/h_{a-1}, and the walk goes on from that pair (the weighted sums of
+decay_sum enter near their peak this way).  All three read their
+coefficients from one cursor (_Coefficients), test their walls after
+the orders that are multiples of one stride, and convert through one
+compensated log finalizer (_log_magnitudes).  Above
 EXTENDED_PRECISION_ORDER, hermite_exact runs the scalar loop in long
 double.
 
@@ -148,6 +148,46 @@ EXTENDED_PRECISION_ORDER = 20000
 # significand (x87 extended or IEEE quad).  Where long double is only a
 # double, orders above EXTENDED_PRECISION_ORDER raise ValueError.
 _EXTENDED_FLOAT = np.longdouble if np.finfo(np.longdouble).nmant >= 63 else None
+
+# The polynomials u_0 .. u_6 of the expansion of U(-mu^2/2, mu t sqrt(2))
+# below the turning point, t > 1 (DLMF 12.10.3 and 12.10.9-10): u_s(t)
+# is t^(s mod 2) times the polynomial in t^2 of these integer
+# coefficients, lowest power first, over the denominator; for even s
+# the recursion leaves the coefficient of t^(3s) free, and it is 0.
+# Derived offline with exact rationals; tests/oracles.py derives them again.
+_DEBYE_POLYNOMIALS = (
+    (1, (1,)),
+    (24, (-6, 1)),
+    (1152, (145, 249, -9)),
+    (414720, (-259290, -151995, -28287, 18189, -4042)),
+    (39813120, (12773113, 122602962, 50938215, -154982, -321339, 72756)),
+    (6688604160, (-34009066266, -119582875013, -37370295816, 4433574213,
+                  -3630137104, 1994971575, -617950920, 82393456)),
+    (4815794995200, (12434112343271, 301898378571021, 586168675568136, 124486509070161,
+                     -1534634176464, 414229331745, -244475667255, 82496447820,
+                     -11123116560)),
+)
+# The same, highest power first, as doubles for Horner's rule
+_DEBYE = tuple(tuple(c / den for c in reversed(nums)) for den, nums in _DEBYE_POLYNOMIALS)
+
+# d_1 .. d_7 of the order's constant D(n) = -3/4 ln 2 - 1/2 ln pi - 1/4 ln n
+# + sum d_k n^-k in the expansion of ln|h_n| (see _expansion): the
+# Stirling series of ln n! combined with the limit of the expansion as
+# t -> oo, where h_n(x) tends to e^(-x^2/2) (2x)^n / sqrt(2^n sqrt(pi) n!).
+# The next coefficient, d_8, is 1.3e-4.
+_ORDER_CONSTANTS = (
+    -1 / 8, 145 / 4608, -49 / 4608, 1287931 / 318504960, -258043 / 159252480,
+    12796039331 / 19263179980800, -1814757731 / 6421059993600,
+)
+
+# An entry (_OrderStream.enter) is taken only where the first term that
+# the expansion omits, u_6(t) / (mu^2 (t^2 - 1)^(3/2))^6, is at most this.
+_ENTRY_TOLERANCE = 1e-13
+
+# Most steps the entry's ratio map may take (_entry_ratio).  It needs
+# more the nearer the entry lies to the turning point; about 40 at the
+# sums' entries.
+_ENTRY_RATIO_STEPS = 400
 
 
 @dataclass(frozen=True)
@@ -309,16 +349,32 @@ class _Coefficients:
     last two scales before them.  So a walk holds no more coefficients
     than its largest request, no call rebuilds the orders below the
     table's end, and how a walk splits its requests changes no value.
+
+    A cursor may start at an order start >= 2 instead of 0 (a walk that
+    enters there, _OrderStream.enter); start_scales holds (s_{start-1},
+    s_start).  Within the table these are the table's, and the cursor
+    hands out its views.  Past it the chain of scales restarts at
+    s_{start-1} = s_start = 1: the recurrence of p_k = m_k / s_k holds
+    for any two starting scales, as long as the later ones follow
+    s_{k+1} = sqrt(k/(k+1)) s_{k-1}, so only the split of m_k into p_k
+    and s_k moves.
     """
 
-    def __init__(self, dtype) -> None:
+    def __init__(self, dtype, start: int = 0) -> None:
         table = _TABLES.get(dtype)
         if table is None:
             table = _TABLES[dtype] = _coefficient_range(0, _TABLE_ORDERS, dtype, 1, 1)
         self._dtype = dtype
         self._range = table  # the computed orders holding the next one
-        self._at = 0  # the next order's index in them
+        self._at = start  # the next order's index in them
         self._end = _TABLE_ORDERS  # the order past them
+        if start > _TABLE_ORDERS:
+            # two orders before start, all of them handed out: the next
+            # request computes from start on, from the scales (1, 1)
+            self._range = (np.zeros(2, dtype), np.ones(2, dtype))
+            self._at, self._end = 2, start
+        scales = self._range[1]
+        self.start_scales = (scales[self._at - 2], scales[self._at - 1]) if start else (1, 1)
 
     def take(self, count: int):
         """(a'_k, s_{k+1}) of the next count orders k."""
@@ -462,6 +518,100 @@ def _scalar_loop(n: int, x: float, dtype=float):
     return p_cur, walls, s_n
 
 
+def _expansion(n: int, x: float):
+    """(ln m_n, first omitted term) of the expansion of h_n(x) below the turning point.
+
+    m_n = h_n(x) / (pi^(-1/4) e^(-x^2/2)), the value the recurrence
+    carries.  With mu^2 = 2n + 1 and t = x / mu > 1, U(-n - 1/2, sqrt(2) x)
+    = sqrt(sqrt(pi) n!) h_n(x), and DLMF 12.10.3 (computed as Gil, Segura
+    and Temme do, ACM TOMS 32, 2006) gives
+
+        ln|h_n(x)| = D(n) - mu^2 xi(t) - ln(t^2 - 1) / 4 + ln sum_{s<6} u_s(t) w^s,
+
+    with w = 1 / (mu^2 (t^2 - 1)^(3/2)), xi(t) = (t sqrt(t^2 - 1) -
+    arccosh t) / 2, u_s of _DEBYE_POLYNOMIALS and D(n) of
+    _ORDER_CONSTANTS.  Its leading part x^2/2 - mu^2 xi(t) equals
+    (mu^2/2) (x / (x + R) + arcsinh(R / mu)), R = sqrt(x^2 - mu^2), a sum
+    of two positive terms; it is formed in long double from x^2 split
+    exactly (_square_with_residual), so it carries a few units of 2^-64
+    of itself (4e-14 at x = 1000, 2e-13 at x = 2500).  The rest, each
+    part of order 1, is formed in doubles.  The error of the truncated
+    series is about its first omitted term, u_6(t) w^6, returned with
+    the bound 1.3e-4 n^-8 on the omitted part of D(n) added.  Returns
+    ln m_n as a long double, or None where long double is a plain
+    double or n lies at or past the turning point.
+    """
+    sq, sq_res = _square_with_residual(x)
+    mu2 = 2 * n + 1
+    if _EXTENDED_FLOAT is None or not sq > mu2:
+        return None
+    sq, sq_res, mu2_ld, x_ld = np.array((sq, sq_res, mu2, x), dtype=_EXTENDED_FLOAT)
+    excess = sq - mu2_ld + sq_res  # x^2 - mu^2, one rounding
+    root = np.sqrt(excess)
+    lead = mu2_ld / 2 * (x_ld / (x_ld + root) + np.arcsinh(root / np.sqrt(mu2_ld)))
+    gap = float(excess) / mu2  # t^2 - 1
+    t2 = 1.0 + gap
+    w = 1.0 / (mu2 * gap * math.sqrt(gap))
+    terms = []
+    for s, coefficients in enumerate(_DEBYE):
+        value = 0.0
+        for c in coefficients:
+            value = value * t2 + c
+        terms.append(value * (math.sqrt(t2) if s % 2 else 1.0) * w**s)
+    inverse = 1.0 / n
+    constant = 0.0
+    for d in reversed(_ORDER_CONSTANTS):
+        constant = (constant + d) * inverse
+    constant += -0.75 * _LN_2 - 0.25 * _LN_PI - 0.25 * math.log(n)
+    rest = constant - 0.25 * math.log(gap) + math.log(math.fsum(terms[:-1]))
+    return lead + rest, abs(terms[-1]) + 1.3e-4 * inverse**8
+
+
+def _entry_ratio(a: int, x: float):
+    """(ln(p_a / p_{a-1}), the coefficient cursor at a, s_{a-1}, s_a) by the ratio map, or None.
+
+    Below the turning point r_k = h_{k+1}/h_k = F_k(r_{k-1}) with
+    F_k(r) = x sqrt(2/(k+1)) - sqrt(k/(k+1)) / r, and r_k does not rise
+    in k (decay_sum._Head), so r_k lies at or above the fixed point r*_k
+    of F_k, which falls in k.  Started at r*_{k0}, the map runs below the
+    true ratios and above r*_{a-1}, where F_k' = sqrt(k/(k+1)) / r^2 <=
+    1 / r*_{a-1}^2 = L: after j steps the relative error is at most
+    L^j r_{k0} <= L^j sqrt(2) x (r_0 = sqrt(2) x).  So the map takes the
+    j steps, from k0 = a - 1 - j, that bring this below 2^-60: about 40
+    at the sums' entries (L = 0.2-0.35).  It runs on the ratios
+    p_{k+1}/p_k = r_k s_k / s_{k+1} of a cursor started at k0 + 1, as
+    p_{k+1}/p_k = x a'_k - p_{k-1}/p_k, and leaves that cursor at a.
+    None where j would reach below order 2 or past _ENTRY_RATIO_STEPS,
+    or a fixed point is not above 1.
+    """
+
+    def fixed_point(k: float) -> float:
+        c = x * math.sqrt(2.0 / (k + 1.0))
+        disc = c * c - 4.0 * math.sqrt(k / (k + 1.0))
+        return 0.5 * (c + math.sqrt(disc)) if disc > 0.0 else 0.0
+
+    r_end = fixed_point(a - 1)
+    if not r_end > 1.0:
+        return None
+    steps = math.ceil((60.0 * _LN_2 + math.log(math.sqrt(2.0) * x)) / (2.0 * math.log(r_end)))
+    if not steps < min(a - 1, _ENTRY_RATIO_STEPS):
+        return None
+    coefficients = _Coefficients(float, a - steps)
+    s_k0, s_next = coefficients.start_scales
+    products, scales = coefficients.take(steps)
+    ratio = fixed_point(a - steps - 1) * float(s_k0 / s_next)
+    for c in np.multiply(x, products).tolist():
+        ratio = c - 1.0 / ratio
+    return math.log(ratio), coefficients, float(scales[-2]), float(scales[-1])
+
+
+# Order 0 of every stream, (p_0, walls, s_0), pending before the first
+# request: shared, read-only, and only ever joined into new arrays.
+_ORDER_ZERO = (np.ones(1), np.zeros(1, dtype=np.int64), np.ones(1))
+for _field in _ORDER_ZERO:
+    _field.flags.writeable = False
+
+
 class _OrderStream:
     """The rescaled recurrence at one point x, in doubles, handed out in order.
 
@@ -489,23 +639,19 @@ class _OrderStream:
     such an order is the one before the test.
 
     A caller may drop the orders below first (0 by default): take then
-    hands out only those of its count orders from first on.  It may
-    also set head, a callable that drops a head of negligible orders
-    (the weighted sums of decay_sum set both).  On every scan pass,
-    after the chain, head gets the start orders a of blocks 1..M-1 with
-    ln(h_a/h_{a-1}) and ln|h_a|, from one plain conversion of the
-    joined start pairs (no compensated ledger: the head needs them only
-    to about 1e-10), and returns one of those a, or 0.  The stream then
-    drops the orders through a: first becomes a + 1, and the combine
-    runs only from the block that starts at a on.  The scales of a start
-    pair are the last two of the block before it, so a head needs
-    B >= 2, which holds for |x| < 2^199.
+    hands out only those of its count orders from first on.  A fresh
+    stream may instead enter at a block start a below scan_end (enter):
+    it then starts from the pair (p_{a-1}, p_a) and wall count that the
+    expansion of h_a (_expansion) and the ratio map (_entry_ratio) give,
+    with its coefficient cursor started at a, and hands out orders from
+    a - 1 on.  Its values from a on are the walk's own, up to the entry's
+    error, which the rest of the walk carries along (h is the dominant
+    solution there).
 
     A request computes no order past the last one it asks for, but for
     the rest of a scan block: at most B - 1 orders, kept for the next
     request.  Blocks and wall tests sit at multiples of B, so the values
-    do not depend on how callers split the orders into requests; which
-    orders a head drops does, since it reads the passes.
+    do not depend on how callers split the orders into requests.
     """
 
     def __init__(self, x: float) -> None:
@@ -516,24 +662,56 @@ class _OrderStream:
         blocks = (math.ceil((x * x - 1.0) / 2.0) - 1) // stride
         self.scan_end = blocks * stride if blocks >= _SCAN_MIN_BLOCKS else 0
         self.first = 0  # the first order handed out
-        self.head = None
         self._x = math.copysign(_TINY_X, x) if _is_tiny(x) else float(x)
         self._coefficients = _Coefficients(float)
         self._k = 0  # the last order computed
         self._pair = (0.0, 1.0, 0)  # (p_{k-1}, p_k, walls)
-        self._pending = (np.ones(1), np.zeros(1, dtype=np.int64), np.ones(1))  # order 0
+        self._pending = _ORDER_ZERO
         self._handed = 0  # orders handed out or dropped
+
+    def enter(self, a: int) -> bool:
+        """Start this fresh stream at the block start a, from the expansion; False where it cannot.
+
+        The entry needs a multiple a of B below scan_end, a long double
+        (_expansion) whose first omitted term is at most
+        _ENTRY_TOLERANCE, and a ratio map that converges (_entry_ratio).
+        Then p_a = m_a / s_a and p_{a-1} = p_a / (r_{a-1} s_{a-1} / s_a),
+        with the scales of the cursor started at a, and the wall count
+        that puts the larger of the two in [1, 2^512), as after a wall
+        test.  ln p_a is formed from ln m_a in long double, less the
+        walls as _log_magnitude adds them, so it carries the error of
+        ln m_a and a few ulps of numbers below 355.  The stream then hands
+        out orders from a - 1 on (first = a - 1).
+        """
+        if not (self._k == 0 and 0 < a < self.scan_end and a % self.stride == 0):
+            return False
+        found = _expansion(a, self._x)
+        if found is None or found[1] > _ENTRY_TOLERANCE:
+            return False
+        ratio = _entry_ratio(a, self._x)
+        if ratio is None:
+            return False
+        log_step, coefficients, s_before, s_a = ratio  # log_step = ln(p_a / p_{a-1})
+        log_p = found[0] - math.log(s_a)
+        walls = math.floor(float(log_p - min(log_step, 0.0)) / (512 * _LN_2))
+        log_p = float(log_p - walls * _WALL_LOG_HI) - walls * _WALL_LOG_LO
+        pair = (math.exp(log_p - log_step), math.exp(log_p))
+        self._coefficients = coefficients
+        self._k = a
+        self._pair = (*pair, walls)
+        self._pending = (
+            np.array(pair), np.full(2, walls, dtype=np.int64), np.array((s_before, s_a))
+        )
+        self._handed = self.first = a - 1
+        return True
 
     def take(self, count: int):
         """(ps, walls, scales) of the next count orders, those from first on."""
         end = self._handed + count  # the order past the request
         parts = [self._pending]
         while self._k + 1 < end:
-            first = self.first
-            part = (self._scan if self._k < self.scan_end else self._steps)(end - 1 - self._k)
-            if self.first != first:
-                parts.clear()  # a head dropped every order computed before this pass
-            parts.append(part)
+            walk = self._scan if self._k < self.scan_end else self._steps
+            parts.append(walk(end - 1 - self._k))
         joined = [np.concatenate(field) for field in zip(*parts)]
         start = self._k + 1 - joined[0].size  # the order of the first value joined
         lo, hi = max(self.first - start, 0), end - start
@@ -551,8 +729,7 @@ class _OrderStream:
     def _scan(self, need: int):
         """(ps, walls, scales) of the next whole blocks holding need orders.
 
-        At most _SCAN_ORDERS orders a pass and never past scan_end.  The
-        blocks through the last order a head drops are not combined.
+        At most _SCAN_ORDERS orders a pass and never past scan_end.
         """
         b = self.stride
         m = min(-(-need // b), (self.scan_end - self._k) // b, max(_SCAN_ORDERS // b, 1))
@@ -586,23 +763,10 @@ class _OrderStream:
                 p_prev *= _WALL_LO
                 walls += 1
         self._pair = (p_prev, p_cur, walls)
-        starts = np.array((prevs, curs))  # the start pairs (p_{a-1}, p_a) of the blocks
-        counts = np.array(counts)
-        keep = 0  # the first block combined
-        if self.head is not None and m > 1:
-            # ln(|p| s) of the start pairs, one conversion: the pair shares
-            # its walls, and the Gaussian is the same at every order
-            logs = np.log(np.abs(starts[:, 1:]) * scales.reshape(m, b)[:-1, -2:].T)
-            ratios = logs[1] - logs[0]
-            logs[1] += counts[1:] * (512 * _LN_2) + _log_magnitude(0, 0.0, self._x)
-            dropped = self.head(self._k + b * np.arange(1, m), ratios, logs[1])
-            if dropped:
-                keep = (dropped - self._k) // b
-                self.first = dropped + 1
-        ps = uv[2:, keep:m].T * starts[0, keep:, None]
-        ps += uv[2:, m + keep :].T * starts[1, keep:, None]
+        ps = uv[2:, :m].T * np.array(prevs)[:, None]
+        ps += uv[2:, m:].T * np.array(curs)[:, None]
         self._k += m * b
-        return ps.ravel(), np.repeat(counts[keep:], b), scales[keep * b :]
+        return ps.ravel(), np.repeat(counts, b), scales
 
     def _steps(self, count: int):
         """(ps, walls, scales) of the next count orders.

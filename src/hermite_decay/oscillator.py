@@ -364,6 +364,10 @@ def weighted_sup(
     ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if xs.size == 0 or ts.size == 0:
         raise ValueError("grids must be nonempty")
+    if not np.isfinite(xs).all():
+        raise ValueError("x must be finite")
+    if not np.isfinite(ts).all():
+        raise ValueError("t must be finite")
     log_weight = math.tanh(weight_alpha) * math.pi * xs * xs
     log_tail = -math.inf
     if envelope is not None:
@@ -378,7 +382,8 @@ def decay_certificate(
 ) -> DecayCertificate:
     """Certify sup |Phi| e^(tanh(alpha) pi x^2) over the grid.
 
-    Refuses coefficients whose decay constant is not finite.  Two
+    Refuses coefficients whose decay constant is not finite, and, as
+    evolve_grid does, an x or a t that is not finite (ValueError).  Two
     independent cross-checks ride along: the coefficient majorant
     sum |c_n| |e_n(x)| over envelope-certified indices must stay below
     the weighted-sum chain bound C (2 pi)^(1/4) S(sqrt(2 pi) x) at
@@ -393,6 +398,10 @@ def decay_certificate(
     ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if xs.size == 0 or ts.size == 0:
         raise ValueError("grids must be nonempty")
+    if not np.isfinite(xs).all():
+        raise ValueError("x must be finite")
+    if not np.isfinite(ts).all():
+        raise ValueError("t must be finite")
 
     n_top = coeffs.truncation_n
     basis = basis_values(xs, n_top)

@@ -9,7 +9,9 @@ library's own Hermite values and summands, so that it pins down the
 bookkeeping of the blocked sum, not the recurrence;
 synthetic_envelope_coefficients returns its plain-float values in a
 HermiteCoefficients, and reconstructed_norm integrates the values that
-evolve_grid returns.
+evolve_grid returns.  entry_bound restates the error bound that the
+library states for the order stream's entry, so that the tests of both
+modules read one figure.
 """
 
 from __future__ import annotations
@@ -247,6 +249,64 @@ def hermite_via_polynomial(n: int, x: float) -> float:
         h = h * xf + c
     norm = math.sqrt(2.0**n * math.sqrt(math.pi) * math.factorial(n))
     return math.exp(-0.5 * x * x) * float(h) / norm
+
+
+def entry_bound(x: float) -> float:
+    """The error bound stated for ln|h| at an entry of the order stream: 2e-13 + 1e-18 x^2.
+
+    hermite_core._expansion and decay_sum._sum_internals state it: the
+    first omitted term of the expansion (at most 1e-13) and the rounding
+    of its long-double lead, about x^2 / 2.
+    """
+    return 2e-13 + 1e-18 * x * x
+
+
+def debye_polynomials(count: int) -> list[list[Fraction]]:
+    """u_0 .. u_{count-1} of DLMF 12.10.9-10, exact, coefficients lowest power of t first.
+
+    u_0 = 1, r_{-1} = 0, and for s >= 1
+
+        (t^2 - 1) u_s' - 3 s t u_s = r_{s-1},
+        8 r_s = (3 t^2 + 2) u_s - 12 (s + 1) t r_{s-1} + 4 (t^2 - 1) r_{s-1}'.
+
+    The first line is solved for a polynomial u_s of degree 3s by
+    matching the coefficients of t^(j+1): (j - 3s) a_j - (j + 2) a_{j+2}
+    = [t^(j+1)] r_{s-1}, downward from a_{3s}.  For odd s the equation at
+    t^0, -a_1 = [t^0] r_{s-1}, fixes a_{3s}; for even s nothing does
+    (the homogeneous solution (t^2 - 1)^(3s/2) is a polynomial), and it
+    is taken as 0.
+    """
+
+    def coefficient(poly, j):
+        return poly[j] if 0 <= j < len(poly) else Fraction(0)
+
+    def solve(r, s, top):
+        a = [Fraction(0)] * (3 * s + 3)
+        a[3 * s] = top
+        for j in range(3 * s - 1, -1, -1):
+            a[j] = (coefficient(r, j + 1) + (j + 2) * a[j + 2]) / (j - 3 * s)
+        return a[: 3 * s + 1]
+
+    polys = [[Fraction(1)]]
+    r = []  # r_{s-2}
+    for s in range(1, count):
+        u = polys[-1]
+        # 8 r_{s-1} = (3t^2 + 2) u_{s-1} - 12 s t r_{s-2} + 4 (t^2 - 1) r'_{s-2}
+        nxt = [Fraction(0)] * (max(len(u), len(r)) + 2)
+        for j, c in enumerate(u):
+            nxt[j + 2] += 3 * c
+            nxt[j] += 2 * c
+        for j, c in enumerate(r):
+            nxt[j + 1] += (4 * j - 12 * s) * c
+            if j:
+                nxt[j - 1] -= 4 * j * c
+        r = [c / 8 for c in nxt]
+        top = Fraction(0)
+        if s % 2:
+            base, unit = solve(r, s, Fraction(0)), solve(r, s, Fraction(1))
+            top = (-coefficient(r, 0) - base[1]) / (unit[1] - base[1])
+        polys.append(solve(r, s, top))
+    return polys
 
 
 _UNIT_COEFFICIENTS: dict = {}

@@ -81,6 +81,18 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(math.nan, 1.0, 5)
 
+    @pytest.mark.parametrize("count", [2.5, math.nan, math.inf, True, "5", 1])
+    def test_count_must_be_a_whole_number(self, count):
+        # one rule for counts, hermite_core._whole_number: 2.5 used to pass
+        # here and fail later in points()
+        with pytest.raises(ValueError, match="x_grid.count must be a whole number >= 2"):
+            GridSpec(1.0, 2.0, count)
+
+    def test_takes_a_whole_float_count(self):
+        spec = GridSpec(1.0, 2.0, 3.0)
+        assert spec.count == 3 and isinstance(spec.count, int)
+        assert np.allclose(spec.points(), [1.0, 1.5, 2.0])
+
     def test_points(self):
         lin = GridSpec(0.0, 1.0, 5).points()
         assert np.allclose(lin, [0.0, 0.25, 0.5, 0.75, 1.0])

@@ -33,6 +33,7 @@ from hermite_decay.hermite_core import (
     plancherel_rotach_estimate,
 )
 from oracles import (
+    entry_bound,
     mp_argument_fd,
     mp_argument_function,
     mp_hermite_logs,
@@ -47,6 +48,24 @@ FROZEN_ARGUMENT_VALUES = [
     (7.0, 12.0, 0.5, -59.04302077563495998922),
     (100.0, 25.0, 0.25, -165.5821347935483253207),
 ]
+
+
+# Drift of the walk from order 0 (hermite_orders) below the turning point
+# and up to order 16400, beyond 2 ulps: the sums' references read it.
+WALK_DRIFT = 2e-13
+
+
+def term_rounding(total, params: SumParams) -> float:
+    """One ulp of the largest part a kept term is formed from.
+
+    kappa (ln|h_n| - n y) - beta ln n rounds at the scale of its parts,
+    which for large |beta| or n y lie far above the term: two ln|h_n|
+    that differ by far less than an ulp can give terms an ulp apart.
+    """
+    n = total.n_stop
+    return float(np.spacing(
+        np.max(np.abs(total.terms)) + params.kappa * params.y * n + abs(params.beta) * math.log(n)
+    ))
 
 
 def count_recurrence_orders(monkeypatch) -> list:
@@ -117,6 +136,18 @@ class TestScaffolding:
     def test_truncation_index(self):
         assert truncation_index(10.0, 1.0) == int(100.0 * math.tanh(1.0) / 2.0) - 1
         assert truncation_index(0.5, 1.0) == 1
+
+    @pytest.mark.parametrize("call", [truncation_index, find_nmax])
+    @pytest.mark.parametrize(
+        "x, y, name",
+        [(math.nan, 0.5, "x"), (math.inf, 0.5, "x"), (-math.inf, 0.5, "x"),
+         (3.0, 0.0, "y"), (3.0, -1.0, "y"), (3.0, math.nan, "y"), (3.0, math.inf, "y")],
+    )
+    def test_rejects_bad_arguments(self, call, x, y, name):
+        # find_nmax(3, 0) used to raise ZeroDivisionError, and
+        # truncation_index(3, -1) returned 2
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            call(x, y)
 
 
 class TestArgumentFunction:
@@ -425,29 +456,87 @@ class TestDirectSum:
     )
     @example(1.0, 0.25, 0.5, 150.0, None, False)
     @example(1.0, 0.25, 0.5, 150.0, 50, True)
+    @example(0.5, 1.0, 0.2, 160.0, 50, True)
     @example(1.0, -140.0, 0.5, 60.0, 50, True)
     @example(2.0, 0.0, 1.0, 2.0**-600, None, False)
     @example(1.0, 0.0, 1.0, 0.0, 50, True)
     @settings(max_examples=100, deadline=None)
-    def test_matches_the_reference_bit_for_bit(self, kappa, beta, y, x, block, every_head):
+    def test_matches_the_reference_bit_for_bit(self, kappa, beta, y, x, block, every_entry):
         # the one exp pass per block, its prefix sums and the scalar tail
         # factor against the stop rule restated order by order over the
         # terms from the first kept order on: x on both sides of the scan's
         # threshold (about 53) and tiny, beta < 0, blocks of 50 orders,
         # where the sum takes many requests and ln S comes from the joined
-        # terms, and a head certified on every scan pass, where a later
-        # pass drops blocks that earlier requests kept
+        # terms, and an entry wherever the stream scans.  A sum walked from
+        # order 1 reads the reference's own values, bit for bit; an entered
+        # one carries the entry's error, and the reference the walk's drift
         params = SumParams(kappa, beta, y)
         with pytest.MonkeyPatch.context() as patch:
             if block:
                 patch.setattr(decay_sum, "_LARGEST_BLOCK", block)
-            if every_head:
+            if every_entry:
                 patch.setattr(decay_sum, "_HEAD_MIN_ORDERS", -math.inf)
             total = _sum_internals(x, params)
         ref_log_s, ref_terms, ref_n_stop = reference_sum(x, params, total.n_first)
         assert total.n_stop == ref_n_stop
-        assert total.log_s == ref_log_s
-        np.testing.assert_array_equal(total.terms, ref_terms)
+        if total.n_first == 1:
+            assert total.log_s == ref_log_s
+            np.testing.assert_array_equal(total.terms, ref_terms)
+            return
+        tol = kappa * (entry_bound(x) + WALK_DRIFT) + 2.0 * term_rounding(total, params)
+        assert abs(total.log_s - ref_log_s) <= tol + 2.0 * np.spacing(abs(ref_log_s))
+        # termwise below the turning point; past it, near the zeros of h_n,
+        # as shares of S: there both walks err by their drift times the
+        # envelope, not times |h_n|
+        below = np.arange(total.n_first, total.n_stop + 1) < (x * x - 1.0) / 2.0
+        assert np.all(np.abs(total.terms - ref_terms)[below] <= tol)
+        shares = np.exp(total.terms[~below] - ref_log_s) - np.exp(ref_terms[~below] - ref_log_s)
+        assert np.all(np.abs(shares) <= tol)
+
+    @given(
+        st.floats(min_value=0.5, max_value=2.5),
+        st.one_of(st.floats(min_value=-3.0, max_value=1.0), st.just(-140.0)),
+        st.floats(min_value=0.2, max_value=1.5),
+        st.floats(min_value=53.0, max_value=180.0),
+    )
+    @example(1.0, 0.25, 0.5, 150.0)
+    @example(2.0, 0.0, 0.25, 180.0)
+    @settings(max_examples=30, deadline=None)
+    def test_entry_moves_the_sum_by_its_bound(self, kappa, beta, y, x):
+        # the sum entered at its window against the walk from order 1: ln S
+        # moves by at most kappa times the entry's bound and the walk's
+        # drift, plus 2 ulps of ln S and of the parts of its terms
+        # (measured: at most 1 ulp of ln S).  Up to x = 180 the sums stop
+        # below order 16400, where WALK_DRIFT holds
+        params = SumParams(kappa, beta, y)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(decay_sum, "_HEAD_MIN_ORDERS", -math.inf)
+            entered = _sum_internals(x, params)
+            patch.setattr(decay_sum, "_HEAD_MIN_ORDERS", math.inf)
+            walked = _sum_internals(x, params)
+        assert walked.n_first == 1
+        tol = kappa * (entry_bound(x) + WALK_DRIFT) + 2.0 * term_rounding(walked, params)
+        assert abs(entered.log_s - walked.log_s) <= tol + 2.0 * np.spacing(abs(walked.log_s))
+
+    @pytest.mark.parametrize("kappa, beta, y", [(1.0, 0.25, 0.5), (2.0, -2.0, 0.7)])
+    @pytest.mark.parametrize("x", [110.0, 300.0])
+    def test_falls_back_to_the_walk(self, monkeypatch, kappa, beta, y, x):
+        # an entry at the peak, right of the window: the head certificate
+        # passes at no block start there, and the sum walks from order 1,
+        # with exactly the result of a sum that never enters
+        params = SumParams(kappa, beta, y)
+        monkeypatch.setattr(decay_sum, "_HEAD_MIN_ORDERS", math.inf)
+        walked = _sum_internals(x, params)
+        monkeypatch.setattr(decay_sum, "_HEAD_MIN_ORDERS", -math.inf)
+        peak = 0.5 * x * x / math.cosh(y) ** 2
+        monkeypatch.setattr(decay_sum, "_expected_head", lambda x, params: peak)
+        passes = count_recurrence_orders(monkeypatch)
+        total = _sum_internals(x, params)
+        assert len(passes) == 2  # the entered stream, then the walk
+        assert total.n_first == 1 and total.log_head == -math.inf
+        assert total.n_stop == walked.n_stop
+        assert total.log_s == walked.log_s
+        np.testing.assert_array_equal(total.terms, walked.terms)
 
     def test_memory_of_a_far_sum(self):
         # n_stop = 462,166 at x = 1000: the sum draws at most _LARGEST_BLOCK

@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from hermite_decay.hermite_core import (
 )
 from oracles import (
     POLYNOMIAL_ORACLE_MAX,
+    debye_polynomials,
+    entry_bound,
     hermite_polynomial_coefficients,
     hermite_via_polynomial,
     mp_hermite_log,
@@ -1022,3 +1025,86 @@ class TestStridedWalls:
         assert hermite_core._stride(1e5) == 22
         for x_max in (1e150, math.inf, math.nan):
             assert hermite_core._stride(x_max) == 1
+
+
+def entered_logs(a: int, x: float) -> np.ndarray:
+    """ln|h_{a-1}(x)|, ln|h_a(x)| from an order stream entered at the block start a."""
+    stream = hermite_core._OrderStream(x)
+    assert stream.enter(a)
+    _, logs = stream.logs(2)
+    return logs
+
+
+@pytest.mark.skipif(hermite_core._EXTENDED_FLOAT is None, reason="the entry needs a long double")
+class TestEntry:
+    """The order stream entered at a block start from the expansion below the turning point.
+
+    The expansion's ln m_a carries its first omitted term (at most
+    _ENTRY_TOLERANCE) and a few units of 2^-64 of its long-double lead,
+    about x^2 / 2; the ratio map converges to 2^-60.  Measured against
+    the long-double loop over x in [55, 2500]: within 1 ulp of ln|h|.
+    """
+
+    def test_polynomials_match_the_recursion(self):
+        # the package's u_s, derived offline, against DLMF's recursion
+        # solved again in exact rationals
+        for s, ((den, nums), want) in enumerate(
+            zip(hermite_core._DEBYE_POLYNOMIALS, debye_polynomials(7))
+        ):
+            got = [Fraction(0)] * (3 * s + 1)
+            for j, c in enumerate(nums):
+                got[s % 2 + 2 * j] = Fraction(c, den)
+            assert got == want
+            assert hermite_core._DEBYE[s] == tuple(c / den for c in reversed(nums))
+
+    @pytest.mark.parametrize(
+        "x, fractions",
+        [(55.0, (0.2, 0.75)), (82.0, (0.2, 0.75)), (150.0, (0.2, 0.75)),
+         (400.0, (0.2, 0.75)), (1000.0, (0.2, 0.75)), (2500.0, (0.2,))],
+    )
+    def test_matches_the_long_double_loop(self, x, fractions):
+        # ln|h_{a-1}| and ln|h_a| from the entry pair, against hermite_exact
+        # (the long-double loop above order 20000)
+        b = hermite_core._stride(x)
+        for f in fractions:
+            a = int(f * turning_order(x)) // b * b
+            logs = entered_logs(a, x)
+            for n, got in zip((a - 1, a), logs):
+                want = hermite_exact(n, x).logmag
+                assert abs(got - want) <= entry_bound(x) + 2.0 * np.spacing(abs(want))
+
+    @pytest.mark.parametrize("a, x", [(969, 60.0), (2052, 82.0), (7776, 150.0), (9936, 150.0)])
+    def test_matches_mpmath(self, a, x):
+        a = a // hermite_core._stride(x) * hermite_core._stride(x)
+        logs = entered_logs(a, x)
+        for got, (sign, want) in zip(logs, mp_hermite_logs([a - 1, a], x)):
+            assert sign == 1
+            assert abs(got - want) <= entry_bound(x) + 2.0 * np.spacing(abs(want))
+
+    @pytest.mark.parametrize("x", [60.0, 150.0, 1000.0])
+    def test_goes_on_as_the_walk(self, x):
+        # past the entry the stream walks: up to the turning point its
+        # values stay within the bound of the walk from order 0, whose own
+        # drift adds 2e-13
+        b = hermite_core._stride(x)
+        a = turning_order(x) // 2 // b * b
+        stream = hermite_core._OrderStream(x)
+        assert stream.enter(a)
+        count = min(3000, turning_order(x) - a + 1)
+        _, logs = stream.logs(count)
+        _, walked = hermite_orders(a + count - 2, x)
+        ref = walked[a - 1 :]
+        assert np.all(np.abs(logs - ref) <= entry_bound(x) + 2e-13 + 2.0 * np.spacing(np.abs(ref)))
+
+    def test_refuses_where_it_cannot_enter(self):
+        x = 150.0
+        stream = hermite_core._OrderStream(x)
+        b = stream.stride
+        assert not stream.enter(b * 10 + 1)  # not a block start
+        assert not stream.enter(stream.scan_end)  # not below the scan's end
+        # near the turning point the first omitted term exceeds the tolerance
+        assert hermite_core._expansion(stream.scan_end - b, x)[1] > hermite_core._ENTRY_TOLERANCE
+        assert not stream.enter(stream.scan_end - b)
+        assert stream.enter(b * 10)
+        assert not stream.enter(b * 20)  # only a fresh stream enters
+

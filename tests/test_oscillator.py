@@ -442,6 +442,18 @@ class TestDecayCertificate:
         with pytest.raises(ValueError):
             decay_certificate(c, 0.5, [], [0.0])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "xs, ts, name",
+        [([0.0, 1.0], [math.nan], "t"), ([0.0, 1.0], [0.0, math.inf], "t"),
+         ([0.0, math.nan], [0.0], "x"), ([-math.inf, 1.0], [0.0], "x")],
+    )
+    def test_rejects_a_non_finite_point(self, xs, ts, name):
+        # as evolve_grid does: a nan t would read log_sup_weighted = nan
+        c = gaussian_coefficients(0.5, 40)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            decay_certificate(c, 0.5, xs, ts)
+
     def test_wide_grid_keeps_logs(self):
         # the weight reaches e^(1306) at x = 30: the float fields overflow
         # to inf while the logs stay exact, and nothing raises

@@ -2,10 +2,15 @@
 
     python3 tools/report_drift.py [REF]
 
-Runs the README's `sum`, `sharpness` and `oscillator` commands and
-`eval --order 30000` on 20 x in [1, 300] twice: on the package source of
-this checkout's working tree, and on REF (default HEAD), checked out
-into a temporary `git worktree` that is removed afterwards.  Each run is
+Runs the README's `sum`, `sharpness` and `oscillator` commands,
+`eval --order 30000` on 20 x in [1, 300], and two far-x reports, twice:
+on the package source of this checkout's working tree, and on REF
+(default HEAD), checked out into a temporary `git worktree` that is
+removed afterwards.  The far-x reports, a `sum` at kappa = 2, beta = 0,
+y = 1/4 on 12 x in [80, 1000] and a log-spaced `sharpness` on 12 x in
+[80, 600], are where the sums enter at their window and drop their head
+(decay_sum._sum_internals); the README's sums stop at x = 60, which
+never does, so only these two show the drift of that path.  Each run is
 `python3 -m hermite_decay.cli_report` in a fresh interpreter with that
 tree's `src` first on the path.  For every report it prints whether the
 two outputs are byte-identical, as `cmp` would; where they differ, it
@@ -33,6 +38,10 @@ REPORTS = {
         "oscillator --alpha 0.5 --n-terms 400 --x-min 0 --x-max 8 --x-count 80 --t-grid default"
     ),
     "eval": "eval --order 30000 --x-min 1 --x-max 300 --x-count 20",
+    "sum-far": "sum --kappa 2 --beta 0 --y 0.25 --x-min 80 --x-max 1000 --x-count 12",
+    "sharpness-far": (
+        "sharpness --x-min 80 --x-max 600 --x-count 12 --x-log --y 0.5 --format json"
+    ),
 }
 
 
