@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from typing import Callable
 
@@ -40,7 +40,7 @@ from .decay_sum import (
     find_nmax,
     sharpness_certificate,
 )
-from .hermite_core import SignedLog, _whole_number, hermite_exact
+from .hermite_core import _signed_exp, _whole_number, hermite_exact
 from .oscillator import (
     _check_alpha,
     evolve_grid,
@@ -124,11 +124,21 @@ class SweepConfig:
     def sum_params(self) -> SumParams:
         return SumParams(kappa=self.kappa, beta=self.beta, y=self.y)
 
+    def _echo(self) -> dict:
+        """Every field by name, equal to dataclasses.asdict(self).
+
+        asdict would deep-copy t_grid float by float; the fields are
+        immutable, so only the GridSpec needs converting.
+        """
+        echo = {f.name: getattr(self, f.name) for f in fields(self)}
+        echo["x_grid"] = asdict(self.x_grid)
+        return echo
+
     def content_dict(self) -> dict:
         """Config echo without output disposition (out/fmt/fixture/jobs/force)."""
         return {
             k: v
-            for k, v in asdict(self).items()
+            for k, v in self._echo().items()
             if k not in ("out", "fmt", "fixture", "jobs", "force")
         }
 
@@ -233,7 +243,7 @@ def _oscillator_rows(config: SweepConfig) -> tuple[tuple[str, ...], list[tuple],
     with np.errstate(divide="ignore"):
         log_weighted = np.log(np.abs(values)) + rate * xs * xs
     rows = [
-        (x, t, z.real, z.imag, abs(z), SignedLog(1, lw).to_float(), lw, tail, "")
+        (x, t, z.real, z.imag, abs(z), _signed_exp(1, lw), lw, tail, "")
         for x, phis, logs in zip(xs, values.T.tolist(), log_weighted.T.tolist())
         for t, z, lw in zip(config.t_grid, phis, logs)
     ]
@@ -334,6 +344,11 @@ def run(config: SweepConfig) -> SweepReport:
     )
 
 
+# the cell types a CSV row template takes; bool, int and np.integer are
+# written as integers, by _format_cell
+_FLOATS = frozenset((float, np.float64))
+
+
 def _format_cell(value) -> str:
     if isinstance(value, str):
         return value
@@ -359,26 +374,44 @@ def _json_safe(value):
 
 
 def to_csv(report: SweepReport) -> str:
-    """Comment preamble (config echo), then an RFC-4180-style table."""
+    """Comment preamble (config echo), then an RFC-4180-style table.
+
+    Rows are written through one template per report, "%.16e," for each
+    column but the last and then "\\r\\n".  A row takes it when it has a
+    cell for every column, its last cell (error, in every mode) is empty
+    and the others are floats (float or np.float64; not bool, int or
+    np.integer).  "%.16e" % v is _format_cell(v) for every float: it is
+    format(v, ".16e") for a finite one, and "nan", "inf" or "-inf"
+    otherwise.  Such fields need no quoting, so the text is the same as
+    on the path every other row takes: _format_cell on each cell, then
+    the csv writer, which quotes where needed.
+    """
     buffer = io.StringIO()
     preamble = {
         "version": report.version,
         "fixture_id": report.fixture_id,
-        "config": json.dumps(asdict(report.config), sort_keys=True),
+        "config": json.dumps(report.config._echo(), sort_keys=True),
     }
     preamble.update({f"summary.{k}": _format_cell(v) for k, v in sorted(report.summary.items())})
     for key, value in preamble.items():
         buffer.write(f"# {key}={value}\r\n")
     writer = csv.writer(buffer, lineterminator="\r\n")
     writer.writerow(report.columns)
+    width = len(report.columns)
+    template = "%.16e," * (width - 1) + "\r\n"
     for row in report.rows:
-        writer.writerow([_format_cell(v) for v in row])
+        # a lone empty field is written quoted, so a row needs two cells
+        cells = tuple(row[:-1])
+        if len(row) == width > 1 and row[-1] == "" and _FLOATS.issuperset(map(type, cells)):
+            buffer.write(template % cells)
+        else:
+            writer.writerow([_format_cell(v) for v in row])
     return buffer.getvalue()
 
 
 def to_json(report: SweepReport) -> str:
     payload = {
-        "config": asdict(report.config),
+        "config": report.config._echo(),
         "version": report.version,
         "fixture_id": report.fixture_id,
         "columns": list(report.columns),

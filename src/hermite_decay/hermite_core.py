@@ -221,15 +221,21 @@ class SignedLog:
 
     def to_float(self) -> float:
         """Convert back to a double; overflows to +-inf, underflows to 0."""
-        if self.sign == 0:
-            return 0.0
-        if self.logmag < -746.0:
-            return 0.0
-        try:
-            return self.sign * math.exp(self.logmag)
-        except OverflowError:
-            # the cut falls exactly where exp leaves double range
-            return math.inf * self.sign
+        return _signed_exp(self.sign, self.logmag)
+
+
+def _signed_exp(sign: int, logmag: float) -> float:
+    """sign * e^logmag as a double, without building a SignedLog.
+
+    0.0 for sign 0 and below e^-746; +-inf where exp leaves double range.
+    """
+    if sign == 0 or logmag < -746.0:
+        return 0.0
+    try:
+        return sign * math.exp(logmag)
+    except OverflowError:
+        # the cut falls exactly where exp leaves double range
+        return math.inf * sign
 
 
 def phi_coordinate(n: float, x: float) -> float:

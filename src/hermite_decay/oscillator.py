@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decay_sum import SumParams, direct_sum, tail_bound
-from .hermite_core import SignedLog, _whole_number, hermite_moment_sweep, hermite_values
+from .hermite_core import _signed_exp, _whole_number, hermite_moment_sweep, hermite_values
 
 BASIS_SCALE = math.sqrt(2.0 * math.pi)
 BASIS_NORMALIZER = (2.0 * math.pi) ** 0.25
@@ -123,8 +123,9 @@ class DecayCertificate:
 
 
 def _check_alpha(alpha: float, name: str = "alpha") -> None:
-    if not alpha > 0.0 or not math.isfinite(alpha):
-        raise ValueError(f"{name} must be positive and finite")
+    # a bool would pass as 1.0
+    if isinstance(alpha, (bool, np.bool_)) or not alpha > 0.0 or not math.isfinite(alpha):
+        raise ValueError(f"{name} must be positive and finite, got {alpha!r}")
 
 
 def _log_envelope(n: int, alpha: float) -> float:
@@ -137,8 +138,9 @@ def vemuri_envelope(n: int, alpha: float) -> float:
 
     The clamp gives the n = 0 coefficient the same budget as n = 1, so
     a pure e_0 certifies with constant e^alpha rather than an undefined
-    0^(-1/4).
+    0^(-1/4).  n must be a whole number >= 0 (ValueError otherwise).
     """
+    n = _whole_number(n, "n")
     _check_alpha(alpha)
     return math.exp(_log_envelope(n, alpha))
 
@@ -280,9 +282,14 @@ def vemuri_decay_check(coeffs: HermiteCoefficients, alpha: float) -> float:
     attained supremum and certifies nothing.
     """
     _check_alpha(alpha)
+    return _decay_constant(coeffs, _certified_envelopes(coeffs, alpha))
+
+
+def _decay_constant(coeffs: HermiteCoefficients, certified: list[tuple[int, float]]) -> float:
+    """vemuri_decay_check on the indices and log envelopes it certified."""
     log_ratios = [
         -math.inf if coeffs.coeffs[n] == 0.0 else math.log(abs(coeffs.coeffs[n])) - log_env
-        for n, log_env in _certified_envelopes(coeffs, alpha)
+        for n, log_env in certified
     ]
     if not log_ratios:
         raise ValueError("quadrature error exceeds the tested envelope everywhere")
@@ -296,13 +303,21 @@ def vemuri_decay_check(coeffs: HermiteCoefficients, alpha: float) -> float:
 
 
 def _phase_factors(n_top: int, t) -> np.ndarray:
-    # phase angle 2(2n+1) pi t, reduced mod 2 pi before exp so that
-    # dyadic-rational t (k/64, (2k+1)/16, 1/2) hits +-1 and +-i exactly;
-    # shape np.shape(t) + (n_top + 1,)
+    # phase angle 2(2n+1) pi t, reduced mod 2 pi so that exp gets a small
+    # argument, formed exactly; the factors stay rounded (t = 1/4 gives
+    # 6.1e-17 + 1i, t = 1/2 gives -1 + 1.2e-16i).  turns - 2 floor(turns/2)
+    # is np.mod(turns, 2.0) bit for bit, nan included, without its slow
+    # path: turns/2 and its doubling are exact, and the difference is a
+    # multiple of ulp(turns) below 2.  Shape np.shape(t) + (n_top + 1,)
     n = np.arange(n_top + 1, dtype=float)
     t = np.asarray(t, dtype=float)[..., np.newaxis]
-    reduced = np.mod(2.0 * (2.0 * n + 1.0) * t, 2.0)
-    return np.exp(1j * np.pi * reduced)
+    turns = 2.0 * (2.0 * n + 1.0) * t
+    whole = turns / 2.0
+    np.floor(whole, out=whole)
+    whole *= 2.0
+    turns -= whole
+    phases = 1j * np.pi * turns
+    return np.exp(phases, out=phases)
 
 
 def _evolution_table(coeffs: HermiteCoefficients, basis: np.ndarray, t) -> np.ndarray:
@@ -340,9 +355,19 @@ def evolve_grid(
     if envelope is None:
         return values, math.inf
     alpha, c_bound = envelope
-    tail = SignedLog(1, envelope_tail_log(alpha, c_bound, coeffs.truncation_n)).to_float()
+    tail = _signed_exp(1, envelope_tail_log(alpha, c_bound, coeffs.truncation_n))
     # a bound must round up, never underflow to an exact zero
     return values, max(tail, 5e-324)
+
+
+def _grid(values, name: str) -> np.ndarray:
+    """A nonempty 1-D grid of finite points; ValueError naming it otherwise."""
+    grid = np.atleast_1d(np.asarray(values, dtype=float))
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"{name}_grid must be a nonempty 1-D grid, got shape {grid.shape}")
+    if not np.isfinite(grid).all():
+        raise ValueError(f"{name} must be finite")
+    return grid
 
 
 def weighted_sup(
@@ -360,21 +385,14 @@ def weighted_sup(
     every point.
     """
     _check_alpha(weight_alpha, "weight_alpha")
-    xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if xs.size == 0 or ts.size == 0:
-        raise ValueError("grids must be nonempty")
-    if not np.isfinite(xs).all():
-        raise ValueError("x must be finite")
-    if not np.isfinite(ts).all():
-        raise ValueError("t must be finite")
+    xs, ts = _grid(x_grid, "x"), _grid(t_grid, "t")
     log_weight = math.tanh(weight_alpha) * math.pi * xs * xs
     log_tail = -math.inf
     if envelope is not None:
         alpha, c_bound = envelope
         log_tail = envelope_tail_log(alpha, c_bound, coeffs.truncation_n)
     values, _ = evolve_grid(coeffs, xs, ts)
-    return SignedLog(1, _log_weighted_sup(values, log_tail, log_weight)).to_float()
+    return _signed_exp(1, _log_weighted_sup(values, log_tail, log_weight))
 
 
 def decay_certificate(
@@ -382,8 +400,9 @@ def decay_certificate(
 ) -> DecayCertificate:
     """Certify sup |Phi| e^(tanh(alpha) pi x^2) over the grid.
 
-    Refuses coefficients whose decay constant is not finite, and, as
-    evolve_grid does, an x or a t that is not finite (ValueError).  Two
+    Refuses coefficients whose decay constant is not finite, a grid that
+    is empty or not 1-D, and, as evolve_grid does, an x or a t that is
+    not finite (ValueError).  Two
     independent cross-checks ride along: the coefficient majorant
     sum |c_n| |e_n(x)| over envelope-certified indices must stay below
     the weighted-sum chain bound C (2 pi)^(1/4) S(sqrt(2 pi) x) at
@@ -391,17 +410,12 @@ def decay_certificate(
     evolved value must stay below the all-index majorant.  One basis
     matrix serves the majorants and the evolution table.
     """
-    c_bound = vemuri_decay_check(coeffs, alpha)
+    _check_alpha(alpha)
+    envelopes = _certified_envelopes(coeffs, alpha)
+    c_bound = _decay_constant(coeffs, envelopes)
     if not math.isfinite(c_bound):
         raise ValueError("coefficients violate the claimed decay envelope")
-    xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if xs.size == 0 or ts.size == 0:
-        raise ValueError("grids must be nonempty")
-    if not np.isfinite(xs).all():
-        raise ValueError("x must be finite")
-    if not np.isfinite(ts).all():
-        raise ValueError("t must be finite")
+    xs, ts = _grid(x_grid, "x"), _grid(t_grid, "t")
 
     n_top = coeffs.truncation_n
     basis = basis_values(xs, n_top)
@@ -410,7 +424,7 @@ def decay_certificate(
     log_tail = envelope_tail_log(alpha, c_bound, n_top)
 
     certified = np.zeros(n_top + 1, dtype=bool)
-    certified[[n for n, _ in _certified_envelopes(coeffs, alpha)]] = True
+    certified[[n for n, _ in envelopes]] = True
     majorant_all = magnitudes @ np.abs(basis)
     majorant_kept = np.where(certified, magnitudes, 0.0) @ np.abs(basis)
 
@@ -435,10 +449,10 @@ def decay_certificate(
 
     return DecayCertificate(
         alpha=float(alpha),
-        sup_weighted=SignedLog(1, log_sup).to_float(),
+        sup_weighted=_signed_exp(1, log_sup),
         envelope_constant=c_bound,
         truncation_n=n_top,
-        tail_contribution=SignedLog(1, log_tail_contribution).to_float(),
+        tail_contribution=_signed_exp(1, log_tail_contribution),
         x_grid=tuple(float(v) for v in xs),
         t_grid=tuple(float(v) for v in ts),
         majorant_slack_min=majorant_slack,

@@ -7,11 +7,13 @@ import os
 import shlex
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hermite_decay
 from hermite_decay import cli_report, oscillator
@@ -319,6 +321,82 @@ class TestFormats:
                              fmt="json")
         doc = json.loads(to_json(run(config)))
         assert doc["rows"][0][1] == "nan"
+
+
+def per_cell(rows) -> str:
+    """Rows as every cell once went out: _format_cell, then the csv writer."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\r\n")
+    for row in rows:
+        writer.writerow([cli_report._format_cell(v) for v in row])
+    return buffer.getvalue()
+
+
+def rendered_rows(columns, rows) -> str:
+    """The rows of to_csv's text, without its preamble and header."""
+    report = SweepReport(sum_config(), "0", "id", columns, tuple(rows))
+    head = to_csv(replace(report, rows=()))
+    text = to_csv(report)
+    assert text.startswith(head)
+    return text[len(head):]
+
+
+EDGE_ROWS = [
+    (1.0, 2.5, -3.25, ""),
+    (math.nan, 1.0, 2.0, ""),
+    (math.inf, 1.0, 2.0, ""),
+    (1.0, -math.inf, 2.0, ""),
+    (-0.0, 0.0, -0.0, ""),
+    (5e-324, -5e-324, 2.2250738585072014e-308, ""),
+    (1e308, 1e308, -1.7976931348623157e308, ""),
+    (1, 2.0, 3.0, ""),
+    (1.0, True, False, ""),
+    (np.float64(0.1), np.float64(-1e-300), 0.2, ""),
+    (np.int64(7), 0.5, np.float64(math.nan), ""),
+    (1.0, 2.0, 3.0, "ValueError: a, b"),
+    (1.0, 2.0, 3.0, 'said "no"'),
+    (1.0, 2.0, 3.0, "two\nlines"),
+    (1.0, 2.0, 3.0, "\r"),
+    (1.0, 2.0, "", ""),
+    (1.0, 2.0, ""),
+    (1.0, 2.0, 3.0, 4.0, ""),
+]
+
+# floats drawn twice as often, so that many rows take the template
+CELLS = st.one_of(
+    st.floats(),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.integers(-2**70, 2**70),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.text(alphabet=' ,"\r\nab1.e-', max_size=6),
+)
+
+
+class TestRowTemplate:
+    """to_csv's row template against the per-cell path, byte for byte."""
+
+    @pytest.mark.parametrize("row", EDGE_ROWS)
+    def test_edge_rows(self, row):
+        assert rendered_rows(("x", "a", "b", "error"), [row]) == per_cell([row])
+
+    def test_a_lone_empty_cell_stays_quoted(self):
+        assert rendered_rows(("error",), [("",)]) == per_cell([("",)]) == '""\r\n'
+
+    @given(st.lists(st.tuples(CELLS, CELLS, CELLS, st.one_of(st.just(""), CELLS)), max_size=6))
+    @example([(1e308, 1e308, 1e308, "")])
+    @settings(max_examples=100, deadline=None)
+    def test_random_rows(self, rows):
+        assert rendered_rows(("x", "a", "b", "error"), rows) == per_cell(rows)
+
+    def test_every_mode_config_echo_is_asdict(self):
+        for name, mode in MODES.items():
+            values = {p: cli_report._PARAMETERS[p][1] for p in mode.parameters}
+            for extra in ({}, {"out": "r.csv", "fmt": "json", "fixture": "f", "jobs": 2}):
+                config = SweepConfig(mode=name, x_grid=GridSpec(1.0, 5.0, 5), **values, **extra)
+                assert config._echo() == asdict(config)
+                assert json.dumps(config._echo()) == json.dumps(asdict(config))
 
 
 class TestFixtures:

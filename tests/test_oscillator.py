@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hermite_decay import oscillator
@@ -283,6 +283,27 @@ class TestVemuriDecayCheck:
         with pytest.raises(ValueError):
             vemuri_decay_check(c, 1.0)
 
+    @pytest.mark.parametrize("alpha", [True, np.True_])
+    def test_rejects_a_bool_alpha(self, alpha):
+        # True once passed as 1.0: vemuri_decay_check(g, True) gave 2.4356
+        g = gaussian_coefficients(0.5, 40)
+        with pytest.raises(ValueError, match="^alpha must be positive and finite"):
+            vemuri_decay_check(g, alpha)
+        with pytest.raises(ValueError, match="^alpha must be positive and finite"):
+            decay_certificate(g, alpha, [0.0, 1.0], [0.0])
+        with pytest.raises(ValueError, match="^weight_alpha must be positive and finite"):
+            weighted_sup(g, alpha, [0.0, 1.0], [0.0])
+
+    @pytest.mark.parametrize("n", [2.5, True, -3, math.nan, math.inf, "2"])
+    def test_envelope_order_is_a_whole_number(self, n):
+        # 2.5 and True once gave values, and -3 was clamped to n = 1
+        with pytest.raises(ValueError, match="^n must be a whole number"):
+            vemuri_envelope(n, 0.5)
+
+    def test_envelope_takes_a_whole_float_order(self):
+        assert vemuri_envelope(3.0, 0.5) == vemuri_envelope(np.int64(3), 0.5)
+        assert vemuri_envelope(0, 0.5) == vemuri_envelope(1, 0.5) == math.exp(-0.5)
+
     def test_noisy_tail_indices_are_excluded(self):
         # quadrature coefficients carry roundoff-floor errors that dwarf
         # the envelope at large n; those indices must not poison the fit
@@ -357,6 +378,23 @@ class TestEvolve:
             evolve_grid(c, [0.0], math.nan)
         with pytest.raises(ValueError):
             evolve_grid(c, [0.0], [0.0, math.inf])
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(-5e-324)
+    @example(0.25)
+    @example(-1e15)
+    @example(1e306)
+    @settings(max_examples=200, deadline=None)
+    def test_phase_reduction_is_np_mod_bit_for_bit(self, t):
+        # from |t| near 1e305 on, the turns overflow and both sides are nan
+        with np.errstate(invalid="ignore", over="ignore"):
+            turns = 2.0 * (2.0 * np.arange(401.0) + 1.0) * t
+            want = np.exp(1j * np.pi * np.mod(turns, 2.0))
+            got = oscillator._phase_factors(400, [t])[0]
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 class TestUnitarity:
@@ -453,6 +491,31 @@ class TestDecayCertificate:
         c = gaussian_coefficients(0.5, 40)
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             decay_certificate(c, 0.5, xs, ts)
+
+    @pytest.mark.parametrize("ts", [[[0.0, 0.1]], [[0.0, 0.1], [0.2, 0.3]]])
+    def test_rejects_a_time_grid_that_is_not_1d(self, ts):
+        # decay_certificate once raised TypeError here, and weighted_sup
+        # returned 1.127 on the flattened 2x2 grid
+        c = gaussian_coefficients(0.5, 40)
+        with pytest.raises(ValueError, match="^t_grid must be a nonempty 1-D grid"):
+            decay_certificate(c, 0.5, [0.0, 1.0], ts)
+        with pytest.raises(ValueError, match="^t_grid must be a nonempty 1-D grid"):
+            weighted_sup(c, 0.5, [0.0, 1.0], ts)
+
+    def test_one_envelope_pass_per_call(self, monkeypatch):
+        # the decay constant and the certified mask come from one list
+        passes = []
+        original = oscillator._certified_envelopes
+
+        def counting(coeffs, alpha):
+            passes.append(alpha)
+            return original(coeffs, alpha)
+
+        monkeypatch.setattr(oscillator, "_certified_envelopes", counting)
+        c = expand(gaussian_handle(0.5), 60)
+        cert = decay_certificate(c, 0.5, [0.0, 1.0], [0.0, 0.25])
+        assert passes == [0.5]
+        assert cert.envelope_constant == vemuri_decay_check(c, 0.5)
 
     def test_wide_grid_keeps_logs(self):
         # the weight reaches e^(1306) at x = 30: the float fields overflow

@@ -5,12 +5,14 @@
 Runs the README's `sum`, `sharpness` and `oscillator` commands,
 `eval --order 30000` on 20 x in [1, 300], and two far-x reports, twice:
 on the package source of this checkout's working tree, and on REF
-(default HEAD), checked out into a temporary `git worktree` that is
-removed afterwards.  The far-x reports, a `sum` at kappa = 2, beta = 0,
-y = 1/4 on 12 x in [80, 1000] and a log-spaced `sharpness` on 12 x in
-[80, 600], are where the sums enter at their window and drop their head
-(decay_sum._sum_internals); the README's sums stop at x = 60, which
-never does, so only these two show the drift of that path.  Each run is
+(default HEAD), whose `src` is unpacked by `git archive REF src | tar -x`
+into a temporary directory.  That writes nothing under `.git`, so a run
+that is killed leaves nothing behind in the repository.  The far-x
+reports, a `sum` at kappa = 2, beta = 0, y = 1/4 on 12 x in [80, 1000]
+and a log-spaced `sharpness` on 12 x in [80, 600], are where the sums
+enter at their window and drop their head (decay_sum._sum_internals);
+the README's sums stop at x = 60, which never does, so only these two
+show the drift of that path.  Each run is
 `python3 -m hermite_decay.cli_report` in a fresh interpreter with that
 tree's `src` first on the path.  For every report it prints whether the
 two outputs are byte-identical, as `cmp` would; where they differ, it
@@ -121,23 +123,22 @@ def main(argv=None) -> int:
     parser.add_argument("ref", nargs="?", default="HEAD", help="git ref to compare against")
     args = parser.parse_args(argv)
     moved = False
-    with tempfile.TemporaryDirectory(prefix="report-drift-") as scratch:
-        tree = os.path.join(scratch, "ref")
-        add = ["git", "-C", ROOT, "worktree", "add", "--quiet", "--detach", tree, args.ref]
-        if subprocess.run(add).returncode:
+    with tempfile.TemporaryDirectory(prefix="report-drift-") as tree:
+        archive = subprocess.Popen(["git", "-C", ROOT, "archive", args.ref, "src"],
+                                   stdout=subprocess.PIPE)
+        unpacked = subprocess.run(["tar", "-x", "-C", tree], stdin=archive.stdout)
+        archive.stdout.close()
+        if archive.wait() or unpacked.returncode:
             print(f"report_drift: cannot check out {args.ref!r}", file=sys.stderr)
             return 2
-        try:
-            for name, report in REPORTS.items():
-                old, new = _run(tree, report), _run(ROOT, report)
-                if old == new:
-                    print(f"{name}: byte-identical ({len(new)} bytes)")
-                    continue
-                moved = True
-                print(f"{name}: differs")
-                print("\n".join(_drift(old.decode(), new.decode())))
-        finally:
-            subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", tree], check=True)
+        for name, report in REPORTS.items():
+            old, new = _run(tree, report), _run(ROOT, report)
+            if old == new:
+                print(f"{name}: byte-identical ({len(new)} bytes)")
+                continue
+            moved = True
+            print(f"{name}: differs")
+            print("\n".join(_drift(old.decode(), new.decode())))
     return 1 if moved else 0
 
 
