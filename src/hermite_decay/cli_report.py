@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .decay_sum import (
     SumParams,
-    direct_sum,
+    _sums,
     envelope,
     envelope_power,
     find_nmax,
@@ -169,11 +169,6 @@ def _eval_point(config: SweepConfig, x: float) -> tuple:
     return value.sign, value.logmag, value.to_float()
 
 
-def _sum_point(config: SweepConfig, x: float) -> tuple:
-    value = direct_sum(x, config.sum_params())
-    return value.to_float(), value.logmag
-
-
 def _envelope_point(config: SweepConfig, x: float) -> tuple:
     value = envelope(x, config.sum_params())
     return value.to_float(), value.logmag, envelope_power(config.sum_params())
@@ -209,6 +204,20 @@ def _pointwise(columns: tuple[str, ...], point, failed):
         return ("x", *columns, "error"), [one(x) for x in config.x_grid.points()], {}
 
     return rows
+
+
+def _sum_rows(config: SweepConfig) -> tuple[tuple[str, ...], list[tuple], dict]:
+    # one grid of sums, so that their scans below the turning point share passes
+    xs = config.x_grid.points()
+    rows = []
+    for x, total in zip(xs, _sums([float(x) for x in xs], config.sum_params())):
+        if isinstance(total, _POINT_ERRORS):
+            rows.append((x, math.nan, math.nan, _error_text(total)))
+        elif isinstance(total, Exception):
+            raise total
+        else:
+            rows.append((x, _signed_exp(1, total.log_s), total.log_s, ""))
+    return ("x", "value", "log_magnitude", "error"), rows, {}
 
 
 def _sharpness_rows(config: SweepConfig) -> tuple[tuple[str, ...], list[tuple], dict]:
@@ -272,8 +281,7 @@ MODES = {
     ),
     "sum": Mode(
         "weighted sum S(x) along an x grid", _SUM_PARAMETERS,
-        _pointwise(("value", "log_magnitude"), _sum_point,
-                   lambda config: (math.nan, math.nan)),
+        _sum_rows,
     ),
     "envelope": Mode(
         "closed-form envelope along an x grid", _SUM_PARAMETERS,

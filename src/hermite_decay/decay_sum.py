@@ -18,11 +18,17 @@ analysis cutoff, and, below the turning point, a far sum enters the
 recurrence near its window from an asymptotic expansion of h_n instead
 of walking the orders left of it, whose sum a ratio lemma certifies
 negligible, so that only the peak's window is computed, converted and
-exponentiated (see _sum_internals).  It
-also holds the analysis machinery behind the envelope (the argument
-function A(n), its derivatives, the interior maximum n_max), and a
-sharpness certificate comparing S against the envelope across an
-x-grid.
+exponentiated (see _sum_internals).  A grid of x goes through one
+entry point, _sums, which yields each point's sum or the exception that
+point raised, so one failing x leaves the others as they are; it scans
+the blocks below the turning point of many points in one stacked pass
+(hermite_core._group_scan), and every value is the one of its x alone,
+bit for bit.  The CLI sum mode, sharpness_certificate and the
+oscillator's decay_certificate pass their grids to it, and direct_sum
+is its one-point case.  It also holds the analysis machinery behind the
+envelope (the argument function A(n), its derivatives, the interior
+maximum n_max), and a sharpness certificate comparing S against the
+envelope across an x-grid.
 """
 
 from __future__ import annotations
@@ -57,8 +63,12 @@ _HEAD_LOG_MARGIN = 60.0
 # 3.11, numpy 2.4; best of 7): 1900-2100 orders for (kappa, beta, y) =
 # (1, 1/4, 1/2), (2, 0, 1/4), (2, 1/4, 1/2) and (1, 1/4, 1/4) (x = 70
 # to 80); an entry costs about 30 us (expansion, ratio map and head
-# certificate) and saves about 27 ns an order it does not walk.  With
-# this threshold no README report (x <= 60) enters.
+# certificate) and saves about 27 ns an order it does not walk.  That was
+# measured on one sum alone; in a grid (_sums) the scan passes of the
+# sums are stacked, so a walked order costs less and the crossover lies
+# higher.  The threshold stays: it sets which sums enter, and so the last
+# bits of their ln S.  With this threshold no README report (x <= 60)
+# enters.
 _HEAD_MIN_ORDERS = 2000
 
 # Most orders direct_sum draws from its order stream at once.  A block
@@ -79,13 +89,18 @@ _BISECT_MAX_ITER = 200
 
 @dataclass(frozen=True)
 class SumParams:
-    """Parameters (kappa, beta, y) of the weighted sum; kappa, y > 0."""
+    """Parameters (kappa, beta, y) of the weighted sum; kappa, y > 0, none a bool."""
 
     kappa: float
     beta: float
     y: float
 
     def __post_init__(self) -> None:
+        for name in ("kappa", "beta", "y"):
+            value = getattr(self, name)
+            # a bool would pass as 1.0 or 0.0
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
         if not (math.isfinite(self.kappa) and self.kappa > 0.0):
             raise ValueError(f"kappa must be finite and positive, got {self.kappa!r}")
         if not (math.isfinite(self.y) and self.y > 0.0):
@@ -417,10 +432,15 @@ class _Sum(NamedTuple):
 def _sum_internals(x: float, params: SumParams) -> _Sum:
     """log S with the tail certified negligible, and a far sum entered at its window.
 
-    One recurrence pass at x, a hermite_core._OrderStream, hands out the
-    raw orders (p_k, walls, s_k) in blocks of exactly the sizes asked
-    for, and runs less than one stride past the last block.  n_stop is
-    the smallest order n >= max(N, 64), N the analysis cutoff, where the
+    The one-point case of _sums, which sums a grid of x with the same
+    values, bit for bit, scans the blocks of many points in stacked
+    passes, and records a point's failure, in its set-up or its walk, in
+    its place: here the same set-up (_start) and walk (_finish) run with
+    scan passes of this one stream, and a failure is raised.  One
+    recurrence pass at x, a hermite_core._OrderStream, hands out the raw
+    orders (p_k, walls, s_k) in blocks of exactly the sizes asked for,
+    and runs less than one stride past the last block.  n_stop is the
+    smallest order n >= max(N, 64), N the analysis cutoff, where the
     tail bound at n + 1 (_log_tails) is at most TAIL_RELATIVE_TOLERANCE
     times the partial sum through n, a lower bound on S.
 
@@ -471,6 +491,25 @@ def _sum_internals(x: float, params: SumParams) -> _Sum:
     lies past _MAX_ORDER, and RuntimeError when the tail is not
     certified by _MAX_ORDER.
     """
+    return _finish(_start(x, params), params)
+
+
+class _Start(NamedTuple):
+    """One sum set up to walk.
+
+    |x|, the cutoff N, its stream, its entry order (0: from order 1) and
+    the last order of its first request.
+    """
+
+    x: float
+    n_cut: int
+    stream: hermite_core._OrderStream
+    entry: int
+    last: int
+
+
+def _start(x: float, params: SumParams) -> _Start:
+    """Set up the sum at x: check x, enter at its window if it can, and find its first request."""
     if not abs(x) <= hermite_core._X_MAX:
         raise ValueError(f"x must be finite with |x| <= 2^511, got {x}")
     x = abs(x)
@@ -478,16 +517,83 @@ def _sum_internals(x: float, params: SumParams) -> _Sum:
     if n_cut > _MAX_ORDER:
         raise ValueError(f"analysis cutoff N={n_cut} at x={x} lies past order {_MAX_ORDER}")
     stream = hermite_core._OrderStream(x)
+    entry = 0
     if stream.scan_end:
         expected = _expected_head(x, params)
         entry = int(expected // stream.stride) * stream.stride
-        if expected >= _HEAD_MIN_ORDERS and stream.enter(entry):
-            total = _walk(x, params, n_cut, stream, entry)
-            if total is not None:
-                return total
-            stream = hermite_core._OrderStream(x)
-    stream.first = 1  # h_0 carries no summand
+        if not (expected >= _HEAD_MIN_ORDERS and stream.enter(entry)):
+            entry = 0
+    if not entry:
+        stream.first = 1  # h_0 carries no summand
+    return _Start(x, n_cut, stream, entry, _first_orders(params, n_cut, stream)[1])
+
+
+def _sums(xs, params: SumParams):
+    """Yield the _Sum of _sum_internals at each x of xs in turn, or the exception that x raised.
+
+    Every x is set up first (_start), its first request included
+    (_first_orders).  Then those requests go to hermite_core._group_scan,
+    which scans their blocks below the turning point in stacked passes,
+    one pass for as many streams as its budget holds.  A sum is walked
+    when it is asked for, after the pass that holds it, so no more than
+    one pass's scanned orders and one sum's terms are held at once.  The
+    values are those of each x alone, bit for bit.  An x that raises, in
+    its set-up or its walk, gets its exception in its place and leaves
+    the others as they are.
+    """
+    starts = []
+    for x in xs:
+        try:
+            starts.append(_start(x, params))
+        except Exception as exc:  # recorded for this x alone
+            starts.append(exc)
+    # read lazily, never behind the loop below, which drops each set-up
+    # once walked, and with it the orders its stream still holds
+    passes = hermite_core._group_scan(
+        (start.stream, start.last) for start in starts if isinstance(start, _Start)
+    )
+    scanned = 0  # the sums set up whose pass has run and that are not yet walked
+    for i, start in enumerate(starts):
+        if not isinstance(start, _Start):
+            yield start
+            continue
+        if not scanned:
+            scanned = next(passes)
+        scanned -= 1
+        starts[i] = None
+        try:
+            total = _finish(start, params)
+        except Exception as exc:  # recorded for this x alone
+            total = exc
+        yield total
+
+
+def _finish(start: _Start, params: SumParams) -> _Sum:
+    """The sum of a set-up x; where an entry certifies no head, a fresh walk from order 1."""
+    x, n_cut, stream, entry, _ = start
+    if entry:
+        total = _walk(x, params, n_cut, stream, entry)
+        if total is not None:
+            return total
+        stream = hermite_core._OrderStream(x)
+        stream.first = 1
     return _walk(x, params, n_cut, stream, 0)
+
+
+def _first_orders(params: SumParams, n_cut: int, stream) -> tuple[int, int]:
+    """(n_solve, n_end): the first order that may stop a walk on stream; its first request's end.
+
+    The block solve starts past max(N, 64) and past the first order whose
+    tail bound is finite, kappa y n > max(-beta, 0).  At N the tail bound
+    is about S itself, and from there it falls by e^(-kappa y) an order
+    or faster: so the stop usually lies within lookahead orders past N,
+    where the bound has fallen by the tolerance and two more e-folds.
+    """
+    kappa_y = params.kappa * params.y
+    n_solve = max(n_cut, 64, math.floor(max(-params.beta, 0.0) / kappa_y) + 1)
+    lookahead = math.ceil((2.0 - math.log(TAIL_RELATIVE_TOLERANCE)) / kappa_y)
+    first_end = max(n_solve, n_cut + lookahead)
+    return n_solve, min(first_end, stream.first + _LARGEST_BLOCK - 1, _MAX_ORDER)
 
 
 def _walk(x: float, params: SumParams, n_cut: int, stream, entry: int) -> _Sum | None:
@@ -497,18 +603,8 @@ def _walk(x: float, params: SumParams, n_cut: int, stream, entry: int) -> _Sum |
     """
     kappa_y = params.kappa * params.y
     n_min = max(n_cut, 64)
-    # the block solve starts past max(N, 64) and past the first order
-    # whose tail bound is finite, kappa y n > max(-beta, 0)
-    n_solve = max(n_min, math.floor(max(-params.beta, 0.0) / kappa_y) + 1)
     log_tol = math.log(TAIL_RELATIVE_TOLERANCE)
-    # at N the tail bound is about S itself, and from there it falls by
-    # e^(-kappa y) an order or faster: so the stop usually lies within
-    # this many orders past N, where the bound has fallen by the
-    # tolerance and two more e-folds
-    lookahead = math.ceil((2.0 - log_tol) / kappa_y)
-    first_end = max(n_solve, n_cut + lookahead)  # the first request's last order
-    # the last order requested
-    n_end = min(first_end, stream.first + _LARGEST_BLOCK - 1, _MAX_ORDER)
+    n_solve, n_end = _first_orders(params, n_cut, stream)  # n_end: the last order requested
     ps, walls, scales = stream.take(n_end + 1 - max(entry - 1, 0))
     head = None
     blocks = []
@@ -657,9 +753,10 @@ def sharpness_certificate(x_grid, params: SumParams) -> SharpnessCertificate:
     ratios = []
     fractions = []
     restricted_ratios = []
-    for x in xs:
+    for x, total in zip(xs, _sums(xs, params)):
         profile = find_nmax(x, params.y)
-        total = _sum_internals(x, params)
+        if isinstance(total, Exception):
+            raise total
         log_s = total.log_s
         log_env = envelope(x, params).logmag
         ratios.append(math.exp(log_s - log_env))

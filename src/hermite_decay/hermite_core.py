@@ -39,7 +39,12 @@ the moment sweep walks each distinct |x| once, with h_k(-x) =
 weights.
 The stream scans the orders below the turning point 2n + 1 < x^2 as
 blocked 2x2 transfer matrices and steps one order at a time past it
-(see _OrderStream).  It may also enter at a block start a below the
+(see _OrderStream).  One scan pass (_scan_pass) may hold the blocks of
+many streams side by side, each read at its own stride with zero
+coefficients past it, so that a grid of sums (decay_sum._sums) pays the
+per-step calls of a pass once for many points (_group_scan); each
+stream's values are those of its own pass, bit for bit.  The stream may
+also enter at a block start a below the
 turning point instead of walking 1..a: the expansion of h_a there
 (_expansion, DLMF 12.10.3) gives ln|h_a|, a ratio map gives
 h_a/h_{a-1}, and the walk goes on from that pair (the weighted sums of
@@ -105,15 +110,20 @@ _TABLES: dict = {}
 _TINY_X = 2.0**-511
 
 # _OrderStream scans only where at least this many blocks of _stride(|x|)
-# steps fit below the turning point: a pass costs two ufunc calls a step
-# whatever its width, so a narrow one loses to single steps.  Measured
-# crossover of scan against single steps (2-core x86-64 VM, Python 3.11,
-# numpy 2.4): hermite_orders up to the turning point breaks even at 22
-# blocks (x = 52), the sums at y = 1/2 and y = 1 at 21 and 26 blocks; at
-# 12 blocks (x = 40) the scan takes 1.2-1.4x as long, at 31 blocks
-# (x = 60) it is 1.08-1.17x faster, at 44 blocks (x = 70) 1.22-1.38x.
-# At most _SCAN_ORDERS orders go in one pass, which bounds the pass's
-# buffers.
+# steps fit below the turning point: a pass of one stream costs two ufunc
+# calls a step whatever its width, so a narrow one loses to single steps.
+# Measured crossover of scan against single steps (2-core x86-64 VM,
+# Python 3.11, numpy 2.4), one stream a pass: hermite_orders up to the
+# turning point breaks even at 22 blocks (x = 52), the sums at y = 1/2 and
+# y = 1 at 21 and 26 blocks; at 12 blocks (x = 40) the scan takes 1.2-1.4x
+# as long, at 31 blocks (x = 60) it is 1.08-1.17x faster, at 44 blocks
+# (x = 70) 1.22-1.38x.  A grid of sums shares those calls among the
+# streams of a stacked pass (_group_scan), which moves the crossover
+# down; the threshold stays, since it sets which orders are scanned
+# rather than stepped, and with that the last bits of their values.  At
+# most _SCAN_ORDERS orders go in one stream's pass, and at most
+# _SCAN_ORDERS cells a row (largest stride times blocks) in a stacked
+# one, which bounds a pass's buffer.
 _SCAN_MIN_BLOCKS = 24
 _SCAN_ORDERS = 1 << 14
 
@@ -639,6 +649,12 @@ class _OrderStream:
     _STRIDE_BITS bits.  One Python loop then chains the M block
     matrices, testing the wall at every block end as _scalar_loop
     does, and every p_k comes from one (B x M) linear combination.
+    A pass may stack the blocks of several streams (_scan_pass, and
+    _group_scan for a grid): it runs as many steps as the largest B,
+    a stream of a smaller B has zero coefficients past its own, and
+    each stream reads its U and V rows at its own B and chains its own
+    blocks, so its values are those of a pass of its own, bit for bit.
+    A stream alone runs such a pass of one (_scan).
     Past scan_end, the stream steps one order at a time from the scan's
     last pair and wall count, testing the wall after every order that is
     a multiple of B, where _scalar_loop tests it.  A handed-out p_k at
@@ -672,7 +688,7 @@ class _OrderStream:
         self._coefficients = _Coefficients(float)
         self._k = 0  # the last order computed
         self._pair = (0.0, 1.0, 0)  # (p_{k-1}, p_k, walls)
-        self._pending = _ORDER_ZERO
+        self._pending = [_ORDER_ZERO]  # computed orders not yet handed out, in parts
         self._handed = 0  # orders handed out or dropped
 
     def enter(self, a: int) -> bool:
@@ -705,23 +721,24 @@ class _OrderStream:
         self._coefficients = coefficients
         self._k = a
         self._pair = (*pair, walls)
-        self._pending = (
-            np.array(pair), np.full(2, walls, dtype=np.int64), np.array((s_before, s_a))
-        )
+        self._pending = [
+            (np.array(pair), np.full(2, walls, dtype=np.int64), np.array((s_before, s_a)))
+        ]
         self._handed = self.first = a - 1
         return True
 
     def take(self, count: int):
         """(ps, walls, scales) of the next count orders, those from first on."""
         end = self._handed + count  # the order past the request
-        parts = [self._pending]
         while self._k + 1 < end:
-            walk = self._scan if self._k < self.scan_end else self._steps
-            parts.append(walk(end - 1 - self._k))
-        joined = [np.concatenate(field) for field in zip(*parts)]
+            if self._k < self.scan_end:
+                self._scan(end - 1 - self._k)
+            else:
+                self._pending.append(self._steps(end - 1 - self._k))
+        joined = [np.concatenate(field) for field in zip(*self._pending)]
         start = self._k + 1 - joined[0].size  # the order of the first value joined
         lo, hi = max(self.first - start, 0), end - start
-        self._pending = tuple(field[hi:] for field in joined)
+        self._pending = [tuple(field[hi:] for field in joined)]
         self._handed = end
         return tuple(field[lo:hi] for field in joined)
 
@@ -732,47 +749,17 @@ class _OrderStream:
         logs = _log_magnitudes(ps, walls, scales, self.x, range(end - ps.size, end))
         return np.sign(ps).astype(np.int8), logs
 
-    def _scan(self, need: int):
-        """(ps, walls, scales) of the next whole blocks holding need orders.
+    def _blocks(self, need: int) -> int:
+        """How many whole blocks the next scan pass takes to hold need orders, or 0.
 
         At most _SCAN_ORDERS orders a pass and never past scan_end.
         """
         b = self.stride
-        m = min(-(-need // b), (self.scan_end - self._k) // b, max(_SCAN_ORDERS // b, 1))
-        a, scales = self._coefficients.take(m * b)
-        # column j of the 2m-wide stack is U of block j, column m + j its V
-        coefficients = np.empty((b, 2 * m))
-        np.multiply(self._x, a.reshape(m, b).T, out=coefficients[:, :m])
-        coefficients[:, m:] = coefficients[:, :m]
-        uv = np.empty((b + 2, 2 * m))
-        uv[0, :m] = uv[1, m:] = 1.0
-        uv[0, m:] = uv[1, :m] = 0.0
-        rows = list(uv)  # row views made once, not once a step
-        prev, cur = rows[0], rows[1]
-        for c, step in zip(coefficients, rows[2:]):
-            np.multiply(c, cur, out=step)
-            np.subtract(step, prev, out=step)
-            prev, cur = cur, step
-        p_prev, p_cur, walls = self._pair
-        prevs, curs, counts = [], [], []
-        for u_last, v_last, u_end, v_end in zip(*uv[b:].reshape(4, m).tolist()):
-            prevs.append(p_prev)
-            curs.append(p_cur)
-            counts.append(walls)
-            p_prev, p_cur = u_last * p_prev + v_last * p_cur, u_end * p_prev + v_end * p_cur
-            big = abs(p_cur)
-            other = abs(p_prev)
-            if other > big:
-                big = other
-            if big > _WALL_HI:
-                p_cur *= _WALL_LO
-                p_prev *= _WALL_LO
-                walls += 1
-        self._pair = (p_prev, p_cur, walls)
-        ps = uv[2:, :m].T * np.array(prevs)[:, None]
-        ps += uv[2:, m:].T * np.array(curs)[:, None]
-        self._k += m * b
-        return ps.ravel(), np.repeat(counts, b), scales
+        return max(min(-(-need // b), (self.scan_end - self._k) // b, max(_SCAN_ORDERS // b, 1)), 0)
+
+    def _scan(self, need: int) -> None:
+        """Scan the next whole blocks holding need orders: a pass of this stream alone."""
+        _scan_pass([(self, self._blocks(need))])
 
     def _steps(self, count: int):
         """(ps, walls, scales) of the next count orders.
@@ -808,6 +795,123 @@ class _OrderStream:
         self._pair = (p_prev, p_cur, walls)
         self._k += count
         return np.fromiter(ps, float, count), np.repeat(counts, lengths), scales
+
+
+def _scan_pass(passes) -> None:
+    """Advance several streams by whole scan blocks in one stacked pass.
+
+    passes holds (stream, m) pairs: each stream scans its next m blocks
+    of B = stream.stride orders, from its last pair and wall count, and
+    keeps their (ps, walls, scales) among its pending orders.  Column j
+    of the first half of the stack is U of one block, column j of the
+    second half its V, the blocks of the streams side by side; with W
+    the blocks in all, the pass runs max B steps, two ufuncs a step on
+    the 2W-wide stack (see _OrderStream).  A stream of a smaller B has
+    coefficient 0.0 past its B steps, which only cycles its last pair
+    with flipped signs, so its columns stay bounded, and it reads its
+    block ends and values at its own B.  Every column meets the same
+    ufuncs, in the same order, on the same coefficients as in a pass of
+    its stream alone (c p_k is p_k c in IEEE arithmetic), and each
+    stream chains its blocks and tests its walls by itself, so no
+    stream's values depend on the others.  Each step's row holds its
+    coefficients until the step overwrites them with its values, and
+    the linear combination runs in place, so a pass allocates one
+    buffer of (max B + 2) x 2W doubles.
+    """
+    top = max(stream.stride for stream, _ in passes)
+    width = sum(m for _, m in passes)
+    # one row a step, U of every block and then V: rows 0 and 1 hold the
+    # unit pairs, and each row after them x a'_k of its step, 0.0 past a
+    # block's B, until the step overwrites it with its values
+    uv = np.empty((top + 2, 2 * width))
+    scales = []
+    lo = 0
+    for stream, m in passes:
+        b = stream.stride
+        a, s = stream._coefficients.take(m * b)
+        np.multiply(stream._x, a.reshape(m, b).T, out=uv[2 : b + 2, lo : lo + m])
+        uv[b + 2 :, lo : lo + m] = 0.0
+        scales.append(s)
+        lo += m
+    uv[2:, width:] = uv[2:, :width]
+    uv[0, :width] = uv[1, width:] = 1.0
+    uv[0, width:] = uv[1, :width] = 0.0
+    rows = list(uv)  # row views made once, not once a step
+    prev, cur = rows[0], rows[1]
+    for step in rows[2:]:
+        step *= cur
+        step -= prev
+        prev, cur = cur, step
+    prevs, curs, counts = [], [], []  # the start pair and wall count of every block
+    lo = 0
+    for stream, m in passes:
+        b = stream.stride
+        (u_last, u_end), (v_last, v_end) = (
+            uv[b : b + 2, lo : lo + m].tolist(), uv[b : b + 2, width + lo : width + lo + m].tolist()
+        )
+        p_prev, p_cur, walls = stream._pair
+        for ul, vl, ue, ve in zip(u_last, v_last, u_end, v_end):
+            prevs.append(p_prev)
+            curs.append(p_cur)
+            counts.append(walls)
+            p_prev, p_cur = ul * p_prev + vl * p_cur, ue * p_prev + ve * p_cur
+            big = abs(p_cur)
+            other = abs(p_prev)
+            if other > big:
+                big = other
+            if big > _WALL_HI:
+                p_cur *= _WALL_LO
+                p_prev *= _WALL_LO
+                walls += 1
+        stream._pair = (p_prev, p_cur, walls)
+        lo += m
+    # every block's p_k in one linear combination over the stack, in place
+    ps = uv[2:, :width]
+    ps *= np.array(prevs)
+    vs = uv[2:, width:]
+    vs *= np.array(curs)
+    ps += vs
+    lo = 0
+    for (stream, m), s in zip(passes, scales):
+        b = stream.stride
+        walls = np.repeat(counts[lo : lo + m], b)
+        stream._pending.append((ps[:b, lo : lo + m].T.ravel(), walls, s))
+        stream._k += m * b
+        lo += m
+
+
+def _group_scan(requests):
+    """Scan the next blocks of several streams in stacked passes; yield how many requests each took.
+
+    requests holds (stream, last) pairs.  Each stream scans the whole
+    blocks that its first walk in a take through order last would scan
+    (_OrderStream._blocks), no more, so that take finds them pending and
+    leaves the stream as it would have alone: pair, wall count, next
+    order and pending orders.  The requests go, in order, into passes of
+    _scan_pass of at most _SCAN_ORDERS cells a row (max B times the
+    blocks in the pass), the bound of one stream's pass, so that a
+    pass's buffers do not grow with the grid; a stream that alone fills
+    that goes alone.  After each pass this yields the number of requests
+    it covered, those of the pass and those before the next one that
+    scan nothing, so that a caller can take their orders before the next
+    pass runs and holds no more than one pass's orders at once.
+    """
+    count, passes, width, top = 0, [], 0, 0
+    for stream, last in requests:
+        m = stream._blocks(last - stream._k)
+        if m and passes and max(top, stream.stride) * (width + m) > _SCAN_ORDERS:
+            _scan_pass(passes)
+            yield count
+            count, passes, width, top = 0, [], 0, 0
+        count += 1
+        if m:
+            passes.append((stream, m))
+            width += m
+            top = max(top, stream.stride)
+    if passes:
+        _scan_pass(passes)
+    if count:
+        yield count
 
 
 def _array_blocks(xs: np.ndarray, n_top: int):
@@ -1132,13 +1236,16 @@ def hermite_moment_sweep(xs, weights, n_top: int) -> np.ndarray:
     adds at most 2^-163 M to a moment (|p| < 2^912, s_k <= 1): at most
     2^-162 max|w| per distinct |x| whose folded weight is subnormal,
     before the moment's own last rounding.  Raises ValueError for xs and
-    weights that are not 1-D arrays of equal length, and for an n_top or
-    an x that hermite_exact rejects.
+    weights that are not 1-D arrays of equal length, for a weight that is
+    not finite (one nan would make every moment nan), and for an n_top
+    or an x that hermite_exact rejects.
     """
     xs = np.asarray(xs, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if xs.shape != weights.shape or xs.ndim != 1:
         raise ValueError("xs and weights must be 1-D arrays of equal length")
+    if not np.isfinite(weights).all():
+        raise ValueError(f"weights must be finite, got {weights[~np.isfinite(weights)][0]}")
     n_top = _check_arguments(n_top, xs)
     points, where = np.unique(np.abs(xs), return_inverse=True)
     parities = (

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decay_sum import SumParams, direct_sum, tail_bound
+from .decay_sum import SumParams, _sums, tail_bound
 from .hermite_core import _signed_exp, _whole_number, hermite_moment_sweep, hermite_values
 
 BASIS_SCALE = math.sqrt(2.0 * math.pi)
@@ -308,9 +308,15 @@ def _phase_factors(n_top: int, t) -> np.ndarray:
     # 6.1e-17 + 1i, t = 1/2 gives -1 + 1.2e-16i).  turns - 2 floor(turns/2)
     # is np.mod(turns, 2.0) bit for bit, nan included, without its slow
     # path: turns/2 and its doubling are exact, and the difference is a
-    # multiple of ulp(turns) below 2.  Shape np.shape(t) + (n_top + 1,)
+    # multiple of ulp(turns) below 2.  Shape np.shape(t) + (n_top + 1,).
+    # The turns peak at n_top; where they overflow, the phase is lost.
     n = np.arange(n_top + 1, dtype=float)
     t = np.asarray(t, dtype=float)[..., np.newaxis]
+    t_max = float(np.max(np.abs(t), initial=0.0))
+    if not math.isfinite(2.0 * (2.0 * n_top + 1.0) * t_max):
+        raise ValueError(
+            f"t must keep the phase turns 2(2N+1)|t| finite at N = {n_top}, got |t| = {t_max!r}"
+        )
     turns = 2.0 * (2.0 * n + 1.0) * t
     whole = turns / 2.0
     np.floor(whole, out=whole)
@@ -430,10 +436,11 @@ def decay_certificate(
 
     params = SumParams(kappa=1.0, beta=0.25, y=alpha)
     majorant_slack = math.inf
-    for j, x in enumerate(xs):
-        chain = c_bound * BASIS_NORMALIZER * math.exp(
-            direct_sum(BASIS_SCALE * float(x), params).logmag
-        )
+    sums = _sums([BASIS_SCALE * float(x) for x in xs], params)
+    for j, total in enumerate(sums):
+        if isinstance(total, Exception):
+            raise total
+        chain = c_bound * BASIS_NORMALIZER * math.exp(total.log_s)
         if certified[0]:
             chain += magnitudes[0] * abs(basis[0, j])
         lhs = majorant_kept[j]

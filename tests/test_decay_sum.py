@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hermite_decay import decay_sum, hermite_core
+from hermite_decay import cli_report, decay_sum, hermite_core
 from hermite_decay.decay_sum import (
     TAIL_RELATIVE_TOLERANCE,
     ArgumentProfile,
@@ -25,7 +25,8 @@ from hermite_decay.decay_sum import (
     theta_sum,
     truncation_index,
 )
-from hermite_decay.decay_sum import _log_sum, _sum_internals, _summand_logs
+from hermite_decay.cli_report import GridSpec, SweepConfig
+from hermite_decay.decay_sum import _log_sum, _sum_internals, _summand_logs, _sums
 from hermite_decay.hermite_core import (
     hermite_orders,
     hermite_pr_bound,
@@ -130,6 +131,14 @@ class TestSumParams:
             SumParams(kappa=1.0, beta=math.nan, y=1.0)
         p = SumParams(kappa=2.0, beta=-0.5, y=0.25)
         assert (p.kappa, p.beta, p.y) == (2.0, -0.5, 0.25)
+
+    @pytest.mark.parametrize("name", ["kappa", "beta", "y"])
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+    def test_rejects_bools(self, name, flag):
+        # True would pass as 1.0, and False as beta = 0.0
+        fields = {"kappa": 1.0, "beta": 0.0, "y": 0.5, name: flag}
+        with pytest.raises(ValueError, match=f"^{name} must be a number, not a bool"):
+            SumParams(**fields)
 
 
 class TestScaffolding:
@@ -610,6 +619,150 @@ def restated_head(x: float, params: SumParams) -> tuple[int, float]:
         if bound <= top - 60.0:
             found = (int(order) + 1, bound)
     return found
+
+
+def one_point(x: float, params: SumParams):
+    """_sum_internals(x, params), or the exception it raises."""
+    try:
+        return _sum_internals(x, params)
+    except Exception as exc:
+        return exc
+
+
+def assert_same_sum(got, want) -> None:
+    """Every field of two _Sum results equal, the terms bit for bit; or equal exceptions."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert (got.log_s, got.n_stop, got.n_first) == (want.log_s, want.n_stop, want.n_first)
+    assert got.log_head == want.log_head
+    assert got.terms.tobytes() == want.terms.tobytes()
+
+
+def log_scan_passes(monkeypatch) -> list:
+    """Record the (stride, blocks) of every stream of every stacked scan pass."""
+    passes = []
+    run = hermite_core._scan_pass
+
+    def logged(streams):
+        passes.append([(stream.stride, m) for stream, m in streams])
+        run(streams)
+
+    monkeypatch.setattr(hermite_core, "_scan_pass", logged)
+    return passes
+
+
+# a point of a grid: one that steps (|x| < 53, no scan), one that scans
+# from order 1 or enters at its window (53 <= |x| <= 400), or one that
+# fails at its set-up (non-finite, or a cutoff past _MAX_ORDER)
+GRID_POINTS = st.one_of(
+    st.floats(-52.0, 52.0),
+    st.floats(53.0, 400.0),
+    st.floats(-400.0, -53.0),
+    st.sampled_from([math.nan, math.inf, 5000.0]),
+)
+
+
+@st.composite
+def sum_grids(draw):
+    """An unsorted grid with some of its points repeated."""
+    xs = draw(st.lists(GRID_POINTS, min_size=1, max_size=6))
+    repeats = draw(st.lists(st.sampled_from(xs), max_size=2))
+    return draw(st.permutations(xs + repeats))
+
+
+class TestGrid:
+    """_sums: a grid of sums with stacked scan passes, each x as if alone."""
+
+    @given(
+        sum_grids(),
+        st.sampled_from([(1.0, 0.25, 0.5), (2.0, 0.0, 0.25), (2.0, 0.0, 1.0), (1.0, -0.5, 0.3)]),
+    )
+    @example([55.0, 150.0, -55.0, 3.0, 55.0, math.nan, 400.0], (1.0, 0.25, 0.5))
+    @settings(max_examples=60, deadline=None)
+    def test_each_point_as_if_alone(self, xs, args):
+        params = SumParams(*args)
+        grid = list(_sums(xs, params))
+        assert len(grid) == len(xs)
+        for x, got in zip(xs, grid):
+            assert_same_sum(got, one_point(x, params))
+
+    def test_three_strides_share_one_pass(self, monkeypatch):
+        # x = 55, 150 and 300 scan with strides 58, 48 and 43 in one pass;
+        # the first request of x = 1000 fills a pass's budget by itself
+        # (455 blocks of 36 orders), so it scans alone
+        params = SumParams(1.0, 0.25, 0.5)
+        xs = [55.0, 150.0, 300.0, 1000.0]
+        want = [one_point(x, params) for x in xs]
+        passes = log_scan_passes(monkeypatch)
+        grid = list(_sums(xs, params))
+        for got, one in zip(grid, want):
+            assert_same_sum(got, one)
+        strides = [hermite_core._stride(x) for x in xs]
+        assert len(set(strides)) == 4
+        assert [b for b, _ in passes[0]] == strides[:3]
+        assert [b for b, _ in passes[1]] == strides[3:]
+        for streams in passes:
+            widest = max(b for b, _ in streams) * sum(m for _, m in streams)
+            assert len(streams) == 1 or widest <= hermite_core._SCAN_ORDERS
+
+    def test_a_failing_walk_leaves_the_others(self, monkeypatch):
+        # with the largest order at 500, x = 30 fails in its walk (the tail
+        # bound is infinite up to order 2000) and x = 40 at its set-up
+        # (cutoff 737); x = 7.5 and x = 20 sum as they do alone
+        monkeypatch.setattr(decay_sum, "_MAX_ORDER", 500)
+        params = SumParams(1.0, -1000.0, 0.5)
+        xs = [7.5, 30.0, 20.0, 40.0]
+        grid = list(_sums(xs, params))
+        assert isinstance(grid[1], RuntimeError) and isinstance(grid[3], ValueError)
+        for x, got in zip(xs, grid):
+            assert_same_sum(got, one_point(x, params))
+
+    def test_runs_as_its_sums_are_asked_for(self, monkeypatch):
+        # a generator: nothing is scanned before the first sum is asked for,
+        # and x = 1000 scans only when its own sum is
+        params = SumParams(1.0, 0.25, 0.5)
+        want = [one_point(x, params) for x in (60.0, 70.0, 1000.0)]
+        passes = log_scan_passes(monkeypatch)
+        sums = _sums([60.0, 70.0, 1000.0], params)
+        assert passes == []
+        assert_same_sum(next(sums), want[0])
+        assert_same_sum(next(sums), want[1])
+        assert len(passes) == 1
+        assert_same_sum(next(sums), want[2])
+        assert len(passes) > 1
+        assert next(sums, None) is None
+
+    def test_cli_rows_where_every_point_fails(self):
+        # kappa y underflows to 0.0, so every first request divides by zero:
+        # each row holds the error its point raises alone
+        config = SweepConfig(
+            mode="sum", x_grid=GridSpec(1.0, 60.0, 3), kappa=1e-300, beta=0.25, y=1e-300
+        )
+        report = cli_report.run(config)
+        assert report.error_rows == [0, 1, 2]
+        for x, _, _, error in report.rows:
+            one = one_point(float(x), config.sum_params())
+            assert isinstance(one, ZeroDivisionError)
+            assert error == f"{type(one).__name__}: {one}"
+
+    def test_cli_keeps_the_rows_past_the_cutoff(self):
+        # x = 3000 and 3500 lie past the largest order at y = 1/2: their
+        # rows hold the error of the one-point sum, the others its value
+        config = SweepConfig(
+            mode="sum", x_grid=GridSpec(2000.0, 3500.0, 4), kappa=1.0, beta=0.25, y=0.5
+        )
+        report = cli_report.run(config)
+        assert report.error_rows == [2, 3]
+        for row in report.rows:
+            x, value, log_s, error = row
+            one = one_point(float(x), config.sum_params())
+            if isinstance(one, Exception):
+                assert error == f"{type(one).__name__}: {one}"
+                assert math.isnan(value) and math.isnan(log_s)
+            else:
+                assert (log_s, error) == (one.log_s, "")
+                assert value == direct_sum(float(x), config.sum_params()).to_float()
 
 
 class TestHead:

@@ -341,6 +341,13 @@ class TestSweeps:
             hermite_moment_sweep([x, 0.5], [1.0, 1.0], 3)
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
+    def test_moment_sweep_rejects_non_finite_weights(self, w):
+        # one nan weight made every moment nan
+        with pytest.raises(ValueError, match="^weights must be finite"):
+            hermite_moment_sweep([1.0, 2.0], [1.0, w], 3)
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("x", [2.0**511, -(2.0**511)])
     def test_every_frontend_runs_at_the_largest_x(self, x):
         # one recurrence step multiplies by up to |x| sqrt(2), which stays
@@ -1120,3 +1127,55 @@ class TestEntry:
         assert stream.enter(b * 10)
         assert not stream.enter(b * 20)  # only a fresh stream enters
 
+
+
+class TestGroupScan:
+    """_group_scan: the first requests of several streams in stacked passes."""
+
+    # (x, entry order or 0, last order of the first request): strides 58,
+    # 48, 43 and 36, a stream that never scans, one whose request runs
+    # past its scan's end, and one that fills a pass's budget alone
+    REQUESTS = [
+        (55.0, 0, 1400),
+        (150.0, 0, 10430),
+        (7.5, 0, 90),
+        (300.0, 33196, 41650),
+        (150.0, 7776, 20000),
+        (-60.0, 0, 40),
+        (1000.0, 393264, 458799),
+    ]
+
+    @staticmethod
+    def streams():
+        out = []
+        for x, entry, _ in TestGroupScan.REQUESTS:
+            stream = hermite_core._OrderStream(x)
+            entry = entry // stream.stride * stream.stride
+            if entry:
+                assert stream.enter(entry)
+            out.append(stream)
+        return out
+
+    def test_leaves_each_stream_as_its_own_take(self):
+        # after the stacked passes each take finds its blocks pending and
+        # hands out the values, pair, wall count and next order of a
+        # stream that took alone, bit for bit, also on later requests
+        grouped, alone = self.streams(), self.streams()
+        lasts = [last for *_, last in self.REQUESTS]
+        counts = list(hermite_core._group_scan(list(zip(grouped, lasts))))
+        assert sum(counts) == len(grouped) and len(counts) > 1
+        for got, want, last in zip(grouped, alone, lasts):
+            for count in (last + 1 - got.first, 700):
+                for a, b in zip(got.take(count), want.take(count)):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                assert (got._k, got._pair) == (want._k, want._pair)
+
+    def test_scans_no_block_past_the_request(self):
+        # each stream scans exactly the blocks its own first take would
+        streams = self.streams()
+        lasts = [last for *_, last in self.REQUESTS]
+        blocks = [s._blocks(last - s._k) for s, last in zip(streams, lasts)]
+        starts = [s._k for s in streams]
+        list(hermite_core._group_scan(list(zip(streams, lasts))))
+        for s, k, m in zip(streams, starts, blocks):
+            assert s._k == k + m * s.stride

@@ -379,6 +379,24 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve_grid(c, [0.0], [0.0, math.inf])
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_a_time_whose_phase_overflows(self):
+        # 2(2N+1)|t| = 1.6e309 at N = 400: the turns were inf, and every
+        # value nan, with only a RuntimeWarning
+        c = gaussian_coefficients(0.5, 400)
+        for call in (
+            lambda: evolve_grid(c, [0.0, 1.0], 1e306),
+            lambda: evolve_grid(c, [0.0, 1.0], [0.0, -1e306]),
+            lambda: weighted_sup(c, 0.5, [0.0, 1.0], [1e306]),
+            lambda: decay_certificate(c, 0.5, [0.0, 1.0], [0.0, 1e306]),
+        ):
+            with pytest.raises(ValueError, match="^t must keep"):
+                call()
+        # the largest |t| whose turns at N = 400 stay finite is accepted
+        t = np.nextafter(np.finfo(float).max / 1602.0, 0.0)
+        assert np.isfinite(1602.0 * t)
+        assert np.isfinite(evolve_grid(c, [0.0, 1.0], [t, -t])[0]).all()
+
     @given(st.floats(allow_nan=False, allow_infinity=False))
     @example(0.0)
     @example(-0.0)
@@ -389,11 +407,15 @@ class TestEvolve:
     @example(1e306)
     @settings(max_examples=200, deadline=None)
     def test_phase_reduction_is_np_mod_bit_for_bit(self, t):
-        # from |t| near 1e305 on, the turns overflow and both sides are nan
         with np.errstate(invalid="ignore", over="ignore"):
             turns = 2.0 * (2.0 * np.arange(401.0) + 1.0) * t
             want = np.exp(1j * np.pi * np.mod(turns, 2.0))
-            got = oscillator._phase_factors(400, [t])[0]
+        if not np.isfinite(turns).all():
+            # from |t| near 1e305 on, the turns overflow and the phase is lost
+            with pytest.raises(ValueError, match="t must keep"):
+                oscillator._phase_factors(400, [t])
+            return
+        got = oscillator._phase_factors(400, [t])[0]
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 

@@ -3,8 +3,9 @@
     python3 tools/report_drift.py [REF]
 
 Runs the README's `sum`, `sharpness` and `oscillator` commands,
-`eval --order 30000` on 20 x in [1, 300], and two far-x reports, twice:
-on the package source of this checkout's working tree, and on REF
+`eval --order 30000` on 20 x in [1, 300], two far-x reports and a
+failing `sum` report, twice: on the package source of this checkout's
+working tree, and on REF
 (default HEAD), whose `src` is unpacked by `git archive REF src | tar -x`
 into a temporary directory.  That writes nothing under `.git`, so a run
 that is killed leaves nothing behind in the repository.  The far-x
@@ -12,7 +13,10 @@ reports, a `sum` at kappa = 2, beta = 0, y = 1/4 on 12 x in [80, 1000]
 and a log-spaced `sharpness` on 12 x in [80, 600], are where the sums
 enter at their window and drop their head (decay_sum._sum_internals);
 the README's sums stop at x = 60, which never does, so only these two
-show the drift of that path.  Each run is
+show the drift of that path.  The failing report, a `sum` on 4 x in
+[2000, 3500], holds two rows whose analysis cutoff lies past the largest
+order (x = 3000 and 3500), so it shows the drift of the error rows of a
+grid, next to two far sums.  Each run is
 `python3 -m hermite_decay.cli_report` in a fresh interpreter with that
 tree's `src` first on the path.  For every report it prints whether the
 two outputs are byte-identical, as `cmp` would; where they differ, it
@@ -44,6 +48,7 @@ REPORTS = {
     "sharpness-far": (
         "sharpness --x-min 80 --x-max 600 --x-count 12 --x-log --y 0.5 --format json"
     ),
+    "sum-fail": "sum --kappa 1 --beta 0.25 --y 0.5 --x-min 2000 --x-max 3500 --x-count 4",
 }
 
 
