@@ -799,15 +799,32 @@ def theta_sum(scale: float) -> float:
     return math.fsum(terms())
 
 
+def _check_theta_arguments(x: float, delta: float) -> None:
+    """Raise ValueError naming x unless it is finite and nonzero, or delta unless positive and finite."""
+    if not (math.isfinite(x) and x != 0.0):
+        raise ValueError(f"x must be finite and nonzero, got {x!r}")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+
+
 def gaussian_theta(x: float, delta: float) -> float:
-    """g_delta(x) = sum over n of e^(-delta pi n^2 / x^2)."""
-    return theta_sum(delta * math.pi / (x * x))
+    """g_delta(x) = sum over n of e^(-delta pi n^2 / x^2).
+
+    Raises ValueError for an x that is 0 or not finite, and for a delta
+    that is not positive and finite.  Where x^2 underflows to 0 the sum
+    is its limit, 1.
+    """
+    _check_theta_arguments(x, delta)
+    square = x * x
+    return theta_sum(delta * math.pi / square if square else math.inf)
 
 
 def gaussian_theta_dual(x: float, delta: float) -> float:
     """The modular-transform side: (x / sqrt(delta)) sum e^(-pi n^2 x^2 / delta).
 
     Equals gaussian_theta(x, delta) identically; the pair exists so the
-    identity can be verified numerically rather than assumed.
+    identity can be verified numerically rather than assumed.  Takes the
+    arguments that gaussian_theta takes.
     """
+    _check_theta_arguments(x, delta)
     return x / math.sqrt(delta) * theta_sum(math.pi * x * x / delta)

@@ -34,9 +34,11 @@ for many points (hermite_batch, hermite_values, hermite_moment_sweep).
 The block walk (_array_blocks) steps one order at a time for all points
 and hands out blocks of orders, at most _CELLS cells and never past a
 wall test, so its consumers convert, harvest or sum a block at once;
-the moment sweep walks each distinct |x| once, with h_k(-x) =
-(-1)^k h_k(x), and folds the Gaussian and the wall scale into its
-weights.
+one outer product writes the x a'_k of a block into its rows, and each
+step is then two in-place ufuncs on its row (_step_rows, the step loop
+that the scan's passes run too).  The moment sweep walks each distinct
+|x| once, with h_k(-x) = (-1)^k h_k(x), and folds the Gaussian and the
+wall scale into its weights.
 The stream scans the orders below the turning point 2n + 1 < x^2 as
 blocked 2x2 transfer matrices and steps one order at a time past it
 (see _OrderStream).  One scan pass (_scan_pass) may hold the blocks of
@@ -128,15 +130,17 @@ _SCAN_MIN_BLOCKS = 24
 _SCAN_ORDERS = 1 << 14
 
 # Cells (orders times points) of one block of _array_blocks, at most.
-# A block costs a few Python operations and one conversion or pair of
-# matrix-vector products, so narrow blocks pay that per order, and wide
-# ones leave the cache.  Measured (2-core x86-64 VM, Python 3.11, numpy
-# 2.4; best of 3 in 4 alternated rounds, ms) at 2^14 / 2^15 / 2^16 /
-# 2^17 cells: hermite_batch on 10^4 pairs (n < 2000, |x| <= 100) 17.7 /
-# 16.0 / 15.5 / 15.6; hermite_values(400, .) on 8000 points 5.33 / 4.96
-# / 4.78 / 5.39 and on 20000 points 16.6 / 16.1 / 15.1 / 16.4;
-# hermite_moment_sweep to order 400 on 8000 points 3.43 / 3.13 / 2.77 /
-# 2.74 and on 2049 points 1.23 / 1.10 / 1.04 / 1.04.
+# A block costs a few Python operations, one outer product and one
+# conversion or pair of matrix-vector products, so narrow blocks pay
+# that per order, and wide ones leave the cache.  Measured with the
+# outer product a block (2-core x86-64 VM shared with other tenants,
+# Python 3.11, numpy 2.4; best of 3 in 4 alternated rounds, ms, with a
+# spread of about 10%) at 2^14 / 2^15 / 2^16 / 2^17 cells:
+# hermite_batch on 10^4 pairs (n < 2000, |x| <= 100) 32.4 / 33.6 /
+# 28.6 / 27.5; hermite_values(400, .) on 8000 points 12.8 / 11.7 / 11.1
+# / 12.3 and on 20000 points 34.8 / 34.3 / 36.8 / 35.6;
+# hermite_moment_sweep to order 400 on 8000 points 6.28 / 6.06 / 4.77
+# / 4.68 and on 2049 points 1.92 / 1.31 / 1.11 / 1.04.
 _CELLS = 1 << 16
 
 # Largest |x| the loops take: a step multiplies the larger of the pair,
@@ -208,7 +212,8 @@ class SignedLog:
     sign is 0.  The representation resolves relative differences of
     about |logmag| * 2^-53, so round-tripping through a double is exact
     to ~1e-15 for |logmag| < 50 and degrades to ~1e-13 near the extremes
-    of double range.
+    of double range.  A nan logmag raises ValueError; +inf stands for a
+    magnitude past double range.
     """
 
     sign: int
@@ -217,6 +222,8 @@ class SignedLog:
     def __post_init__(self) -> None:
         if self.sign not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0 or +1, got {self.sign!r}")
+        if math.isnan(self.logmag):
+            raise ValueError(f"logmag must not be nan, got {self.logmag!r}")
         if self.sign == 0 and self.logmag != -math.inf:
             object.__setattr__(self, "logmag", -math.inf)
 
@@ -797,6 +804,23 @@ class _OrderStream:
         return np.fromiter(ps, float, count), np.repeat(counts, lengths), scales
 
 
+def _step_rows(prev, cur, rows):
+    """Step p_{k+1} = (x a'_k) p_k - p_{k-1} through rows in place; return the last pair.
+
+    Each row holds the x a'_k of its step, elementwise, and leaves with
+    its values: two in-place ufuncs a step, c p_k - p_{k-1}, where c p_k
+    is p_k c in IEEE arithmetic.  prev and cur are the rows of the start
+    pair, p_{k-1} and p_k; the one step loop of both numpy walks
+    (_scan_pass and _array_blocks).
+    """
+    multiply, subtract = np.multiply, np.subtract
+    for step in rows:
+        multiply(step, cur, step)
+        subtract(step, prev, step)
+        prev, cur = cur, step
+    return prev, cur
+
+
 def _scan_pass(passes) -> None:
     """Advance several streams by whole scan blocks in one stacked pass.
 
@@ -814,7 +838,8 @@ def _scan_pass(passes) -> None:
     its stream alone (c p_k is p_k c in IEEE arithmetic), and each
     stream chains its blocks and tests its walls by itself, so no
     stream's values depend on the others.  Each step's row holds its
-    coefficients until the step overwrites them with its values, and
+    coefficients until the step overwrites them with its values
+    (_step_rows), and
     the linear combination runs in place, so a pass allocates one
     buffer of (max B + 2) x 2W doubles.
     """
@@ -837,11 +862,7 @@ def _scan_pass(passes) -> None:
     uv[0, :width] = uv[1, width:] = 1.0
     uv[0, width:] = uv[1, :width] = 0.0
     rows = list(uv)  # row views made once, not once a step
-    prev, cur = rows[0], rows[1]
-    for step in rows[2:]:
-        step *= cur
-        step -= prev
-        prev, cur = cur, step
+    _step_rows(rows[0], rows[1], rows[2:])
     prevs, curs, counts = [], [], []  # the start pair and wall count of every block
     lo = 0
     for stream, m in passes:
@@ -922,29 +943,49 @@ def _array_blocks(xs: np.ndarray, n_top: int):
     walls the wall counts of all its rows and scales its r values s_k;
     h_k = p * s_k * 2^(512 walls) * pi^(-1/4) e^(-x^2/2).  The values
     and scaling are those of _scalar_loop per point, tiny points
-    included, bit for bit: each step is three in-place ufuncs,
-    p_{k+1} = x a'_k, times p_k, minus p_{k-1}, written straight into
-    the block's row.  A block holds at most min(stride, _CELLS // len(xs))
-    orders, where stride = _stride(max |xs|), and never runs past a
-    multiple of the stride, so the walls are tested after its last row
-    only, where _scalar_loop tests them.  If a wall count moves there,
-    that row is rescaled in place and handed out as a block of its own,
-    with a new walls array that holds the count after the test; the rows
-    before it keep their values and count, and the running pair goes on
-    from a rescaled copy.  So a consumer sees a wall change as a new
-    walls object, and the arrays never change once yielded.
+    included, bit for bit.  Before a block's steps run, one outer
+    product writes a'_k x into each of its rows; each step then runs in
+    place on its row, two ufuncs (_step_rows): times p_k, minus p_{k-1}.
+    A block holds at most min(stride, _CELLS // len(xs)) orders, where
+    stride = _stride(max |xs|), and never runs past a multiple of the
+    stride, so the walls are tested after its last row only, where
+    _scalar_loop tests them.  If a wall count moves there, that row is
+    rescaled in place and handed out as a block of its own, with a new
+    walls array that holds the count after the test; the rows before it
+    keep their values and count, and the running pair goes on from a
+    rescaled copy.  So a consumer sees a wall change as a new walls
+    object, and the arrays never change once yielded.
 
     The blocks are read-only views of a ring of r_max + 2 rows, each
     starting on a 64-byte cache line.  A block starts at the row after
-    the one before, or at row 0 where it would run past the ring's end.
-    Only a block's first two steps read its start pair, which then lies
-    in none of the rows they write, so no copy of the pair is needed;
-    later blocks overwrite earlier ones, and consumers read a block
-    before they ask for the next and copy what they keep.
+    the one before, or at row 0 where it would run past the ring's end;
+    the outer product would then overwrite a start pair that lies in the
+    block's rows, so the pair is copied out first.  Where numpy would
+    copy the outer product through its ufunc buffer, the product runs
+    with a buffer of one row, and the buffer size is restored before the
+    block is handed out.  Later blocks overwrite earlier ones, and
+    consumers read a block before they ask for the next and copy what
+    they keep.
     """
     stride = _stride(np.max(np.abs(xs), initial=0.0))
     rows = max(1, min(stride, _CELLS // max(xs.size, 1)))
     xs = np.where(_is_tiny(xs), np.copysign(_TINY_X, xs), xs)
+    outer = np.multiply.outer
+    if 2 * xs.size <= np.getbufsize() < rows * xs.size:
+        # a ufunc that broadcasts runs through a buffer of np.getbufsize()
+        # elements, and where two rows fit in it, numpy copies the outer
+        # product through the buffer: 91 us against 18 us for 63 rows of
+        # 1025 points, 12.5 against 6.7 us for 36 rows of 256 (2-core
+        # x86-64 VM, numpy 2.4, set and restore included).  A buffer of
+        # one row avoids the copy; setting and restoring it costs about
+        # 5 us, which pays once a block holds more cells than the buffer.
+        def outer(a, x, out, row=-(-xs.size // 16) * 16):
+            bufsize = np.setbufsize(row)
+            try:
+                np.multiply.outer(a, x, out=out)
+            finally:
+                np.setbufsize(bufsize)
+
     # rows of whole 64-byte lines, from a line boundary: a ring that
     # malloc placed off one split the vector loads and stores of every
     # step, and ran 15-20% slower on 10^4 points
@@ -966,19 +1007,16 @@ def _array_blocks(xs: np.ndarray, n_top: int):
     chunk = _TABLE_ORDERS // stride * stride
     for done in range(0, n_top, chunk):
         a_chunk, s_chunk = coefficients.take(min(chunk, n_top - done))
-        # memoryviews hand out Python floats one at a time, with no list
-        a_items = memoryview(a_chunk)
         for edge in range(0, a_chunk.size, stride):
             stop = min(edge + stride, a_chunk.size)
             for lo in range(edge, stop, rows):
                 hi = min(lo + rows, stop)
                 if pos + hi - lo > len(views):
+                    if pos - 2 < hi - lo:  # the start pair lies in the block's rows
+                        prev, cur = prev.copy(), cur.copy()
                     pos = 0
-                for a, step in zip(a_items[lo:hi], views[pos : pos + hi - lo]):
-                    np.multiply(xs, a, out=step)
-                    step *= cur
-                    step -= prev
-                    prev, cur = cur, step
+                outer(a_chunk[lo:hi], xs, out=ring[pos : pos + hi - lo])
+                prev, cur = _step_rows(prev, cur, views[pos : pos + hi - lo])
                 block = ring[pos : pos + hi - lo]
                 block.flags.writeable = False
                 pos += hi - lo
@@ -1123,7 +1161,9 @@ def hermite_batch(orders, xs) -> tuple[np.ndarray, np.ndarray]:
     All pairs advance through the recurrence together, in the blocks of
     orders of _array_blocks, and each pair is harvested from the block
     that holds its order; total work is O(max order) vectorized across
-    the batch.  Runs in doubles at every order: its drift in ln|h_n| is
+    the batch, two in-place ufuncs an order after one outer product a
+    block, so a narrow batch pays numpy's per-call cost on every order.
+    Runs in doubles at every order: its drift in ln|h_n| is
     3.4e-12 at n = 2e5, and 8.1e-10, past the 1e-10 contract, at
     h_{1e6}(900) (ROADMAP.md, item 3).  Raises ValueError for an order
     or an x that hermite_exact rejects.
@@ -1335,7 +1375,12 @@ def hermite_pr_bound(n: float, x: float, kappa: float, beta: float, y: float) ->
 
     Same domain as plancherel_rotach_estimate; no implicit constant is
     included (constants are calibration outputs, not ground truth).
+    Raises ValueError naming kappa, beta or y where it is not finite,
+    before the domain check.
     """
+    for name, value in (("kappa", kappa), ("beta", beta), ("y", y)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     _require_monotonic(n, x)
     phi = phi_coordinate(n, x)
     disc = x * x - 2.0 * (n + 1.0)

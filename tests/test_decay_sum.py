@@ -1040,6 +1040,19 @@ class TestPoissonIdentity:
             gaussian_theta_dual(x, delta), rel=1e-12
         )
 
+    @pytest.mark.parametrize("theta", [gaussian_theta, gaussian_theta_dual])
+    def test_theta_names_a_bad_argument(self, theta):
+        for x in (0.0, -0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="^x must be finite and nonzero"):
+                theta(x, 1.0)
+        for delta in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^delta must be positive and finite"):
+                theta(1.0, delta)
+
+    def test_theta_at_a_tiny_x_is_its_limit(self):
+        # x^2 underflows to 0: every term but n = 0 vanishes
+        assert gaussian_theta(1e-200, 1.0) == 1.0
+
     def test_theta_domain(self):
         with pytest.raises(ValueError):
             theta_sum(0.0)

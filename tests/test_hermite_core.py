@@ -63,6 +63,14 @@ class TestSignedLog:
         with pytest.raises(ValueError):
             SignedLog(2, 0.0)
 
+    @pytest.mark.parametrize("sign", [-1, 0, 1])
+    def test_nan_logmag_rejected(self, sign):
+        with pytest.raises(ValueError, match="logmag"):
+            SignedLog(sign, math.nan)
+
+    def test_infinite_logmag_is_past_double_range(self):
+        assert SignedLog(-1, math.inf).to_float() == -math.inf
+
     def test_from_float_zero_and_signs(self):
         assert SignedLog.from_float(0.0).sign == 0
         assert SignedLog.from_float(-3.5).sign == -1
@@ -657,6 +665,15 @@ class TestPlancherelRotach:
         with pytest.raises(ValueError):
             hermite_pr_bound(n, x, 1.0, 0.0, 0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["kappa", "beta", "y"])
+    def test_reduced_bound_names_a_non_finite_parameter(self, name, bad):
+        # checked before the domain: (50, 10) also lies outside it
+        args = {"kappa": 1.0, "beta": 0.0, "y": 0.5, name: bad}
+        for n, x in ((50, 10.0), (49, 20.0)):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                hermite_pr_bound(n, x, **args)
+
     def test_reduced_bound_drops_only_bounded_factors(self):
         # reduced - (kappa*unreduced - kappa n y - beta ln n) collapses to
         # 3/4 ln2 + 1/2 ln pi + 1/2 ln((1 - e^(-2 phi))/2) at kappa=1, beta=0;
@@ -1044,6 +1061,123 @@ class TestStridedWalls:
         assert hermite_core._stride(1e5) == 22
         for x_max in (1e150, math.inf, math.nan):
             assert hermite_core._stride(x_max) == 1
+
+
+class TestBlockSteps:
+    """The block walk's in-place steps give the per-step recurrence bit for bit.
+
+    Before a block's steps run, one outer product writes a'_k x into the
+    block's ring rows, and each step then multiplies and subtracts in
+    place.  These cases pin down where that could go wrong: a block that
+    wraps to ring row 0 while its start pair lies in the rows it writes,
+    widths that leave part of a ring row unused, a wall crossing on a
+    block's last row, blocks shorter than a stride, and tiny x and
+    x = 0.  Each column must equal the per-step loop that tests its
+    walls at the multiples of the walk's stride, bit for bit, with no
+    floating-point warning (an error under filterwarnings = error).
+    """
+
+    @staticmethod
+    def walk(xs, n):
+        """(ps, walls) of block_walk, and (k, ring row, rows, walls) of every block.
+
+        The consumer of every block runs with numpy's own ufunc buffer
+        size, whatever buffer the walk's outer products ran with.
+        """
+        xs = np.asarray(xs, dtype=float)
+        blocks = []
+        base = None
+        bufsize = np.getbufsize()
+        for k, block, walls_k, _ in hermite_core._array_blocks(xs, n):
+            assert np.getbufsize() == bufsize
+            if base is None:
+                base = block.ctypes.data  # order 0 lies in ring row 0
+            row = (block.ctypes.data - base) // block.strides[0]
+            blocks.append((k, row, len(block), walls_k))
+        ms, walls, _ = block_walk(xs, n)
+        return ms, walls, blocks
+
+    @staticmethod
+    def check_columns(xs, n, ms, walls, columns=None):
+        stride = hermite_core._stride(np.max(np.abs(xs)))
+        for j in range(len(xs)) if columns is None else columns:
+            ref_ms, ref_walls = per_step_rescaled_recurrence(n, xs[j], stride=stride)
+            # int64 views compare the bits, the sign of a zero included
+            np.testing.assert_array_equal(
+                ms[:, j].copy().view(np.int64), np.array(ref_ms).view(np.int64), err_msg=str(j)
+            )
+            np.testing.assert_array_equal(walls[:, j], ref_walls, err_msg=str(j))
+
+    @pytest.mark.parametrize("x_max, width", [(60.0, 9), (1000.0, 2000)])
+    def test_wraps_onto_its_start_pair(self, x_max, width):
+        # full blocks of stride rows in a ring of stride + 2 rows: every
+        # block after the first wraps to row 0, and its rows hold the
+        # pair it starts from; past _CELLS // stride points, short blocks
+        # at the stride ends wrap with their pair clear of their rows
+        xs = np.random.default_rng(width).uniform(-x_max, x_max, width)
+        xs[0] = x_max
+        n = 300
+        ms, walls, blocks = self.walk(xs, n)
+        onto_pair = clear = 0
+        for (_, row, r, _), (_, before, before_r, _) in zip(blocks[1:], blocks):
+            if row == 0:
+                if before + before_r - 2 < r:
+                    onto_pair += 1
+                else:
+                    clear += 1
+        assert onto_pair >= 2 and (clear >= 2 or width < 1000)
+        self.check_columns(xs, n, ms, walls, [0, 1, 2, *range(3, width, 97), width - 1])
+
+    @pytest.mark.parametrize("width", [1, 7, 9, 1025])
+    def test_widths_off_whole_cache_lines(self, width):
+        # ring rows start on 64-byte lines, so these leave a row's last
+        # line part unused; at 1025 points the outer products run with a
+        # ufunc buffer of one row
+        xs = np.linspace(40.0, -40.0, width)
+        n = 400
+        ms, walls, _ = self.walk(xs, n)
+        self.check_columns(xs, n, ms, walls, None if width < 100 else [*range(0, width, 64), width - 1])
+
+    @pytest.mark.parametrize("width", [1, 5])
+    def test_wall_crossing_on_a_block_s_last_row(self, width):
+        # at x = 1000 the pair passes 2^512 about every 47 orders, so a wall
+        # fires after every second stride of 36; the block that ends there
+        # is handed out as its first stride - 1 rows and then its last row
+        xs = np.linspace(1000.0, -1000.0, width)
+        n = 400
+        stride = hermite_core._stride(1000.0)
+        ms, walls, blocks = self.walk(xs, n)
+        crossings = [
+            (before, at)
+            for before, at in zip(blocks, blocks[1:])
+            if at[3] is not before[3] and at[0] > 0
+        ]
+        assert len(crossings) >= 5
+        for (k, _, r, _), (k_at, _, r_at, _) in crossings:
+            assert (r, r_at) == (stride - 1, 1) and k_at == k + r and k_at % stride == 0
+        self.check_columns(xs, n, ms, walls)
+
+    def test_blocks_shorter_than_a_stride(self):
+        # one point more than _CELLS // stride: a block holds fewer orders
+        # than a stride, so each stride is cut into blocks of rows and a
+        # short one at its end
+        stride = hermite_core._stride(1000.0)
+        width = hermite_core._CELLS // stride + 1
+        rows = hermite_core._CELLS // width
+        assert rows < stride
+        xs = np.random.default_rng(3).uniform(-1000.0, 1000.0, width)
+        xs[0] = -1000.0
+        n = 200
+        ms, walls, blocks = self.walk(xs, n)
+        assert {r for _, _, r, _ in blocks[1:]} >= {rows, stride - rows}
+        self.check_columns(xs, n, ms, walls, [0, *range(1, width, 101), width - 1])
+
+    def test_tiny_x_and_zero(self):
+        xs = [0.0, -0.0, 1e-300, -1e-300, 5e-324, 2.0**-511, -(2.0**-510), 0.5]
+        n = 500
+        ms, walls, _ = self.walk(xs, n)
+        self.check_columns(xs, n, ms, walls)
+        assert not ms[1::2, :2].any()  # h_n(0) = 0 for odd n, exactly
 
 
 def entered_logs(a: int, x: float) -> np.ndarray:

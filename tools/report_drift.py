@@ -1,11 +1,11 @@
-"""Report drift of the README CLI commands against another git ref.
+"""Report drift of the README CLI commands and two library calls against another git ref.
 
     python3 tools/report_drift.py [REF]
 
 Runs the README's `sum`, `sharpness` and `oscillator` commands,
-`eval --order 30000` on 20 x in [1, 300], two far-x reports and a
-failing `sum` report, twice: on the package source of this checkout's
-working tree, and on REF
+`eval --order 30000` on 20 x in [1, 300], two far-x reports, a failing
+`sum` report and two library reports, twice: on the package source of
+this checkout's working tree, and on REF
 (default HEAD), whose `src` is unpacked by `git archive REF src | tar -x`
 into a temporary directory.  That writes nothing under `.git`, so a run
 that is killed leaves nothing behind in the repository.  The far-x
@@ -16,9 +16,16 @@ the README's sums stop at x = 60, which never does, so only these two
 show the drift of that path.  The failing report, a `sum` on 4 x in
 [2000, 3500], holds two rows whose analysis cutoff lies past the largest
 order (x = 3000 and 3500), so it shows the drift of the error rows of a
-grid, next to two far sums.  Each run is
-`python3 -m hermite_decay.cli_report` in a fresh interpreter with that
-tree's `src` first on the path.  For every report it prints whether the
+grid, next to two far sums.  The CLI reports run neither `hermite_batch`
+nor `hermite_moment_sweep`, so two library reports print them as CSV
+with `repr` floats: `batch`, `hermite_batch` on 512 pairs with n <= 20000
+and |x| <= 1000 drawn from a fixed seed, and `expand`, the 401
+coefficients and quadrature errors of `oscillator.expand` on
+e^(-tanh(1) pi x^2) to 400 terms, whose quadrature runs on
+`hermite_moment_sweep`.  Each run is
+`python3 -m hermite_decay.cli_report` in a fresh interpreter, or for a
+library report `python3 -c` on its script, with that tree's `src` first
+on the path.  For every report it prints whether the
 two outputs are byte-identical, as `cmp` would; where they differ, it
 prints the largest absolute and relative change of each column and
 summary field, and how many rows moved.  Exits 0 when every report is
@@ -51,17 +58,40 @@ REPORTS = {
     "sum-fail": "sum --kappa 1 --beta 0.25 --y 0.5 --x-min 2000 --x-max 3500 --x-count 4",
 }
 
+# Library reports: scripts that print one CSV report each, every float by repr
+LIBRARY = {
+    "batch": """
+import numpy as np
+from hermite_decay.hermite_core import hermite_batch
+rng = np.random.default_rng(20230)
+orders = rng.integers(0, 20001, 512)
+xs = rng.uniform(-1000.0, 1000.0, 512)
+signs, logs = hermite_batch(orders, xs)
+print("n,x,sign,log_abs_h")
+for row in zip(orders.tolist(), xs.tolist(), signs.tolist(), logs.tolist()):
+    print(",".join(map(repr, row)))
+""",
+    "expand": """
+import math
+import numpy as np
+from hermite_decay.oscillator import expand
+a = math.tanh(1.0) * math.pi
+result = expand(lambda x: np.exp(-a * x * x), 400)
+print("n,coefficient,quad_error")
+for n, (c, error) in enumerate(zip(result.coeffs, result.quad_error)):
+    print(f"{n},{c!r},{error!r}")
+""",
+}
 
-def _run(tree: str, args: str) -> bytes:
-    """Standard output of one report on the package source under tree."""
+
+def _run(tree: str, argv: list[str]) -> bytes:
+    """Standard output of one report, python3 argv, on the package source under tree."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    done = subprocess.run(
-        [sys.executable, "-m", "hermite_decay.cli_report", *args.split()],
-        cwd=tree, env=env, capture_output=True,
-    )
+    done = subprocess.run([sys.executable, *argv], cwd=tree, env=env, capture_output=True)
     if done.returncode not in (0, 2):  # 2: a grid point failed, recorded in its row
         sys.stderr.write(done.stderr.decode())
-        print(f"report_drift: `{args}` exited {done.returncode} in {tree}", file=sys.stderr)
+        print(f"report_drift: `{' '.join(argv)}` exited {done.returncode} in {tree}",
+              file=sys.stderr)
         raise SystemExit(2)
     return done.stdout
 
@@ -136,8 +166,11 @@ def main(argv=None) -> int:
         if archive.wait() or unpacked.returncode:
             print(f"report_drift: cannot check out {args.ref!r}", file=sys.stderr)
             return 2
-        for name, report in REPORTS.items():
-            old, new = _run(tree, report), _run(ROOT, report)
+        runs = {name: ["-m", "hermite_decay.cli_report", *command.split()]
+                for name, command in REPORTS.items()}
+        runs.update((name, ["-c", script]) for name, script in LIBRARY.items())
+        for name, argv in runs.items():
+            old, new = _run(tree, argv), _run(ROOT, argv)
             if old == new:
                 print(f"{name}: byte-identical ({len(new)} bytes)")
                 continue
