@@ -3,7 +3,8 @@
 Each mode is declared once, in MODES: its help text, the SweepConfig
 fields it reads, its row builder, and, for a mode that calibrate can
 freeze, the frozen columns with their tolerances.  _PARAMETERS gives
-each such field its flag type, default and range check.  The parser,
+each such field its flag type, default and validator, one of those of
+hermite_core (_whole_number, _real, _positive, _array).  The parser,
 calibrate's sub-parsers and the config checks all read these two tables.
 
 Reports are deterministic given (config, library version): rows are
@@ -40,13 +41,8 @@ from .decay_sum import (
     find_nmax,
     sharpness_certificate,
 )
-from .hermite_core import _signed_exp, _whole_number, hermite_exact
-from .oscillator import (
-    _check_alpha,
-    evolve_grid,
-    gaussian_coefficients,
-    vemuri_decay_check,
-)
+from .hermite_core import _array, _positive, _real, _signed_exp, _whole_number, hermite_exact
+from .oscillator import evolve_grid, gaussian_coefficients, vemuri_decay_check
 
 DEFAULT_T_GRID = tuple(sorted({k / 64 for k in range(64)} | {(2 * k + 1) / 16 for k in range(8)}))
 
@@ -56,7 +52,12 @@ _POINT_ERRORS = (ValueError, RuntimeError, OverflowError, ZeroDivisionError)
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Evaluation grid: count points from start to stop, linear or log."""
+    """Evaluation grid: count points from start to stop, linear or log.
+
+    start < stop are finite numbers, kept as given, and count a whole
+    number >= 2, kept as an int; ValueError naming the field otherwise
+    (hermite_core._real, _whole_number).  A log grid needs start > 0.
+    """
 
     start: float
     stop: float
@@ -64,8 +65,8 @@ class GridSpec:
     log: bool = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ValueError("x_grid.start/stop must be finite")
+        _real(self.start, "x_grid.start")
+        _real(self.stop, "x_grid.stop")
         object.__setattr__(self, "count", _whole_number(self.count, "x_grid.count", 2))
         if not self.start < self.stop:
             raise ValueError("x_grid.start must be below x_grid.stop")
@@ -82,8 +83,10 @@ class GridSpec:
 class SweepConfig:
     """One sweep: mode, parameters, grids, and output disposition.
 
-    The mode's parameters (MODES[mode].parameters) are required, and the
-    others must stay unset: fixture_id hashes every field.
+    The mode's parameters (MODES[mode].parameters) are required, each
+    checked by its validator in _PARAMETERS and kept as given, and the
+    others must stay unset: fixture_id hashes every field.  jobs, where
+    set, is a whole number >= 1.
     """
 
     mode: str
@@ -107,15 +110,15 @@ class SweepConfig:
             raise ValueError(f"mode must be one of {'|'.join(MODES)}, got {self.mode!r}")
         if self.fmt not in ("csv", "json"):
             raise ValueError("format must be csv or json")
-        if self.jobs is not None and self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
+        if self.jobs is not None:
+            _whole_number(self.jobs, "jobs", 1)
         for name, (_, _, check) in _PARAMETERS.items():
             value = getattr(self, name)
-            unset = value is None or value == ()
+            unset = value is None or (isinstance(value, tuple) and not value)
             if name in MODES[self.mode].parameters:
                 if unset:
                     raise ValueError(f"{name} is required for mode {self.mode}")
-                check(value)
+                check(value, name)
             elif not unset:
                 # fixture_id hashes every field, so a value here would key
                 # the sweep by a parameter that it never reads
@@ -316,26 +319,16 @@ def _parse_t_grid(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad t-grid {text!r}: comma-separated floats")
 
 
-def _require(ok: bool, message: str) -> None:
-    if not ok:
-        raise ValueError(message)
-
-
-def _check_sum_parameter(name: str, value: float) -> None:
-    # SumParams holds the library's rule for each of kappa, beta and y
-    SumParams(**{"kappa": 1.0, "beta": 0.0, "y": 1.0, name: value})
-
-
-# flag type, default, and range check of each mode parameter
+# flag type, default, and validator(value, name) of each mode parameter;
+# kappa, beta and y follow SumParams
 _PARAMETERS = {
-    "order": (int, 0, lambda v: _require(v >= 0, "order must be nonnegative")),
-    "kappa": (float, 1.0, partial(_check_sum_parameter, "kappa")),
-    "beta": (float, 0.25, partial(_check_sum_parameter, "beta")),
-    "y": (float, 0.5, partial(_check_sum_parameter, "y")),
-    "alpha": (float, 0.5, _check_alpha),
-    "n_terms": (int, 400, lambda v: _require(v >= 1, "n_terms must be at least 1")),
-    "t_grid": (_parse_t_grid, DEFAULT_T_GRID,
-               lambda v: _require(all(map(math.isfinite, v)), "t_grid entries must be finite")),
+    "order": (int, 0, _whole_number),
+    "kappa": (float, 1.0, _positive),
+    "beta": (float, 0.25, _real),
+    "y": (float, 0.5, _positive),
+    "alpha": (float, 0.5, _positive),
+    "n_terms": (int, 400, partial(_whole_number, least=1)),
+    "t_grid": (_parse_t_grid, DEFAULT_T_GRID, partial(_array, nonempty=True)),
 }
 
 
@@ -483,7 +476,11 @@ def calibrate(config: SweepConfig) -> str:
 
 
 def compare_to_fixture(report: SweepReport, fixture: dict) -> list[str]:
-    """Value-level comparison; returns human-readable mismatch descriptions."""
+    """Value-level comparison; returns human-readable mismatch descriptions.
+
+    A tolerance for a column the report lacks, or for one the fixture
+    holds no data of, one value per row, is a mismatch too.
+    """
     problems: list[str] = []
     if fixture.get("mode") != report.config.mode:
         return [f"fixture mode {fixture.get('mode')!r} != run mode {report.config.mode!r}"]
@@ -493,9 +490,16 @@ def compare_to_fixture(report: SweepReport, fixture: dict) -> list[str]:
         abs(a - b) > 1e-12 * max(1.0, abs(b)) for a, b in zip(xs, want_x)
     ):
         return ["x grid differs from fixture"]
+    data = fixture.get("data", {})
     for name, (abs_tol, rel_tol) in fixture.get("tolerances", {}).items():
+        if name not in report.columns:
+            problems.append(f"fixture column {name!r} is not a column of mode {fixture['mode']}")
+            continue
+        if len(data.get(name, ())) != len(xs):
+            problems.append(f"fixture data for {name!r} does not hold one value per row")
+            continue
         column = report.columns.index(name)
-        for i, want in enumerate(fixture["data"][name]):
+        for i, want in enumerate(data[name]):
             got = report.rows[i][column]
             limit = abs_tol + rel_tol * abs(want)
             if not abs(got - want) <= limit:
@@ -597,7 +601,9 @@ def main(argv=None) -> int:
         try:
             with open(path) as handle:
                 fixture = json.load(handle)
-        except OSError as exc:
+            if not isinstance(fixture, dict):
+                raise ValueError("not a JSON object")
+        except (OSError, ValueError) as exc:
             print(f"config error: cannot read fixture {path}: {exc}", file=sys.stderr)
             return 1
         problems = compare_to_fixture(report, fixture)

@@ -41,6 +41,7 @@ import numpy as np
 
 from hermite_decay import hermite_core
 from hermite_decay.hermite_core import SignedLog, phi_coordinate
+from hermite_decay.hermite_core import _array, _point, _positive, _real, _whole_number
 
 _LN_PI = math.log(math.pi)
 
@@ -89,24 +90,21 @@ _BISECT_MAX_ITER = 200
 
 @dataclass(frozen=True)
 class SumParams:
-    """Parameters (kappa, beta, y) of the weighted sum; kappa, y > 0, none a bool."""
+    """Parameters (kappa, beta, y) of the weighted sum.
+
+    kappa and y are positive finite numbers and beta a finite one, none
+    a bool or a string (hermite_core._positive, _real); ValueError naming
+    the one that is not.  The values are kept as given.
+    """
 
     kappa: float
     beta: float
     y: float
 
     def __post_init__(self) -> None:
-        for name in ("kappa", "beta", "y"):
-            value = getattr(self, name)
-            # a bool would pass as 1.0 or 0.0
-            if isinstance(value, (bool, np.bool_)):
-                raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
-        if not (math.isfinite(self.kappa) and self.kappa > 0.0):
-            raise ValueError(f"kappa must be finite and positive, got {self.kappa!r}")
-        if not (math.isfinite(self.y) and self.y > 0.0):
-            raise ValueError(f"y must be finite and positive, got {self.y!r}")
-        if not math.isfinite(self.beta):
-            raise ValueError(f"beta must be finite, got {self.beta!r}")
+        _positive(self.kappa, "kappa")
+        _real(self.beta, "beta")
+        _positive(self.y, "y")
 
 
 @dataclass(frozen=True)
@@ -153,23 +151,25 @@ def truncation_index(x: float, y: float) -> int:
     n < N lie inside the monotonic region 2(n+1) <= (1 - eps) x^2 with
     margin eps = max((1 - tanh(y)/y) / 2, 1e-3), which puts the window
     2(n+1) <= x^2 tanh(y)/y halfway inside that region.  Raises
-    ValueError for a non-finite x and for a y that is not finite and
-    positive.
+    ValueError for an x that is not a point (hermite_core._point) and a
+    y that is not a positive finite number.
     """
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
-    if not (math.isfinite(y) and y > 0.0):
-        raise ValueError(f"y must be finite and positive, got {y!r}")
+    _point(x)
+    _positive(y, "y")
     return max(int(x * x * math.tanh(y) / (2.0 * y)) - 1, 1)
 
 
 def argument_function(n: float, x: float, y: float) -> float:
     """A(n) = n phi_n - n y - (x/2) sqrt(x^2 - 2(n+1)), n real in [1, N-1].
 
-    The log of the dominant factor of the n-th summand of S.  Domain
-    error past the turning point x^2 - 2(n+1) < 0 or for n < 1.
+    The log of the dominant factor of the n-th summand of S.  n is a
+    finite number, x a point and y positive and finite, as SumParams
+    asks; domain error past the turning point x^2 - 2(n+1) < 0 or for
+    n < 1.
     """
-    if n < 1.0:
+    _point(x)
+    _positive(y, "y")
+    if _real(n, "n") < 1.0:
         raise ValueError(f"argument function needs n >= 1, got n={n}")
     disc = x * x - 2.0 * (n + 1.0)
     if disc < 0.0:
@@ -183,8 +183,12 @@ def argument_derivatives(n: float, x: float, y: float) -> tuple[float, float]:
 
     A'  = phi_n + x / (2(n+1) sqrt(x^2 - 2n - 2)) - y
     A'' = x ((2n+5)(n+1) - x^2 (n+2)) / (2 (n+1)^2 (x^2 - 2n - 2)^(3/2))
+
+    Takes the arguments that argument_function takes.
     """
-    if n < 1.0:
+    _point(x)
+    _positive(y, "y")
+    if _real(n, "n") < 1.0:
         raise ValueError(f"argument derivatives need n >= 1, got n={n}")
     disc = x * x - 2.0 * (n + 1.0)
     if disc <= 0.0:
@@ -205,9 +209,12 @@ def check_second_derivative_inequality(n: int, x: float, c: float) -> bool:
 
     Here t = x^2 / (2(n+1)); the inequality holding for a given c > 0 is
     equivalent to A''(n) < -c / x^2, so sweeping it calibrates the
-    concavity constant.  Domain: 1 < n < (x^2 - 4) / 2.
+    concavity constant.  Domain: 1 < n < (x^2 - 4) / 2, n and c finite
+    numbers and x a point.
     """
-    if not (1.0 < n < (x * x - 4.0) / 2.0):
+    _point(x)
+    _real(c, "c")
+    if not (1.0 < _real(n, "n") < (x * x - 4.0) / 2.0):
         raise ValueError(f"n={n} outside the concavity window (1, (x^2-4)/2) for x={x}")
     t = x * x / (2.0 * (n + 1.0))
     lhs = (1.0 + 1.0 / (n + 1.0)) * t - (1.0 + 3.0 / (2.0 * n + 2.0))
@@ -225,11 +232,11 @@ def find_nmax(x: float, y: float) -> ArgumentProfile:
     a negative value lands strictly between the two roots and brackets
     only the wanted one.
 
-    Raises ValueError for a non-finite x or a y that is not finite and
-    positive (as truncation_index does), or when x is too small for the
-    given y (truncation window shorter than 3 orders, or no sign change
-    in the bracket); failure is reported, never clamped.  The summand
-    |h_n(x)|^kappa is even in x, so the profile at x is the one at |x|.
+    Raises ValueError for an x or a y that truncation_index rejects, or
+    when x is too small for the given y (truncation window shorter than
+    3 orders, or no sign change in the bracket); failure is reported,
+    never clamped.  The summand |h_n(x)|^kappa is even in x, so the
+    profile at x is the one at |x|.
     """
     n_trunc = truncation_index(x, y)
     x = abs(x)
@@ -312,7 +319,7 @@ def tail_bound(start_n: int, params: SumParams) -> SignedLog:
     +inf while kappa y start_n <= b.  Raises ValueError unless start_n
     is a whole number >= 1 (not a bool, 2.5, nan or inf).
     """
-    start_n = hermite_core._whole_number(start_n, "start_n", 1)
+    start_n = _whole_number(start_n, "start_n", 1)
     return SignedLog(1, float(_log_tails(start_n, params)))
 
 
@@ -510,10 +517,8 @@ class _Start(NamedTuple):
 
 def _start(x: float, params: SumParams) -> _Start:
     """Set up the sum at x: check x, enter at its window if it can, and find its first request."""
-    if not abs(x) <= hermite_core._X_MAX:
-        raise ValueError(f"x must be finite with |x| <= 2^511, got {x}")
+    n_cut = truncation_index(x, params.y)  # checks x, and is even in it
     x = abs(x)
-    n_cut = truncation_index(x, params.y)
     if n_cut > _MAX_ORDER:
         raise ValueError(f"analysis cutoff N={n_cut} at x={x} lies past order {_MAX_ORDER}")
     stream = hermite_core._OrderStream(x)
@@ -701,8 +706,9 @@ def direct_sum(x: float, params: SumParams) -> SignedLog:
     is the ulp of ln S, which a double stores: at kappa = 2, beta = 0,
     ln S is within 2 ulps of Mehler's closed form at x up to 2500 (3.1e6
     orders), and that ulp is 4.7e-10 at x = 2000, y = 1.  Raises
-    ValueError for a non-finite x or one whose cutoff N exceeds 4e6
-    orders (|x| above about 2.9e3 at y = 1/2).
+    ValueError for an x that is not a point (hermite_core._point) or
+    one whose cutoff N exceeds 4e6 orders (|x| above about 2.9e3 at
+    y = 1/2).
     """
     return SignedLog(1, _sum_internals(x, params).log_s)
 
@@ -717,13 +723,13 @@ def envelope_power(params: SumParams) -> float:
 
 
 def envelope(x: float, params: SumParams) -> SignedLog:
-    """Log envelope p ln x - kappa x^2 tanh(y) / 2, x > 0 and finite.
+    """Log envelope p ln x - kappa x^2 tanh(y) / 2, x > 0 a point (hermite_core._point).
 
     p = envelope_power(params) = 1 - kappa/2 - 2 beta.  No
     multiplicative constant is included: constants are calibration
     outputs (see SharpnessCertificate), not ground truth.
     """
-    if not 0.0 < x < math.inf:
+    if not _point(x) > 0.0:
         raise ValueError(f"envelope needs a finite x > 0, got {x}")
     logmag = envelope_power(params) * math.log(x) - 0.5 * params.kappa * x * x * math.tanh(params.y)
     return SignedLog(1, logmag)
@@ -738,9 +744,11 @@ def sharpness_certificate(x_grid, params: SumParams) -> SharpnessCertificate:
     lower-bound mechanism behind sharpness.  Both read the terms the sum
     kept, from its first kept order on: a head it dropped holds at most
     e^-60 of S (see _sum_internals), so the window's share moves by no
-    more than that.  find_nmax failures at individual points propagate.
+    more than that.  x_grid is a 1-D array of points
+    (hermite_core._array); find_nmax failures at individual points
+    propagate.
     """
-    xs = [float(v) for v in x_grid]
+    xs = _array(x_grid, "x_grid", points=True).tolist()
     if len(xs) < 2:
         raise ValueError("sharpness needs a grid of at least 2 points")
     if any(b <= a for a, b in zip(xs, xs[1:])):
@@ -784,9 +792,12 @@ def sharpness_certificate(x_grid, params: SumParams) -> SharpnessCertificate:
 
 
 def theta_sum(scale: float) -> float:
-    """sum over all integers n of e^(-scale n^2), scale > 0; exact fsum."""
-    if not scale > 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    """sum over all integers n of e^(-scale n^2), scale > 0; exact fsum.
+
+    scale is a positive number, +inf included: theta_sum(inf) is the
+    limit 1, which gaussian_theta reads where x^2 underflows.
+    """
+    _real(scale, "scale", "a positive number", hermite_core._FLOAT_TINY, math.inf)
 
     def terms():
         yield 1.0
@@ -799,22 +810,16 @@ def theta_sum(scale: float) -> float:
     return math.fsum(terms())
 
 
-def _check_theta_arguments(x: float, delta: float) -> None:
-    """Raise ValueError naming x unless it is finite and nonzero, or delta unless positive and finite."""
-    if not (math.isfinite(x) and x != 0.0):
-        raise ValueError(f"x must be finite and nonzero, got {x!r}")
-    if not 0.0 < delta < math.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta!r}")
-
-
 def gaussian_theta(x: float, delta: float) -> float:
     """g_delta(x) = sum over n of e^(-delta pi n^2 / x^2).
 
-    Raises ValueError for an x that is 0 or not finite, and for a delta
-    that is not positive and finite.  Where x^2 underflows to 0 the sum
-    is its limit, 1.
+    Raises ValueError for an x that is 0 or not a finite number, and
+    for a delta that is not a positive finite number.  Where x^2
+    underflows to 0 the sum is its limit, 1.
     """
-    _check_theta_arguments(x, delta)
+    if not _real(x, "x"):
+        raise ValueError(f"x must be a finite nonzero number, got {x!r}")
+    _positive(delta, "delta")
     square = x * x
     return theta_sum(delta * math.pi / square if square else math.inf)
 
@@ -826,5 +831,7 @@ def gaussian_theta_dual(x: float, delta: float) -> float:
     identity can be verified numerically rather than assumed.  Takes the
     arguments that gaussian_theta takes.
     """
-    _check_theta_arguments(x, delta)
+    if not _real(x, "x"):
+        raise ValueError(f"x must be a finite nonzero number, got {x!r}")
+    _positive(delta, "delta")
     return x / math.sqrt(delta) * theta_sum(math.pi * x * x / delta)

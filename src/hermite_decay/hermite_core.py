@@ -63,6 +63,15 @@ hyperbolic coordinate phi = arccosh(x / sqrt(2n+1)) gives a cheap and
 slightly high estimate of |h_n(x)|.  The reduced per-term bound used by
 the weighted-sum machinery works in phi = arccosh(x / sqrt(2(n+1)))
 instead; both are exposed.
+
+Every public entry of the package checks its arguments with the
+validators here, one per kind of parameter: an order or a count
+(_whole_number), a finite number (_real), a positive finite number
+(_positive), a point, finite with |x| <= 2^511 (_point), and a 1-D
+array of finite numbers or of points (_array).  Each rejects bools,
+strings and other non-numbers with a ValueError that names the
+parameter, and hands a valid value back unchanged (_whole_number as an
+int, _array as a float array).
 """
 
 from __future__ import annotations
@@ -149,6 +158,12 @@ _CELLS = 1 << 16
 # finite).
 _X_MAX = 2.0**511
 
+# The numbers the argument validators take, and the bounds of finite and
+# of positive doubles (see _real)
+_NUMBERS = (int, float, np.integer, np.floating)
+_FLOAT_MAX = np.finfo(float).max.item()
+_FLOAT_TINY = math.ulp(0.0)
+
 # Margin epsilon of the monotonic region 2(n+1) <= (1 - epsilon) x^2 that
 # the Plancherel-Rotach forms accept.
 EPSILON_MONOTONIC = 1e-3
@@ -212,27 +227,25 @@ class SignedLog:
     sign is 0.  The representation resolves relative differences of
     about |logmag| * 2^-53, so round-tripping through a double is exact
     to ~1e-15 for |logmag| < 50 and degrades to ~1e-13 near the extremes
-    of double range.  A nan logmag raises ValueError; +inf stands for a
-    magnitude past double range.
+    of double range.  A sign that is a bool or a logmag that is nan or
+    not a number raises ValueError; +inf stands for a magnitude past
+    double range.
     """
 
     sign: int
     logmag: float
 
     def __post_init__(self) -> None:
-        if self.sign not in (-1, 0, 1):
+        if isinstance(self.sign, (bool, np.bool_)) or self.sign not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0 or +1, got {self.sign!r}")
-        if math.isnan(self.logmag):
-            raise ValueError(f"logmag must not be nan, got {self.logmag!r}")
+        _real(self.logmag, "logmag", "a number, not nan", -math.inf, math.inf)
         if self.sign == 0 and self.logmag != -math.inf:
             object.__setattr__(self, "logmag", -math.inf)
 
     @classmethod
     def from_float(cls, value: float) -> "SignedLog":
         """Represent a finite double exactly by sign and log magnitude."""
-        if not math.isfinite(value):
-            raise ValueError(f"value must be finite, got {value!r}")
-        if value == 0.0:
+        if _real(value, "value") == 0.0:
             return cls(0, -math.inf)
         return cls(1 if value > 0.0 else -1, math.log(abs(value)))
 
@@ -261,16 +274,15 @@ def phi_coordinate(n: float, x: float) -> float:
     phi >= 0 with x = sqrt(2(n+1)) cosh(phi), exactly 0 on the boundary
     x = sqrt(2(n+1)).  The order n >= 0 may be real: the weighted-sum
     analysis treats it as a continuous variable.  Raises ValueError for
-    a non-finite x and for x < sqrt(2(n+1)), outside the monotonic
-    region.  Computed in the log form ln(r + sqrt(r^2 - 1)), stable for
-    the large ratios r at big x.
+    an n that is not a finite number (_real), an x that is not a point
+    (_point), and for x < sqrt(2(n+1)), outside the monotonic region.
+    Computed in the log form ln(r + sqrt(r^2 - 1)), stable for the large
+    ratios r at big x.
     """
-    if not n >= 0:
+    if _real(n, "n") < 0:
         raise ValueError(f"order must be nonnegative, got {n}")
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
     edge = math.sqrt(2.0 * (n + 1.0))
-    r = x / edge
+    r = _point(x) / edge
     if r < 1.0:
         raise ValueError(
             f"x={x} is below the monotonic-region edge sqrt(2(n+1))={edge} for order n={n}"
@@ -290,46 +302,68 @@ def _square_with_residual(x):
     return p, ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
 
 
-def _check_arguments(orders, xs):
-    """Check the arguments of a frontend; return its orders as integers.
+def _whole_number(value, name: str, least: int = 0):
+    """value as an int, or an array of them as int64; ValueError naming name otherwise.
 
-    Raises ValueError unless every order is a whole number in
-    [0, 2^63) (2.5, nan, inf and 1e30 fail: an order must survive the
-    cast to int64 unchanged, so none is truncated or wrapped) and is not
-    a bool (True would pass that cast as order 1), and every x is finite
-    with |x| <= _X_MAX.  orders and xs are scalars or arrays.
+    Each must be a whole number in [least, 2^63), and not a bool, which
+    would pass as 0 or 1: 2.5, nan, inf, 1e30 and strings fail, so no
+    count or order is truncated or wrapped, while 3.0 and np.int64(3)
+    pass.  value is a scalar or an array of any shape.
     """
-    ints = orders = np.asarray(orders)
-    if orders.dtype.kind == "b":
-        raise ValueError("orders must be whole numbers, not bools")
-    if orders.dtype.kind != "i":
+    given = np.asarray(value)
+    if given.dtype.kind in "iuf":
         with np.errstate(invalid="ignore"):
-            ints = orders.astype(np.int64)
-        bad = orders[ints != orders]
-        if bad.size:
-            raise ValueError(f"orders must be whole numbers below 2^63, got {bad[0]}")
-    if np.min(ints, initial=0) < 0:
-        raise ValueError(f"orders must be nonnegative, got {np.min(ints)}")
-    xs = np.asarray(xs, dtype=float)
-    bad = xs[~(np.abs(xs) <= _X_MAX)]
+            ints = given.astype(np.int64, copy=False)
+        bad = given[(ints != given) | (ints < least)]
+    else:  # bools, strings and other objects
+        ints, bad = given, given.reshape(-1)
     if bad.size:
-        raise ValueError(f"x must be finite with |x| <= 2^511, got {bad[0]}")
+        raise ValueError(f"{name} must be a whole number >= {least}, got {bad[:1].tolist()[0]!r}")
     return ints if ints.ndim else int(ints)
 
 
-def _whole_number(value, name: str, least: int = 0) -> int:
-    """A count as an int; ValueError unless a whole number >= least, and not a bool.
+def _real(value, name: str, kind: str = "a finite number", low=-_FLOAT_MAX, high=_FLOAT_MAX):
+    """value unchanged; ValueError naming name unless a number in [low, high], not a bool.
 
-    2.5, nan, inf and strings fail, as orders do in _check_arguments, and
-    so does a bool, which would pass as 0 or 1; 3.0 and np.int64(3) pass.
+    int, float and the numpy integer and floating types are numbers;
+    bools, strings and None are not.  The bounds compare exactly, so nan
+    fails, and by default so do +-inf and an int past double range.
     """
-    if isinstance(value, (bool, np.bool_)) or not (
-        isinstance(value, (int, float, np.integer, np.floating))
-        and math.isfinite(value)
-        and value == int(value) >= least
-    ):
-        raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
-    return int(value)
+    if isinstance(value, bool) or not isinstance(value, _NUMBERS) or not low <= value <= high:
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return value
+
+
+def _positive(value, name: str):
+    """value unchanged; ValueError naming name unless a positive finite number (see _real)."""
+    return _real(value, name, "a positive finite number", _FLOAT_TINY)
+
+
+def _point(value, name: str = "x"):
+    """value unchanged; ValueError naming name unless a number, |value| <= _X_MAX (see _real)."""
+    return _real(value, name, f"a finite number with |{name}| <= 2^511", -_X_MAX, _X_MAX)
+
+
+def _array(values, name: str, points: bool = False, nonempty: bool = False) -> np.ndarray:
+    """values as a float array, values itself where it is one; ValueError naming name otherwise.
+
+    It must be 1-D, nonempty where asked, and hold numbers only (no
+    bools or strings), each finite, and with points each within
+    |x| <= _X_MAX, as _point asks.
+    """
+    array = np.asarray(values)
+    if array.ndim == 1 and array.dtype.kind in "iuf" and (array.size or not nonempty):
+        high = _X_MAX if points else _FLOAT_MAX
+        # two comparisons hold no float temporary the size of the array
+        inside = (array >= -high) & (array <= high)
+        if inside.all():
+            return array.astype(float, copy=False)
+        got = repr(array[~inside][0].item())
+    else:
+        got = f"shape {array.shape} of {array.dtype}"
+    kind = "a nonempty 1-D array" if nonempty else "a 1-D array"
+    kind += " of finite numbers with |x| <= 2^511" if points else " of finite numbers"
+    raise ValueError(f"{name} must be {kind}, got {got}")
 
 
 def _coefficient_range(start: int, stop: int, dtype, s_before, s_start):
@@ -1078,9 +1112,10 @@ def hermite_exact(n: int, x: float) -> SignedLog:
     Raises
     ------
     ValueError
-        For n < 0 or not a whole number (2.5, nan, inf), x outside that
-        range, or n > EXTENDED_PRECISION_ORDER on a platform whose long
-        double has fewer than 64 significand bits.
+        Naming n where it is not a whole number >= 0 (a bool, 2.5, nan,
+        inf or a string; _whole_number), naming x where it is not a
+        point (_point), or for n > EXTENDED_PRECISION_ORDER on a
+        platform whose long double has fewer than 64 significand bits.
 
     Notes
     -----
@@ -1099,7 +1134,8 @@ def hermite_exact(n: int, x: float) -> SignedLog:
     long double, coefficients included, because the drift of the double
     loop alone would exceed the contract there.
     """
-    n = _check_arguments(n, x)
+    n = _whole_number(n, "n")
+    _point(x)
     dtype = float
     if n > EXTENDED_PRECISION_ORDER:
         if _EXTENDED_FLOAT is None:
@@ -1139,8 +1175,8 @@ def hermite_orders(n_top: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     below double range the values sit.  Raises ValueError for an n_top
     or an x that hermite_exact rejects.
     """
-    n_top = _check_arguments(n_top, x)
-    return _OrderStream(x).logs(n_top + 1)
+    n_top = _whole_number(n_top, "n_top")
+    return _OrderStream(_point(x)).logs(n_top + 1)
 
 
 def hermite_batch(orders, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -1166,13 +1202,13 @@ def hermite_batch(orders, xs) -> tuple[np.ndarray, np.ndarray]:
     Runs in doubles at every order: its drift in ln|h_n| is
     3.4e-12 at n = 2e5, and 8.1e-10, past the 1e-10 contract, at
     h_{1e6}(900) (ROADMAP.md, item 3).  Raises ValueError for an order
-    or an x that hermite_exact rejects.
+    or an x that hermite_exact rejects, and for orders and xs that are
+    not 1-D arrays of equal length.
     """
-    orders = np.asarray(orders)
-    xs = np.asarray(xs, dtype=float)
-    if orders.shape != xs.shape or orders.ndim != 1:
+    orders = _whole_number(orders, "orders")
+    xs = _array(xs, "xs", points=True)
+    if np.shape(orders) != xs.shape:
         raise ValueError("orders and xs must be 1-D arrays of equal length")
-    orders = _check_arguments(orders, xs)
     out_signs = np.zeros(orders.size, dtype=np.int8)
     out_logs = np.full(orders.size, -math.inf)
     if orders.size == 0:
@@ -1239,10 +1275,8 @@ def hermite_values(n_top: int, xs) -> np.ndarray:
     underflow.  Raises ValueError for xs that is not 1-D (a scalar is
     one point), and for an n_top or an x that hermite_exact rejects.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if xs.ndim != 1:
-        raise ValueError("xs must be a 1-D array")
-    n_top = _check_arguments(n_top, xs)
+    n_top = _whole_number(n_top, "n_top")
+    xs = _array(np.atleast_1d(xs), "xs", points=True)
     out = np.empty((n_top + 1, xs.size))
     factors, e_gauss = _gauss_factors(xs)
     seen = None  # the walls array that exponent belongs to
@@ -1280,13 +1314,11 @@ def hermite_moment_sweep(xs, weights, n_top: int) -> np.ndarray:
     not finite (one nan would make every moment nan), and for an n_top
     or an x that hermite_exact rejects.
     """
-    xs = np.asarray(xs, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if xs.shape != weights.shape or xs.ndim != 1:
+    xs = _array(xs, "xs", points=True)
+    weights = _array(weights, "weights")
+    if xs.shape != weights.shape:
         raise ValueError("xs and weights must be 1-D arrays of equal length")
-    if not np.isfinite(weights).all():
-        raise ValueError(f"weights must be finite, got {weights[~np.isfinite(weights)][0]}")
-    n_top = _check_arguments(n_top, xs)
+    n_top = _whole_number(n_top, "n_top")
     points, where = np.unique(np.abs(xs), return_inverse=True)
     parities = (
         np.bincount(where, weights, points.size),
@@ -1309,9 +1341,9 @@ def hermite_moment_sweep(xs, weights, n_top: int) -> np.ndarray:
 
 
 def _require_monotonic(n: float, x: float) -> None:
-    """Validate 2 <= n+1 <= (1-eps) x^2 / 2 with eps = EPSILON_MONOTONIC, x finite."""
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
+    """Validate 2 <= n+1 <= (1-eps) x^2 / 2 with eps = EPSILON_MONOTONIC, n real, x a point."""
+    _real(n, "n")
+    _point(x)
     if not n + 1.0 >= 2.0:
         raise ValueError(f"asymptotic forms need order n >= 1, got n={n}")
     if 2.0 * (n + 1.0) > (1.0 - EPSILON_MONOTONIC) * x * x:
@@ -1328,7 +1360,10 @@ def plancherel_rotach_estimate(n: float, x: float) -> SignedLog:
     ----------
     n, x : float
         Point with 2 <= n+1 <= (1-eps) x^2 / 2, eps = EPSILON_MONOTONIC;
-        x > 0.
+        x > 0.  The order n is a real number by design, as in
+        phi_coordinate: the form is smooth in n.  ValueError names n
+        where it is not a finite number and x where it is not a point
+        (_real, _point), before the domain check.
 
     Returns
     -------
@@ -1375,12 +1410,13 @@ def hermite_pr_bound(n: float, x: float, kappa: float, beta: float, y: float) ->
 
     Same domain as plancherel_rotach_estimate; no implicit constant is
     included (constants are calibration outputs, not ground truth).
-    Raises ValueError naming kappa, beta or y where it is not finite,
-    before the domain check.
+    kappa, beta and y follow the rules of decay_sum.SumParams: kappa and
+    y positive and finite, beta finite.  Raises ValueError naming the
+    one that breaks them, before the domain check.
     """
-    for name, value in (("kappa", kappa), ("beta", beta), ("y", y)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    _positive(kappa, "kappa")
+    _real(beta, "beta")
+    _positive(y, "y")
     _require_monotonic(n, x)
     phi = phi_coordinate(n, x)
     disc = x * x - 2.0 * (n + 1.0)

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decay_sum import SumParams, _sums, tail_bound
-from .hermite_core import _signed_exp, _whole_number, hermite_moment_sweep, hermite_values
+from .hermite_core import _array, _positive, _real, _signed_exp, _whole_number
+from .hermite_core import hermite_moment_sweep, hermite_values
 
 BASIS_SCALE = math.sqrt(2.0 * math.pi)
 BASIS_NORMALIZER = (2.0 * math.pi) ** 0.25
@@ -39,8 +40,10 @@ class QuadratureSpec:
     of its peak at the endpoints.  Node count doubles until successive
     coefficient vectors agree to `tolerance` or `max_doublings` is
     exhausted; disagreement is recorded per coefficient, not raised.
-    Both counts must be whole numbers (ValueError otherwise; 16.0
-    becomes 16).
+    half_width (where given) and tolerance are positive finite numbers,
+    initial_nodes a whole number >= 16 and max_doublings one >= 0;
+    ValueError naming the field otherwise.  The counts are kept as ints
+    (16.0 becomes 16).
     """
 
     half_width: float | None = None
@@ -49,12 +52,11 @@ class QuadratureSpec:
     max_doublings: int = 6
 
     def __post_init__(self):
-        if self.half_width is not None and not self.half_width > 0.0:
-            raise ValueError("half_width must be positive")
+        if self.half_width is not None:
+            _positive(self.half_width, "half_width")
         nodes = _whole_number(self.initial_nodes, "initial_nodes", 16)
         object.__setattr__(self, "initial_nodes", nodes)
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
+        _positive(self.tolerance, "tolerance")
         doublings = _whole_number(self.max_doublings, "max_doublings")
         object.__setattr__(self, "max_doublings", doublings)
 
@@ -65,24 +67,21 @@ class HermiteCoefficients:
 
     quad_error[n] is an absolute estimate of the error in coeffs[n]
     (grid-refinement disagreement for quadrature, exactly zero for
-    closed-form constructions).
+    closed-form constructions).  coeffs is a nonempty 1-D array of
+    finite numbers, and quad_error one of the same length, each >= 0, or
+    empty for all zeros (hermite_core._array); both are kept as tuples
+    of floats.
     """
 
     coeffs: tuple[float, ...]
     quad_error: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coeffs)
-        if not coeffs:
-            raise ValueError("at least one coefficient is required")
-        if any(not math.isfinite(c) for c in coeffs):
-            raise ValueError("coefficients must be finite")
-        errors = tuple(float(e) for e in self.quad_error)
-        if not errors:
-            errors = (0.0,) * len(coeffs)
+        coeffs = tuple(_array(self.coeffs, "coeffs", nonempty=True).tolist())
+        errors = tuple(_array(self.quad_error, "quad_error").tolist()) or (0.0,) * len(coeffs)
         if len(errors) != len(coeffs):
             raise ValueError("quad_error length must match coeffs")
-        if any(e < 0.0 or not math.isfinite(e) for e in errors):
+        if min(errors) < 0.0:
             raise ValueError("quad_error entries must be finite and >= 0")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "quad_error", errors)
@@ -122,12 +121,6 @@ class DecayCertificate:
     log_tail_contribution: float
 
 
-def _check_alpha(alpha: float, name: str = "alpha") -> None:
-    # a bool would pass as 1.0
-    if isinstance(alpha, (bool, np.bool_)) or not alpha > 0.0 or not math.isfinite(alpha):
-        raise ValueError(f"{name} must be positive and finite, got {alpha!r}")
-
-
 def _log_envelope(n: int, alpha: float) -> float:
     m = max(int(n), 1)
     return -alpha * m - 0.25 * math.log(m)
@@ -138,11 +131,11 @@ def vemuri_envelope(n: int, alpha: float) -> float:
 
     The clamp gives the n = 0 coefficient the same budget as n = 1, so
     a pure e_0 certifies with constant e^alpha rather than an undefined
-    0^(-1/4).  n must be a whole number >= 0 (ValueError otherwise).
+    0^(-1/4).  n must be a whole number >= 0 and alpha a positive finite
+    number (ValueError otherwise).
     """
     n = _whole_number(n, "n")
-    _check_alpha(alpha)
-    return math.exp(_log_envelope(n, alpha))
+    return math.exp(_log_envelope(n, _positive(alpha, "alpha")))
 
 
 def _certified_envelopes(coeffs: HermiteCoefficients, alpha: float) -> list[tuple[int, float]]:
@@ -164,16 +157,22 @@ def envelope_tail_log(alpha: float, c_bound: float, n_top: int) -> float:
 
     sup|e_n| = (2 pi)^(1/4) pi^(-1/4), so this is c_bound (2 pi)^(1/4)
     times the tail bound of S with kappa = 1, beta = 1/4, y = alpha.
+    alpha and c_bound are positive finite numbers, n_top a whole number
+    >= 0.
     """
-    if not c_bound > 0.0 or not math.isfinite(c_bound):
-        raise ValueError("c_bound must be positive and finite")
-    tail = tail_bound(n_top + 1, SumParams(1.0, 0.25, alpha)).logmag
+    _positive(alpha, "alpha")
+    _positive(c_bound, "c_bound")
+    tail = tail_bound(_whole_number(n_top, "n_top") + 1, SumParams(1.0, 0.25, alpha)).logmag
     return math.log(c_bound) + math.log(BASIS_NORMALIZER) + tail
 
 
 def basis_values(xs, n_top: int) -> np.ndarray:
-    """Matrix of e_k(xs[j]), shape (n_top + 1, len(xs))."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    """Matrix of e_k(xs[j]), shape (n_top + 1, len(xs)); xs a 1-D array or one point.
+
+    Raises ValueError for an n_top that hermite_values rejects, and for
+    xs unless sqrt(2 pi) xs is an array of points (hermite_core._array).
+    """
+    xs = _array(np.atleast_1d(xs), "xs")
     return BASIS_NORMALIZER * hermite_values(n_top, BASIS_SCALE * xs)
 
 
@@ -254,7 +253,7 @@ def gaussian_coefficients(alpha: float, n_terms: int) -> HermiteCoefficients:
     rho = (1 - a)/(1 + a) = e^(-4 alpha); odd coefficients vanish by
     parity.  Assembled in log space, so there is no factorial overflow.
     """
-    _check_alpha(alpha)
+    _positive(alpha, "alpha")
     n_terms = _whole_number(n_terms, "n_terms")
     a = math.tanh(2.0 * alpha)
     # ln rho = -4 alpha exactly; ln(1 - a) - ln(1 + a) cancels as a -> 1
@@ -281,8 +280,7 @@ def vemuri_decay_check(coeffs: HermiteCoefficients, alpha: float) -> float:
     the truncation edge on a rising trend: the data then shows no
     attained supremum and certifies nothing.
     """
-    _check_alpha(alpha)
-    return _decay_constant(coeffs, _certified_envelopes(coeffs, alpha))
+    return _decay_constant(coeffs, _certified_envelopes(coeffs, _positive(alpha, "alpha")))
 
 
 def _decay_constant(coeffs: HermiteCoefficients, certified: list[tuple[int, float]]) -> float:
@@ -352,11 +350,12 @@ def evolve_grid(
     over xs and a grid gives one row per time.  The basis is built once
     for all times.  The tail radius bounds the dropped n > truncation_n
     part using a coefficient envelope (alpha, C) and the uniform basis
-    bound; it is +inf when no envelope is supplied.
+    bound; it is +inf when no envelope is supplied.  Raises ValueError
+    for a t that is not a finite number or a 1-D array of them, for xs
+    that basis_values rejects, and for an envelope that
+    envelope_tail_log rejects.
     """
-    if not np.all(np.isfinite(t)):
-        raise ValueError("t must be finite")
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    t = _real(t, "t") if np.ndim(t) == 0 else _array(t, "t")
     values = _evolution_table(coeffs, basis_values(xs, coeffs.truncation_n), t)
     if envelope is None:
         return values, math.inf
@@ -364,16 +363,6 @@ def evolve_grid(
     tail = _signed_exp(1, envelope_tail_log(alpha, c_bound, coeffs.truncation_n))
     # a bound must round up, never underflow to an exact zero
     return values, max(tail, 5e-324)
-
-
-def _grid(values, name: str) -> np.ndarray:
-    """A nonempty 1-D grid of finite points; ValueError naming it otherwise."""
-    grid = np.atleast_1d(np.asarray(values, dtype=float))
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError(f"{name}_grid must be a nonempty 1-D grid, got shape {grid.shape}")
-    if not np.isfinite(grid).all():
-        raise ValueError(f"{name} must be finite")
-    return grid
 
 
 def weighted_sup(
@@ -388,10 +377,11 @@ def weighted_sup(
     Accumulates in log space: the weight alone reaches e^(tanh(alpha)
     pi x^2), far past double range for wide grids, where the result is
     +inf.  The tail radius, if an envelope is given, is folded into
-    every point.
+    every point.  weight_alpha is a positive finite number, and x_grid
+    and t_grid are nonempty 1-D arrays of finite numbers.
     """
-    _check_alpha(weight_alpha, "weight_alpha")
-    xs, ts = _grid(x_grid, "x"), _grid(t_grid, "t")
+    _positive(weight_alpha, "weight_alpha")
+    xs, ts = _array(x_grid, "x_grid", nonempty=True), _array(t_grid, "t_grid", nonempty=True)
     log_weight = math.tanh(weight_alpha) * math.pi * xs * xs
     log_tail = -math.inf
     if envelope is not None:
@@ -406,9 +396,9 @@ def decay_certificate(
 ) -> DecayCertificate:
     """Certify sup |Phi| e^(tanh(alpha) pi x^2) over the grid.
 
-    Refuses coefficients whose decay constant is not finite, a grid that
-    is empty or not 1-D, and, as evolve_grid does, an x or a t that is
-    not finite (ValueError).  Two
+    Refuses an alpha that is not a positive finite number, coefficients
+    whose decay constant is not finite, and grids that weighted_sup
+    refuses (ValueError).  Two
     independent cross-checks ride along: the coefficient majorant
     sum |c_n| |e_n(x)| over envelope-certified indices must stay below
     the weighted-sum chain bound C (2 pi)^(1/4) S(sqrt(2 pi) x) at
@@ -416,12 +406,11 @@ def decay_certificate(
     evolved value must stay below the all-index majorant.  One basis
     matrix serves the majorants and the evolution table.
     """
-    _check_alpha(alpha)
-    envelopes = _certified_envelopes(coeffs, alpha)
+    envelopes = _certified_envelopes(coeffs, _positive(alpha, "alpha"))
     c_bound = _decay_constant(coeffs, envelopes)
     if not math.isfinite(c_bound):
         raise ValueError("coefficients violate the claimed decay envelope")
-    xs, ts = _grid(x_grid, "x"), _grid(t_grid, "t")
+    xs, ts = _array(x_grid, "x_grid", nonempty=True), _array(t_grid, "t_grid", nonempty=True)
 
     n_top = coeffs.truncation_n
     basis = basis_values(xs, n_top)

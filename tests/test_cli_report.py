@@ -495,7 +495,7 @@ class TestMainExitCodes:
                    "--x-count", "3"])
         err = capsys.readouterr().err
         assert rc == 1
-        assert "config error" in err and "y must be finite and positive" in err
+        assert "config error" in err and "y must be a positive finite number" in err
 
     def test_sum_past_the_largest_order_is_a_row_error(self, capsys):
         rc = main(["sum", "--x-min", "1", "--x-max", "1e6", "--x-count", "2"])
@@ -619,6 +619,38 @@ class TestMainExitCodes:
         rc = main(["nmax", "--y", "0.5", "--x-min", "-30", "--x-max", "30", "--x-count", "5",
                    "--out", str(tmp_path / "nmax.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", ""])
+    def test_a_fixture_that_is_no_json_object_is_config_error(self, text, tmp_path, capsys):
+        fixture = tmp_path / "bad.json"
+        fixture.write_text(text)
+        rc = main(["nmax", "--y", "0.5", "--x-min", "20", "--x-max", "60", "--x-count", "5",
+                   "--fixture", str(fixture), "--out", str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"config error: cannot read fixture {fixture}: ")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda doc: doc["tolerances"].update(ratio=[0.0, 1e-9]),
+          "fixture column 'ratio' is not a column of mode nmax"),
+         (lambda doc: doc.pop("data"), "fixture data for 'a_max' does not hold one value per row"),
+         (lambda doc: doc["data"]["lambda"].pop(), "fixture data for 'lambda' does not hold")],
+        ids=["unknown column", "no data", "short data"],
+    )
+    def test_a_fixture_of_the_wrong_columns_is_a_mismatch(self, edit, message, tmp_path, capsys):
+        grid = ["nmax", "--y", "0.5", "--x-min", "20", "--x-max", "60", "--x-count", "5"]
+        fixture = tmp_path / "nmax.json"
+        assert main(["calibrate", *grid, "--out", str(fixture)]) == 0
+        doc = json.loads(fixture.read_text())
+        edit(doc)
+        fixture.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main([*grid, "--fixture", str(fixture), "--out", str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert f"fixture mismatch: {message}" in err
+        assert "Traceback" not in err
 
     def test_missing_fixture_is_config_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("HERMITE_DECAY_FIXTURE_DIR", str(tmp_path))

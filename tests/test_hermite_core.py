@@ -352,7 +352,7 @@ class TestSweeps:
     @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
     def test_moment_sweep_rejects_non_finite_weights(self, w):
         # one nan weight made every moment nan
-        with pytest.raises(ValueError, match="^weights must be finite"):
+        with pytest.raises(ValueError, match="^weights must be a 1-D array of finite numbers"):
             hermite_moment_sweep([1.0, 2.0], [1.0, w], 3)
 
     @pytest.mark.filterwarnings("error")
@@ -382,7 +382,7 @@ class TestSweeps:
             lambda: hermite_moment_sweep([x], [1.0], 60),
         )
         for call in calls:
-            with pytest.raises(ValueError, match="finite with"):
+            with pytest.raises(ValueError, match=r"finite numbers? with \|x\| <= 2\^511"):
                 call()
 
     def test_negative_n_top_raises(self):
@@ -392,7 +392,7 @@ class TestSweeps:
             lambda: hermite_moment_sweep([1.0], [1.0], -1),
             lambda: hermite_batch([2, -1], [1.0, 1.0]),
         ):
-            with pytest.raises(ValueError, match="nonnegative"):
+            with pytest.raises(ValueError, match="must be a whole number >= 0, got -1"):
                 call()
 
     @pytest.mark.parametrize("n", [2.5, math.nan, math.inf, -math.inf, 1e30])
@@ -407,7 +407,7 @@ class TestSweeps:
             lambda: hermite_moment_sweep([1.0], [1.0], n),
         )
         for call in calls:
-            with pytest.raises(ValueError, match="whole numbers"):
+            with pytest.raises(ValueError, match="must be a whole number >= 0, got"):
                 call()
 
     @pytest.mark.parametrize(
@@ -426,7 +426,7 @@ class TestSweeps:
     def test_every_frontend_rejects_a_bool_order(self, call, n):
         # True once passed the cast to int64 as order 1, as tail_bound's
         # start did before it was checked
-        with pytest.raises(ValueError, match="not bools"):
+        with pytest.raises(ValueError, match="must be a whole number >= 0, got True"):
             call(n)
         call(1)
         call(np.int64(1))
@@ -671,7 +671,7 @@ class TestPlancherelRotach:
         # checked before the domain: (50, 10) also lies outside it
         args = {"kappa": 1.0, "beta": 0.0, "y": 0.5, name: bad}
         for n, x in ((50, 10.0), (49, 20.0)):
-            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            with pytest.raises(ValueError, match=f"^{name} must be a (positive )?finite number"):
                 hermite_pr_bound(n, x, **args)
 
     def test_reduced_bound_drops_only_bounded_factors(self):

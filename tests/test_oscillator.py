@@ -287,11 +287,11 @@ class TestVemuriDecayCheck:
     def test_rejects_a_bool_alpha(self, alpha):
         # True once passed as 1.0: vemuri_decay_check(g, True) gave 2.4356
         g = gaussian_coefficients(0.5, 40)
-        with pytest.raises(ValueError, match="^alpha must be positive and finite"):
+        with pytest.raises(ValueError, match="^alpha must be a positive finite number"):
             vemuri_decay_check(g, alpha)
-        with pytest.raises(ValueError, match="^alpha must be positive and finite"):
+        with pytest.raises(ValueError, match="^alpha must be a positive finite number"):
             decay_certificate(g, alpha, [0.0, 1.0], [0.0])
-        with pytest.raises(ValueError, match="^weight_alpha must be positive and finite"):
+        with pytest.raises(ValueError, match="^weight_alpha must be a positive finite number"):
             weighted_sup(g, alpha, [0.0, 1.0], [0.0])
 
     @pytest.mark.parametrize("n", [2.5, True, -3, math.nan, math.inf, "2"])
@@ -511,7 +511,7 @@ class TestDecayCertificate:
     def test_rejects_a_non_finite_point(self, xs, ts, name):
         # as evolve_grid does: a nan t would read log_sup_weighted = nan
         c = gaussian_coefficients(0.5, 40)
-        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        with pytest.raises(ValueError, match=f"^{name}_grid must be a nonempty 1-D array of finite"):
             decay_certificate(c, 0.5, xs, ts)
 
     @pytest.mark.parametrize("ts", [[[0.0, 0.1]], [[0.0, 0.1], [0.2, 0.3]]])
@@ -519,9 +519,9 @@ class TestDecayCertificate:
         # decay_certificate once raised TypeError here, and weighted_sup
         # returned 1.127 on the flattened 2x2 grid
         c = gaussian_coefficients(0.5, 40)
-        with pytest.raises(ValueError, match="^t_grid must be a nonempty 1-D grid"):
+        with pytest.raises(ValueError, match="^t_grid must be a nonempty 1-D array"):
             decay_certificate(c, 0.5, [0.0, 1.0], ts)
-        with pytest.raises(ValueError, match="^t_grid must be a nonempty 1-D grid"):
+        with pytest.raises(ValueError, match="^t_grid must be a nonempty 1-D array"):
             weighted_sup(c, 0.5, [0.0, 1.0], ts)
 
     def test_one_envelope_pass_per_call(self, monkeypatch):
