@@ -84,9 +84,11 @@ class SweepConfig:
     """One sweep: mode, parameters, grids, and output disposition.
 
     The mode's parameters (MODES[mode].parameters) are required, each
-    checked by its validator in _PARAMETERS and kept as given, and the
-    others must stay unset: fixture_id hashes every field.  jobs, where
-    set, is a whole number >= 1.
+    checked by its validator in _PARAMETERS, and the others must stay
+    unset: fixture_id hashes every field.  jobs, where set, is a whole
+    number >= 1.  Each value is kept as given, but order, n_terms and
+    jobs keep the int that _whole_number returns, so that order=3.0 and
+    order=3 key one sweep.
     """
 
     mode: str
@@ -111,14 +113,17 @@ class SweepConfig:
         if self.fmt not in ("csv", "json"):
             raise ValueError("format must be csv or json")
         if self.jobs is not None:
-            _whole_number(self.jobs, "jobs", 1)
-        for name, (_, _, check) in _PARAMETERS.items():
+            object.__setattr__(self, "jobs", _whole_number(self.jobs, "jobs", 1))
+        for name, (kind, _, check) in _PARAMETERS.items():
             value = getattr(self, name)
             unset = value is None or (isinstance(value, tuple) and not value)
             if name in MODES[self.mode].parameters:
                 if unset:
                     raise ValueError(f"{name} is required for mode {self.mode}")
-                check(value, name)
+                checked = check(value, name)
+                if kind is int:
+                    # the int _whole_number returns, so that 3.0 and 3 key one sweep
+                    object.__setattr__(self, name, checked)
             elif not unset:
                 # fixture_id hashes every field, so a value here would key
                 # the sweep by a parameter that it never reads

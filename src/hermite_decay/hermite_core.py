@@ -31,14 +31,15 @@ loop to one order at one point (hermite_exact), an order stream that
 hands out every order at one point in requests of any size
 (hermite_orders, and the weighted sums of decay_sum), and a block walk
 for many points (hermite_batch, hermite_values, hermite_moment_sweep).
-The block walk (_array_blocks) steps one order at a time for all points
-and hands out blocks of orders, at most _CELLS cells and never past a
-wall test, so its consumers convert, harvest or sum a block at once;
-one outer product writes the x a'_k of a block into its rows, and each
-step is then two in-place ufuncs on its row (_step_rows, the step loop
-that the scan's passes run too).  The moment sweep walks each distinct
-|x| once, with h_k(-x) = (-1)^k h_k(x), and folds the Gaussian and the
-wall scale into its weights.
+The block walk (_array_blocks) steps one order at a time for all points,
+in pages of at most _CELLS cells, whole strides where one fits: one
+outer product writes the x a'_k of a page into its rows, each step is
+then two in-place ufuncs on its row (_step_rows, the step loop that the
+scan's passes run too), and the walls are tested at every stride end.  It
+hands out a page as one block of orders, or one more per wall change,
+so its consumers convert, harvest or sum a block at once.  The moment
+sweep walks each distinct |x| once, with h_k(-x) = (-1)^k h_k(x), and
+folds the Gaussian and the wall scale into its weights.
 The stream scans the orders below the turning point 2n + 1 < x^2 as
 blocked 2x2 transfer matrices and steps one order at a time past it
 (see _OrderStream).  One scan pass (_scan_pass) may hold the blocks of
@@ -54,8 +55,10 @@ decay_sum enter near their peak this way).  All three read their
 coefficients from one cursor (_Coefficients), test their walls after
 the orders that are multiples of one stride, and convert through one
 compensated log finalizer (_log_magnitudes).  Above
-EXTENDED_PRECISION_ORDER, hermite_exact runs the scalar loop in long
-double.
+EXTENDED_PRECISION_ORDER, hermite_exact runs the scalar loop in doubles
+up to the last multiple m of the stride at or below that order, and on
+from there in long double, from the pair of m-values that the double
+loop holds at m.
 
 For large orders inside the monotonic (zero-free) region
 2(n+1) < x^2, the classical Plancherel-Rotach asymptotic in the
@@ -70,12 +73,14 @@ validators here, one per kind of parameter: an order or a count
 (_positive), a point, finite with |x| <= 2^511 (_point), and a 1-D
 array of finite numbers or of points (_array).  Each rejects bools,
 strings and other non-numbers with a ValueError that names the
-parameter, and hands a valid value back unchanged (_whole_number as an
-int, _array as a float array).
+parameter, a bool inside a list and a ragged list included (_asarray),
+and hands a valid value back unchanged (_whole_number as an int, _array
+as a float array).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -105,12 +110,13 @@ _WALL_LOG_HI = float.fromhex("0x1.62e42ff000000p+8")
 _WALL_LOG_LO = float.fromhex("-0x1.718432a1b0e26p-26")
 
 # Orders of the coefficient table (a'_k and s_{k+1}) kept per float
-# type, built once per process: 2^14 orders cost 256 kB in doubles and
-# 512 kB in long double.  The cursor _Coefficients hands out views of it,
-# and past it computes the coefficients that a request lacks, carrying
-# the scales.  _scalar_loop and _array_blocks request at most this many
-# orders at once, whole strides each, and _array_blocks cuts its blocks
-# from those requests.
+# type, built once per process by the first cursor that starts inside it:
+# 2^14 orders cost 256 kB in doubles.  The frontends walk from order 0 in
+# doubles only, so no long-double table is built (it would cost 512 kB).
+# The cursor _Coefficients hands out views of it, and past it computes
+# the coefficients that a request lacks, carrying the scales.
+# _scalar_loop requests at most this many orders at once, whole strides
+# each; _array_blocks requests a page's whole strides at once.
 _TABLE_ORDERS = 1 << 14
 _TABLES: dict = {}
 
@@ -138,18 +144,21 @@ _TINY_X = 2.0**-511
 _SCAN_MIN_BLOCKS = 24
 _SCAN_ORDERS = 1 << 14
 
-# Cells (orders times points) of one block of _array_blocks, at most.
-# A block costs a few Python operations, one outer product and one
-# conversion or pair of matrix-vector products, so narrow blocks pay
-# that per order, and wide ones leave the cache.  Measured with the
-# outer product a block (2-core x86-64 VM shared with other tenants,
-# Python 3.11, numpy 2.4; best of 3 in 4 alternated rounds, ms, with a
-# spread of about 10%) at 2^14 / 2^15 / 2^16 / 2^17 cells:
-# hermite_batch on 10^4 pairs (n < 2000, |x| <= 100) 32.4 / 33.6 /
-# 28.6 / 27.5; hermite_values(400, .) on 8000 points 12.8 / 11.7 / 11.1
-# / 12.3 and on 20000 points 34.8 / 34.3 / 36.8 / 35.6;
-# hermite_moment_sweep to order 400 on 8000 points 6.28 / 6.06 / 4.77
-# / 4.68 and on 2049 points 1.92 / 1.31 / 1.11 / 1.04.
+# Cells (orders times padded points) of one page of _array_blocks, at
+# most: its ring of 64-byte rows holds about 512 kB.  A page costs a few
+# Python operations, one outer product and one wall test a stride, and a
+# block one conversion or pair of matrix-vector products or one gather,
+# so narrow pages pay that per order, and wide ones leave the cache.
+# Measured with one outer product a block of at most one stride, before
+# pages (2-core x86-64 VM shared with other tenants, Python 3.11, numpy
+# 2.4; best of 3 in 4 alternated rounds, ms, with a spread of about 10%)
+# at 2^14 / 2^15 / 2^16 / 2^17 cells: hermite_batch on 10^4 pairs
+# (n < 2000, |x| <= 100) 32.4 / 33.6 / 28.6 / 27.5; hermite_values(400, .)
+# on 8000 points 12.8 / 11.7 / 11.1 / 12.3 and on 20000 points 34.8 /
+# 34.3 / 36.8 / 35.6; hermite_moment_sweep to order 400 on 8000 points
+# 6.28 / 6.06 / 4.77 / 4.68 and on 2049 points 1.92 / 1.31 / 1.11 / 1.04.
+# Those widths hold less than a stride a page, so pages leave them as
+# they were.
 _CELLS = 1 << 16
 
 # Largest |x| the loops take: a step multiplies the larger of the pair,
@@ -168,14 +177,18 @@ _FLOAT_TINY = math.ulp(0.0)
 # the Plancherel-Rotach forms accept.
 EPSILON_MONOTONIC = 1e-3
 
-# Above this order the drift of the forward recurrence in doubles would
-# exceed the 1e-10 contract, so hermite_exact runs the same recurrence in
-# long double, with the coefficients computed in long double too.
+# The hand-off order of hermite_exact.  Up to here the double loop's drift
+# in ln|h_n| is at most 8.5e-14 (ROADMAP.md, item 3), far inside the 1e-10
+# contract, but it grows with the order past it, to 8.1e-10 at 10^6.  So
+# above this order hermite_exact walks in doubles up to the last multiple
+# of its stride at or below it and on from there in long double, with the
+# coefficients computed in long double too: the long-double orders carry
+# only the drift of that double walk and their own.
 EXTENDED_PRECISION_ORDER = 20000
 
-# Float type of that pass: a long double with at least a 64-bit
-# significand (x87 extended or IEEE quad).  Where long double is only a
-# double, orders above EXTENDED_PRECISION_ORDER raise ValueError.
+# Float type of the walk past the hand-off: a long double with at least
+# a 64-bit significand (x87 extended or IEEE quad).  Where long double is
+# only a double, orders above EXTENDED_PRECISION_ORDER raise ValueError.
 _EXTENDED_FLOAT = np.longdouble if np.finfo(np.longdouble).nmant >= 63 else None
 
 # The polynomials u_0 .. u_6 of the expansion of U(-mu^2/2, mu t sqrt(2))
@@ -310,7 +323,7 @@ def _whole_number(value, name: str, least: int = 0):
     count or order is truncated or wrapped, while 3.0 and np.int64(3)
     pass.  value is a scalar or an array of any shape.
     """
-    given = np.asarray(value)
+    given = _asarray(value, name, f"a whole number >= {least}")
     if given.dtype.kind in "iuf":
         with np.errstate(invalid="ignore"):
             ints = given.astype(np.int64, copy=False)
@@ -344,14 +357,20 @@ def _point(value, name: str = "x"):
     return _real(value, name, f"a finite number with |{name}| <= 2^511", -_X_MAX, _X_MAX)
 
 
-def _array(values, name: str, points: bool = False, nonempty: bool = False) -> np.ndarray:
+def _array(
+    values, name: str, points: bool = False, nonempty: bool = False, scalar: bool = False
+) -> np.ndarray:
     """values as a float array, values itself where it is one; ValueError naming name otherwise.
 
-    It must be 1-D, nonempty where asked, and hold numbers only (no
-    bools or strings), each finite, and with points each within
-    |x| <= _X_MAX, as _point asks.
+    It must be 1-D, or a scalar where scalar is set (one value), nonempty
+    where asked, and hold numbers only (no bools or strings), each
+    finite, and with points each within |x| <= _X_MAX, as _point asks.
     """
-    array = np.asarray(values)
+    kind = "a nonempty 1-D array" if nonempty else "a 1-D array"
+    kind += " of finite numbers with |x| <= 2^511" if points else " of finite numbers"
+    array = _asarray(values, name, kind)
+    if scalar and array.ndim == 0:
+        array = array.reshape(1)
     if array.ndim == 1 and array.dtype.kind in "iuf" and (array.size or not nonempty):
         high = _X_MAX if points else _FLOAT_MAX
         # two comparisons hold no float temporary the size of the array
@@ -361,9 +380,49 @@ def _array(values, name: str, points: bool = False, nonempty: bool = False) -> n
         got = repr(array[~inside][0].item())
     else:
         got = f"shape {array.shape} of {array.dtype}"
-    kind = "a nonempty 1-D array" if nonempty else "a 1-D array"
-    kind += " of finite numbers with |x| <= 2^511" if points else " of finite numbers"
     raise ValueError(f"{name} must be {kind}, got {got}")
+
+
+def _asarray(values, name: str, kind: str) -> np.ndarray:
+    """np.asarray(values), where it takes them as they are; ValueError naming name otherwise.
+
+    np.asarray raises its own error, which names no parameter, for a
+    ragged list, and takes a bool in a list of numbers as 0 or 1: both
+    raise "<name> must be <kind>, got ...".  A list or tuple of numbers
+    is searched for bools, at any depth; an ndarray passes as it is.
+    """
+    if isinstance(values, np.ndarray):
+        return values
+    try:
+        array = np.asarray(values)
+    except ValueError:
+        got = "a ragged sequence"
+    else:
+        if not (isinstance(values, (list, tuple)) and array.dtype.kind in "iuf"):
+            return array
+        bad = _first_bool(values)
+        if bad is None:
+            return array
+        got = repr(bad)
+    raise ValueError(f"{name} must be {kind}, got {got}")
+
+
+def _first_bool(values):
+    """The first bool in a list or tuple, or in the lists and tuples it holds; None if none.
+
+    The types of the items are gathered in one pass of C, so a list of
+    numbers costs about 10 ns an item; only a list that holds a bool or
+    a sequence is walked item by item.
+    """
+    if not any(issubclass(t, (bool, np.bool_, list, tuple)) for t in set(map(type, values))):
+        return None
+    for value in values:
+        if isinstance(value, (bool, np.bool_)):
+            return value
+        found = _first_bool(value) if isinstance(value, (list, tuple)) else None
+        if found is not None:
+            return found
+    return None
 
 
 def _coefficient_range(start: int, stop: int, dtype, s_before, s_start):
@@ -400,10 +459,11 @@ class _Coefficients:
     """a'_k and s_{k+1} for k = 0, 1, 2, ..., computed in dtype, handed out in order.
 
     take(count) returns the next count of each, read-only.  Orders below
-    _TABLE_ORDERS are views of a table per dtype, built at the first use
-    of the process; past it, each request that runs beyond the orders
-    computed so far computes the ones it lacks (two at least), from the
-    last two scales before them.  So a walk holds no more coefficients
+    _TABLE_ORDERS are views of a table per dtype, built by the process's
+    first cursor of that dtype that starts below the table's end; past
+    it, each request that runs beyond the orders computed so far
+    computes the ones it lacks (two at least), from the last two scales
+    before them.  So a walk holds no more coefficients
     than its largest request, no call rebuilds the orders below the
     table's end, and how a walk splits its requests changes no value.
 
@@ -411,25 +471,27 @@ class _Coefficients:
     enters there, _OrderStream.enter); start_scales holds (s_{start-1},
     s_start).  Within the table these are the table's, and the cursor
     hands out its views.  Past it the chain of scales restarts at
-    s_{start-1} = s_start = 1: the recurrence of p_k = m_k / s_k holds
-    for any two starting scales, as long as the later ones follow
-    s_{k+1} = sqrt(k/(k+1)) s_{k-1}, so only the split of m_k into p_k
-    and s_k moves.
+    s_{start-1} = s_start = 1, and no table is built: the recurrence of
+    p_k = m_k / s_k holds for any two starting scales, as long as the
+    later ones follow s_{k+1} = sqrt(k/(k+1)) s_{k-1}, so only the split
+    of m_k into p_k and s_k moves.
     """
 
     def __init__(self, dtype, start: int = 0) -> None:
-        table = _TABLES.get(dtype)
-        if table is None:
-            table = _TABLES[dtype] = _coefficient_range(0, _TABLE_ORDERS, dtype, 1, 1)
         self._dtype = dtype
-        self._range = table  # the computed orders holding the next one
-        self._at = start  # the next order's index in them
-        self._end = _TABLE_ORDERS  # the order past them
         if start > _TABLE_ORDERS:
             # two orders before start, all of them handed out: the next
-            # request computes from start on, from the scales (1, 1)
+            # request computes from start on, from the scales (1, 1), and
+            # no table is built
             self._range = (np.zeros(2, dtype), np.ones(2, dtype))
             self._at, self._end = 2, start
+        else:
+            table = _TABLES.get(dtype)
+            if table is None:
+                table = _TABLES[dtype] = _coefficient_range(0, _TABLE_ORDERS, dtype, 1, 1)
+            self._range = table  # the computed orders holding the next one
+            self._at = start  # the next order's index in them
+            self._end = _TABLE_ORDERS  # the order past them
         scales = self._range[1]
         self.start_scales = (scales[self._at - 2], scales[self._at - 1]) if start else (1, 1)
 
@@ -506,8 +568,8 @@ def _stride(x_max) -> int:
     return max(1, int(_STRIDE_BITS / bits)) if bits < _STRIDE_BITS else 1
 
 
-def _scalar_loop(n: int, x: float, dtype=float):
-    """(p_n, walls_n, s_n) of the rescaled recurrence at one point x.
+def _scalar_loop(n: int, x: float, dtype=float, start=None):
+    """((p_{n-1}, p_n), walls_n, (s_{n-1}, s_n)) of the rescaled recurrence at one point x.
 
     Runs p_{k+1} = (x a'_k) p_k - p_{k-1} from p_0 = 1 on a running
     pair with h_k = p_k * s_k * 2^(512 walls) * pi^(-1/4) e^(-x^2/2)
@@ -522,6 +584,12 @@ def _scalar_loop(n: int, x: float, dtype=float):
     is the value a test after each step would give, times an exact
     power of two.  A tiny x (0 < |x| < _TINY_X) runs at
     copysign(_TINY_X, x); _odd_scale gives the factor back.
+
+    start = (m, (p_{m-1}, p_m), walls_m, cursor) resumes the walk at an
+    order m that is a multiple of the stride, from that pair and wall
+    count, with cursor a _Coefficients in dtype started at m; the scales
+    are then those of that cursor (hermite_exact hands off to long double
+    this way).  Without it the walk starts at order 0, and s_{-1} reads 1.
 
     No wall is needed below.  Christoffel-Darboux at coincident points
     gives
@@ -538,30 +606,30 @@ def _scalar_loop(n: int, x: float, dtype=float):
     below 2^900.  It is at least 1 at p_0 and after every wall, so up to
     order 4 10^6 it stays above 2^-263, a margin of 2^249 against the
     rounding drift of the loop.  The same holds for _OrderStream, which
-    walks the same pair.
+    walks the same pair, and for a walk resumed from a pair whose scales
+    restart at 1, which only divides the pair by s_m <= 1.
     """
     stride = _stride(abs(x))
     if _is_tiny(x):
         x = math.copysign(_TINY_X, x)
     x = dtype(x)
-    p_prev, p_cur = dtype(0), dtype(1)
-    s_n = dtype(1)
-    walls = 0
-    coefficients = _Coefficients(dtype)
+    m, (p_prev, p_cur), walls, coefficients = start or (0, (0, 1), 0, _Coefficients(dtype))
+    p_prev, p_cur = dtype(p_prev), dtype(p_cur)
+    scales = coefficients.start_scales
     # whole strides a request, so that every slice ends at a multiple of
     # the stride but the last
     chunk = _TABLE_ORDERS // stride * stride
-    for lo in range(0, n, chunk):
+    for lo in range(m, n, chunk):
         a, s = coefficients.take(min(chunk, n - lo))
         products = np.multiply(x, a)
         if dtype is float:
             # items of a memoryview step as Python floats, much faster
             # than numpy scalars
             products = memoryview(products)
-        for start in range(0, len(products), stride):
-            for c in products[start : start + stride]:
+        for edge in range(0, len(products), stride):
+            for c in products[edge : edge + stride]:
                 p_prev, p_cur = p_cur, c * p_cur - p_prev
-            if start + stride > len(products):
+            if edge + stride > len(products):
                 break  # order n, not a multiple of the stride
             big = abs(p_cur)
             other = abs(p_prev)
@@ -571,8 +639,8 @@ def _scalar_loop(n: int, x: float, dtype=float):
                 p_cur *= _WALL_LO
                 p_prev *= _WALL_LO
                 walls += 1
-        s_n = s[-1]
-    return p_cur, walls, s_n
+        scales = (s[-2] if s.size > 1 else scales[1], s[-1])
+    return (p_prev, p_cur), walls, scales
 
 
 def _expansion(n: int, x: float):
@@ -969,6 +1037,46 @@ def _group_scan(requests):
         yield count
 
 
+class _RowBuffer:
+    """Runs ufuncs on rows of width points with a ufunc buffer of one row, where numpy would copy.
+
+    A ufunc that broadcasts runs through a buffer of np.getbufsize()
+    elements, and where two rows fit in it and the rows of the operation
+    fill more than half of it, numpy copies the result through that
+    buffer: 91 us against 18 us for an outer product of 63 rows of 1025
+    points, 7.6 against 5.4 us for 4 rows, but 2.2 against 5.1 us for 3
+    (2-core x86-64 VM, numpy 2.4; set and restore included, about 3 us).
+    A buffer of one row avoids the copy but pays numpy's per-row cost,
+    about 35 ns a row against about 1 ns a cell for the copy: for an
+    outer product of 65536 cells it took 50 against 76-83 us at 64
+    points and 63 against 80 at 48, but 88 against 64 at 32 and 348
+    against 123 at 8.  So "with row_buffer(rows):" runs its body with a
+    buffer of one row where a row holds 48 points or more, two fit in
+    the buffer and the rows fill more than half of it, and elsewhere
+    leaves the buffer as it is.  The size read when the object was made
+    is restored on the way out, so consumers of a walk see numpy's own.
+    """
+
+    def __init__(self, width: int) -> None:
+        self._width = width
+        self._bufsize = np.getbufsize()
+        self._row = -(-width // 16) * 16
+        self._wide = 48 <= width and 2 * width <= self._bufsize
+        self._set = False
+
+    def __call__(self, rows: int) -> "_RowBuffer":
+        self._set = self._wide and self._bufsize < 2 * rows * self._width
+        return self
+
+    def __enter__(self) -> None:
+        if self._set:
+            np.setbufsize(self._row)
+
+    def __exit__(self, *exc) -> None:
+        if self._set:
+            np.setbufsize(self._bufsize)
+
+
 def _array_blocks(xs: np.ndarray, n_top: int):
     """The rescaled recurrence on every point of xs at once, in doubles, in blocks of orders.
 
@@ -977,53 +1085,41 @@ def _array_blocks(xs: np.ndarray, n_top: int):
     walls the wall counts of all its rows and scales its r values s_k;
     h_k = p * s_k * 2^(512 walls) * pi^(-1/4) e^(-x^2/2).  The values
     and scaling are those of _scalar_loop per point, tiny points
-    included, bit for bit.  Before a block's steps run, one outer
-    product writes a'_k x into each of its rows; each step then runs in
-    place on its row, two ufuncs (_step_rows): times p_k, minus p_{k-1}.
-    A block holds at most min(stride, _CELLS // len(xs)) orders, where
-    stride = _stride(max |xs|), and never runs past a multiple of the
-    stride, so the walls are tested after its last row only, where
-    _scalar_loop tests them.  If a wall count moves there, that row is
-    rescaled in place and handed out as a block of its own, with a new
-    walls array that holds the count after the test; the rows before it
-    keep their values and count, and the running pair goes on from a
-    rescaled copy.  So a consumer sees a wall change as a new walls
-    object, and the arrays never change once yielded.
+    included, bit for bit.
 
-    The blocks are read-only views of a ring of r_max + 2 rows, each
-    starting on a 64-byte cache line.  A block starts at the row after
-    the one before, or at row 0 where it would run past the ring's end;
-    the outer product would then overwrite a start pair that lies in the
-    block's rows, so the pair is copied out first.  Where numpy would
-    copy the outer product through its ufunc buffer, the product runs
-    with a buffer of one row, and the buffer size is restored before the
-    block is handed out.  Later blocks overwrite earlier ones, and
-    consumers read a block before they ask for the next and copy what
-    they keep.
+    The walk runs in pages of orders, each at most _CELLS cells of the
+    ring below and never past n_top: whole strides, stride =
+    _stride(max |xs|), where one fits, and otherwise the parts of one
+    stride.  One outer product writes a'_k x into every row of a page,
+    under _RowBuffer; the page then steps one stride at a time, each
+    step in place on its row, two ufuncs (_step_rows): times p_k, minus
+    p_{k-1}.  After every order that is a multiple of the stride the
+    walls are tested, where _scalar_loop tests them.  If a wall count
+    moves there, that row is rescaled in place and starts a new block,
+    with a new walls array that holds the count after the test; the
+    rows before it keep their values and count and go out as a block of
+    their own, and the running pair goes on from a rescaled copy.  So a
+    page goes out as one block, or one more per wall change, a consumer
+    sees a wall change as a new walls object at a block's first order,
+    and the arrays never change once yielded.
+
+    The blocks are read-only views of a ring of the page's rows and two
+    more, each row starting on a 64-byte cache line.  A page starts at
+    the row after the one before, or at row 0 where it would run past
+    the ring's end; the outer product would then overwrite a start pair
+    that lies in the page's rows, so the pair is copied out first.
+    Later blocks overwrite earlier ones, and consumers read a block
+    before they ask for the next and copy what they keep.
     """
     stride = _stride(np.max(np.abs(xs), initial=0.0))
-    rows = max(1, min(stride, _CELLS // max(xs.size, 1)))
     xs = np.where(_is_tiny(xs), np.copysign(_TINY_X, xs), xs)
-    outer = np.multiply.outer
-    if 2 * xs.size <= np.getbufsize() < rows * xs.size:
-        # a ufunc that broadcasts runs through a buffer of np.getbufsize()
-        # elements, and where two rows fit in it, numpy copies the outer
-        # product through the buffer: 91 us against 18 us for 63 rows of
-        # 1025 points, 12.5 against 6.7 us for 36 rows of 256 (2-core
-        # x86-64 VM, numpy 2.4, set and restore included).  A buffer of
-        # one row avoids the copy; setting and restoring it costs about
-        # 5 us, which pays once a block holds more cells than the buffer.
-        def outer(a, x, out, row=-(-xs.size // 16) * 16):
-            bufsize = np.setbufsize(row)
-            try:
-                np.multiply.outer(a, x, out=out)
-            finally:
-                np.setbufsize(bufsize)
-
     # rows of whole 64-byte lines, from a line boundary: a ring that
     # malloc placed off one split the vector loads and stores of every
     # step, and ran 15-20% slower on 10^4 points
     width = -(-xs.size // 8) * 8
+    rows = max(1, _CELLS // max(width, 8))
+    span = rows // stride * stride or stride  # the orders of one coefficient request
+    rows = min(rows, span, max(n_top, 1))  # the rows of a page
     buffer = np.empty((rows + 2) * width + 8)
     start = -buffer.ctypes.data % 64 // 8
     ring = buffer[start : start + (rows + 2) * width].reshape(rows + 2, width)[:, : xs.size]
@@ -1036,38 +1132,44 @@ def _array_blocks(xs: np.ndarray, n_top: int):
     yield 0, block, walls, np.ones(1)
     pos = 1  # the ring row of the next order
     coefficients = _Coefficients(float)
-    # whole strides a request, so that every request ends at a multiple
-    # of the stride but the last
-    chunk = _TABLE_ORDERS // stride * stride
-    for done in range(0, n_top, chunk):
-        a_chunk, s_chunk = coefficients.take(min(chunk, n_top - done))
-        for edge in range(0, a_chunk.size, stride):
-            stop = min(edge + stride, a_chunk.size)
-            for lo in range(edge, stop, rows):
-                hi = min(lo + rows, stop)
-                if pos + hi - lo > len(views):
-                    if pos - 2 < hi - lo:  # the start pair lies in the block's rows
-                        prev, cur = prev.copy(), cur.copy()
-                    pos = 0
-                outer(a_chunk[lo:hi], xs, out=ring[pos : pos + hi - lo])
-                prev, cur = _step_rows(prev, cur, views[pos : pos + hi - lo])
-                block = ring[pos : pos + hi - lo]
-                block.flags.writeable = False
-                pos += hi - lo
-                k = done + lo + 1  # the block's first order
-                if hi - edge == stride:
-                    big = np.maximum(np.abs(cur), np.abs(prev))
-                    shift = (big > _WALL_HI).astype(np.intc)
-                    if shift.any():
-                        scale = np.ldexp(1.0, -512 * shift)  # exactly 2^-512 or 1
-                        cur *= scale
-                        prev = prev * scale
-                        if hi - lo > 1:
-                            yield k, block[:-1], walls, s_chunk[lo : hi - 1]
-                        walls = walls + shift
-                        yield done + hi, block[-1:], walls, s_chunk[hi - 1 : hi]
-                        continue
-                yield k, block, walls, s_chunk[lo:hi]
+    row_buffer = _RowBuffer(xs.size)
+    for done in range(0, n_top, span):
+        a_span, s_span = coefficients.take(min(span, n_top - done))
+        for lo in range(0, a_span.size, rows):
+            hi = min(lo + rows, a_span.size)
+            if pos + hi - lo > len(views):
+                if pos - 2 < hi - lo:  # the start pair lies in the page's rows
+                    prev, cur = prev.copy(), cur.copy()
+                pos = 0
+            with row_buffer(hi - lo):
+                np.multiply.outer(a_span[lo:hi], xs, out=ring[pos : pos + hi - lo])
+            base = pos - lo  # the ring row of the span's index 0
+            first = edge = lo  # the span's index of the block's first row, and of the steps'
+            # a page of whole strides starts at lo = 0, and a part of one
+            # ends at or before lo + stride: either way the stride ends
+            # are these, capped at hi
+            for end in range(lo + stride, hi + stride, stride):
+                end = min(end, hi)
+                prev, cur = _step_rows(prev, cur, views[base + edge : base + end])
+                edge = end
+                if end % stride:
+                    continue  # not a multiple of the stride: no test
+                big = np.maximum(np.abs(cur), np.abs(prev))
+                shift = (big > _WALL_HI).astype(np.intc)
+                if shift.any():
+                    scale = np.ldexp(1.0, -512 * shift)  # exactly 2^-512 or 1
+                    cur *= scale
+                    prev = prev * scale
+                    if end - 1 > first:
+                        block = ring[base + first : base + end - 1]
+                        block.flags.writeable = False
+                        yield done + first + 1, block, walls, s_span[first : end - 1]
+                    walls = walls + shift
+                    first = end - 1
+            block = ring[base + first : base + hi]
+            block.flags.writeable = False
+            yield done + first + 1, block, walls, s_span[first:hi]
+            pos += hi - lo
 
 
 def _log_magnitudes(ps, walls, scales, x, orders):
@@ -1130,21 +1232,36 @@ def hermite_exact(n: int, x: float) -> SignedLog:
     reaches ~5e5, so the Gaussian constant and the rescaling ledger are
     assembled with a compensated product and an error-free sum; plain
     accumulation would already spend the whole error budget on them.
-    Orders beyond EXTENDED_PRECISION_ORDER run the same recurrence in
-    long double, coefficients included, because the drift of the double
-    loop alone would exceed the contract there.
+    Up to EXTENDED_PRECISION_ORDER the loop runs in doubles.  Past it,
+    whose drift alone would leave the contract by n = 10^6, the loop
+    runs in doubles up to m, the last multiple of _stride(|x|) at or
+    below that order (bit for bit the loop of hermite_exact(m, x)), and
+    hands its pair on as the long-double m-values (p_{m-1} s_{m-1},
+    p_m s_m) to a long-double walk from a cursor started at m, whose
+    scales restart at 1 and whose walls are tested at the same multiples
+    of the stride.  Only the orders past m pay for long double; they
+    carry the double walk's drift up to m (8.5e-14 at 2e4, ROADMAP.md,
+    item 3) on top of their own: 3.0e-13 at h_{1e6}(900).
     """
     n = _whole_number(n, "n")
     _point(x)
-    dtype = float
-    if n > EXTENDED_PRECISION_ORDER:
-        if _EXTENDED_FLOAT is None:
-            raise ValueError(
-                f"order {n} > {EXTENDED_PRECISION_ORDER} needs a long double with a "
-                f"64-bit significand; this platform's has {np.finfo(np.longdouble).nmant + 1}"
-            )
-        dtype = _EXTENDED_FLOAT
-    p, walls, s_n = _scalar_loop(n, x, dtype)
+    if n <= EXTENDED_PRECISION_ORDER:
+        (_, p), walls, (_, s_n) = _scalar_loop(n, x)
+    elif _EXTENDED_FLOAT is None:
+        raise ValueError(
+            f"order {n} > {EXTENDED_PRECISION_ORDER} needs a long double with a "
+            f"64-bit significand; this platform's has {np.finfo(np.longdouble).nmant + 1}"
+        )
+    else:
+        # the hand-off order m lies past the coefficient table, so the
+        # long-double cursor's scales restart at s_{m-1} = s_m = 1 and the
+        # pair goes on as the m-values p s
+        stride = _stride(abs(x))
+        m = EXTENDED_PRECISION_ORDER // stride * stride
+        pair, walls, scales = _scalar_loop(m, x)
+        pair = tuple(_EXTENDED_FLOAT(p) * _EXTENDED_FLOAT(s) for p, s in zip(pair, scales))
+        start = (m, pair, walls, _Coefficients(_EXTENDED_FLOAT, m))
+        (_, p), walls, (_, s_n) = _scalar_loop(n, x, _EXTENDED_FLOAT, start)
     return SignedLog(int(p > 0) - int(p < 0), float(_log_magnitudes(p, walls, s_n, float(x), n)))
 
 
@@ -1170,7 +1287,7 @@ def hermite_orders(n_top: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     order at a time.  Against hermite_exact, the worst |error| in
     ln|h_n| over eight x in [0.5, 1000] is 2.1e-12 at n = 2e5 (at
     x = 600), while h_{1e6}(900) reads -10.839724160507096 against
-    -10.839724161192464, an error of 6.9e-10, past the contract
+    -10.839724161192401, an error of 6.9e-10, past the contract
     (ROADMAP.md, item 3).  One pass costs O(n_top) regardless of how far
     below double range the values sit.  Raises ValueError for an n_top
     or an x that hermite_exact rejects.
@@ -1195,10 +1312,11 @@ def hermite_batch(orders, xs) -> tuple[np.ndarray, np.ndarray]:
     Notes
     -----
     All pairs advance through the recurrence together, in the blocks of
-    orders of _array_blocks, and each pair is harvested from the block
-    that holds its order; total work is O(max order) vectorized across
-    the batch, two in-place ufuncs an order after one outer product a
-    block, so a narrow batch pays numpy's per-call cost on every order.
+    orders of _array_blocks, and the pairs whose orders a block holds are
+    harvested from it with one gather; total work is O(max order)
+    vectorized across the batch, two in-place ufuncs an order after one
+    outer product a page, so a narrow batch pays numpy's per-call cost on
+    every order.
     Runs in doubles at every order: its drift in ln|h_n| is
     3.4e-12 at n = 2e5, and 8.1e-10, past the 1e-10 contract, at
     h_{1e6}(900) (ROADMAP.md, item 3).  Raises ValueError for an order
@@ -1216,22 +1334,22 @@ def hermite_batch(orders, xs) -> tuple[np.ndarray, np.ndarray]:
 
     sort = np.argsort(orders, kind="stable")
     sorted_x = xs[sort]
-    top, first, count = np.unique(orders[sort], return_index=True, return_counts=True)
-    # the distinct orders in turn, each with its pairs, then a sentinel
-    harvest = iter(
-        [(k, slice(i, i + c)) for k, i, c in zip(top.tolist(), first.tolist(), count.tolist())]
-        + [(math.inf, None)]
-    )
-    k_next, part = next(harvest)
+    sorted_orders = orders[sort]
+    bounds = sorted_orders.tolist()
+    columns = np.arange(orders.size)
     ps = np.empty(orders.size)
     walls = np.empty(orders.size, dtype=np.int64)
     scales = np.empty(orders.size)
-    for k, block, walls_k, s_k in _array_blocks(sorted_x, int(top[-1])):
-        while k_next < k + len(block):
-            ps[part] = block[k_next - k, part]
-            walls[part] = walls_k[part]
-            scales[part] = s_k[k_next - k]
-            k_next, part = next(harvest)
+    lo = 0  # the first pair not yet harvested
+    for k, block, walls_k, s_k in _array_blocks(sorted_x, bounds[-1]):
+        hi = bisect.bisect_left(bounds, k + len(block), lo)
+        if hi > lo:
+            # the pairs lo..hi-1 have their orders in this block: one gather
+            rows = sorted_orders[lo:hi] - k
+            ps[lo:hi] = block[rows, columns[lo:hi]]
+            walls[lo:hi] = walls_k[lo:hi]
+            scales[lo:hi] = s_k[rows]
+            lo = hi
     out_signs[sort] = np.sign(ps)
     out_logs[sort] = _log_magnitudes(ps, walls, scales, sorted_x, orders[sort])
     return out_signs, out_logs
@@ -1272,21 +1390,25 @@ def hermite_values(n_top: int, xs) -> np.ndarray:
     quadrature, plotting).  Each block of _array_blocks converts at once,
     as (factor * s_k) * p_k times 2^(512 walls + e_gauss) (see
     _gauss_factors), with an exact ldexp, so only the result can
-    underflow.  Raises ValueError for xs that is not 1-D (a scalar is
+    underflow; the broadcast products factor * s_k run under the
+    one-row ufunc buffer of the walk's outer products where it pays
+    (_RowBuffer).  Raises ValueError for xs that is not 1-D (a scalar is
     one point), and for an n_top or an x that hermite_exact rejects.
     """
     n_top = _whole_number(n_top, "n_top")
-    xs = _array(np.atleast_1d(xs), "xs", points=True)
+    xs = _array(xs, "xs", points=True, scalar=True)
     out = np.empty((n_top + 1, xs.size))
     factors, e_gauss = _gauss_factors(xs)
     seen = None  # the walls array that exponent belongs to
+    row_buffer = _RowBuffer(xs.size)
     with np.errstate(under="ignore"):
         for k, ps, walls, scales in _array_blocks(xs, n_top):
             if walls is not seen:
                 seen, exponent = walls, _exponents(walls, e_gauss)
             block = out[k : k + len(ps)]
-            np.multiply(factors[k % 2], scales[0::2, None], out=block[0::2])
-            np.multiply(factors[1 - k % 2], scales[1::2, None], out=block[1::2])
+            with row_buffer(len(ps)):
+                np.multiply(factors[k % 2], scales[0::2, None], out=block[0::2])
+                np.multiply(factors[1 - k % 2], scales[1::2, None], out=block[1::2])
             block *= ps
             np.ldexp(block, exponent, out=block)
     return out

@@ -172,7 +172,7 @@ def basis_values(xs, n_top: int) -> np.ndarray:
     Raises ValueError for an n_top that hermite_values rejects, and for
     xs unless sqrt(2 pi) xs is an array of points (hermite_core._array).
     """
-    xs = _array(np.atleast_1d(xs), "xs")
+    xs = _array(xs, "xs", scalar=True)
     return BASIS_NORMALIZER * hermite_values(n_top, BASIS_SCALE * xs)
 
 
@@ -243,7 +243,7 @@ def expand(f, n_terms: int, quad: QuadratureSpec | None = None) -> HermiteCoeffi
     # tighter than this
     floor = 4.0 * np.finfo(float).eps * UNIFORM_BASIS_BOUND * mass
     diff = np.maximum(diff, floor)
-    return HermiteCoefficients(tuple(current), tuple(diff))
+    return HermiteCoefficients(current, diff)
 
 
 def gaussian_coefficients(alpha: float, n_terms: int) -> HermiteCoefficients:
@@ -355,7 +355,7 @@ def evolve_grid(
     that basis_values rejects, and for an envelope that
     envelope_tail_log rejects.
     """
-    t = _real(t, "t") if np.ndim(t) == 0 else _array(t, "t")
+    t = _array(t, "t") if isinstance(t, (list, tuple, np.ndarray)) else _real(t, "t")
     values = _evolution_table(coeffs, basis_values(xs, coeffs.truncation_n), t)
     if envelope is None:
         return values, math.inf

@@ -37,6 +37,10 @@ X_MAX = 2.0**511
 
 NAN, INF = math.nan, math.inf
 
+# A list with a bool among numbers, which np.asarray would take as 0 or 1,
+# and a ragged list, on which np.asarray raises an error of its own
+BOOL_IN_LIST, RAGGED = [1.0, True], [[1.0], [2.0, 3.0]]
+
 # The bad values of each kind of parameter
 BAD = {
     "whole": (True, np.True_, 2.5, NAN, INF, -INF, -1, "3", None),
@@ -50,16 +54,21 @@ BAD = {
     "scale": (True, NAN, -INF, 0, -1, "1.0"),
     "sign": (True, np.True_, 2, -2, 0.5, NAN, "1"),
     "logmag": (True, NAN, "0.0", None),
-    "array": (True, 1.0, [True], [NAN], [INF], [-INF], ["1.0"], [[1.0, 2.0]], [None]),
-    "points": (True, 1.0, [True], [NAN], [INF], [2.0**512], ["1.0"], [[1.0, 2.0]]),
+    "array": (True, 1.0, [True], [NAN], [INF], [-INF], ["1.0"], [[1.0, 2.0]], [None],
+              BOOL_IN_LIST, RAGGED),
+    "points": (True, 1.0, [True], [NAN], [INF], [2.0**512], ["1.0"], [[1.0, 2.0]],
+               BOOL_IN_LIST, RAGGED),
     # one point or a 1-D array of them
-    "point-or-points": (True, NAN, "1.0", [True], [NAN], [INF], [2.0**512], [[1.0, 2.0]]),
+    "point-or-points": (True, NAN, "1.0", [True], [NAN], [INF], [2.0**512], [[1.0, 2.0]],
+                        BOOL_IN_LIST, RAGGED),
     # one number or a 1-D array of them
-    "real-or-array": (True, NAN, INF, "0.5", [True], [NAN], [[0.0, 0.1]]),
-    "orders": ([True], [2.5], [NAN], [INF], [-1], ["1"], [1e30]),
-    "nonempty": (True, 1.0, [], [True], [NAN], [INF], ["1.0"], [[1.0, 2.0]]),
+    "real-or-array": (True, NAN, INF, "0.5", [True], [NAN], [[0.0, 0.1]], BOOL_IN_LIST, RAGGED),
+    "orders": ([True], [2.5], [NAN], [INF], [-1], ["1"], [1e30], [1, True], [[1], [2, 3]]),
+    "nonempty": (True, 1.0, [], [True], [NAN], [INF], ["1.0"], [[1.0, 2.0]], BOOL_IN_LIST,
+                 RAGGED),
     # 20 lies past the largeness threshold at y = 1/2, so the bad entry is the one blamed
-    "grid": (True, [20.0, NAN], [20.0, INF], [20.0, 2.0**512], ["20", "30"], [[20.0, 30.0]]),
+    "grid": (True, [20.0, NAN], [20.0, INF], [20.0, 2.0**512], ["20", "30"], [[20.0, 30.0]],
+             [20.0, True], [[20.0], [30.0, 40.0]]),
 }
 
 P = SumParams(1.0, 0.25, 0.5)
@@ -265,6 +274,9 @@ ONCE_ACCEPTED = [
     (lambda: SweepConfig(mode="eval", x_grid=GRID, order=3, jobs=True), "jobs"),
     (lambda: SweepConfig(mode="oscillator", x_grid=GRID, alpha=0.5, n_terms=10,
                          t_grid=(True,)), "t_grid"),
+    # a bool in a list of numbers, taken as 1
+    (lambda: hermite_core.hermite_batch([1, True], [1.0, 1.0]), "orders"),
+    (lambda: hermite_core.hermite_moment_sweep([1.0, True], [1.0, 1.0], 2), "xs"),
     # these raised TypeError
     (lambda: hermite_core.hermite_exact(3, "1.0"), "x"),
     (lambda: decay_sum.direct_sum("5", P_ARG), "x"),
@@ -276,6 +288,26 @@ ONCE_ACCEPTED = [
 def test_a_call_once_accepted_now_raises(call, name):
     with pytest.raises(ValueError, match=rf"^(x_grid\.)?{name} must be"):
         call()
+
+
+def test_a_ragged_list_raises_naming_its_parameter():
+    # np.asarray's own error for it named no parameter
+    with pytest.raises(ValueError, match=r"^xs must be a 1-D array .*, got a ragged sequence$"):
+        hermite_core.hermite_values(3, [[1.0], [2.0, 3.0]])
+
+
+def test_a_whole_float_keys_the_same_sweep_as_its_int():
+    # order, n_terms and jobs keep the int that _whole_number returns, so
+    # the config echo and the fixture id do not depend on 3.0 against 3
+    grid = GridSpec(1.0, 2.0, 2)
+    as_float = SweepConfig(mode="eval", x_grid=grid, order=3.0, jobs=1.0)
+    as_int = SweepConfig(mode="eval", x_grid=grid, order=3, jobs=1)
+    assert as_float.fixture_id() == as_int.fixture_id() == "3601de985349"
+    assert type(as_float.order) is type(as_float.jobs) is int
+    assert as_float.content_dict() == as_int.content_dict()
+    osc = dict(mode="oscillator", x_grid=grid, alpha=0.5, t_grid=(0.0,))
+    floats, ints = SweepConfig(**osc, n_terms=10.0), SweepConfig(**osc, n_terms=10)
+    assert type(floats.n_terms) is int and floats.fixture_id() == ints.fixture_id()
 
 
 @pytest.mark.parametrize(

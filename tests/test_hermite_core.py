@@ -161,11 +161,46 @@ class TestHermiteExact:
     def test_extended_tier_takes_the_log_in_long_double(self):
         # ln(|p| s) is taken in long double and only then rounded to a
         # double for the ledger; at these points rounding p to a double
-        # first would move that log
+        # first would move that log.  The long-double walk goes on from
+        # the pair that the double walk holds at the hand-off order
         for n, x in [(20699, -33.3), (21498, -2.3), (21368, 170.6), (20728, 127.8),
                      (21938, -4.4), (21526, -106.6), (40000, 310.0)]:
             got = hermite_exact(n, x)
-            assert (got.sign, got.logmag) == long_double_log(n, x), (n, x)
+            assert (got.sign, got.logmag) == long_double_log(n, x, hand_off(x)), (n, x)
+
+    @given(st.integers(0, EXTENDED_PRECISION_ORDER), st.floats(-1000.0, 1000.0))
+    @example(EXTENDED_PRECISION_ORDER, 1000.0)
+    @example(EXTENDED_PRECISION_ORDER, -1e-300)
+    @example(19999, 0.0)
+    @settings(max_examples=25, deadline=None)
+    def test_runs_the_double_loop_up_to_the_hand_off(self, n, x):
+        # long double starts only past EXTENDED_PRECISION_ORDER
+        (_, p), walls, (_, s) = hermite_core._scalar_loop(n, x)
+        got = hermite_exact(n, x)
+        want = hermite_core._log_magnitudes(p, walls, s, x, n)
+        assert (got.sign, got.logmag) == (int(np.sign(p)), float(want))
+
+    @pytest.mark.skipif(hermite_core._EXTENDED_FLOAT is None, reason="no extended long double")
+    @pytest.mark.parametrize("x", [1.0, 7.69, 49.5, 500.0, 728.0, 1000.0])
+    def test_hand_off_holds_the_contract(self, x):
+        # the double walk up to the hand-off order carries its drift (8.5e-14
+        # at 2e4) into the long-double walk: over these points the worst
+        # error is 4.2e-14 relative, at (20004, 7.69), and 1.5e-11 absolute,
+        # one ulp of ln|h| = -83194 at (20024, 500), as a walk all in long
+        # double gives
+        orders = [*range(EXTENDED_PRECISION_ORDER + 1, EXTENDED_PRECISION_ORDER + 33), 30000]
+        for n, (sign, logmag) in zip(orders, mp_hermite_logs(orders, x)):
+            got = hermite_exact(n, x)
+            assert got.sign == sign
+            assert abs(got.logmag - logmag) <= 1e-10, n
+
+    @pytest.mark.skipif(hermite_core._EXTENDED_FLOAT is None, reason="no extended long double")
+    def test_builds_no_long_double_table(self, monkeypatch):
+        # the long-double walk starts past the coefficient table's end, so
+        # only the double table is built
+        monkeypatch.setattr(hermite_core, "_TABLES", {})
+        hermite_exact(30000, 728.0)
+        assert list(hermite_core._TABLES) == [float]
 
     @pytest.mark.parametrize("x", [0.0, -1e-300, 3.0, 41.3, -150.0, 1000.0])
     def test_one_conversion_for_one_value_and_for_a_stream(self, x):
@@ -811,11 +846,27 @@ class TestFrontendsAgreeAcrossBlockEdges:
             assert abs(batch_logs[i] - ref.logmag) <= 1e-11
 
 
-def long_double_log(n: int, x: float) -> tuple[int, float]:
-    """(sign, ln|h_n(x)|) from the long-double _scalar_loop, at one order."""
-    p, walls, s = hermite_core._scalar_loop(n, x, hermite_core._EXTENDED_FLOAT)
+def long_double_log(n: int, x: float, start=None) -> tuple[int, float]:
+    """(sign, ln|h_n(x)|) from the long-double _scalar_loop, at one order, resumed at start."""
+    (_, p), walls, (_, s) = hermite_core._scalar_loop(n, x, hermite_core._EXTENDED_FLOAT, start)
     log_m = float(np.log(abs(p) * s))
     return int(np.sign(p)), float(hermite_core._log_magnitude(walls, log_m, x))
+
+
+def hand_off(x: float):
+    """The start of hermite_exact's long-double walk past EXTENDED_PRECISION_ORDER.
+
+    (m, pair, walls, cursor): m is the last multiple of _stride(|x|) at
+    or below the hand-off order, the pair the m-values p s of the double
+    walk there, rounded into long double, and the cursor a long-double
+    one started at m, whose scales restart at 1.
+    """
+    stride = hermite_core._stride(abs(x))
+    m = EXTENDED_PRECISION_ORDER // stride * stride
+    pair, walls, scales = hermite_core._scalar_loop(m, x)
+    ld = hermite_core._EXTENDED_FLOAT
+    pair = (ld(pair[0]) * ld(scales[0]), ld(pair[1]) * ld(scales[1]))
+    return m, pair, walls, hermite_core._Coefficients(ld, m)
 
 
 def turning_order(x: float) -> int:
@@ -901,26 +952,41 @@ def assert_same_values(ms, walls, ref_ms, ref_walls):
     assert np.all((magnitudes >= np.finfo(float).tiny) & (magnitudes <= np.finfo(float).max))
 
 
+def page_rows(xs, n):
+    """(stride, rows of a page, whether a page holds whole strides) of _array_blocks.
+
+    A page holds at most _CELLS cells of 64-byte padded ring rows and no
+    order past n: whole strides where one fits, else part of one.
+    """
+    stride = hermite_core._stride(np.max(np.abs(xs), initial=0.0))
+    cells = hermite_core._CELLS // max(-(-len(xs) // 8) * 8, 8)
+    return stride, max(1, min(cells // stride * stride or cells, n)), cells >= stride
+
+
 def block_walk(xs, n):
     """(p, walls, s) of orders 0..n from _array_blocks, one row an order.
 
     Checks the block rules on the way: every block is read-only, has its
     rows on 64-byte boundaries, starts where the one before ended and
-    holds at most min(stride,
-    _CELLS // len(xs)) orders, with no multiple of the stride but at its
-    last row, and the wall counts change only after such an order.
+    holds at most a page's rows, and never runs past a page's end: pages
+    of whole strides start at the order after a multiple of the page,
+    and a page of part of a stride holds no multiple of the stride but
+    at its last row.  The wall counts change only at a block's first
+    order, which is then a multiple of the stride.
     """
     xs = np.asarray(xs, dtype=float)
-    stride = hermite_core._stride(np.max(np.abs(xs), initial=0.0))
-    rows = max(1, min(stride, hermite_core._CELLS // max(xs.size, 1)))
+    stride, rows, whole = page_rows(xs, n)
     ms, walls, scales = [], [], []
     for k, block, walls_k, s_k in hermite_core._array_blocks(xs, n):
         r = len(block)
         assert k == len(ms) and 1 <= r <= rows and len(s_k) == r
         assert not block.flags.writeable
         assert block.ctypes.data % 64 == block.strides[0] % 64 == 0  # rows on cache lines
-        assert k == 0 or all((k + i) % stride for i in range(r - 1))
-        assert k == 0 or walls_k is walls[-1] or (k % stride == 0 and r == 1)
+        if whole:
+            assert k == 0 or (k - 1) // rows == (k + r - 2) // rows  # within one page
+        else:
+            assert k == 0 or all((k + i) % stride for i in range(r - 1))
+        assert k == 0 or walls_k is walls[-1] or k % stride == 0
         ms.extend(block.copy())
         walls += [walls_k] * r
         scales.extend(s_k)
@@ -948,7 +1014,7 @@ class TestStridedWalls:
         for x in xs:
             for dtype in dtypes:
                 ref_ms, ref_walls = per_step_rescaled_recurrence(n, x, dtype)
-                last_m, last_walls, last_scale = hermite_core._scalar_loop(n, x, dtype)
+                (_, last_m), last_walls, (_, last_scale) = hermite_core._scalar_loop(n, x, dtype)
                 assert_same_values([last_m], [last_walls], ref_ms[-1:], ref_walls[-1:])
                 assert last_scale == ([1] + unit_coefficients(n, dtype)[1])[-1]
             cls.check_stream(n, x)
@@ -1020,7 +1086,7 @@ class TestStridedWalls:
         for dtype in dtypes:
             typed_ms, typed_walls = per_step_rescaled_recurrence(n, x, dtype, stride=stride)
             for k in orders:
-                p, walls, _ = hermite_core._scalar_loop(k, x, dtype)
+                (_, p), walls, _ = hermite_core._scalar_loop(k, x, dtype)
                 assert type(p) is type(typed_ms[k])
                 assert (p, walls) == (typed_ms[k], typed_walls[k]), (dtype, k)
         array_ms, array_walls, _ = block_walk([x], n)
@@ -1066,15 +1132,16 @@ class TestStridedWalls:
 class TestBlockSteps:
     """The block walk's in-place steps give the per-step recurrence bit for bit.
 
-    Before a block's steps run, one outer product writes a'_k x into the
-    block's ring rows, and each step then multiplies and subtracts in
-    place.  These cases pin down where that could go wrong: a block that
+    Before a page's steps run, one outer product writes a'_k x into the
+    page's ring rows, and each step then multiplies and subtracts in
+    place.  These cases pin down where that could go wrong: a page that
     wraps to ring row 0 while its start pair lies in the rows it writes,
-    widths that leave part of a ring row unused, a wall crossing on a
-    block's last row, blocks shorter than a stride, and tiny x and
-    x = 0.  Each column must equal the per-step loop that tests its
-    walls at the multiples of the walk's stride, bit for bit, with no
-    floating-point warning (an error under filterwarnings = error).
+    widths that leave part of a ring row unused, wall crossings inside a
+    page, pages shorter than a stride or cut short by n_top, n_top 0 and
+    1, and tiny x and x = 0.  Each column must equal the per-step loop
+    that tests its walls at the multiples of the walk's stride, bit for
+    bit, with no floating-point warning (an error under filterwarnings =
+    error).
     """
 
     @staticmethod
@@ -1110,13 +1177,15 @@ class TestBlockSteps:
 
     @pytest.mark.parametrize("x_max, width", [(60.0, 9), (1000.0, 2000)])
     def test_wraps_onto_its_start_pair(self, x_max, width):
-        # full blocks of stride rows in a ring of stride + 2 rows: every
-        # block after the first wraps to row 0, and its rows hold the
-        # pair it starts from; past _CELLS // stride points, short blocks
-        # at the stride ends wrap with their pair clear of their rows
+        # full pages of whole strides in a ring of a page's rows + 2: every
+        # page after the first wraps to row 0, and its rows hold the pair
+        # it starts from, so the walk runs past three pages; past
+        # _CELLS // stride points, short pages at the stride ends wrap
+        # with their pair clear of their rows
         xs = np.random.default_rng(width).uniform(-x_max, x_max, width)
         xs[0] = x_max
-        n = 300
+        _, rows, _ = page_rows(xs, 10**6)
+        n = max(300, 3 * rows + 5)
         ms, walls, blocks = self.walk(xs, n)
         onto_pair = clear = 0
         for (_, row, r, _), (_, before, before_r, _) in zip(blocks[1:], blocks):
@@ -1141,20 +1210,17 @@ class TestBlockSteps:
     @pytest.mark.parametrize("width", [1, 5])
     def test_wall_crossing_on_a_block_s_last_row(self, width):
         # at x = 1000 the pair passes 2^512 about every 47 orders, so a wall
-        # fires after every second stride of 36; the block that ends there
-        # is handed out as its first stride - 1 rows and then its last row
+        # fires after every second stride of 36; orders 1..400 are one
+        # page, so the blocks after order 0 end only there: each ends on
+        # the row before a crossing, and the crossing's row starts the next
         xs = np.linspace(1000.0, -1000.0, width)
         n = 400
         stride = hermite_core._stride(1000.0)
         ms, walls, blocks = self.walk(xs, n)
-        crossings = [
-            (before, at)
-            for before, at in zip(blocks, blocks[1:])
-            if at[3] is not before[3] and at[0] > 0
-        ]
-        assert len(crossings) >= 5
-        for (k, _, r, _), (k_at, _, r_at, _) in crossings:
-            assert (r, r_at) == (stride - 1, 1) and k_at == k + r and k_at % stride == 0
+        pairs = list(zip(blocks[1:], blocks[2:]))
+        assert len(pairs) >= 5
+        for (k, _, r, before), (k_at, _, _, at) in pairs:
+            assert at is not before and k_at == k + r and k_at % stride == 0
         self.check_columns(xs, n, ms, walls)
 
     def test_blocks_shorter_than_a_stride(self):
@@ -1178,6 +1244,64 @@ class TestBlockSteps:
         ms, walls, _ = self.walk(xs, n)
         self.check_columns(xs, n, ms, walls)
         assert not ms[1::2, :2].any()  # h_n(0) = 0 for odd n, exactly
+
+    def test_a_page_of_strides_with_walls_mid_page(self):
+        # three points leave room for a page of thousands of orders, so
+        # orders 1..600 are one page of whole strides; at x = 1000 the
+        # walls move about every second stride, inside the page: the rows
+        # before the crossing go out as one block, and the crossing's row
+        # starts the next, which runs on over stride ends
+        xs = [1000.0, -3.0, 250.0]
+        n = 600
+        stride, rows, whole = page_rows(xs, n)
+        assert whole and rows == n
+        ms, walls, blocks = self.walk(xs, n)
+        crossings = [at for before, at in zip(blocks[1:], blocks[2:]) if at[3] is not before[3]]
+        assert len(crossings) >= 8
+        assert all(k % stride == 0 and row > 0 for k, row, _, _ in crossings)
+        assert max(r for _, _, r, _ in blocks) > stride
+        self.check_columns(xs, n, ms, walls)
+
+    def test_a_page_cut_short_by_n_top(self):
+        # 300 points leave pages of 5 strides; the third page stops at
+        # n_top, 43 orders in and not at a stride end
+        xs = np.linspace(-1000.0, 1000.0, 300)
+        stride, rows, whole = page_rows(xs, 10**6)
+        assert whole and rows == 5 * stride
+        n = 2 * rows + stride + 7
+        ms, walls, blocks = self.walk(xs, n)
+        last_page = [(k, r) for k, _, r, _ in blocks if k > 2 * rows]
+        assert last_page[0][0] == 2 * rows + 1 and sum(r for _, r in last_page) == n - 2 * rows
+        self.check_columns(xs, n, ms, walls, [0, 1, 150, 299])
+
+    def test_a_page_narrower_than_a_stride(self):
+        # at |x| <= 1 a stride is 200 orders, more than the 63 rows that
+        # 1025 points leave a page: each stride goes out in pages of 63,
+        # 63, 63 and 11 rows, whose outer products run with a ufunc
+        # buffer of one row
+        xs = np.linspace(-1.0, 1.0, 1025)
+        stride, rows, whole = page_rows(xs, 10**6)
+        assert (stride, rows, whole) == (200, 63, False)
+        n = 450
+        ms, walls, blocks = self.walk(xs, n)
+        assert [r for _, _, r, _ in blocks[1:9]] == [63, 63, 63, 11] * 2
+        self.check_columns(xs, n, ms, walls, [0, 1, 512, 1023, 1024])
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_n_top_0_and_1(self, n):
+        xs = [0.0, -2.5, 1000.0]
+        ms, walls, blocks = self.walk(xs, n)
+        assert [(k, r) for k, _, r, _ in blocks] == [(0, 1), (1, 1)][: n + 1]
+        self.check_columns(xs, n, ms, walls)
+
+    def test_one_pair_at_order_1e5_is_the_scalar_loop(self):
+        # one point fills pages of 8172 orders, 227 strides of 36 each,
+        # with a wall change about every second stride
+        n, x = 10**5, 900.0
+        (_, p), walls, (_, s) = hermite_core._scalar_loop(n, x)
+        signs, logs = hermite_batch([n], [x])
+        assert signs[0] == np.sign(p) != 0
+        assert logs[0] == hermite_core._log_magnitudes(p, walls, s, x, n)
 
 
 def entered_logs(a: int, x: float) -> np.ndarray:
