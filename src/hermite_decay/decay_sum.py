@@ -232,23 +232,34 @@ def find_nmax(x: float, y: float) -> ArgumentProfile:
     a negative value lands strictly between the two roots and brackets
     only the wanted one.
 
-    Raises ValueError for an x or a y that truncation_index rejects, or
-    when x is too small for the given y (truncation window shorter than
-    3 orders, or no sign change in the bracket); failure is reported,
-    never clamped.  The summand |h_n(x)|^kappa is even in x, so the
+    Where cosh(phi)^3 or x^2 sinh(phi) leaves double range, G takes its
+    middle term as e^(2 (phi - ln 2x)), infinite where that overflows
+    (G > 0 there): past phi = 20, cosh(phi) and sinh(phi) are both
+    e^phi / 2 to double precision, and below it the term is then under
+    1e-280.  Raises ValueError for an x or a y that truncation_index
+    rejects, or when x is too small for the given y (truncation window
+    shorter than 3 orders, no sign change in the bracket, or the maximum
+    at an order below 1); failure is reported, never clamped.  The summand |h_n(x)|^kappa is even in x, so the
     profile at x is the one at |x|.
     """
     n_trunc = truncation_index(x, y)
     x = abs(x)
+
+    def below(reason: str) -> ValueError:
+        return ValueError(f"x={x} is below the largeness threshold for y={y}: {reason}")
+
     if n_trunc < 3:
-        raise ValueError(
-            f"x={x} is below the largeness threshold for y={y}: "
-            f"truncation window N={n_trunc} < 3"
-        )
+        raise below(f"truncation window N={n_trunc} < 3")
 
     def g(phi: float) -> float:
-        ch = math.cosh(phi)
-        return phi + ch**3 / (x * x * math.sinh(phi)) - y
+        try:
+            scale = x * x * math.sinh(phi)
+            if scale < math.inf:
+                return phi + math.cosh(phi) ** 3 / scale - y
+        except OverflowError:  # cosh(phi)^3 or sinh(phi)
+            pass
+        lead = 2.0 * (phi - math.log(2.0 * x))
+        return phi + math.exp(lead) - y if lead < 709.0 else math.inf
 
     lo = None
     probe = 0.5 * y
@@ -258,10 +269,7 @@ def find_nmax(x: float, y: float) -> ArgumentProfile:
             break
         probe *= 0.5
     if lo is None:
-        raise ValueError(
-            f"x={x} is below the largeness threshold for y={y}: "
-            f"A' has no sign change on the bracket (0, y)"
-        )
+        raise below("A' has no sign change on the bracket (0, y)")
     hi = y
     for _ in range(_BISECT_MAX_ITER):
         if hi - lo <= _BISECT_TOL:
@@ -273,7 +281,11 @@ def find_nmax(x: float, y: float) -> ArgumentProfile:
             hi = mid
     phi_star = 0.5 * (lo + hi)
 
-    n_max = x * x / (2.0 * math.cosh(phi_star) ** 2) - 1.0
+    ch = math.cosh(phi_star)
+    # past ch = x, n_max < 0 and ch^2 may overflow
+    n_max = x * x / (2.0 * ch**2) - 1.0 if ch < x else 0.5 * (x / ch) ** 2 - 1.0
+    if n_max < 1.0:
+        raise below(f"the maximum of A lies at n={n_max} < 1")
     return ArgumentProfile(
         n_max=n_max,
         a_max=argument_function(n_max, x, y),
@@ -504,33 +516,38 @@ def _sum_internals(x: float, params: SumParams) -> _Sum:
 class _Start(NamedTuple):
     """One sum set up to walk.
 
-    |x|, the cutoff N, its stream, its entry order (0: from order 1) and
-    the last order of its first request.
+    |x|, the cutoff N, its stream, its entry order (0: from order 1),
+    the first order that may stop its walk and the last order of its
+    first request (_first_orders).
     """
 
     x: float
     n_cut: int
     stream: hermite_core._OrderStream
     entry: int
+    n_solve: int
     last: int
 
 
-def _start(x: float, params: SumParams) -> _Start:
-    """Set up the sum at x: check x, enter at its window if it can, and find its first request."""
+def _start(x: float, params: SumParams, enter: bool = True) -> _Start:
+    """Set up the sum at x: check x, enter at its window if it can, and find its first request.
+
+    With enter False the stream walks from order 1.
+    """
     n_cut = truncation_index(x, params.y)  # checks x, and is even in it
     x = abs(x)
     if n_cut > _MAX_ORDER:
         raise ValueError(f"analysis cutoff N={n_cut} at x={x} lies past order {_MAX_ORDER}")
     stream = hermite_core._OrderStream(x)
     entry = 0
-    if stream.scan_end:
+    if enter and stream.scan_end:
         expected = _expected_head(x, params)
         entry = int(expected // stream.stride) * stream.stride
         if not (expected >= _HEAD_MIN_ORDERS and stream.enter(entry)):
             entry = 0
     if not entry:
         stream.first = 1  # h_0 carries no summand
-    return _Start(x, n_cut, stream, entry, _first_orders(params, n_cut, stream)[1])
+    return _Start(x, n_cut, stream, entry, *_first_orders(params, n_cut, stream))
 
 
 def _sums(xs, params: SumParams):
@@ -575,14 +592,12 @@ def _sums(xs, params: SumParams):
 
 def _finish(start: _Start, params: SumParams) -> _Sum:
     """The sum of a set-up x; where an entry certifies no head, a fresh walk from order 1."""
-    x, n_cut, stream, entry, _ = start
-    if entry:
-        total = _walk(x, params, n_cut, stream, entry)
+    if start.entry:
+        total = _walk(start, params)
         if total is not None:
             return total
-        stream = hermite_core._OrderStream(x)
-        stream.first = 1
-    return _walk(x, params, n_cut, stream, 0)
+        start = _start(start.x, params, enter=False)
+    return _walk(start, params)
 
 
 def _first_orders(params: SumParams, n_cut: int, stream) -> tuple[int, int]:
@@ -601,15 +616,15 @@ def _first_orders(params: SumParams, n_cut: int, stream) -> tuple[int, int]:
     return n_solve, min(first_end, stream.first + _LARGEST_BLOCK - 1, _MAX_ORDER)
 
 
-def _walk(x: float, params: SumParams, n_cut: int, stream, entry: int) -> _Sum | None:
-    """The sum of _sum_internals on one stream, entered at order entry (0: from order 1).
+def _walk(start: _Start, params: SumParams) -> _Sum | None:
+    """The sum of _sum_internals on the stream of start, entered at its entry (0: from order 1).
 
     None when the head certificate of an entry passes at no block start.
     """
+    x, n_cut, stream, entry, n_solve, n_end = start  # n_end: the last order requested
     kappa_y = params.kappa * params.y
     n_min = max(n_cut, 64)
     log_tol = math.log(TAIL_RELATIVE_TOLERANCE)
-    n_solve, n_end = _first_orders(params, n_cut, stream)  # n_end: the last order requested
     ps, walls, scales = stream.take(n_end + 1 - max(entry - 1, 0))
     head = None
     blocks = []

@@ -115,8 +115,8 @@ _WALL_LOG_LO = float.fromhex("-0x1.718432a1b0e26p-26")
 # doubles only, so no long-double table is built (it would cost 512 kB).
 # The cursor _Coefficients hands out views of it, and past it computes
 # the coefficients that a request lacks, carrying the scales.
-# _scalar_loop requests at most this many orders at once, whole strides
-# each; _array_blocks requests a page's whole strides at once.
+# _scalar_loop requests at most this many orders at once; _array_blocks
+# requests a page's whole strides at once.
 _TABLE_ORDERS = 1 << 14
 _TABLES: dict = {}
 
@@ -568,22 +568,64 @@ def _stride(x_max) -> int:
     return max(1, int(_STRIDE_BITS / bits)) if bits < _STRIDE_BITS else 1
 
 
+def _step_pairs(products, k, pair, stride, values=None):
+    """(p_{j-1}, p_j, walls) after stepping the pair (p_{k-1}, p_k, walls) to order j.
+
+    The one step loop of the scalar walks: p_{i+1} = c_i p_i - p_{i-1}
+    for the products c_i = x a'_i of the orders i = k, k + 1, ..., j - 1
+    (j = k + len(products)), one multiply and one subtract a step, in
+    the float type of the products and the pair (items of a memoryview
+    step as Python floats, much faster than numpy scalars).  After every
+    order that is a multiple of stride, if the larger of the pair lies
+    above 2^512, both move down by one wall and the integer count walls
+    records it, as _array_blocks and the scan's block chain do; so the
+    walks hold the same pair and wall count at every order, wherever a
+    request ends.  Given values = (ps, counts, lengths), three lists, it
+    appends each p_i, i = k + 1..j, as it stands before the wall test at
+    its order, and for each slice of orders between two tests the wall
+    count of its p and its length.
+    """
+    p_prev, p_cur, walls = pair
+    if values is not None:
+        ps, counts, lengths = values
+        append = ps.append
+    count = len(products)
+    lo = 0
+    for hi in [*range(stride - k % stride, count, stride), count]:
+        if values is None:
+            for c in products[lo:hi]:
+                p_prev, p_cur = p_cur, c * p_cur - p_prev
+        else:
+            counts.append(walls)
+            lengths.append(hi - lo)
+            for c in products[lo:hi]:
+                p_prev, p_cur = p_cur, c * p_cur - p_prev
+                append(p_cur)
+        lo = hi
+        if (k + hi) % stride:
+            continue
+        if abs(p_cur) > _WALL_HI or abs(p_prev) > _WALL_HI:
+            p_cur *= _WALL_LO
+            p_prev *= _WALL_LO
+            walls += 1
+    return p_prev, p_cur, walls
+
+
 def _scalar_loop(n: int, x: float, dtype=float, start=None):
     """((p_{n-1}, p_n), walls_n, (s_{n-1}, s_n)) of the rescaled recurrence at one point x.
 
     Runs p_{k+1} = (x a'_k) p_k - p_{k-1} from p_0 = 1 on a running
     pair with h_k = p_k * s_k * 2^(512 walls) * pi^(-1/4) e^(-x^2/2)
     (see the module docstring), in dtype: x a'_k is formed once per
-    request to the coefficient cursor, rounded as the block walk rounds
-    it, and each step is one multiply and one subtract.  After every
-    order that is a multiple of _stride(|x|), if the larger of the pair
-    lies above 2^512, both move down by one wall and the integer count
-    walls records it, as _array_blocks and _OrderStream past its scan do:
-    so at every order they hold the same pair and wall count, and no
-    request size changes a value.  The pair stays below 2^912, and p_n
-    is the value a test after each step would give, times an exact
-    power of two.  A tiny x (0 < |x| < _TINY_X) runs at
-    copysign(_TINY_X, x); _odd_scale gives the factor back.
+    request of at most _TABLE_ORDERS orders to the coefficient cursor,
+    rounded as the block walk rounds it, and _step_pairs steps the pair
+    and tests the walls after the orders that are multiples of
+    _stride(|x|), as every walk does: so at every order they hold the
+    same pair and wall count, and no request size changes a value.  The
+    pair stays below 2^912, and p_n is the value a test after each step
+    would give, times an exact power of two.  A tiny x
+    (0 < |x| < _TINY_X) runs at copysign(_TINY_X, x); _odd_scale gives
+    the factor back.
 
     start = (m, (p_{m-1}, p_m), walls_m, cursor) resumes the walk at an
     order m that is a multiple of the stride, from that pair and wall
@@ -614,33 +656,16 @@ def _scalar_loop(n: int, x: float, dtype=float, start=None):
         x = math.copysign(_TINY_X, x)
     x = dtype(x)
     m, (p_prev, p_cur), walls, coefficients = start or (0, (0, 1), 0, _Coefficients(dtype))
-    p_prev, p_cur = dtype(p_prev), dtype(p_cur)
+    pair = (dtype(p_prev), dtype(p_cur), walls)
     scales = coefficients.start_scales
-    # whole strides a request, so that every slice ends at a multiple of
-    # the stride but the last
-    chunk = _TABLE_ORDERS // stride * stride
-    for lo in range(m, n, chunk):
-        a, s = coefficients.take(min(chunk, n - lo))
+    for lo in range(m, n, _TABLE_ORDERS):
+        a, s = coefficients.take(min(_TABLE_ORDERS, n - lo))
         products = np.multiply(x, a)
         if dtype is float:
-            # items of a memoryview step as Python floats, much faster
-            # than numpy scalars
             products = memoryview(products)
-        for edge in range(0, len(products), stride):
-            for c in products[edge : edge + stride]:
-                p_prev, p_cur = p_cur, c * p_cur - p_prev
-            if edge + stride > len(products):
-                break  # order n, not a multiple of the stride
-            big = abs(p_cur)
-            other = abs(p_prev)
-            if other > big:
-                big = other
-            if big > _WALL_HI:
-                p_cur *= _WALL_LO
-                p_prev *= _WALL_LO
-                walls += 1
+        pair = _step_pairs(products, lo, pair, stride)
         scales = (s[-2] if s.size > 1 else scales[1], s[-1])
-    return (p_prev, p_cur), walls, scales
+    return pair[:2], pair[2], scales
 
 
 def _expansion(n: int, x: float):
@@ -765,9 +790,10 @@ class _OrderStream:
     blocks, so its values are those of a pass of its own, bit for bit.
     A stream alone runs such a pass of one (_scan).
     Past scan_end, the stream steps one order at a time from the scan's
-    last pair and wall count, testing the wall after every order that is
-    a multiple of B, where _scalar_loop tests it.  A handed-out p_k at
-    such an order is the one before the test.
+    last pair and wall count, in the step loop of _scalar_loop
+    (_step_pairs), which tests the wall after every order that is a
+    multiple of B.  A handed-out p_k at such an order is the one before
+    the test.
 
     A caller may drop the orders below first (0 by default): take then
     hands out only those of its count orders from first on.  A fresh
@@ -871,37 +897,11 @@ class _OrderStream:
         _scan_pass([(self, self._blocks(need))])
 
     def _steps(self, count: int):
-        """(ps, walls, scales) of the next count orders.
-
-        The wall test follows each order that is a multiple of B, so a
-        request may end, and the next one resume, inside a stride slice.
-        """
-        b = self.stride
+        """(ps, walls, scales) of the next count orders, stepped one at a time (_step_pairs)."""
         a, scales = self._coefficients.take(count)
-        # items of a memoryview step as Python floats
-        coefficients = memoryview(np.multiply(self._x, a))
-        p_prev, p_cur, walls = self._pair
-        ps, counts, lengths = [], [], []
-        append = ps.append
-        lo = 0
-        for hi in [*range(b - self._k % b, count, b), count]:
-            counts.append(walls)
-            lengths.append(hi - lo)
-            for c in coefficients[lo:hi]:
-                p_prev, p_cur = p_cur, c * p_cur - p_prev
-                append(p_cur)
-            lo = hi
-            if (self._k + hi) % b:
-                continue
-            big = abs(p_cur)
-            other = abs(p_prev)
-            if other > big:
-                big = other
-            if big > _WALL_HI:
-                p_cur *= _WALL_LO
-                p_prev *= _WALL_LO
-                walls += 1
-        self._pair = (p_prev, p_cur, walls)
+        ps, counts, lengths = values = [], [], []
+        products = memoryview(np.multiply(self._x, a))
+        self._pair = _step_pairs(products, self._k, self._pair, self.stride, values)
         self._k += count
         return np.fromiter(ps, float, count), np.repeat(counts, lengths), scales
 
@@ -978,11 +978,7 @@ def _scan_pass(passes) -> None:
             curs.append(p_cur)
             counts.append(walls)
             p_prev, p_cur = ul * p_prev + vl * p_cur, ue * p_prev + ve * p_cur
-            big = abs(p_cur)
-            other = abs(p_prev)
-            if other > big:
-                big = other
-            if big > _WALL_HI:
+            if abs(p_cur) > _WALL_HI or abs(p_prev) > _WALL_HI:
                 p_cur *= _WALL_LO
                 p_prev *= _WALL_LO
                 walls += 1

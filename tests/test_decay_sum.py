@@ -314,6 +314,27 @@ class TestFindNmax:
         with pytest.raises(ValueError, match="largeness threshold"):
             find_nmax(-3.0, 0.25)
 
+    @pytest.mark.parametrize("x, y", [(1000.0, 1000.0), (60.0, 100.0), (2.0**511, 1000.0)])
+    def test_a_maximum_below_order_1_is_below_the_threshold(self, x, y):
+        # find_nmax(1000, 1000) raised OverflowError, from cosh(phi)^3 at its
+        # first probe, and find_nmax(60, 100) raised argument_function's
+        # "needs n >= 1": the maximum of A lies below order 1 at both
+        with pytest.raises(ValueError, match="largeness threshold .*: the maximum of A lies at n="):
+            find_nmax(x, y)
+
+    @pytest.mark.parametrize(
+        "x, y", [(1e150, 300.0), (2.0**511, 353.0), (3.984876594326698e104, 234.35045073876697)]
+    )
+    def test_root_where_the_middle_term_leaves_double_range(self, x, y):
+        # past phi = 237 cosh(phi)^3 overflows, and at x = 4e104 also
+        # x^2 sinh(phi), while their ratio stays finite: the first two raised
+        # OverflowError, and the third read that ratio as 0, giving
+        # A'(n_max) = 5.6e-7
+        profile = find_nmax(x, y)
+        assert 1.0 <= profile.n_max <= profile.truncation_n - 1
+        a1, _ = argument_derivatives(profile.n_max, x, y)
+        assert abs(a1) <= 1e-10
+
     def test_thresholds_match_operational_definition(self):
         # probe-measured first usable x: ~8.2 (y=0.25), ~3.2 (y=1)
         for y, below, above in ((0.25, 7.0, 8.5), (1.0, 2.5, 3.5)):

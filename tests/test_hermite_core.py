@@ -329,6 +329,38 @@ class TestSweeps:
                 assert signs[n] == ref.sign
                 assert logs[n] == pytest.approx(ref.logmag, rel=1e-12)
 
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_requests_ending_mid_stride_join_to_one_take(self, data):
+        # the orders past the scan are stepped by _step_pairs in requests of
+        # the callers' sizes, here 1 to 3 strides, so most end inside a
+        # stride slice: joined, they hold the bytes of one request, and the
+        # stream ends with the same pair and wall count.  Below the scan
+        # threshold every order is stepped, and the requests may cross the
+        # coefficient table's end; past it they go on from the scan's last pair
+        below = st.floats(min_value=-50.0, max_value=50.0)
+        past = st.floats(min_value=55.0, max_value=100.0)
+        x = data.draw(st.one_of(below, past, past.map(lambda v: -v)), label="x")
+        stride = hermite_core._stride(abs(x))
+        stream = hermite_core._OrderStream(x)
+        top = 20000 if not stream.scan_end else stream.scan_end + 8 * stride
+        n = data.draw(st.integers(min_value=stream.scan_end + 1, max_value=top), label="n")
+        parts, taken = [], 0
+        while taken < n:
+            size = min(data.draw(st.integers(min_value=1, max_value=3 * stride)), n - taken)
+            part = stream.take(size)
+            assert all(field.size == size for field in part)
+            parts.append(part)
+            taken += size
+        whole = hermite_core._OrderStream(x)
+        for field, joined in zip(whole.take(n), zip(*parts)):
+            joined = np.concatenate(joined)
+            assert joined.dtype == field.dtype
+            assert joined.tobytes() == field.tobytes()
+        assert stream._k == whole._k == n - 1
+        assert stream._pair == whole._pair
+        assert [type(v) for v in stream._pair] == [float, float, int]
+
     @pytest.mark.parametrize("n_top", [0, 1])
     def test_orders_at_the_smallest_n_top(self, n_top):
         signs, logs = hermite_orders(n_top, 0.0)

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import subprocess
 
 import pytest
 
@@ -130,3 +131,32 @@ class TestCodeLines:
         (tmp_path / "notes.txt").write_text("x = 1\n")
         assert code_lines.main([str(tmp_path)]) == 0
         assert capsys.readouterr().out == "6 small\n0 empty\n6 total\n"
+
+    def test_ref_compares_each_module_with_the_working_tree(self, tmp_path, monkeypatch, capsys):
+        # a module only at the ref counts 0 now, one only in the working
+        # tree 0 at the ref; the ref is read by git archive, so nothing under
+        # .git changes
+        package = tmp_path / "src" / "hermite_decay"
+        package.mkdir(parents=True)
+        (package / "small.py").write_text(MODULE)
+        (package / "gone.py").write_text("x = 1\n")
+        git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@example.org"]
+        for command in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "first"]):
+            subprocess.run(git + command, check=True)
+        (package / "gone.py").unlink()
+        (package / "small.py").write_text(MODULE + "z = 2\n")
+        (package / "new.py").write_text("a = 1\nb = 2\n")
+
+        def git_files():
+            return {
+                os.path.join(top, name): os.stat(os.path.join(top, name)).st_mtime_ns
+                for top, _, names in os.walk(tmp_path / ".git") for name in names
+            }
+
+        before = git_files()
+        monkeypatch.setattr(code_lines, "ROOT", str(tmp_path))
+        assert code_lines.main(["--ref", "HEAD"]) == 0
+        assert capsys.readouterr().out == "6 7 +1 small\n0 2 +2 new\n1 0 -1 gone\n7 9 +2 total\n"
+        assert git_files() == before
+        assert code_lines.main(["--ref", "no-such-ref"]) == 2
+        assert "cannot check out 'no-such-ref'" in capsys.readouterr().err
