@@ -53,7 +53,7 @@ TAIL_RELATIVE_TOLERANCE = 1e-12
 # and rejects x whose analysis cutoff lies past it.
 _MAX_ORDER = 4_000_000
 
-# A sum drops a head of its orders once _Head bounds it by e^-60 times a
+# A sum drops a head of its orders once _head bounds it by e^-60 times a
 # term of the sum: far below TAIL_RELATIVE_TOLERANCE (e^-27.6), and far
 # above any rounding of the bound.
 _HEAD_LOG_MARGIN = 60.0
@@ -82,6 +82,10 @@ _HEAD_MIN_ORDERS = 2000
 # n_stop = 462,166 orders, and the sum peaks at 4.5 MB (tracemalloc),
 # in 4.6 ms (15.1 ms when it walked every order).
 _LARGEST_BLOCK = 1 << 16
+
+# The least scale theta_sum takes: its series then needs at most 10^6
+# terms, as e^(-scale n^2) reaches 1e-22, where the terms end, at n = 10^6.
+_THETA_LEAST_SCALE = math.log(1e22) / 1e12
 
 # Bisection control for the interior-maximum solve.
 _BISECT_TOL = 1e-12
@@ -184,7 +188,11 @@ def argument_derivatives(n: float, x: float, y: float) -> tuple[float, float]:
     A'  = phi_n + x / (2(n+1) sqrt(x^2 - 2n - 2)) - y
     A'' = x ((2n+5)(n+1) - x^2 (n+2)) / (2 (n+1)^2 (x^2 - 2n - 2)^(3/2))
 
-    Takes the arguments that argument_function takes.
+    With d = x^2 - 2n - 2, A'' is formed as
+    (x / sqrt(d)) ((2n+5) / d - (x^2 / d) (n+2) / (n+1)) / (2(n+1)), whose
+    factors stay in double range at every point and order: the products
+    of the closed form overflow past |x| of about 1e100.  Takes the
+    arguments that argument_function takes.
     """
     _point(x)
     _positive(y, "y")
@@ -196,12 +204,8 @@ def argument_derivatives(n: float, x: float, y: float) -> tuple[float, float]:
     phi = phi_coordinate(n, x)
     root = math.sqrt(disc)
     a1 = phi + x / (2.0 * (n + 1.0) * root) - y
-    a2 = (
-        x
-        * ((2.0 * n + 5.0) * (n + 1.0) - x * x * (n + 2.0))
-        / (2.0 * (n + 1.0) ** 2 * disc * root)
-    )
-    return a1, a2
+    a2 = x / root * ((2.0 * n + 5.0) / disc - x * x / disc * (n + 2.0) / (n + 1.0))
+    return a1, a2 / (2.0 * (n + 1.0))
 
 
 def check_second_derivative_inequality(n: int, x: float, c: float) -> bool:
@@ -347,13 +351,14 @@ def _log_sum(term_logs: np.ndarray) -> float:
         return m + math.log(float(np.exp(term_logs - m).sum()))
 
 
-class _Head:
-    """The head certificate of one sum at x > 0, made once on its first block.
+def _head(x: float, params: SumParams, n_min: int, a, log_ratios, logs) -> tuple[int, float]:
+    """(a, log bound): the last start a below n_min whose head 1..a it certifies, or (0, -inf).
 
-    Called with block-start orders a, ln r_{a-1} = ln(h_a(x)/h_{a-1}(x))
-    and ln|h_a(x)|; returns the largest a below n_min, max(N, 64), whose
-    head 1..a it certifies, or 0.  _sum_internals calls it once per
-    entered sum, on the block starts from the entry on.
+    The head certificate of one sum at x > 0, made once on its first
+    block: _walk passes the block-start orders a of an entered sum from
+    the entry on, ln r_{a-1} = ln(h_a(x)/h_{a-1}(x)) and ln|h_a(x)|, and
+    gets the largest a below n_min, max(N, 64), whose head it
+    certifies, with the log of that head's bound.
 
     Below the turning point, r_k = h_{k+1}/h_k does not rise in k (the
     lemma of ROADMAP item 5): r_k = F_k(r_{k-1}) with
@@ -376,43 +381,30 @@ class _Head:
     2^-40 (x^2 + 1) kappa, at least 2.6e-9 kappa where the stream scans
     (x >= 53), far above all three.  The terms at the block starts
     round like any term and carry the entry's error (below 1e-11 up to
-    x = 2500), which the e^60 margin absorbs.  log_bound holds the log
-    of the bound of the last head certified.
+    x = 2500), which the e^60 margin absorbs.
     """
-
-    def __init__(self, x: float, params: SumParams, n_min: int) -> None:
-        self._params = params
-        self._n_min = n_min
-        self._shift = params.y + (x * x + 1.0) * 2.0**-40
-        self.top = -math.inf
-        self.log_bound = -math.inf
-
-    def __call__(self, a: np.ndarray, log_ratios: np.ndarray, logs: np.ndarray) -> int:
-        params = self._params
-        log_a = np.log(a)
-        terms = params.kappa * (logs - params.y * a) - params.beta * log_a
-        self.top = max(self.top, float(terms.max()))
-        log_rho = log_ratios - self._shift
-        log_rho *= params.kappa
-        # rho <= 1 certifies nothing: its bound comes out +inf or nan
-        with np.errstate(divide="ignore", invalid="ignore"):
-            excess = -np.log(np.expm1(log_rho))
-            if params.beta > 0.0:
-                excess += params.beta * log_a
-            bounds = terms + np.logaddexp(0.0, excess)
-        passing = np.flatnonzero((bounds <= self.top - _HEAD_LOG_MARGIN) & (a < self._n_min))
-        if not passing.size:
-            return 0
-        self.log_bound = float(bounds[passing[-1]])
-        return int(a[passing[-1]])
+    log_a = np.log(a)
+    terms = params.kappa * (logs - params.y * a) - params.beta * log_a
+    log_rho = log_ratios - (params.y + (x * x + 1.0) * 2.0**-40)
+    log_rho *= params.kappa
+    # rho <= 1 certifies nothing: its bound comes out +inf or nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        excess = -np.log(np.expm1(log_rho))
+        if params.beta > 0.0:
+            excess += params.beta * log_a
+        bounds = terms + np.logaddexp(0.0, excess)
+    passing = np.flatnonzero((bounds <= float(terms.max()) - _HEAD_LOG_MARGIN) & (a < n_min))
+    if not passing.size:
+        return 0, -math.inf
+    return int(a[passing[-1]]), float(bounds[passing[-1]])
 
 
 def _expected_head(x: float, params: SumParams) -> float:
-    """An order left of the last one _Head certifies, by Laplace's method; the sum enters there.
+    """An order left of the last one _head certifies, by Laplace's method; the sum enters there.
 
     The log of the summand peaks near n* = x^2 / (2 cosh^2 y) with
     curvature -1/sigma^2, sigma^2 = x^2 tanh(y) / (kappa cosh^2 y)
-    (ROADMAP item 6).  _Head certifies an order a once its term lies
+    (ROADMAP item 6).  _head certifies an order a once its term lies
     e^60 times the factor 1 + a^max(beta, 0) / (rho - 1) below the top,
     where rho - 1 is about sqrt(2 L) / sigma: so at about
     L = 60 + max(beta, 0) ln n* + max(ln(sigma / 11), 0) below it, sqrt(2 L)
@@ -457,8 +449,8 @@ def _sum_internals(x: float, params: SumParams) -> _Sum:
     its place: here the same set-up (_start) and walk (_finish) run with
     scan passes of this one stream, and a failure is raised.  One
     recurrence pass at x, a hermite_core._OrderStream, hands out the raw
-    orders (p_k, walls, s_k) in blocks of exactly the sizes asked for,
-    and runs less than one stride past the last block.  n_stop is the
+    orders (p_k, walls, s_k) in blocks, each through the last order
+    asked for, and runs less than one stride past the last block.  n_stop is the
     smallest order n >= max(N, 64), N the analysis cutoff, where the
     tail bound at n + 1 (_log_tails) is at most TAIL_RELATIVE_TOLERANCE
     times the partial sum through n, a lower bound on S.
@@ -474,9 +466,9 @@ def _sum_internals(x: float, params: SumParams) -> _Sum:
     x in [55, 2500] (tests/test_hermite_core.py).  So ln S moves from
     the walk from order 1 by at most kappa times that, plus the walk's
     own drift to a and a few ulps (measured on 12 sums at x = 300, 1000
-    and 2500: at most 1 ulp).  On the first block, one _Head
-    certificate takes the block starts a, a + B, ... below max(N, 64),
-    with ln|h| and ln r from the block's own conversion, and drops the
+    and 2500: at most 1 ulp).  On the first block, one head certificate
+    (_head) takes the block starts a, a + B, ... below max(N, 64), with
+    ln|h| and ln r from the block's own conversion, and drops the
     head through the last start it certifies, before its terms are
     formed; the terms kept run from n_first on.  Where the entry is
     refused, or the certificate passes at no start (its order lies
@@ -518,7 +510,7 @@ class _Start(NamedTuple):
 
     |x|, the cutoff N, its stream, its entry order (0: from order 1),
     the first order that may stop its walk and the last order of its
-    first request (_first_orders).
+    first request (see _start).
     """
 
     x: float
@@ -532,7 +524,13 @@ class _Start(NamedTuple):
 def _start(x: float, params: SumParams, enter: bool = True) -> _Start:
     """Set up the sum at x: check x, enter at its window if it can, and find its first request.
 
-    With enter False the stream walks from order 1.
+    With enter False the stream walks from order 1.  The first order that
+    may stop the walk, n_solve, lies past max(N, 64) and past the first
+    order whose tail bound is finite, kappa y n > max(-beta, 0).  At N
+    the tail bound is about S itself, and from there it falls by
+    e^(-kappa y) an order or faster: so the stop usually lies within
+    lookahead orders past N, where the bound has fallen by the tolerance
+    and two more e-folds, and the first request runs through there.
     """
     n_cut = truncation_index(x, params.y)  # checks x, and is even in it
     x = abs(x)
@@ -547,47 +545,46 @@ def _start(x: float, params: SumParams, enter: bool = True) -> _Start:
             entry = 0
     if not entry:
         stream.first = 1  # h_0 carries no summand
-    return _Start(x, n_cut, stream, entry, *_first_orders(params, n_cut, stream))
+    kappa_y = params.kappa * params.y
+    n_solve = max(n_cut, 64, math.floor(max(-params.beta, 0.0) / kappa_y) + 1)
+    lookahead = math.ceil((2.0 - math.log(TAIL_RELATIVE_TOLERANCE)) / kappa_y)
+    last = min(max(n_solve, n_cut + lookahead), stream.first + _LARGEST_BLOCK - 1, _MAX_ORDER)
+    return _Start(x, n_cut, stream, entry, n_solve, last)
 
 
 def _sums(xs, params: SumParams):
     """Yield the _Sum of _sum_internals at each x of xs in turn, or the exception that x raised.
 
-    Every x is set up first (_start), its first request included
-    (_first_orders).  Then those requests go to hermite_core._group_scan,
-    which scans their blocks below the turning point in stacked passes,
-    one pass for as many streams as its budget holds.  A sum is walked
-    when it is asked for, after the pass that holds it, so no more than
-    one pass's scanned orders and one sum's terms are held at once.  The
-    values are those of each x alone, bit for bit.  An x that raises, in
-    its set-up or its walk, gets its exception in its place and leaves
-    the others as they are.
+    Every x is set up first (_start), its first request included.  Then
+    those requests go to hermite_core._group_scan, which scans their
+    blocks below the turning point in stacked passes, one pass for as
+    many streams as its budget holds, and yields each request once its
+    pass has run.  A sum is walked when it is asked for, after the pass
+    that holds it, so no more than one pass's scanned orders and one
+    sum's terms are held at once.  The values are those of each x alone,
+    bit for bit.  An x that raises, in its set-up or its walk, gets its
+    exception in its place and leaves the others as they are (_attempt).
     """
-    starts = []
-    for x in xs:
-        try:
-            starts.append(_start(x, params))
-        except Exception as exc:  # recorded for this x alone
-            starts.append(exc)
+    starts = [_attempt(_start, x, params) for x in xs]
     # read lazily, never behind the loop below, which drops each set-up
     # once walked, and with it the orders its stream still holds
-    passes = hermite_core._group_scan(
+    scanned = hermite_core._group_scan(
         (start.stream, start.last) for start in starts if isinstance(start, _Start)
     )
-    scanned = 0  # the sums set up whose pass has run and that are not yet walked
     for i, start in enumerate(starts):
-        if not isinstance(start, _Start):
-            yield start
-            continue
-        if not scanned:
-            scanned = next(passes)
-        scanned -= 1
-        starts[i] = None
-        try:
-            total = _finish(start, params)
-        except Exception as exc:  # recorded for this x alone
-            total = exc
-        yield total
+        if isinstance(start, _Start):
+            next(scanned)  # its pass has run
+            starts[i] = None
+            start = _attempt(_finish, start, params)
+        yield start
+
+
+def _attempt(step, *args):
+    """step(*args), or the exception it raised: a failure recorded for one x alone."""
+    try:
+        return step(*args)
+    except Exception as exc:
+        return exc
 
 
 def _finish(start: _Start, params: SumParams) -> _Sum:
@@ -600,22 +597,6 @@ def _finish(start: _Start, params: SumParams) -> _Sum:
     return _walk(start, params)
 
 
-def _first_orders(params: SumParams, n_cut: int, stream) -> tuple[int, int]:
-    """(n_solve, n_end): the first order that may stop a walk on stream; its first request's end.
-
-    The block solve starts past max(N, 64) and past the first order whose
-    tail bound is finite, kappa y n > max(-beta, 0).  At N the tail bound
-    is about S itself, and from there it falls by e^(-kappa y) an order
-    or faster: so the stop usually lies within lookahead orders past N,
-    where the bound has fallen by the tolerance and two more e-folds.
-    """
-    kappa_y = params.kappa * params.y
-    n_solve = max(n_cut, 64, math.floor(max(-params.beta, 0.0) / kappa_y) + 1)
-    lookahead = math.ceil((2.0 - math.log(TAIL_RELATIVE_TOLERANCE)) / kappa_y)
-    first_end = max(n_solve, n_cut + lookahead)
-    return n_solve, min(first_end, stream.first + _LARGEST_BLOCK - 1, _MAX_ORDER)
-
-
 def _walk(start: _Start, params: SumParams) -> _Sum | None:
     """The sum of _sum_internals on the stream of start, entered at its entry (0: from order 1).
 
@@ -625,21 +606,20 @@ def _walk(start: _Start, params: SumParams) -> _Sum | None:
     kappa_y = params.kappa * params.y
     n_min = max(n_cut, 64)
     log_tol = math.log(TAIL_RELATIVE_TOLERANCE)
-    ps, walls, scales = stream.take(n_end + 1 - max(entry - 1, 0))
-    head = None
+    ps, walls, scales = stream.take(n_end)
+    log_head = -math.inf  # the log of the bound on the head dropped
     blocks = []
     log_partial = -math.inf  # ln of the partial sum before the block
     while ps.size:
         n_start = n_end + 1 - ps.size  # the block's first order
         n = np.arange(n_start, n_end + 1, dtype=float)
         logs = hermite_core._log_magnitudes(ps, walls, scales, x, n)
-        if entry and head is None:
+        if entry and not blocks:
             # the one head certificate: the block starts from the entry
             # on, below the smallest stop and the block's last order
             a = np.arange(entry, min(n_min, n_end), stream.stride)
             at = logs[a - n_start]
-            head = _Head(x, params, n_min)
-            dropped = head(a, at - logs[a - 1 - n_start], at)
+            dropped, log_head = _head(x, params, n_min, a, at - logs[a - 1 - n_start], at)
             if not dropped:
                 return None
             n, logs = n[dropped + 1 - n_start :], logs[dropped + 1 - n_start :]
@@ -669,7 +649,6 @@ def _walk(start: _Start, params: SumParams) -> _Sum | None:
                 terms = np.concatenate(blocks)
                 log_s = _log_sum(terms)
             n_stop = int(n[stop])
-            log_head = head.log_bound if head else -math.inf
             return _Sum(log_s, terms, n_stop, n_stop + 1 - terms.size, log_head)
         log_partial = top + math.log(float(e.sum()) + math.exp(log_partial - top))
         # the bound falls by e^(-kappa y) an order or faster for beta >= 0,
@@ -683,8 +662,8 @@ def _walk(start: _Start, params: SumParams) -> _Sum | None:
         passing = _log_tails(n_end + 1 + counts, params) <= target
         count = max(int(counts[passing.argmax() if passing.any() else -1]), n_solve - n_end, 1)
         count = min(count, _LARGEST_BLOCK, _MAX_ORDER - n_end)
-        ps, walls, scales = stream.take(count)
         n_end += count
+        ps, walls, scales = stream.take(n_end)
     raise RuntimeError(f"tail certification failed to converge by n={n_end} at x={x}")
 
 
@@ -704,7 +683,7 @@ def direct_sum(x: float, params: SumParams) -> SignedLog:
     passes, are dropped once t_a' (1 + a'^max(beta, 0) / (rho - 1))
     bounds their sum by e^-60 times a term of S, with
     rho = (h_a'/h_{a'-1})^kappa e^(-kappa y) > 1: the ratio h_{k+1}/h_k
-    does not rise below the turning point (_Head); where no start
+    does not rise below the turning point (_head); where no start
     passes, the sum walks from order 1 instead.
     The sum stops at the first order past the
     analysis cutoff N (at least 64) where the geometric tail bound of
@@ -809,10 +788,17 @@ def sharpness_certificate(x_grid, params: SumParams) -> SharpnessCertificate:
 def theta_sum(scale: float) -> float:
     """sum over all integers n of e^(-scale n^2), scale > 0; exact fsum.
 
-    scale is a positive number, +inf included: theta_sum(inf) is the
-    limit 1, which gaussian_theta reads where x^2 underflows.
+    The terms are summed while e^(-scale n^2) >= 1e-22, up to n of about
+    sqrt(ln(10^22) / scale), at about 0.25 s per 10^6 terms (2-core
+    x86-64 VM, Python 3.11).  So scale must be at least
+    _THETA_LEAST_SCALE = ln(10^22) / 10^12, where the series needs at
+    most 10^6 terms; below it ValueError names scale, where the call would
+    run for hours (scale 5e-324 would never return).  +inf is taken:
+    theta_sum(inf) is the limit 1, which gaussian_theta reads where x^2
+    underflows.
     """
-    _real(scale, "scale", "a positive number", hermite_core._FLOAT_TINY, math.inf)
+    least = "a number >= ln(10^22)/10^12, +inf included"
+    _real(scale, "scale", least, _THETA_LEAST_SCALE, math.inf)
 
     def terms():
         yield 1.0
@@ -821,16 +807,17 @@ def theta_sum(scale: float) -> float:
             yield 2.0 * t  # n and -n contribute equally
             n += 1
 
-    # a generator, not a list: gaussian_theta(1e8, 1) sums 4e8 terms
+    # a generator, not a list: 10^6 terms as a list of floats hold 32 MB
     return math.fsum(terms())
 
 
 def gaussian_theta(x: float, delta: float) -> float:
     """g_delta(x) = sum over n of e^(-delta pi n^2 / x^2).
 
-    Raises ValueError for an x that is 0 or not a finite number, and
-    for a delta that is not a positive finite number.  Where x^2
-    underflows to 0 the sum is its limit, 1.
+    Raises ValueError for an x that is 0 or not a finite number, for a
+    delta that is not a positive finite number, and naming scale where
+    delta pi / x^2 lies below the least scale of theta_sum (x past about
+    2.5e5 sqrt(delta)).  Where x^2 underflows to 0 the sum is its limit, 1.
     """
     if not _real(x, "x"):
         raise ValueError(f"x must be a finite nonzero number, got {x!r}")
@@ -844,7 +831,9 @@ def gaussian_theta_dual(x: float, delta: float) -> float:
 
     Equals gaussian_theta(x, delta) identically; the pair exists so the
     identity can be verified numerically rather than assumed.  Takes the
-    arguments that gaussian_theta takes.
+    arguments that gaussian_theta takes, and raises ValueError naming
+    scale where pi x^2 / delta lies below the least scale of theta_sum
+    (x below about 4e-6 sqrt(delta)).
     """
     if not _real(x, "x"):
         raise ValueError(f"x must be a finite nonzero number, got {x!r}")

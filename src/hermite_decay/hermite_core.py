@@ -28,7 +28,7 @@ k^(1/4); the frontends put s_k back when they convert.
 
 Every frontend reads one recurrence, in one of three walks: a scalar
 loop to one order at one point (hermite_exact), an order stream that
-hands out every order at one point in requests of any size
+hands out every order at one point in requests through any last order
 (hermite_orders, and the weighted sums of decay_sum), and a block walk
 for many points (hermite_batch, hermite_values, hermite_moment_sweep).
 The block walk (_array_blocks) steps one order at a time for all points,
@@ -45,13 +45,14 @@ blocked 2x2 transfer matrices and steps one order at a time past it
 (see _OrderStream).  One scan pass (_scan_pass) may hold the blocks of
 many streams side by side, each read at its own stride with zero
 coefficients past it, so that a grid of sums (decay_sum._sums) pays the
-per-step calls of a pass once for many points (_group_scan); each
-stream's values are those of its own pass, bit for bit.  The stream may
-also enter at a block start a below the
-turning point instead of walking 1..a: the expansion of h_a there
-(_expansion, DLMF 12.10.3) gives ln|h_a|, a ratio map gives
-h_a/h_{a-1}, and the walk goes on from that pair (the weighted sums of
-decay_sum enter near their peak this way).  All three read their
+per-step calls of a pass once for many points (_group_scan, which
+takes each stream's first request through its last order, as take
+does); each stream's values are those of its own pass, bit for bit.
+The stream may also enter at a block start a below the turning point
+instead of walking 1..a: the expansion of h_a there (_expansion, DLMF
+12.10.3) gives ln|h_a|, a ratio map gives h_a/h_{a-1}, and the walk
+goes on from that pair (the weighted sums of decay_sum enter near their
+peak this way).  All three read their
 coefficients from one cursor (_Coefficients), test their walls after
 the orders that are multiples of one stride, and convert through one
 compensated log finalizer (_log_magnitudes).  Above
@@ -145,7 +146,7 @@ _SCAN_MIN_BLOCKS = 24
 _SCAN_ORDERS = 1 << 14
 
 # Cells (orders times padded points) of one page of _array_blocks, at
-# most: its ring of 64-byte rows holds about 512 kB.  A page costs a few
+# most: its buffer of 64-byte rows holds about 512 kB.  A page costs a few
 # Python operations, one outer product and one wall test a stride, and a
 # block one conversion or pair of matrix-vector products or one gather,
 # so narrow pages pay that per order, and wide ones leave the cache.
@@ -722,7 +723,7 @@ def _entry_ratio(a: int, x: float):
 
     Below the turning point r_k = h_{k+1}/h_k = F_k(r_{k-1}) with
     F_k(r) = x sqrt(2/(k+1)) - sqrt(k/(k+1)) / r, and r_k does not rise
-    in k (decay_sum._Head), so r_k lies at or above the fixed point r*_k
+    in k (decay_sum._head), so r_k lies at or above the fixed point r*_k
     of F_k, which falls in k.  Started at r*_{k0}, the map runs below the
     true ratios and above r*_{a-1}, where F_k' = sqrt(k/(k+1)) / r^2 <=
     1 / r*_{a-1}^2 = L: after j steps the relative error is at most
@@ -765,11 +766,12 @@ for _field in _ORDER_ZERO:
 class _OrderStream:
     """The rescaled recurrence at one point x, in doubles, handed out in order.
 
-    take(count) returns (ps, walls, scales) for the next count orders,
-    as many as asked for, with no last order: the p_k, wall counts and
-    s_k of the recurrence of _scalar_loop, h_k = p_k s_k 2^(512 walls)
-    pi^(-1/4) e^(-x^2/2).  logs(count) returns them as (int8 signs,
-    ln|h_k|).  A tiny x runs as in _scalar_loop.
+    take(last) returns (ps, walls, scales) for the orders not yet handed
+    out, from first through last: the p_k, wall counts and s_k of the
+    recurrence of _scalar_loop, h_k = p_k s_k 2^(512 walls) pi^(-1/4)
+    e^(-x^2/2).  logs(last) returns them as (int8 signs, ln|h_k|).  Every
+    request, of a caller or of a stacked scan (_group_scan), names the
+    last order it needs.  A tiny x runs as in _scalar_loop.
 
     Orders 1..scan_end lie below the turning point 2n + 1 < x^2, where
     h_k is the dominant solution of the forward recurrence.  There the
@@ -788,7 +790,7 @@ class _OrderStream:
     a stream of a smaller B has zero coefficients past its own, and
     each stream reads its U and V rows at its own B and chains its own
     blocks, so its values are those of a pass of its own, bit for bit.
-    A stream alone runs such a pass of one (_scan).
+    A stream alone runs such a pass of one, in take.
     Past scan_end, the stream steps one order at a time from the scan's
     last pair and wall count, in the step loop of _scalar_loop
     (_step_pairs), which tests the wall after every order that is a
@@ -796,14 +798,13 @@ class _OrderStream:
     the test.
 
     A caller may drop the orders below first (0 by default): take then
-    hands out only those of its count orders from first on.  A fresh
-    stream may instead enter at a block start a below scan_end (enter):
-    it then starts from the pair (p_{a-1}, p_a) and wall count that the
-    expansion of h_a (_expansion) and the ratio map (_entry_ratio) give,
-    with its coefficient cursor started at a, and hands out orders from
-    a - 1 on.  Its values from a on are the walk's own, up to the entry's
-    error, which the rest of the walk carries along (h is the dominant
-    solution there).
+    hands out none below it.  A fresh stream may instead enter at a
+    block start a below scan_end (enter): it then starts from the pair
+    (p_{a-1}, p_a) and wall count that the expansion of h_a (_expansion)
+    and the ratio map (_entry_ratio) give, with its coefficient cursor
+    started at a, and hands out orders from a - 1 on.  Its values from a
+    on are the walk's own, up to the entry's error, which the rest of
+    the walk carries along (h is the dominant solution there).
 
     A request computes no order past the last one it asks for, but for
     the rest of a scan block: at most B - 1 orders, kept for the next
@@ -824,7 +825,6 @@ class _OrderStream:
         self._k = 0  # the last order computed
         self._pair = (0.0, 1.0, 0)  # (p_{k-1}, p_k, walls)
         self._pending = [_ORDER_ZERO]  # computed orders not yet handed out, in parts
-        self._handed = 0  # orders handed out or dropped
 
     def enter(self, a: int) -> bool:
         """Start this fresh stream at the block start a, from the expansion; False where it cannot.
@@ -859,50 +859,44 @@ class _OrderStream:
         self._pending = [
             (np.array(pair), np.full(2, walls, dtype=np.int64), np.array((s_before, s_a)))
         ]
-        self._handed = self.first = a - 1
+        self.first = a - 1
         return True
 
-    def take(self, count: int):
-        """(ps, walls, scales) of the next count orders, those from first on."""
-        end = self._handed + count  # the order past the request
-        while self._k + 1 < end:
+    def take(self, last: int):
+        """(ps, walls, scales) of the orders not yet handed out, from first through last."""
+        while self._k < last:
             if self._k < self.scan_end:
-                self._scan(end - 1 - self._k)
+                _scan_pass([(self, self._blocks(last))])
             else:
-                self._pending.append(self._steps(end - 1 - self._k))
+                self._pending.append(self._steps(last))
         joined = [np.concatenate(field) for field in zip(*self._pending)]
         start = self._k + 1 - joined[0].size  # the order of the first value joined
-        lo, hi = max(self.first - start, 0), end - start
+        lo, hi = max(self.first - start, 0), max(last + 1 - start, 0)
         self._pending = [tuple(field[hi:] for field in joined)]
-        self._handed = end
         return tuple(field[lo:hi] for field in joined)
 
-    def logs(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """(int8 signs, ln|h_k|) of the next count orders, those from first on."""
-        end = self._handed + count
-        ps, walls, scales = self.take(count)
-        logs = _log_magnitudes(ps, walls, scales, self.x, range(end - ps.size, end))
+    def logs(self, last: int) -> tuple[np.ndarray, np.ndarray]:
+        """(int8 signs, ln|h_k|) of the orders not yet handed out, from first through last."""
+        ps, walls, scales = self.take(last)
+        logs = _log_magnitudes(ps, walls, scales, self.x, range(last + 1 - ps.size, last + 1))
         return np.sign(ps).astype(np.int8), logs
 
-    def _blocks(self, need: int) -> int:
-        """How many whole blocks the next scan pass takes to hold need orders, or 0.
+    def _blocks(self, last: int) -> int:
+        """How many whole blocks the next scan pass takes to hold the orders through last, or 0.
 
         At most _SCAN_ORDERS orders a pass and never past scan_end.
         """
-        b = self.stride
-        return max(min(-(-need // b), (self.scan_end - self._k) // b, max(_SCAN_ORDERS // b, 1)), 0)
+        b, k = self.stride, self._k
+        return max(min(-(-(last - k) // b), (self.scan_end - k) // b, max(_SCAN_ORDERS // b, 1)), 0)
 
-    def _scan(self, need: int) -> None:
-        """Scan the next whole blocks holding need orders: a pass of this stream alone."""
-        _scan_pass([(self, self._blocks(need))])
-
-    def _steps(self, count: int):
-        """(ps, walls, scales) of the next count orders, stepped one at a time (_step_pairs)."""
+    def _steps(self, last: int):
+        """(ps, walls, scales) of the orders after _k through last, stepped (_step_pairs)."""
+        count = last - self._k
         a, scales = self._coefficients.take(count)
         ps, counts, lengths = values = [], [], []
         products = memoryview(np.multiply(self._x, a))
         self._pair = _step_pairs(products, self._k, self._pair, self.stride, values)
-        self._k += count
+        self._k = last
         return np.fromiter(ps, float, count), np.repeat(counts, lengths), scales
 
 
@@ -1000,7 +994,7 @@ def _scan_pass(passes) -> None:
 
 
 def _group_scan(requests):
-    """Scan the next blocks of several streams in stacked passes; yield how many requests each took.
+    """Scan the next blocks of several streams in stacked passes; yield each request's stream.
 
     requests holds (stream, last) pairs.  Each stream scans the whole
     blocks that its first walk in a take through order last would scan
@@ -1010,27 +1004,27 @@ def _group_scan(requests):
     _scan_pass of at most _SCAN_ORDERS cells a row (max B times the
     blocks in the pass), the bound of one stream's pass, so that a
     pass's buffers do not grow with the grid; a stream that alone fills
-    that goes alone.  After each pass this yields the number of requests
-    it covered, those of the pass and those before the next one that
-    scan nothing, so that a caller can take their orders before the next
-    pass runs and holds no more than one pass's orders at once.
+    that goes alone.  This yields once per request, in order: the
+    request's stream, after the pass that holds its blocks has run.  It
+    reads the requests lazily, the next pass's first one at most before
+    it yields, so that a caller can take each stream's orders before the
+    next pass runs and holds no more than one pass's orders at once.
     """
-    count, passes, width, top = 0, [], 0, 0
+    held, passes, width, top = [], [], 0, 0  # held: the streams read and not yet yielded
     for stream, last in requests:
-        m = stream._blocks(last - stream._k)
+        m = stream._blocks(last)
         if m and passes and max(top, stream.stride) * (width + m) > _SCAN_ORDERS:
             _scan_pass(passes)
-            yield count
-            count, passes, width, top = 0, [], 0, 0
-        count += 1
+            yield from held
+            held, passes, width, top = [], [], 0, 0
+        held.append(stream)
         if m:
             passes.append((stream, m))
             width += m
             top = max(top, stream.stride)
     if passes:
         _scan_pass(passes)
-    if count:
-        yield count
+    yield from held
 
 
 class _RowBuffer:
@@ -1084,7 +1078,7 @@ def _array_blocks(xs: np.ndarray, n_top: int):
     included, bit for bit.
 
     The walk runs in pages of orders, each at most _CELLS cells of the
-    ring below and never past n_top: whole strides, stride =
+    buffer below and never past n_top: whole strides, stride =
     _stride(max |xs|), where one fits, and otherwise the parts of one
     stride.  One outer product writes a'_k x into every row of a page,
     under _RowBuffer; the page then steps one stride at a time, each
@@ -1099,17 +1093,17 @@ def _array_blocks(xs: np.ndarray, n_top: int):
     sees a wall change as a new walls object at a block's first order,
     and the arrays never change once yielded.
 
-    The blocks are read-only views of a ring of the page's rows and two
-    more, each row starting on a 64-byte cache line.  A page starts at
-    the row after the one before, or at row 0 where it would run past
-    the ring's end; the outer product would then overwrite a start pair
-    that lies in the page's rows, so the pair is copied out first.
-    Later blocks overwrite earlier ones, and consumers read a block
-    before they ask for the next and copy what they keep.
+    The blocks are read-only views of one buffer of the page's rows and
+    two more, each row starting on a 64-byte cache line.  Every page is
+    written from row 0, where the page before it may hold its start
+    pair, so the pair is first copied into the two trailing rows and the
+    steps go on from there.  Later blocks overwrite earlier ones, and
+    consumers read a block before they ask for the next and copy what
+    they keep.
     """
     stride = _stride(np.max(np.abs(xs), initial=0.0))
     xs = np.where(_is_tiny(xs), np.copysign(_TINY_X, xs), xs)
-    # rows of whole 64-byte lines, from a line boundary: a ring that
+    # rows of whole 64-byte lines, from a line boundary: a buffer that
     # malloc placed off one split the vector loads and stores of every
     # step, and ran 15-20% slower on 10^4 points
     width = -(-xs.size // 8) * 8
@@ -1118,28 +1112,26 @@ def _array_blocks(xs: np.ndarray, n_top: int):
     rows = min(rows, span, max(n_top, 1))  # the rows of a page
     buffer = np.empty((rows + 2) * width + 8)
     start = -buffer.ctypes.data % 64 // 8
-    ring = buffer[start : start + (rows + 2) * width].reshape(rows + 2, width)[:, : xs.size]
-    views = list(ring)  # row views made once, not once a step
+    page = buffer[start : start + (rows + 2) * width].reshape(rows + 2, width)[:, : xs.size]
+    views = list(page)  # row views made once, not once a step
     prev, cur = np.zeros(xs.size), views[0]
     cur[:] = 1.0
     walls = np.zeros(xs.size, dtype=np.int64)
-    block = ring[:1]
+    block = page[:1]
     block.flags.writeable = False
     yield 0, block, walls, np.ones(1)
-    pos = 1  # the ring row of the next order
     coefficients = _Coefficients(float)
     row_buffer = _RowBuffer(xs.size)
     for done in range(0, n_top, span):
         a_span, s_span = coefficients.take(min(span, n_top - done))
         for lo in range(0, a_span.size, rows):
             hi = min(lo + rows, a_span.size)
-            if pos + hi - lo > len(views):
-                if pos - 2 < hi - lo:  # the start pair lies in the page's rows
-                    prev, cur = prev.copy(), cur.copy()
-                pos = 0
+            np.copyto(views[rows], prev)
+            np.copyto(views[rows + 1], cur)
+            prev, cur = views[rows], views[rows + 1]
             with row_buffer(hi - lo):
-                np.multiply.outer(a_span[lo:hi], xs, out=ring[pos : pos + hi - lo])
-            base = pos - lo  # the ring row of the span's index 0
+                np.multiply.outer(a_span[lo:hi], xs, out=page[: hi - lo])
+            base = -lo  # the page's row of the span's index 0
             first = edge = lo  # the span's index of the block's first row, and of the steps'
             # a page of whole strides starts at lo = 0, and a part of one
             # ends at or before lo + stride: either way the stride ends
@@ -1157,15 +1149,14 @@ def _array_blocks(xs: np.ndarray, n_top: int):
                     cur *= scale
                     prev = prev * scale
                     if end - 1 > first:
-                        block = ring[base + first : base + end - 1]
+                        block = page[base + first : base + end - 1]
                         block.flags.writeable = False
                         yield done + first + 1, block, walls, s_span[first : end - 1]
                     walls = walls + shift
                     first = end - 1
-            block = ring[base + first : base + hi]
+            block = page[base + first : base + hi]
             block.flags.writeable = False
             yield done + first + 1, block, walls, s_span[first:hi]
-            pos += hi - lo
 
 
 def _log_magnitudes(ps, walls, scales, x, orders):
@@ -1289,7 +1280,7 @@ def hermite_orders(n_top: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     or an x that hermite_exact rejects.
     """
     n_top = _whole_number(n_top, "n_top")
-    return _OrderStream(_point(x)).logs(n_top + 1)
+    return _OrderStream(_point(x)).logs(n_top)
 
 
 def hermite_batch(orders, xs) -> tuple[np.ndarray, np.ndarray]:

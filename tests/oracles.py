@@ -72,6 +72,24 @@ def mp_argument_function(n: float, x: float, y: float, dps: int = 50) -> float:
         return float(nm * phi - nm * ym - xm / 2 * mp.sqrt(xm * xm - 2 * (nm + 1)))
 
 
+def mp_argument_derivatives(n: float, x: float, y: float, dps: int = 60) -> tuple[float, float]:
+    """The closed forms of (A'(n), A''(n)) in mpmath arithmetic, as written, at any x.
+
+    A' = phi + x / (2(n+1) sqrt(d)) - y and
+    A'' = x ((2n+5)(n+1) - x^2 (n+2)) / (2 (n+1)^2 d^(3/2)), d = x^2 - 2(n+1):
+    no product of them leaves mpmath's exponent range.
+    """
+    with mp.workdps(dps):
+        nm, xm, ym = mp.mpf(n), mp.mpf(x), mp.mpf(y)
+        disc = xm * xm - 2 * (nm + 1)
+        phi = mp.acosh(xm / mp.sqrt(2 * (nm + 1)))
+        d1 = phi + xm / (2 * (nm + 1) * mp.sqrt(disc)) - ym
+        d2 = xm * ((2 * nm + 5) * (nm + 1) - xm * xm * (nm + 2)) / (
+            2 * (nm + 1) ** 2 * disc * mp.sqrt(disc)
+        )
+        return float(d1), float(d2)
+
+
 def mp_argument_fd(
     n: float, x: float, y: float, rel_step: float = 1e-3, dps: int = 80
 ) -> tuple[float, float]:

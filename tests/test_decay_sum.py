@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -35,12 +36,16 @@ from hermite_decay.hermite_core import (
 )
 from oracles import (
     entry_bound,
+    mp_argument_derivatives,
     mp_argument_fd,
     mp_argument_function,
     mp_hermite_logs,
     naive_weighted_sum,
     reference_sum,
 )
+
+# The least scale theta_sum takes: its series then needs at most 10^6 terms
+LEAST_SCALE = math.log(1e22) / 1e12
 
 # Frozen oracle values: closed form evaluated at 50 significant digits
 # by tests/oracles.mp_argument_function.
@@ -83,8 +88,8 @@ def count_recurrence_orders(monkeypatch) -> list:
             self.entry = len(passes)
             passes.append(1)
 
-        def take(self, count):
-            out = super().take(count)
+        def take(self, last):
+            out = super().take(last)
             passes[self.entry] = self._k + 1
             return out
 
@@ -202,6 +207,25 @@ class TestArgumentDerivatives:
         a1, a2 = argument_derivatives(n, x, y)
         assert a1 == pytest.approx(d1, rel=1e-6, abs=1e-12)
         assert a2 == pytest.approx(d2, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "n, x, y",
+        [
+            # |x| >= 1e100: x (...) and (n+1)^2 d sqrt(d) of the closed form
+            # overflow there, and A'' read nan
+            (5.3e39, 1e100, 300.0),
+            (21.946058574151618, 2.0**511, 353.0),
+            (1e6, 1e100, 1.0),
+            (1.5, 100.0, 0.25),
+            (4000.0, 95.0, 2.0),
+            (5.0, 10.0, 1.0),
+        ],
+    )
+    def test_against_the_closed_forms_in_mpmath(self, n, x, y):
+        want1, want2 = mp_argument_derivatives(n, x, y)
+        a1, a2 = argument_derivatives(n, x, y)
+        assert a1 == pytest.approx(want1, rel=1e-12, abs=1e-12)
+        assert a2 == pytest.approx(want2, rel=1e-13)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -845,8 +869,8 @@ class TestHead:
         a = np.array([10, 20, 30, 40, 50])
         logs = np.array([-500.0, -400.0, -300.0, -200.0, -100.0])
         ratios = np.full(5, 5.0)
-        assert decay_sum._Head(100.0, params, 40)(a, ratios, logs) == 30
-        assert decay_sum._Head(100.0, params, 41)(a, ratios, logs) == 40
+        assert decay_sum._head(100.0, params, 40, a, ratios, logs)[0] == 30
+        assert decay_sum._head(100.0, params, 41, a, ratios, logs)[0] == 40
 
     def test_bound_carries_the_power_of_the_order(self):
         # at beta = 1 the start a = 1000 lies 3 below the threshold, with
@@ -857,9 +881,12 @@ class TestHead:
         # terms 0 and 63: ln|h_a| = t_a + a y + beta ln a
         logs = np.array([500.0 + math.log(1000.0), 63.0 + 1000.0 + math.log(2000.0)])
         ratios = np.full(2, math.log(2.0) + 0.5 + 1e-6)
-        head = decay_sum._Head(10.0, params, 5000)
-        assert head(a, ratios, logs) == 0
-        assert head.top == pytest.approx(63.0)
+        assert decay_sum._head(10.0, params, 5000, a, ratios, logs) == (0, -math.inf)
+        # the threshold is the top, the term at 2000: 4 more there lets the
+        # bound ln(1 + a/(rho - 1)) = 6.9 pass
+        logs[1] += 4.0
+        order, log_bound = decay_sum._head(10.0, params, 5000, a, ratios, logs)
+        assert order == 1000 and log_bound == pytest.approx(math.log1p(1000.0), rel=1e-5)
 
 
 class TestTailBound:
@@ -1079,6 +1106,26 @@ class TestPoissonIdentity:
             theta_sum(0.0)
         with pytest.raises(ValueError):
             theta_sum(math.nan)
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: theta_sum(5e-324), lambda: gaussian_theta(1e9, 1.0),
+         lambda: gaussian_theta_dual(1e-9, 1.0), lambda: theta_sum(0.99 * LEAST_SCALE)],
+        ids=["theta_sum(5e-324)", "gaussian_theta(1e9, 1)", "gaussian_theta_dual(1e-9, 1)",
+             "just below the least scale"],
+    )
+    def test_a_series_past_a_million_terms_is_refused(self, call):
+        # these once summed about 4e9 terms, or never returned: now the
+        # failure is reported at once, naming the scale
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^scale must be a number >= ln\(10\^22\)/10\^12"):
+            call()
+        assert time.perf_counter() - started < 1.0
+
+    def test_the_least_scale_sums_a_million_terms(self):
+        # e^(-scale n^2) reaches 1e-22, where the terms end, at n = 10^6
+        assert math.exp(-LEAST_SCALE * 1e12) == pytest.approx(1e-22, rel=1e-12)
+        assert theta_sum(LEAST_SCALE) == pytest.approx(math.sqrt(math.pi / LEAST_SCALE), rel=1e-12)
 
     def test_theta_sum_streams_its_terms(self):
         # 7.1e4 terms: a list of them alone would peak near 2 MB

@@ -207,7 +207,7 @@ class TestHermiteExact:
         # the stream's orders convert with the ledger formed once per wall
         # count and gathered, hermite_exact's one value on Python floats:
         # the same bits at every order, across up to 49 wall counts
-        ps, walls, scales = hermite_core._OrderStream(x).take(5000)
+        ps, walls, scales = hermite_core._OrderStream(x).take(4999)
         logs = hermite_core._log_magnitudes(ps, walls, scales, x, range(5000))
         one = hermite_core._log_magnitudes
         for k in range(5000):
@@ -312,8 +312,9 @@ class TestSweeps:
             stream = hermite_core._OrderStream(x)
             blocks, start, count = [], 0, 64
             while start <= n_top:
-                block = stream.logs(min(count, n_top + 1 - start))
-                assert block[0].size == block[1].size == min(count, n_top + 1 - start)
+                last = min(start + count, n_top + 1) - 1
+                block = stream.logs(last)
+                assert block[0].size == block[1].size == last + 1 - start
                 blocks.append(block)
                 start += block[0].size
                 assert stream._k - (start - 1) < stride  # computed past the last handed out
@@ -328,6 +329,43 @@ class TestSweeps:
                 ref = hermite_exact(n, x)
                 assert signs[n] == ref.sign
                 assert logs[n] == pytest.approx(ref.logmag, rel=1e-12)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_last_orders_join_to_one_take(self, data):
+        # requests through random last orders, which end mid-stride, inside
+        # a scan block or past scan_end, on a fresh stream or one entered
+        # at a block start (below the scan threshold every order is
+        # stepped, across the coefficient table's end): joined, they hold
+        # the bytes of one take through the last of them, each holds the
+        # orders after the one before (none for a repeated last order),
+        # and the stream ends with the same pair, wall count and last order
+        below = st.floats(min_value=-50.0, max_value=50.0)
+        past = st.floats(min_value=55.0, max_value=200.0)
+        x = data.draw(st.one_of(below, past, past.map(lambda v: -v)), label="x")
+        entered = x > 0 and hermite_core._EXTENDED_FLOAT is not None and data.draw(st.booleans())
+
+        def stream():
+            out = hermite_core._OrderStream(x)
+            if entered and out.scan_end:
+                assert out.enter(turning_order(abs(x)) // 2 // out.stride * out.stride)
+            return out
+
+        parts, whole = stream(), stream()
+        top = parts.scan_end + 4 * parts.stride if parts.scan_end else 20000
+        lasts = sorted(data.draw(
+            st.lists(st.integers(parts.first, top), min_size=1, max_size=6), label="lasts"
+        ))
+        taken, before = [], parts.first - 1
+        for last in lasts:
+            part = parts.take(last)
+            assert all(field.size == last - before for field in part)
+            taken.append(part)
+            before = last
+        for field, joined in zip(whole.take(lasts[-1]), zip(*taken)):
+            joined = np.concatenate(joined)
+            assert joined.dtype == field.dtype and joined.tobytes() == field.tobytes()
+        assert (parts._k, parts._pair) == (whole._k, whole._pair)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -348,12 +386,12 @@ class TestSweeps:
         parts, taken = [], 0
         while taken < n:
             size = min(data.draw(st.integers(min_value=1, max_value=3 * stride)), n - taken)
-            part = stream.take(size)
+            part = stream.take(taken + size - 1)
             assert all(field.size == size for field in part)
             parts.append(part)
             taken += size
         whole = hermite_core._OrderStream(x)
-        for field, joined in zip(whole.take(n), zip(*parts)):
+        for field, joined in zip(whole.take(n - 1), zip(*parts)):
             joined = np.concatenate(joined)
             assert joined.dtype == field.dtype
             assert joined.tobytes() == field.tobytes()
@@ -987,7 +1025,7 @@ def assert_same_values(ms, walls, ref_ms, ref_walls):
 def page_rows(xs, n):
     """(stride, rows of a page, whether a page holds whole strides) of _array_blocks.
 
-    A page holds at most _CELLS cells of 64-byte padded ring rows and no
+    A page holds at most _CELLS cells of 64-byte padded buffer rows and no
     order past n: whole strides where one fits, else part of one.
     """
     stride = hermite_core._stride(np.max(np.abs(xs), initial=0.0))
@@ -1059,7 +1097,7 @@ class TestStridedWalls:
     @classmethod
     def check_stream(cls, n, x):
         stream = hermite_core._OrderStream(x)
-        ms, walls, scales = stream.take(n + 1)
+        ms, walls, scales = stream.take(n)
         np.testing.assert_array_equal(scales, [1.0] + unit_coefficients(n)[1])
         ref_ms, ref_walls = per_step_rescaled_recurrence(n, x)
         end = min(stream.scan_end, n)
@@ -1127,7 +1165,7 @@ class TestStridedWalls:
         stream = hermite_core._OrderStream(x)
         end = stream.scan_end
         if end:
-            stream.take(end + 1)
+            stream.take(end)
             ref_ms, ref_walls = per_step_rescaled_recurrence(
                 n, x, start=(end, *stream._pair), stride=stride
             )
@@ -1135,7 +1173,7 @@ class TestStridedWalls:
         past = [k for k in orders if k > end]
         assert past or x == 1000.0  # at x = 1000 the scan covers every order here
         for k in past:
-            stream.take(k + 1 - stream._handed)
+            stream.take(k)
             assert stream._k == k
             _, p, walls = stream._pair
             assert (p, walls) == (ref_ms[k], ref_walls[k]), k
@@ -1165,9 +1203,9 @@ class TestBlockSteps:
     """The block walk's in-place steps give the per-step recurrence bit for bit.
 
     Before a page's steps run, one outer product writes a'_k x into the
-    page's ring rows, and each step then multiplies and subtracts in
-    place.  These cases pin down where that could go wrong: a page that
-    wraps to ring row 0 while its start pair lies in the rows it writes,
+    page's buffer rows, and each step then multiplies and subtracts in
+    place.  These cases pin down where that could go wrong: a page
+    written from row 0 over the rows that hold its start pair,
     widths that leave part of a ring row unused, wall crossings inside a
     page, pages shorter than a stride or cut short by n_top, n_top 0 and
     1, and tiny x and x = 0.  Each column must equal the per-step loop
@@ -1178,7 +1216,7 @@ class TestBlockSteps:
 
     @staticmethod
     def walk(xs, n):
-        """(ps, walls) of block_walk, and (k, ring row, rows, walls) of every block.
+        """(ps, walls) of block_walk, and (k, buffer row, rows, walls) of every block.
 
         The consumer of every block runs with numpy's own ufunc buffer
         size, whatever buffer the walk's outer products ran with.
@@ -1190,7 +1228,7 @@ class TestBlockSteps:
         for k, block, walls_k, _ in hermite_core._array_blocks(xs, n):
             assert np.getbufsize() == bufsize
             if base is None:
-                base = block.ctypes.data  # order 0 lies in ring row 0
+                base = block.ctypes.data  # order 0 lies in buffer row 0
             row = (block.ctypes.data - base) // block.strides[0]
             blocks.append((k, row, len(block), walls_k))
         ms, walls, _ = block_walk(xs, n)
@@ -1208,12 +1246,13 @@ class TestBlockSteps:
             np.testing.assert_array_equal(walls[:, j], ref_walls, err_msg=str(j))
 
     @pytest.mark.parametrize("x_max, width", [(60.0, 9), (1000.0, 2000)])
-    def test_wraps_onto_its_start_pair(self, x_max, width):
-        # full pages of whole strides in a ring of a page's rows + 2: every
-        # page after the first wraps to row 0, and its rows hold the pair
-        # it starts from, so the walk runs past three pages; past
-        # _CELLS // stride points, short pages at the stride ends wrap
-        # with their pair clear of their rows
+    def test_pages_start_at_row_0_over_their_start_pair(self, x_max, width):
+        # a block starts at the row after the one before, in its page, or
+        # at row 0, where every page starts; full pages of whole strides
+        # then write over the rows of the page before that hold the pair
+        # they start from, so the walk runs past three pages; past
+        # _CELLS // stride points, short pages at the stride ends leave
+        # their pair clear of their rows
         xs = np.random.default_rng(width).uniform(-x_max, x_max, width)
         xs[0] = x_max
         _, rows, _ = page_rows(xs, 10**6)
@@ -1221,6 +1260,7 @@ class TestBlockSteps:
         ms, walls, blocks = self.walk(xs, n)
         onto_pair = clear = 0
         for (_, row, r, _), (_, before, before_r, _) in zip(blocks[1:], blocks):
+            assert row in (0, before + before_r)
             if row == 0:
                 if before + before_r - 2 < r:
                     onto_pair += 1
@@ -1231,7 +1271,7 @@ class TestBlockSteps:
 
     @pytest.mark.parametrize("width", [1, 7, 9, 1025])
     def test_widths_off_whole_cache_lines(self, width):
-        # ring rows start on 64-byte lines, so these leave a row's last
+        # buffer rows start on 64-byte lines, so these leave a row's last
         # line part unused; at 1025 points the outer products run with a
         # ufunc buffer of one row
         xs = np.linspace(40.0, -40.0, width)
@@ -1340,7 +1380,7 @@ def entered_logs(a: int, x: float) -> np.ndarray:
     """ln|h_{a-1}(x)|, ln|h_a(x)| from an order stream entered at the block start a."""
     stream = hermite_core._OrderStream(x)
     assert stream.enter(a)
-    _, logs = stream.logs(2)
+    _, logs = stream.logs(a)
     return logs
 
 
@@ -1400,7 +1440,7 @@ class TestEntry:
         stream = hermite_core._OrderStream(x)
         assert stream.enter(a)
         count = min(3000, turning_order(x) - a + 1)
-        _, logs = stream.logs(count)
+        _, logs = stream.logs(a + count - 2)
         _, walked = hermite_orders(a + count - 2, x)
         ref = walked[a - 1 :]
         assert np.all(np.abs(logs - ref) <= entry_bound(x) + 2e-13 + 2.0 * np.spacing(np.abs(ref)))
@@ -1446,25 +1486,69 @@ class TestGroupScan:
             out.append(stream)
         return out
 
-    def test_leaves_each_stream_as_its_own_take(self):
+    def test_leaves_each_stream_as_its_own_take(self, monkeypatch):
         # after the stacked passes each take finds its blocks pending and
         # hands out the values, pair, wall count and next order of a
         # stream that took alone, bit for bit, also on later requests
         grouped, alone = self.streams(), self.streams()
         lasts = [last for *_, last in self.REQUESTS]
-        counts = list(hermite_core._group_scan(list(zip(grouped, lasts))))
-        assert sum(counts) == len(grouped) and len(counts) > 1
+        passes = []
+        scan_pass = hermite_core._scan_pass
+        monkeypatch.setattr(hermite_core, "_scan_pass", lambda p: scan_pass(passes.append(p) or p))
+        yielded = list(hermite_core._group_scan(list(zip(grouped, lasts))))
+        monkeypatch.undo()
+        assert [id(s) for s in yielded] == [id(s) for s in grouped] and len(passes) > 1
         for got, want, last in zip(grouped, alone, lasts):
-            for count in (last + 1 - got.first, 700):
-                for a, b in zip(got.take(count), want.take(count)):
+            for end in (last, last + 700):
+                for a, b in zip(got.take(end), want.take(end)):
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
                 assert (got._k, got._pair) == (want._k, want._pair)
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_yields_each_request_after_its_pass(self, data):
+        # one item per request, in order: its stream, with its blocks
+        # already pending.  By then every pass that holds a request up to
+        # it has run, and at most one more (a request with nothing to scan
+        # goes out with the pass after it); the requests read reach at
+        # most the first request of the next pass to run
+        xs = st.sampled_from([7.5, -60.0, 55.0, 150.0, -300.0, 1000.0])
+        requests = []
+        for x in data.draw(st.lists(xs, min_size=1, max_size=8), label="xs"):
+            stream = hermite_core._OrderStream(x)
+            top = min(stream.scan_end + 3 * stream.stride, 40000)
+            requests.append((stream, data.draw(st.integers(1, top), label="last")))
+        blocks = [stream._blocks(last) for stream, last in requests]
+        starts = [stream._k for stream, _ in requests]
+        index = {id(stream): j for j, (stream, _) in enumerate(requests)}
+        read, passes, seen = [], [], []  # seen: (requests read, passes run) at each item
+
+        def source():
+            for request in requests:
+                read.append(request)
+                yield request
+
+        def recording(stacked):
+            passes.append(min(index[id(stream)] for stream, _ in stacked))
+            scan_pass(stacked)
+
+        scan_pass = hermite_core._scan_pass
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hermite_core, "_scan_pass", recording)
+            for i, stream in enumerate(hermite_core._group_scan(source())):
+                assert stream is requests[i][0]
+                assert stream._k == starts[i] + blocks[i] * stream.stride
+                seen.append((len(read), len(passes)))
+        assert len(seen) == len(requests)
+        for i, (reads, run) in enumerate(seen):
+            assert run - sum(first <= i for first in passes) in (0, 1)
+            assert reads <= (passes[run] + 1 if run < len(passes) else len(requests))
 
     def test_scans_no_block_past_the_request(self):
         # each stream scans exactly the blocks its own first take would
         streams = self.streams()
         lasts = [last for *_, last in self.REQUESTS]
-        blocks = [s._blocks(last - s._k) for s, last in zip(streams, lasts)]
+        blocks = [s._blocks(last) for s, last in zip(streams, lasts)]
         starts = [s._k for s in streams]
         list(hermite_core._group_scan(list(zip(streams, lasts))))
         for s, k, m in zip(streams, starts, blocks):

@@ -20,6 +20,7 @@ def load(name):
 
 report_drift = load("report_drift")
 code_lines = load("code_lines")
+ref_tree = load("ref_tree")
 
 CSV_OLD = """\
 # version=0.1.0
@@ -160,3 +161,43 @@ class TestCodeLines:
         assert git_files() == before
         assert code_lines.main(["--ref", "no-such-ref"]) == 2
         assert "cannot check out 'no-such-ref'" in capsys.readouterr().err
+
+
+def git_repository(path):
+    """A git repository at path with one commit of src/hermite_decay/small.py and notes.txt."""
+    package = path / "src" / "hermite_decay"
+    package.mkdir(parents=True)
+    (package / "small.py").write_text(MODULE)
+    (path / "notes.txt").write_text("not under src\n")
+    git = ["git", "-C", str(path), "-c", "user.name=t", "-c", "user.email=t@example.org"]
+    for command in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "first"]):
+        subprocess.run(git + command, check=True)
+    return package
+
+
+class TestRefTree:
+    def test_both_tools_load_the_one_unpacker(self):
+        path = os.path.join(TOOLS, "ref_tree.py")
+        for tool in (code_lines, report_drift):
+            assert tool.unpacked_src.__wrapped__.__code__.co_filename == path
+
+    def test_unpacks_the_src_of_a_ref_and_removes_it(self, tmp_path):
+        # the ref's src and nothing else, in a directory gone on the way out
+        package = git_repository(tmp_path)
+        (package / "small.py").write_text("changed = 1\n")
+        with ref_tree.unpacked_src(str(tmp_path), "HEAD", "ref-tree-test-") as tree:
+            assert os.path.basename(tree).startswith("ref-tree-test-")
+            assert os.listdir(tree) == ["src"]
+            with open(os.path.join(tree, "src", "hermite_decay", "small.py")) as handle:
+                assert handle.read() == MODULE
+        assert not os.path.exists(tree)
+
+    def test_a_bad_ref_raises_and_leaves_no_directory(self, tmp_path, monkeypatch):
+        git_repository(tmp_path / "repo")
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(ref_tree.tempfile, "tempdir", str(scratch))
+        with pytest.raises(subprocess.CalledProcessError):
+            with ref_tree.unpacked_src(str(tmp_path / "repo"), "no-such-ref", "ref-tree-test-"):
+                pass
+        assert os.listdir(scratch) == []

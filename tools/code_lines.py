@@ -13,9 +13,9 @@ It prints one `<count> <module>` line per module, largest first, then
 `<total> total`.
 
 With --ref it counts the modules of `src/hermite_decay` twice: at the
-git ref REF, whose `src` is unpacked by `git archive REF src | tar -x`
-into a temporary directory (so nothing is written under `.git`), and in
-the working tree.  It prints one `<at REF> <now> <change> <module>` line
+git ref REF, whose `src` is unpacked into a temporary directory by
+`tools/ref_tree.py` (so nothing is written under `.git`), and in the
+working tree.  It prints one `<at REF> <now> <change> <module>` line
 per module, largest first, a module that exists on one side only
 counting 0 on the other, then the same line for the total.
 """
@@ -26,12 +26,14 @@ import argparse
 import ast
 import io
 import os
+import runpy
 import subprocess
 import sys
-import tempfile
 import tokenize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# the ref unpacker shared with the other tools, loaded by its path
+unpacked_src = runpy.run_path(os.path.join(ROOT, "tools", "ref_tree.py"))["unpacked_src"]
 
 # tokens that never make a line a code line
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -82,15 +84,12 @@ def _counts(paths: list[str]) -> list[tuple[str, int]]:
 
 def _compare(ref: str) -> int:
     """Print each module's code lines at ref, in the working tree, and the change."""
-    with tempfile.TemporaryDirectory(prefix="code-lines-") as tree:
-        archive = subprocess.Popen(["git", "-C", ROOT, "archive", ref, "src"],
-                                   stdout=subprocess.PIPE)
-        unpacked = subprocess.run(["tar", "-x", "-C", tree], stdin=archive.stdout)
-        archive.stdout.close()
-        if archive.wait() or unpacked.returncode:
-            print(f"code_lines: cannot check out {ref!r}", file=sys.stderr)
-            return 2
-        old = dict(_counts([os.path.join(tree, "src", "hermite_decay")]))
+    try:
+        with unpacked_src(ROOT, ref, "code-lines-") as tree:
+            old = dict(_counts([os.path.join(tree, "src", "hermite_decay")]))
+    except subprocess.CalledProcessError:
+        print(f"code_lines: cannot check out {ref!r}", file=sys.stderr)
+        return 2
     new = dict(_counts([os.path.join(ROOT, "src", "hermite_decay")]))
     rows = [(old.get(module, 0), new.get(module, 0), module) for module in old.keys() | new.keys()]
     rows.sort(key=lambda row: (-row[1], row[2]))

@@ -6,8 +6,8 @@ Runs the README's `sum`, `sharpness` and `oscillator` commands,
 `eval --order 30000` on 20 x in [1, 300], two far-x reports, a failing
 `sum` report and two library reports, twice: on the package source of
 this checkout's working tree, and on REF
-(default HEAD), whose `src` is unpacked by `git archive REF src | tar -x`
-into a temporary directory.  That writes nothing under `.git`, so a run
+(default HEAD), whose `src` is unpacked into a temporary directory by
+`tools/ref_tree.py`.  That writes nothing under `.git`, so a run
 that is killed leaves nothing behind in the repository.  The far-x
 reports, a `sum` at kappa = 2, beta = 0, y = 1/4 on 12 x in [80, 1000]
 and a log-spaced `sharpness` on 12 x in [80, 600], are where the sums
@@ -38,11 +38,13 @@ import argparse
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
-import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# the ref unpacker shared with the other tools, loaded by its path
+unpacked_src = runpy.run_path(os.path.join(ROOT, "tools", "ref_tree.py"))["unpacked_src"]
 
 REPORTS = {
     "sum": "sum --kappa 1 --beta 0.25 --y 0.5 --x-min 1 --x-max 60 --x-count 60",
@@ -153,31 +155,33 @@ def _drift(old_text: str, new_text: str) -> list[str]:
     return lines or ["  only the text outside the columns and summary changed"]
 
 
+def _compare(tree: str) -> bool:
+    """Run every report on the source under tree and on the working tree; whether one moved."""
+    moved = False
+    runs = {name: ["-m", "hermite_decay.cli_report", *command.split()]
+            for name, command in REPORTS.items()}
+    runs.update((name, ["-c", script]) for name, script in LIBRARY.items())
+    for name, argv in runs.items():
+        old, new = _run(tree, argv), _run(ROOT, argv)
+        if old == new:
+            print(f"{name}: byte-identical ({len(new)} bytes)")
+            continue
+        moved = True
+        print(f"{name}: differs")
+        print("\n".join(_drift(old.decode(), new.decode())))
+    return moved
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("ref", nargs="?", default="HEAD", help="git ref to compare against")
     args = parser.parse_args(argv)
-    moved = False
-    with tempfile.TemporaryDirectory(prefix="report-drift-") as tree:
-        archive = subprocess.Popen(["git", "-C", ROOT, "archive", args.ref, "src"],
-                                   stdout=subprocess.PIPE)
-        unpacked = subprocess.run(["tar", "-x", "-C", tree], stdin=archive.stdout)
-        archive.stdout.close()
-        if archive.wait() or unpacked.returncode:
-            print(f"report_drift: cannot check out {args.ref!r}", file=sys.stderr)
-            return 2
-        runs = {name: ["-m", "hermite_decay.cli_report", *command.split()]
-                for name, command in REPORTS.items()}
-        runs.update((name, ["-c", script]) for name, script in LIBRARY.items())
-        for name, argv in runs.items():
-            old, new = _run(tree, argv), _run(ROOT, argv)
-            if old == new:
-                print(f"{name}: byte-identical ({len(new)} bytes)")
-                continue
-            moved = True
-            print(f"{name}: differs")
-            print("\n".join(_drift(old.decode(), new.decode())))
-    return 1 if moved else 0
+    try:
+        with unpacked_src(ROOT, args.ref, "report-drift-") as tree:
+            return 1 if _compare(tree) else 0
+    except subprocess.CalledProcessError:
+        print(f"report_drift: cannot check out {args.ref!r}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":
