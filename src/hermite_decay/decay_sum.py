@@ -53,9 +53,10 @@ TAIL_RELATIVE_TOLERANCE = 1e-12
 # and rejects x whose analysis cutoff lies past it.
 _MAX_ORDER = 4_000_000
 
-# A sum drops a head of its orders once _head bounds it by e^-60 times a
-# term of the sum: far below TAIL_RELATIVE_TOLERANCE (e^-27.6), and far
-# above any rounding of the bound.
+# A sum entered at its window drops the head of orders left of it only
+# where _head bounds that head by e^-60 times S (_finish): far below
+# TAIL_RELATIVE_TOLERANCE (e^-27.6), and far above any rounding of the
+# bound.
 _HEAD_LOG_MARGIN = 60.0
 
 # A sum enters at its window only where _expected_head holds at least
@@ -63,13 +64,13 @@ _HEAD_LOG_MARGIN = 60.0
 # from order 1, whose time it matches there (2-core x86-64 VM, Python
 # 3.11, numpy 2.4; best of 7): 1900-2100 orders for (kappa, beta, y) =
 # (1, 1/4, 1/2), (2, 0, 1/4), (2, 1/4, 1/2) and (1, 1/4, 1/4) (x = 70
-# to 80); an entry costs about 30 us (expansion, ratio map and head
-# certificate) and saves about 27 ns an order it does not walk.  That was
-# measured on one sum alone; in a grid (_sums) the scan passes of the
-# sums are stacked, so a walked order costs less and the crossover lies
-# higher.  The threshold stays: it sets which sums enter, and so the last
-# bits of their ln S.  With this threshold no README report (x <= 60)
-# enters.
+# to 80); an entry costs about 30 us (the expansion at its two orders,
+# 25-27 us, and the head bound, 2.3 us; x = 80 to 300) and saves about
+# 27 ns an order it does not walk.  That was measured on one sum alone;
+# in a grid (_sums) the scan passes of the sums are stacked, so a walked
+# order costs less and the crossover lies higher.  The threshold stays:
+# it sets which sums enter, and so the last bits of their ln S.  With
+# this threshold no README report (x <= 60) enters.
 _HEAD_MIN_ORDERS = 2000
 
 # Most orders direct_sum draws from its order stream at once.  A block
@@ -78,9 +79,9 @@ _HEAD_MIN_ORDERS = 2000
 # they span several blocks they are held four times while _log_sum runs
 # over their join (the blocks, the join, and the two arrays of its exp).
 # A far sum enters at its window and keeps only the orders from its
-# dropped head to n_stop: at x = 1e3, y = 1/2 that is 75,958 of
-# n_stop = 462,166 orders, and the sum peaks at 4.5 MB (tracemalloc),
-# in 4.6 ms (15.1 ms when it walked every order).
+# entry to n_stop: at x = 1e3, y = 1/2 that is 76,032 of
+# n_stop = 462,166 orders, and the sum peaks at 4.2 MB (tracemalloc),
+# in 6.9 ms (36 ms when it walks every order; 2-core x86-64 VM).
 _LARGEST_BLOCK = 1 << 16
 
 # The least scale theta_sum takes: its series then needs at most 10^6
@@ -351,52 +352,43 @@ def _log_sum(term_logs: np.ndarray) -> float:
         return m + math.log(float(np.exp(term_logs - m).sum()))
 
 
-def _head(x: float, params: SumParams, n_min: int, a, log_ratios, logs) -> tuple[int, float]:
-    """(a, log bound): the last start a below n_min whose head 1..a it certifies, or (0, -inf).
+def _head(x: float, params: SumParams, a: int, log_prev: float, log_at: float) -> float:
+    """ln of a bound on t_1 + ... + t_a from the entry pair at a; +inf where rho <= 1.
 
-    The head certificate of one sum at x > 0, made once on its first
-    block: _walk passes the block-start orders a of an entered sum from
-    the entry on, ln r_{a-1} = ln(h_a(x)/h_{a-1}(x)) and ln|h_a(x)|, and
-    gets the largest a below n_min, max(N, 64), whose head it
-    certifies, with the log of that head's bound.
-
-    Below the turning point, r_k = h_{k+1}/h_k does not rise in k (the
-    lemma of ROADMAP item 5): r_k = F_k(r_{k-1}) with
+    The head certificate of one sum at x > 0, made once, at its entry a
+    (hermite_core._OrderStream.enter, which gives ln m_{a-1} and ln m_a,
+    m_k = h_k(x) / (pi^(-1/4) e^(-x^2/2))); _finish compares it with
+    ln S.  Below the turning point, r_k = h_{k+1}/h_k does not rise in k
+    (the lemma of ROADMAP item 5): r_k = F_k(r_{k-1}) with
     F_k(r) = x sqrt(2/(k+1)) - sqrt(k/(k+1))/r, F_k rises in r > 0,
     F_k <= F_{k-1} pointwise and r_1 < r_0, so by induction r_k <= r_{k-1}
     while h stays positive, which it does for 2k + 1 < x^2, where every
-    block start a of the scan lies.  With u_k = t_k k^beta and
-    rho = r_{a-1}^kappa e^(-kappa y) > 1, u_k/u_{k+1} = 1/(r_k^kappa
-    e^(-kappa y)) <= 1/rho for k < a, so u_k <= u_a rho^(k-a); as k^(-beta)
-    is at most 1 for beta >= 0 and at most a^(-beta) for beta < 0,
+    entry lies.  With u_k = t_k k^beta and rho = r_{a-1}^kappa
+    e^(-kappa y) > 1, u_k/u_{k+1} = 1/(r_k^kappa e^(-kappa y)) <= 1/rho
+    for k < a, so u_k <= u_a rho^(k-a); as k^(-beta) is at most 1 for
+    beta >= 0 and at most a^(-beta) for beta < 0,
 
         t_1 + ... + t_a <= t_a (1 + a^max(beta, 0) / (rho - 1)).
 
-    The head is certified when this bound is at most e^(-_HEAD_LOG_MARGIN)
-    times top, the largest block-start term given, a lower bound on S.
-    ln r_{a-1} is the difference of two converted logs, so it carries a
-    few ulps of ln|h| (at most about 2^-52 x^2 / 2) plus the relative
-    drift of the recurrence between neighbouring orders and the ratio
-    error of an entry (2^-60); ln rho is taken less a margin of
-    2^-40 (x^2 + 1) kappa, at least 2.6e-9 kappa where the stream scans
-    (x >= 53), far above all three.  The terms at the block starts
-    round like any term and carry the entry's error (below 1e-11 up to
-    x = 2500), which the e^60 margin absorbs.
+    Left of the peak t_a rises with a and rho falls, so the bound rises
+    with a: one entry order certifies the head as well as any later
+    start would (tests/test_decay_sum.py::TestHead).  ln r_{a-1} =
+    ln m_a - ln m_{a-1} is the difference of two expansion values rounded
+    to doubles, so it carries their error (at most 4e-13 + 2e-18 x^2) and
+    half an ulp of each (together about 2^-52 x^2 / 2); ln rho is taken
+    less a margin of 2^-40 (x^2 + 1) kappa, at least 2.6e-9 kappa where
+    the stream scans (x >= 53), far above both.  t_a carries the entry's
+    error and the rounding of ln m_a (below 3e-10 up to x = 2500), which
+    the e^60 margin of _finish absorbs.
     """
-    log_a = np.log(a)
-    terms = params.kappa * (logs - params.y * a) - params.beta * log_a
-    log_rho = log_ratios - (params.y + (x * x + 1.0) * 2.0**-40)
-    log_rho *= params.kappa
-    # rho <= 1 certifies nothing: its bound comes out +inf or nan
-    with np.errstate(divide="ignore", invalid="ignore"):
-        excess = -np.log(np.expm1(log_rho))
-        if params.beta > 0.0:
-            excess += params.beta * log_a
-        bounds = terms + np.logaddexp(0.0, excess)
-    passing = np.flatnonzero((bounds <= float(terms.max()) - _HEAD_LOG_MARGIN) & (a < n_min))
-    if not passing.size:
-        return 0, -math.inf
-    return int(a[passing[-1]]), float(bounds[passing[-1]])
+    kappa = params.kappa
+    log_h = hermite_core._log_magnitude(0, log_at, x)  # ln|h_a|
+    term = kappa * (log_h - params.y * a) - params.beta * math.log(a)
+    log_rho = kappa * (log_at - log_prev - (params.y + (x * x + 1.0) * 2.0**-40))
+    if not log_rho > 0.0:
+        return math.inf
+    excess = max(params.beta, 0.0) * math.log(a) - math.log(math.expm1(log_rho))
+    return term + float(np.logaddexp(0.0, excess))
 
 
 def _expected_head(x: float, params: SumParams) -> float:
@@ -405,14 +397,14 @@ def _expected_head(x: float, params: SumParams) -> float:
     The log of the summand peaks near n* = x^2 / (2 cosh^2 y) with
     curvature -1/sigma^2, sigma^2 = x^2 tanh(y) / (kappa cosh^2 y)
     (ROADMAP item 6).  _head certifies an order a once its term lies
-    e^60 times the factor 1 + a^max(beta, 0) / (rho - 1) below the top,
+    e^60 times the factor 1 + a^max(beta, 0) / (rho - 1) below S,
     where rho - 1 is about sqrt(2 L) / sigma: so at about
     L = 60 + max(beta, 0) ln n* + max(ln(sigma / 11), 0) below it, sqrt(2 L)
-    sigma before n*.  The summand is skewed, and the certificate reads
-    only block starts, so the order returned lies a further
-    B + 10 / (kappa y^2) orders left, B = hermite_core._stride(x): over
-    kappa in [1/2, 5/2], beta in [-3, 1], y in [1/5, 2] and x in
-    [55, 1500], the last start certified lay at most
+    sigma before n*.  The summand is skewed, and the sum enters at the
+    block start at or below the order returned, so that order lies a
+    further B + 10 / (kappa y^2) orders left, B = hermite_core._stride(x):
+    over kappa in [1/2, 5/2], beta in [-3, 1], y in [1/5, 2] and x in
+    [55, 1500], the last block start whose bound passed lay at most
     B + 5 / (kappa y^2) orders before the Laplace point (measured).
     """
     kappa, y = params.kappa, params.y
@@ -429,8 +421,9 @@ class _Sum(NamedTuple):
     """What _sum_internals found.
 
     log S; the term logs kept, of orders n_first through n_stop; and
-    log_head, the log of the bound on the dropped head 1..n_first-1
-    (-inf when n_first = 1, where nothing was dropped).
+    log_head, the log of a bound on the dropped head 1..n_first-1 (_head
+    at the entry n_first + 1; -inf when n_first = 1, where nothing was
+    dropped).
     """
 
     log_s: float
@@ -459,21 +452,18 @@ def _sum_internals(x: float, params: SumParams) -> _Sum:
     holds at least _HEAD_MIN_ORDERS orders, the pass does not walk the
     head: it enters at the block start a = _expected_head rounded down to
     a multiple of the stride (_OrderStream.enter), from the expansion of
-    h_a below the turning point and the ratio map.  Its ln|h_n| then
-    carry the entry's error, about the first term the expansion omits
-    (at most 1e-13) plus a few units of 2^-64 of its long-double lead,
-    about x^2 / 2: within 2e-13 + 1e-18 x^2 of the long-double loop over
-    x in [55, 2500] (tests/test_hermite_core.py).  So ln S moves from
-    the walk from order 1 by at most kappa times that, plus the walk's
-    own drift to a and a few ulps (measured on 12 sums at x = 300, 1000
-    and 2500: at most 1 ulp).  On the first block, one head certificate
-    (_head) takes the block starts a, a + B, ... below max(N, 64), with
-    ln|h| and ln r from the block's own conversion, and drops the
-    head through the last start it certifies, before its terms are
-    formed; the terms kept run from n_first on.  Where the entry is
-    refused, or the certificate passes at no start (its order lies
-    right of the window), the sum walks from order 1 and keeps every
-    order.
+    h_{a-1} and h_a below the turning point.  Its ln|h_n| then carry the
+    entry's error, about the first term the expansion omits (at most
+    1e-13) plus a few units of 2^-64 of its long-double lead, about
+    x^2 / 2: within 2e-13 + 1e-18 x^2 of the long-double loop over x in
+    [55, 2500] (tests/test_hermite_core.py).  So ln S moves from the walk
+    from order 1 by at most kappa times that, plus the walk's own drift
+    to a and a few ulps (measured on 12 sums at x = 300, 1000 and 2500:
+    at most 1 ulp).  The set-up bounds the head 1..a once, from the two
+    expansion values (_head), and the terms kept run from n_first = a - 1
+    on.  Where the entry is refused, the sum walks from order 1 and keeps
+    every order; where the head bound exceeds e^-60 S (the entry lies
+    right of the window), _finish sums again from order 1.
 
     Each block makes one pass: it converts its orders to logs
     (hermite_core._log_magnitudes) and term logs, takes e = exp(terms -
@@ -508,15 +498,16 @@ def _sum_internals(x: float, params: SumParams) -> _Sum:
 class _Start(NamedTuple):
     """One sum set up to walk.
 
-    |x|, the cutoff N, its stream, its entry order (0: from order 1),
-    the first order that may stop its walk and the last order of its
-    first request (see _start).
+    |x|, the cutoff N, its stream, the log of the bound on the head that
+    its entry drops (_head; -inf when it walks from order 1), the first
+    order that may stop its walk and the last order of its first request
+    (see _start).
     """
 
     x: float
     n_cut: int
     stream: hermite_core._OrderStream
-    entry: int
+    log_head: float
     n_solve: int
     last: int
 
@@ -537,19 +528,16 @@ def _start(x: float, params: SumParams, enter: bool = True) -> _Start:
     if n_cut > _MAX_ORDER:
         raise ValueError(f"analysis cutoff N={n_cut} at x={x} lies past order {_MAX_ORDER}")
     stream = hermite_core._OrderStream(x)
-    entry = 0
-    if enter and stream.scan_end:
-        expected = _expected_head(x, params)
-        entry = int(expected // stream.stride) * stream.stride
-        if not (expected >= _HEAD_MIN_ORDERS and stream.enter(entry)):
-            entry = 0
-    if not entry:
-        stream.first = 1  # h_0 carries no summand
+    expected = _expected_head(x, params) if enter and stream.scan_end else 0.0
+    entry = int(expected // stream.stride) * stream.stride
+    found = expected >= _HEAD_MIN_ORDERS and stream.enter(entry)
+    log_head = _head(x, params, entry, *found) if found else -math.inf
+    stream.first = max(stream.first, 1)  # h_0 carries no summand
     kappa_y = params.kappa * params.y
     n_solve = max(n_cut, 64, math.floor(max(-params.beta, 0.0) / kappa_y) + 1)
     lookahead = math.ceil((2.0 - math.log(TAIL_RELATIVE_TOLERANCE)) / kappa_y)
     last = min(max(n_solve, n_cut + lookahead), stream.first + _LARGEST_BLOCK - 1, _MAX_ORDER)
-    return _Start(x, n_cut, stream, entry, n_solve, last)
+    return _Start(x, n_cut, stream, log_head, n_solve, last)
 
 
 def _sums(xs, params: SumParams):
@@ -588,42 +576,26 @@ def _attempt(step, *args):
 
 
 def _finish(start: _Start, params: SumParams) -> _Sum:
-    """The sum of a set-up x; where an entry certifies no head, a fresh walk from order 1."""
-    if start.entry:
-        total = _walk(start, params)
-        if total is not None:
-            return total
-        start = _start(start.x, params, enter=False)
-    return _walk(start, params)
+    """The sum of a set-up x; a fresh walk from order 1 where the head bound exceeds e^-60 S."""
+    total = _walk(start, params)
+    if total.log_head > total.log_s - _HEAD_LOG_MARGIN:
+        total = _walk(_start(start.x, params, enter=False), params)
+    return total
 
 
-def _walk(start: _Start, params: SumParams) -> _Sum | None:
-    """The sum of _sum_internals on the stream of start, entered at its entry (0: from order 1).
-
-    None when the head certificate of an entry passes at no block start.
-    """
-    x, n_cut, stream, entry, n_solve, n_end = start  # n_end: the last order requested
+def _walk(start: _Start, params: SumParams) -> _Sum:
+    """The sum of _sum_internals on the stream of start, from the stream's first order on."""
+    x, n_cut, stream, log_head, n_solve, n_end = start  # n_end: the last order requested
     kappa_y = params.kappa * params.y
     n_min = max(n_cut, 64)
     log_tol = math.log(TAIL_RELATIVE_TOLERANCE)
     ps, walls, scales = stream.take(n_end)
-    log_head = -math.inf  # the log of the bound on the head dropped
     blocks = []
     log_partial = -math.inf  # ln of the partial sum before the block
     while ps.size:
         n_start = n_end + 1 - ps.size  # the block's first order
         n = np.arange(n_start, n_end + 1, dtype=float)
         logs = hermite_core._log_magnitudes(ps, walls, scales, x, n)
-        if entry and not blocks:
-            # the one head certificate: the block starts from the entry
-            # on, below the smallest stop and the block's last order
-            a = np.arange(entry, min(n_min, n_end), stream.stride)
-            at = logs[a - n_start]
-            dropped, log_head = _head(x, params, n_min, a, at - logs[a - 1 - n_start], at)
-            if not dropped:
-                return None
-            n, logs = n[dropped + 1 - n_start :], logs[dropped + 1 - n_start :]
-            n_start = dropped + 1
         terms = _summand_logs(logs, n, params)
         blocks.append(terms)
         # orders below max(N, 64) may not stop the sum
@@ -675,16 +647,15 @@ def direct_sum(x: float, params: SumParams) -> SignedLog:
     and that one exp pass serves both the stop test and S (see
     _sum_internals).  Where the recurrence scans below the turning point
     and the head is long enough to pay for it, the pass enters at an
-    order a left of the peak instead of walking 1..a: ln|h_a| from the
-    expansion of h_a below the turning point (DLMF 12.10.3), to within
-    about 2e-13 + 1e-18 x^2, and h_a/h_{a-1} from the ratio map; ln S
-    then moves from the walk's by at most kappa times that plus a few
-    ulps.  The orders 1..a', a' the last block start at or past a that
-    passes, are dropped once t_a' (1 + a'^max(beta, 0) / (rho - 1))
-    bounds their sum by e^-60 times a term of S, with
-    rho = (h_a'/h_{a'-1})^kappa e^(-kappa y) > 1: the ratio h_{k+1}/h_k
-    does not rise below the turning point (_head); where no start
-    passes, the sum walks from order 1 instead.
+    order a left of the peak instead of walking 1..a: ln|h_{a-1}| and
+    ln|h_a| from the expansion below the turning point (DLMF 12.10.3),
+    to within about 2e-13 + 1e-18 x^2; ln S then moves from the walk's
+    by at most kappa times that plus a few ulps.  The orders 1..a-2 are
+    dropped once t_a (1 + a^max(beta, 0) / (rho - 1)) bounds the sum of
+    t_1..t_a by e^-60 times S, with rho = (h_a/h_{a-1})^kappa e^(-kappa y)
+    > 1: the ratio h_{k+1}/h_k does not rise below the turning point
+    (_head); where the bound does not pass, the sum walks from order 1
+    instead.
     The sum stops at the first order past the
     analysis cutoff N (at least 64) where the geometric tail bound of
     tail_bound, taken from the next order on, is below

@@ -49,13 +49,12 @@ per-step calls of a pass once for many points (_group_scan, which
 takes each stream's first request through its last order, as take
 does); each stream's values are those of its own pass, bit for bit.
 The stream may also enter at a block start a below the turning point
-instead of walking 1..a: the expansion of h_a there (_expansion, DLMF
-12.10.3) gives ln|h_a|, a ratio map gives h_a/h_{a-1}, and the walk
-goes on from that pair (the weighted sums of decay_sum enter near their
-peak this way).  All three read their
-coefficients from one cursor (_Coefficients), test their walls after
-the orders that are multiples of one stride, and convert through one
-compensated log finalizer (_log_magnitudes).  Above
+instead of walking 1..a: the expansion there (_expansion, DLMF 12.10.3)
+gives ln|h_{a-1}| and ln|h_a|, and the walk goes on from that pair (the
+weighted sums of decay_sum enter near their peak this way).  All three
+read their coefficients from one cursor (_Coefficients), test their
+walls after the orders that are multiples of one stride, and convert
+through one compensated log finalizer (_log_magnitudes).  Above
 EXTENDED_PRECISION_ORDER, hermite_exact runs the scalar loop in doubles
 up to the last multiple m of the stride at or below that order, and on
 from there in long double, from the pair of m-values that the double
@@ -226,11 +225,6 @@ _ORDER_CONSTANTS = (
 # An entry (_OrderStream.enter) is taken only where the first term that
 # the expansion omits, u_6(t) / (mu^2 (t^2 - 1)^(3/2))^6, is at most this.
 _ENTRY_TOLERANCE = 1e-13
-
-# Most steps the entry's ratio map may take (_entry_ratio).  It needs
-# more the nearer the entry lies to the turning point; about 40 at the
-# sums' entries.
-_ENTRY_RATIO_STEPS = 400
 
 
 @dataclass(frozen=True)
@@ -718,44 +712,6 @@ def _expansion(n: int, x: float):
     return lead + rest, abs(terms[-1]) + 1.3e-4 * inverse**8
 
 
-def _entry_ratio(a: int, x: float):
-    """(ln(p_a / p_{a-1}), the coefficient cursor at a, s_{a-1}, s_a) by the ratio map, or None.
-
-    Below the turning point r_k = h_{k+1}/h_k = F_k(r_{k-1}) with
-    F_k(r) = x sqrt(2/(k+1)) - sqrt(k/(k+1)) / r, and r_k does not rise
-    in k (decay_sum._head), so r_k lies at or above the fixed point r*_k
-    of F_k, which falls in k.  Started at r*_{k0}, the map runs below the
-    true ratios and above r*_{a-1}, where F_k' = sqrt(k/(k+1)) / r^2 <=
-    1 / r*_{a-1}^2 = L: after j steps the relative error is at most
-    L^j r_{k0} <= L^j sqrt(2) x (r_0 = sqrt(2) x).  So the map takes the
-    j steps, from k0 = a - 1 - j, that bring this below 2^-60: about 40
-    at the sums' entries (L = 0.2-0.35).  It runs on the ratios
-    p_{k+1}/p_k = r_k s_k / s_{k+1} of a cursor started at k0 + 1, as
-    p_{k+1}/p_k = x a'_k - p_{k-1}/p_k, and leaves that cursor at a.
-    None where j would reach below order 2 or past _ENTRY_RATIO_STEPS,
-    or a fixed point is not above 1.
-    """
-
-    def fixed_point(k: float) -> float:
-        c = x * math.sqrt(2.0 / (k + 1.0))
-        disc = c * c - 4.0 * math.sqrt(k / (k + 1.0))
-        return 0.5 * (c + math.sqrt(disc)) if disc > 0.0 else 0.0
-
-    r_end = fixed_point(a - 1)
-    if not r_end > 1.0:
-        return None
-    steps = math.ceil((60.0 * _LN_2 + math.log(math.sqrt(2.0) * x)) / (2.0 * math.log(r_end)))
-    if not steps < min(a - 1, _ENTRY_RATIO_STEPS):
-        return None
-    coefficients = _Coefficients(float, a - steps)
-    s_k0, s_next = coefficients.start_scales
-    products, scales = coefficients.take(steps)
-    ratio = fixed_point(a - steps - 1) * float(s_k0 / s_next)
-    for c in np.multiply(x, products).tolist():
-        ratio = c - 1.0 / ratio
-    return math.log(ratio), coefficients, float(scales[-2]), float(scales[-1])
-
-
 # Order 0 of every stream, (p_0, walls, s_0), pending before the first
 # request: shared, read-only, and only ever joined into new arrays.
 _ORDER_ZERO = (np.ones(1), np.zeros(1, dtype=np.int64), np.ones(1))
@@ -800,11 +756,11 @@ class _OrderStream:
     A caller may drop the orders below first (0 by default): take then
     hands out none below it.  A fresh stream may instead enter at a
     block start a below scan_end (enter): it then starts from the pair
-    (p_{a-1}, p_a) and wall count that the expansion of h_a (_expansion)
-    and the ratio map (_entry_ratio) give, with its coefficient cursor
-    started at a, and hands out orders from a - 1 on.  Its values from a
-    on are the walk's own, up to the entry's error, which the rest of
-    the walk carries along (h is the dominant solution there).
+    (p_{a-1}, p_a) and wall count that the expansion (_expansion) gives
+    at both orders, with its coefficient cursor started at a, and hands
+    out orders from a - 1 on.  Its values are the walk's own, up to the
+    entry's error, which the rest of the walk carries along (h is the
+    dominant solution there).
 
     A request computes no order past the last one it asks for, but for
     the rest of a scan block: at most B - 1 orders, kept for the next
@@ -826,41 +782,41 @@ class _OrderStream:
         self._pair = (0.0, 1.0, 0)  # (p_{k-1}, p_k, walls)
         self._pending = [_ORDER_ZERO]  # computed orders not yet handed out, in parts
 
-    def enter(self, a: int) -> bool:
-        """Start this fresh stream at the block start a, from the expansion; False where it cannot.
+    def enter(self, a: int):
+        """Enter this fresh stream at the block start a: (ln m_{a-1}, ln m_a), or None.
 
-        The entry needs a multiple a of B below scan_end, a long double
-        (_expansion) whose first omitted term is at most
-        _ENTRY_TOLERANCE, and a ratio map that converges (_entry_ratio).
-        Then p_a = m_a / s_a and p_{a-1} = p_a / (r_{a-1} s_{a-1} / s_a),
-        with the scales of the cursor started at a, and the wall count
-        that puts the larger of the two in [1, 2^512), as after a wall
-        test.  ln p_a is formed from ln m_a in long double, less the
-        walls as _log_magnitude adds them, so it carries the error of
-        ln m_a and a few ulps of numbers below 355.  The stream then hands
-        out orders from a - 1 on (first = a - 1).
+        The entry needs a multiple a of B below scan_end and a long
+        double, and at both orders a - 1 and a an expansion (_expansion)
+        whose first omitted term is at most _ENTRY_TOLERANCE.  Then
+        p_k = m_k / s_k for k = a - 1 and a, with the scales of the
+        coefficient cursor started at a, and the wall count that puts the
+        larger of the two in [1, 2^512), as after a wall test.  Each ln p_k
+        is formed from ln m_k in long double, less the walls as
+        _log_magnitude adds them, so it carries the error of ln m_k and a
+        few ulps of numbers below 355.  The stream then hands out orders
+        from a - 1 on (first = a - 1).  Returns the two ln m_k, rounded to
+        doubles, for the caller's head bound (decay_sum._head); None, and
+        the stream unchanged, where it cannot enter.
         """
         if not (self._k == 0 and 0 < a < self.scan_end and a % self.stride == 0):
-            return False
-        found = _expansion(a, self._x)
-        if found is None or found[1] > _ENTRY_TOLERANCE:
-            return False
-        ratio = _entry_ratio(a, self._x)
-        if ratio is None:
-            return False
-        log_step, coefficients, s_before, s_a = ratio  # log_step = ln(p_a / p_{a-1})
-        log_p = found[0] - math.log(s_a)
-        walls = math.floor(float(log_p - min(log_step, 0.0)) / (512 * _LN_2))
-        log_p = float(log_p - walls * _WALL_LOG_HI) - walls * _WALL_LOG_LO
-        pair = (math.exp(log_p - log_step), math.exp(log_p))
-        self._coefficients = coefficients
+            return None
+        found = [_expansion(k, self._x) for k in (a - 1, a)]
+        if None in found or max(omitted for _, omitted in found) > _ENTRY_TOLERANCE:
+            return None
+        self._coefficients = _Coefficients(float, a)
+        scales = self._coefficients.start_scales
+        log_ps = [log_m - math.log(s) for (log_m, _), s in zip(found, scales)]
+        walls = math.floor(float(max(log_ps)) / (512 * _LN_2))
+        pair = tuple(
+            math.exp(float(log_p - walls * _WALL_LOG_HI) - walls * _WALL_LOG_LO) for log_p in log_ps
+        )
         self._k = a
         self._pair = (*pair, walls)
         self._pending = [
-            (np.array(pair), np.full(2, walls, dtype=np.int64), np.array((s_before, s_a)))
+            (np.array(pair), np.full(2, walls, dtype=np.int64), np.array(scales, dtype=float))
         ]
         self.first = a - 1
-        return True
+        return tuple(float(log_m) for log_m, _ in found)
 
     def take(self, last: int):
         """(ps, walls, scales) of the orders not yet handed out, from first through last."""

@@ -41,7 +41,8 @@ class QuadratureSpec:
     coefficient vectors agree to `tolerance` or `max_doublings` is
     exhausted; disagreement is recorded per coefficient, not raised.
     half_width (where given) and tolerance are positive finite numbers,
-    initial_nodes a whole number >= 16 and max_doublings one >= 0;
+    initial_nodes a whole number >= 16 and max_doublings one >= 1 (with
+    none, no two grids disagree by less than inf);
     ValueError naming the field otherwise.  The counts are kept as ints
     (16.0 becomes 16).
     """
@@ -57,7 +58,7 @@ class QuadratureSpec:
         nodes = _whole_number(self.initial_nodes, "initial_nodes", 16)
         object.__setattr__(self, "initial_nodes", nodes)
         _positive(self.tolerance, "tolerance")
-        doublings = _whole_number(self.max_doublings, "max_doublings")
+        doublings = _whole_number(self.max_doublings, "max_doublings", 1)
         object.__setattr__(self, "max_doublings", doublings)
 
 
@@ -208,7 +209,8 @@ def expand(f, n_terms: int, quad: QuadratureSpec | None = None) -> HermiteCoeffi
     Recipes section 4.2).  The per-coefficient quad_error is the
     disagreement between the two finest grids; coefficients that fail to
     reach quad.tolerance keep their larger disagreement on record rather
-    than raising.
+    than raising.  Raises ValueError naming f and the first node where
+    its value is not finite.
     """
     n_terms = _whole_number(n_terms, "n_terms")
     quad = quad or QuadratureSpec()
@@ -216,7 +218,12 @@ def expand(f, n_terms: int, quad: QuadratureSpec | None = None) -> HermiteCoeffi
 
     def moments(xs: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, float]:
         """Weighted coefficient sums over one node set, and the sum of |weights|."""
-        weights = weights * _evaluate_handle(f, xs)
+        values = _evaluate_handle(f, xs)
+        bad = np.flatnonzero(~np.isfinite(values))[:1].tolist()
+        if bad:
+            value, x = float(values[bad[0]]), float(xs[bad[0]])
+            raise ValueError(f"f must be finite at every node, got {value!r} at x={x!r}")
+        weights = weights * values
         coeffs = BASIS_NORMALIZER * hermite_moment_sweep(BASIS_SCALE * xs, weights, n_terms)
         return coeffs, float(np.sum(np.abs(weights)))
 
@@ -416,7 +423,8 @@ def decay_certificate(
     basis = basis_values(xs, n_top)
     magnitudes = np.abs(np.asarray(coeffs.coeffs))
     log_weight = math.tanh(alpha) * math.pi * xs * xs
-    log_tail = envelope_tail_log(alpha, c_bound, n_top)
+    # all-zero coefficients have C = 0, and a zero tail
+    log_tail = envelope_tail_log(alpha, c_bound, n_top) if c_bound > 0.0 else -math.inf
 
     certified = np.zeros(n_top + 1, dtype=bool)
     certified[[n for n, _ in envelopes]] = True

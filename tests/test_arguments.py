@@ -44,7 +44,7 @@ BOOL_IN_LIST, RAGGED = [1.0, True], [[1.0], [2.0, 3.0]]
 # The bad values of each kind of parameter
 BAD = {
     "whole": (True, np.True_, 2.5, NAN, INF, -INF, -1, "3", None),
-    "whole>=1": (True, 2.5, NAN, INF, 0, -1, "3"),
+    "whole>=1": (True, np.True_, 2.5, NAN, INF, -INF, 0, -1, "3"),
     "whole>=2": (True, 2.5, NAN, INF, 1, -1, "3"),
     "whole>=16": (True, 16.5, NAN, INF, 15, "16"),
     "real": (True, np.True_, NAN, INF, -INF, "1.0", None),
@@ -116,7 +116,7 @@ TABLE = [
     (decay_sum.gaussian_theta_dual, dict(x=1.0, delta=1.0), dict(x="real", delta="positive")),
     (QuadratureSpec, dict(half_width=6.0, initial_nodes=64, tolerance=1e-10, max_doublings=1),
      dict(half_width="positive", initial_nodes="whole>=16", tolerance="positive",
-          max_doublings="whole")),
+          max_doublings="whole>=1")),
     (HermiteCoefficients, dict(coeffs=[1.0, 0.5], quad_error=[0.0, 0.0]),
      dict(coeffs="nonempty", quad_error="array")),
     (oscillator.vemuri_envelope, dict(n=3, alpha=0.5), dict(n="whole", alpha="positive")),

@@ -575,8 +575,8 @@ class TestDirectSum:
     @pytest.mark.parametrize("kappa, beta, y", [(1.0, 0.25, 0.5), (2.0, -2.0, 0.7)])
     @pytest.mark.parametrize("x", [110.0, 300.0])
     def test_falls_back_to_the_walk(self, monkeypatch, kappa, beta, y, x):
-        # an entry at the peak, right of the window: the head certificate
-        # passes at no block start there, and the sum walks from order 1,
+        # an entry at the peak, right of the window: the head bound there
+        # exceeds e^-60 S, and the sum walks again from order 1,
         # with exactly the result of a sum that never enters
         params = SumParams(kappa, beta, y)
         monkeypatch.setattr(decay_sum, "_HEAD_MIN_ORDERS", math.inf)
@@ -595,11 +595,10 @@ class TestDirectSum:
     def test_memory_of_a_far_sum(self):
         # n_stop = 462,166 at x = 1000: the sum draws at most _LARGEST_BLOCK
         # orders a request and the stream scans at most
-        # hermite_core._SCAN_ORDERS a pass, and every pass drops the head
-        # that its certificate covers, blocks kept by earlier requests
-        # included.  So the sum keeps 75,958 orders (0.6 MB of term logs),
-        # and the peak is one block's, about 8.5 doubles an order.
-        # Measured 4.1 MB (14.3 MB when every order was kept).
+        # hermite_core._SCAN_ORDERS a pass, and the sum enters at its window.
+        # So it keeps the 76,032 orders from its entry on (0.6 MB of term
+        # logs), and the peak is one block's, about 8.5 doubles an order.
+        # Measured 4.2 MB (14.3 MB when every order was kept).
         params = SumParams(1.0, 0.25, 0.5)
         hermite_orders(1, 1.0)  # builds the process's coefficient table first
         tracemalloc.start()
@@ -639,31 +638,24 @@ class TestDirectSum:
 
 
 def restated_head(x: float, params: SumParams) -> tuple[int, float]:
-    """(first kept order, ln of its head bound) by the head certificate restated.
+    """(entry a, ln of its head bound) by the head certificate restated.
 
-    For a sum whose first scan pass covers every order below max(N, 64):
-    the block starts a = B, 2B, ... below it, h from one hermite_orders
-    sweep, top the largest term at those starts, and the bound
+    a is _expected_head rounded down to a multiple of the stride B, h
+    comes from one hermite_orders sweep, and the bound is
     t_a (1 + a^max(beta, 0) / (rho - 1)) with ln rho = kappa (ln r_{a-1}
-    - y - 2^-40 (x^2 + 1)), for rho > 1; the last a whose bound is at
-    most top - 60 gives the first kept order a + 1, and 1 when none does.
+    - y - 2^-40 (x^2 + 1)), +inf where rho <= 1; -inf where a < 1.
     """
     kappa, beta, y = params.kappa, params.beta, params.y
     b = hermite_core._stride(x)
-    n_min = max(truncation_index(x, y), 64)
-    _, logs = hermite_orders(n_min, x)
-    a = np.arange(b, n_min, b)
-    terms = _summand_logs(logs[a], a.astype(float), params)
-    top = float(terms.max())
-    found = (1, -math.inf)
-    for order, term, log_ratio in zip(a, terms, logs[a] - logs[a - 1]):
-        log_rho = kappa * (log_ratio - y - 2.0**-40 * (x * x + 1.0))
-        if log_rho <= 0.0:
-            continue
-        bound = term + math.log1p(order ** max(beta, 0.0) / math.expm1(log_rho))
-        if bound <= top - 60.0:
-            found = (int(order) + 1, bound)
-    return found
+    a = int(decay_sum._expected_head(x, params) // b) * b
+    if a < 1:
+        return a, -math.inf
+    _, logs = hermite_orders(a, x)
+    term = float(_summand_logs(logs[a], float(a), params))
+    log_rho = kappa * (logs[a] - logs[a - 1] - y - 2.0**-40 * (x * x + 1.0))
+    if log_rho <= 0.0:
+        return a, math.inf
+    return a, term + math.log1p(a ** max(beta, 0.0) / math.expm1(log_rho))
 
 
 def one_point(x: float, params: SumParams):
@@ -852,41 +844,58 @@ class TestHead:
          (0.5, -0.5, 0.3), (1.0, -2.0, 0.5), (1.0, 0.25, 2.0)],
     )
     @pytest.mark.parametrize("x", [60.0, 110.0, 175.0])
-    def test_certifies_the_last_block_start_that_passes(self, monkeypatch, kappa, beta, y, x):
-        # below x = 180 one scan pass covers every order below max(N, 64):
-        # the sum drops exactly the head that the certificate, restated
-        # from hermite_orders, gives
+    def test_certifies_the_head_at_the_entry(self, monkeypatch, kappa, beta, y, x):
+        # the sum enters at its block start a below max(N, 64), keeps the
+        # orders from a - 1 on, and carries the head bound that the
+        # certificate, restated from hermite_orders at a, gives
         params = SumParams(kappa, beta, y)
         monkeypatch.setattr(decay_sum, "_HEAD_MIN_ORDERS", -math.inf)
         total = _sum_internals(x, params)
-        first, log_head = restated_head(x, params)
-        assert total.n_first == first
+        a, log_head = restated_head(x, params)
+        if a < 1:  # the window reaches order 1: the sum walks from there
+            assert (total.n_first, total.log_head) == (1, -math.inf)
+            return
+        assert total.n_first == a - 1 < max(truncation_index(x, y), 64)
         assert total.log_head == pytest.approx(log_head, rel=1e-12, abs=1e-9)
 
-    def test_drops_no_order_at_or_past_the_smallest_stop(self):
-        # every start below passes; only those below n_min = 40 may go
-        params = SumParams(1.0, 0.0, 0.5)
-        a = np.array([10, 20, 30, 40, 50])
-        logs = np.array([-500.0, -400.0, -300.0, -200.0, -100.0])
-        ratios = np.full(5, 5.0)
-        assert decay_sum._head(100.0, params, 40, a, ratios, logs)[0] == 30
-        assert decay_sum._head(100.0, params, 41, a, ratios, logs)[0] == 40
+    @given(
+        st.floats(min_value=0.5, max_value=2.5),
+        st.floats(min_value=-3.0, max_value=1.0),
+        st.floats(min_value=0.25, max_value=2.0),
+        st.floats(min_value=53.0, max_value=400.0),
+    )
+    @example(1.0, 0.25, 0.5, 150.0)
+    @example(2.0, 0.0, 0.25, 400.0)
+    @example(0.5, 1.0, 2.0, 53.0)
+    @settings(max_examples=30, deadline=None)
+    def test_the_bound_does_not_fall_from_the_entry_to_the_peak(self, kappa, beta, y, x):
+        # why one start is enough: left of the peak t_a rises and rho falls,
+        # so at the block starts from the entry to n* = x^2 / (2 cosh^2 y)
+        # the bound never falls, and where any of them certifies the head,
+        # the entry does.  ln m comes from one hermite_orders sweep
+        params = SumParams(kappa, beta, y)
+        b = hermite_core._stride(x)
+        peak = 0.5 * x * x / math.cosh(y) ** 2
+        entry = max(int(decay_sum._expected_head(x, params) // b), 1) * b
+        starts = range(entry, int(peak) + 1, b)
+        _, logs = hermite_orders(max(starts, default=entry), x)
+        log_m = logs + (0.5 * x * x + 0.25 * math.log(math.pi))
+        bounds = [decay_sum._head(x, params, a, log_m[a - 1], log_m[a]) for a in starts]
+        assert all(later >= earlier for earlier, later in zip(bounds, bounds[1:]))
 
     def test_bound_carries_the_power_of_the_order(self):
-        # at beta = 1 the start a = 1000 lies 3 below the threshold, with
-        # rho = 2: ln(1 + 1/(rho - 1)) = 0.69 would pass, ln(1 + a/(rho - 1))
-        # = 6.9 does not
+        # at beta = 1, a = 1000 and rho = 2 the bound over t_a is
+        # ln(1 + a/(rho - 1)) = ln 1001, not ln(1 + 1/(rho - 1)) = ln 2;
+        # with rho <= 1 it bounds nothing
         params = SumParams(1.0, 1.0, 0.5)
-        a = np.array([1000, 2000])
-        # terms 0 and 63: ln|h_a| = t_a + a y + beta ln a
-        logs = np.array([500.0 + math.log(1000.0), 63.0 + 1000.0 + math.log(2000.0)])
-        ratios = np.full(2, math.log(2.0) + 0.5 + 1e-6)
-        assert decay_sum._head(10.0, params, 5000, a, ratios, logs) == (0, -math.inf)
-        # the threshold is the top, the term at 2000: 4 more there lets the
-        # bound ln(1 + a/(rho - 1)) = 6.9 pass
-        logs[1] += 4.0
-        order, log_bound = decay_sum._head(10.0, params, 5000, a, ratios, logs)
-        assert order == 1000 and log_bound == pytest.approx(math.log1p(1000.0), rel=1e-5)
+        x, a = 10.0, 1000
+        # t_a = 0: ln|h_a| = a y + beta ln a, and ln m_a = ln|h_a| + x^2/2 + ln(pi)/4
+        log_at = 500.0 + math.log(1000.0) + 50.0 + 0.25 * math.log(math.pi)
+        log_prev = log_at - (math.log(2.0) + 0.5 + 1e-6)
+        bound = decay_sum._head(x, params, a, log_prev, log_at)
+        assert bound == pytest.approx(math.log1p(1000.0), rel=1e-5)
+        for log_ratio in (0.5, 0.4):  # rho = 1 less the margin, and below 1
+            assert decay_sum._head(x, params, a, log_at - log_ratio, log_at) == math.inf
 
 
 class TestTailBound:

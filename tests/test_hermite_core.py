@@ -1388,10 +1388,10 @@ def entered_logs(a: int, x: float) -> np.ndarray:
 class TestEntry:
     """The order stream entered at a block start from the expansion below the turning point.
 
-    The expansion's ln m_a carries its first omitted term (at most
-    _ENTRY_TOLERANCE) and a few units of 2^-64 of its long-double lead,
-    about x^2 / 2; the ratio map converges to 2^-60.  Measured against
-    the long-double loop over x in [55, 2500]: within 1 ulp of ln|h|.
+    The expansion's ln m_{a-1} and ln m_a each carry their first omitted
+    term (at most _ENTRY_TOLERANCE) and a few units of 2^-64 of their
+    long-double lead, about x^2 / 2.  Measured against the long-double
+    loop over x in [55, 2500]: within 1 ulp of ln|h|.
     """
 
     def test_polynomials_match_the_recursion(self):

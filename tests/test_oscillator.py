@@ -49,8 +49,10 @@ class TestQuadratureSpec:
             QuadratureSpec(initial_nodes=4)
         with pytest.raises(ValueError):
             QuadratureSpec(tolerance=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_doublings=-1)
+        for doublings in (-1, 0):
+            # with no doubling every expand failed: its disagreement stayed inf
+            with pytest.raises(ValueError, match="max_doublings"):
+                QuadratureSpec(max_doublings=doublings)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -167,6 +169,18 @@ class TestExpand:
     def test_rejects_nondecaying_function(self):
         with pytest.raises(ValueError):
             expand(lambda x: np.cos(x), 4)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_names_f_where_it_is_not_finite(self, bad):
+        # a non-finite f was blamed on weights, a parameter of
+        # hermite_moment_sweep; the first node of the window is -5
+        message = rf"^f must be finite at every node, got {bad} at x=-5\.0$"
+        with pytest.raises(ValueError, match=message):
+            expand(lambda x: np.full(np.shape(x), bad), 3, QuadratureSpec(half_width=5.0))
+        # finite on the first grid, not at a later midpoint
+        spec = QuadratureSpec(half_width=5.0, initial_nodes=16)
+        with pytest.raises(ValueError, match=r"got nan at x=-4\.6875$"):
+            expand(lambda x: np.where(x == -4.6875, np.nan, np.exp(-x * x)), 3, spec)
 
 
 class TestGaussianCoefficients:
@@ -496,6 +510,14 @@ class TestDecayCertificate:
         c = synthetic_envelope_coefficients(0.5, 60)
         with pytest.raises(ValueError):
             decay_certificate(c, 0.75, [0.0, 1.0], [0.0])
+
+    def test_all_zero_coefficients_certify_zero(self):
+        # C = 0: the tail is zero, not a c_bound error its caller never passed
+        c = expand(lambda x: 0 * np.asarray(x), 3, QuadratureSpec(half_width=5.0))
+        cert = decay_certificate(c, 0.5, [0.0, 1.0], [0.0])
+        assert cert.envelope_constant == 0.0 and cert.sup_weighted == 0.0
+        assert cert.log_sup_weighted == cert.log_tail_contribution == -math.inf
+        assert cert.majorant_slack_min == math.inf
 
     def test_rejects_empty_grids(self):
         c = gaussian_coefficients(0.5, 40)

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import shutil
 import subprocess
 
 import pytest
@@ -21,6 +22,7 @@ def load(name):
 report_drift = load("report_drift")
 code_lines = load("code_lines")
 ref_tree = load("ref_tree")
+ab_bench = load("ab_bench")
 
 CSV_OLD = """\
 # version=0.1.0
@@ -178,7 +180,7 @@ def git_repository(path):
 class TestRefTree:
     def test_both_tools_load_the_one_unpacker(self):
         path = os.path.join(TOOLS, "ref_tree.py")
-        for tool in (code_lines, report_drift):
+        for tool in (code_lines, report_drift, ab_bench):
             assert tool.unpacked_src.__wrapped__.__code__.co_filename == path
 
     def test_unpacks_the_src_of_a_ref_and_removes_it(self, tmp_path):
@@ -201,3 +203,31 @@ class TestRefTree:
             with ref_tree.unpacked_src(str(tmp_path / "repo"), "no-such-ref", "ref-tree-test-"):
                 pass
         assert os.listdir(scratch) == []
+
+
+class TestAbBench:
+    def test_one_round_against_a_copy_of_the_working_tree(self, tmp_path):
+        # one round of one sweep of the oscillator workload: two workers,
+        # each on its own tree, with equal digests at seeds 1 and 42
+        # (about 1.5 s on a 2-core x86-64 VM)
+        src = os.path.join(ab_bench.ROOT, "src")
+        copy = shutil.copytree(src, tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        found = ab_bench.compare([str(copy), src], "oscillator", rounds=1, sweeps=1)
+        assert found.digests[0] == found.digests[1]
+        assert all(len(digest) == 64 for digest in found.digests[0])
+        assert [len(side) for side in found.readings] == [1, 1]
+        assert found.ratios[0] > 0.0
+        lines = found.lines(("copy", "working tree"))
+        assert lines[2] == "digests: equal"
+        assert lines[-1].startswith("ratio working tree / copy: median ")
+        assert lines[-1].endswith(" of 1")
+
+    def test_refuses_one_tree_twice(self):
+        # two workers on one path would measure one tree against itself
+        src = os.path.join(ab_bench.ROOT, "src")
+        with pytest.raises(ValueError, match="two separate trees"):
+            ab_bench.compare([src, os.path.join(src, ".")], "oscillator", rounds=1, sweeps=1)
+
+    def test_a_bad_ref_exits_2(self, capsys):
+        assert ab_bench.main(["no-such-ref", "--rounds", "1", "--sweeps", "1"]) == 2
+        assert "cannot check out 'no-such-ref'" in capsys.readouterr().err
